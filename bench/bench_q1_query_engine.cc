@@ -30,12 +30,12 @@ constexpr int kVisitors = 10000;
 /// emits): block object ranges partition, so min/max pruning is already
 /// sharp. Used for the determinism and acceptance checks.
 const char kIndexedStorePath[] = "BENCH_q1_store.evst";
-/// Time-ordered stores (the natural event-log ingest order): one
+/// Time-ordered store (the natural event-log ingest order): one
 /// object's trajectories scatter across blocks and block object ranges
 /// overlap almost totally, which is exactly the case the secondary
-/// object-id index exists for (with vs without, same layout).
+/// object-id index exists for (posting lists vs the blocks footer
+/// min/max stats alone would touch).
 const char kTimeStorePath[] = "BENCH_q1_store_time.evst";
-const char kTimePlainStorePath[] = "BENCH_q1_store_time_v1.evst";
 
 // The satellite sweep: 1, 2, 4, and hardware concurrency, deduplicated
 // and sorted so each count appears once in reports and BENCH JSON.
@@ -87,11 +87,9 @@ const std::vector<core::SemanticTrajectory>& Trajectories() {
 }
 
 void WriteStore(const std::string& path,
-                const std::vector<core::SemanticTrajectory>& trajectories,
-                bool with_index) {
+                const std::vector<core::SemanticTrajectory>& trajectories) {
   storage::WriterOptions options;
   options.rows_per_block = 1024;
-  options.write_object_index = with_index;
   auto writer = Unwrap(storage::EventStoreWriter::Create(
       path, storage::StoreKind::kTrajectories, options));
   Check(writer.Append(trajectories));
@@ -101,7 +99,7 @@ void WriteStore(const std::string& path,
 storage::EventStoreReader OpenStore(const std::string& path) {
   static bool written = false;
   if (!written) {
-    WriteStore(kIndexedStorePath, Trajectories(), true);
+    WriteStore(kIndexedStorePath, Trajectories());
     std::vector<core::SemanticTrajectory> by_time = Trajectories();
     std::stable_sort(by_time.begin(), by_time.end(),
                      [](const core::SemanticTrajectory& a,
@@ -109,8 +107,7 @@ storage::EventStoreReader OpenStore(const std::string& path) {
                        if (a.start() != b.start()) return a.start() < b.start();
                        return a.id() < b.id();
                      });
-    WriteStore(kTimeStorePath, by_time, true);
-    WriteStore(kTimePlainStorePath, by_time, false);
+    WriteStore(kTimeStorePath, by_time);
     written = true;
   }
   return Unwrap(storage::EventStoreReader::Open(path));
@@ -118,6 +115,17 @@ storage::EventStoreReader OpenStore(const std::string& path) {
 
 ObjectId ProbeObject() {
   return Trajectories()[Trajectories().size() / 2].object();
+}
+
+/// Blocks that footer min/max stats alone admit for `scan` — what a
+/// reader without the object index or the annotation bitmaps touches.
+std::vector<std::size_t> FooterStatsBlocks(
+    const storage::EventStoreReader& reader, const storage::ScanOptions& scan) {
+  std::vector<std::size_t> blocks;
+  for (std::size_t i = 0; i < reader.num_blocks(); ++i) {
+    if (reader.BlockMatches(i, scan)) blocks.push_back(i);
+  }
+  return blocks;
 }
 
 query::Query PointLookup() {
@@ -133,7 +141,6 @@ void Report() {
   const auto& trajectories = Trajectories();
   const auto indexed = OpenStore(kIndexedStorePath);
   const auto time_indexed = OpenStore(kTimeStorePath);
-  const auto time_plain = OpenStore(kTimePlainStorePath);
   std::printf("  workload: %d visitors -> %zu trajectories, %llu tuples, "
               "%zu blocks (v%u store, object index: %s)\n",
               kVisitors, trajectories.size(),
@@ -167,20 +174,23 @@ void Report() {
     std::exit(1);
   }
 
-  // -- Index ablation on the time-ordered store: same layout, with and
-  //    without the posting lists. min/max pruning is helpless when one
-  //    object's visits scatter across the collection window.
+  // -- Index ablation on the time-ordered store: the posting lists vs
+  //    the blocks footer stats alone admit. min/max pruning is helpless
+  //    when one object's visits scatter across the collection window.
   const auto scattered_indexed = Unwrap(executor.Run(lookup, time_indexed));
-  const auto scattered_plain = Unwrap(executor.Run(lookup, time_plain));
+  std::uint64_t min_max_rows = 0;
+  const auto min_max_blocks = FooterStatsBlocks(
+      time_indexed, storage::ScanOptions::ForObject(ProbeObject()));
+  for (const std::size_t b : min_max_blocks) {
+    min_max_rows += time_indexed.block(b).rows;
+  }
   Row("time-ordered store, tuples scanned",
-      "(index off = " + std::to_string(scattered_plain.stats.rows_scanned) +
-          ")",
+      "(index off = " + std::to_string(min_max_rows) + ")",
       std::to_string(scattered_indexed.stats.rows_scanned) + " indexed");
   Row("time-ordered store, blocks scanned",
       "(of " + std::to_string(time_indexed.num_blocks()) + ")",
       std::to_string(scattered_indexed.stats.blocks_scanned) +
-          " indexed, " +
-          std::to_string(scattered_plain.stats.blocks_scanned) + " min/max");
+          " indexed, " + std::to_string(min_max_blocks.size()) + " min/max");
 
   // -- Determinism: workers {1, 2, 4, hw} x {in-memory, store}. -------
   const std::string reference =
@@ -217,12 +227,12 @@ void Report() {
       "-", std::to_string(wing_count.count) + " of " +
                std::to_string(trajectories.size()));
 
-  // -- v3 annotation-bitmap ablation: the same annotated trajectories
-  //    in a v3 store (bitmap footer section on) and a v2 store (no
-  //    bitmaps), probed with an annotation predicate. The simulator
-  //    pipeline attaches no tuple annotations, so mark a small cluster
-  //    of trajectories with a rare behavior — the selective-term case
-  //    the bitmaps exist for.
+  // -- Annotation-bitmap ablation: an annotation predicate on a v3
+  //    store, bitmap-pruned blocks vs the blocks footer stats alone
+  //    admit (every block: the predicate names no object or time). The
+  //    simulator pipeline attaches no tuple annotations, so mark a small
+  //    cluster of trajectories with a rare behavior — the selective-term
+  //    case the bitmaps exist for.
   auto annotated = trajectories;
   const core::SemanticAnnotation rare{core::AnnotationKind::kBehavior,
                                       "vip"};
@@ -230,48 +240,38 @@ void Report() {
     annotated[i].mutable_trace().mutable_intervals()[0].annotations.Add(
         rare.kind, rare.value);
   }
-  const char kBitmapV3Path[] = "BENCH_q1_bitmap_v3.evst";
-  const char kBitmapV2Path[] = "BENCH_q1_bitmap_v2.evst";
-  storage::WriterOptions bitmap_options;
-  bitmap_options.rows_per_block = 1024;
-  auto v3_writer = Unwrap(storage::EventStoreWriter::Create(
-      kBitmapV3Path, storage::StoreKind::kTrajectories, bitmap_options));
-  Check(v3_writer.Append(annotated));
-  Check(v3_writer.Finish());
-  bitmap_options.format_version = 2;
-  auto v2_writer = Unwrap(storage::EventStoreWriter::Create(
-      kBitmapV2Path, storage::StoreKind::kTrajectories, bitmap_options));
-  Check(v2_writer.Append(annotated));
-  Check(v2_writer.Finish());
-  const auto v3_reader = Unwrap(storage::EventStoreReader::Open(kBitmapV3Path));
-  const auto v2_reader = Unwrap(storage::EventStoreReader::Open(kBitmapV2Path));
+  const char kBitmapPath[] = "BENCH_q1_bitmap_v3.evst";
+  WriteStore(kBitmapPath, annotated);
+  const auto bitmap_reader =
+      Unwrap(storage::EventStoreReader::Open(kBitmapPath));
 
   query::Query rare_query;
   rare_query.where = query::HasAnnotation(rare.kind, rare.value);
   rare_query.projection = query::Projection::kIds;
-  const auto v3_result = Unwrap(executor.Run(rare_query, v3_reader));
-  const auto v2_result = Unwrap(executor.Run(rare_query, v2_reader));
+  const auto bitmap_result = Unwrap(executor.Run(rare_query, bitmap_reader));
+  const std::size_t footer_blocks =
+      FooterStatsBlocks(bitmap_reader, storage::ScanOptions{}).size();
   std::printf("\n  annotation-bitmap ablation (rare term, same block "
               "geometry):\n");
-  std::printf("    v2 (no bitmaps): %llu of %zu blocks scanned\n",
-              static_cast<unsigned long long>(v2_result.stats.blocks_scanned),
-              v2_reader.num_blocks());
-  std::printf("    v3 (bitmaps):    %llu of %zu blocks scanned\n",
-              static_cast<unsigned long long>(v3_result.stats.blocks_scanned),
-              v3_reader.num_blocks());
-  if (v3_result.Fingerprint() != v2_result.Fingerprint()) {
+  std::printf("    footer stats only: %zu of %zu blocks admitted\n",
+              footer_blocks, bitmap_reader.num_blocks());
+  std::printf("    v3 bitmaps:        %llu of %zu blocks scanned\n",
+              static_cast<unsigned long long>(
+                  bitmap_result.stats.blocks_scanned),
+              bitmap_reader.num_blocks());
+  if (bitmap_result.Fingerprint() !=
+      Unwrap(executor.Run(rare_query, annotated)).Fingerprint()) {
     std::fprintf(stderr, "BENCH Q1 FAILED: annotation query results differ "
-                         "between v2 and v3 stores\n");
+                         "between the v3 store and in-memory execution\n");
     std::exit(1);
   }
-  if (v3_result.stats.blocks_scanned >= v2_result.stats.blocks_scanned) {
+  if (bitmap_result.stats.blocks_scanned >= footer_blocks) {
     std::fprintf(stderr,
                  "BENCH Q1 FAILED: v3 annotation query scanned %llu blocks, "
-                 "v2 scanned %llu (acceptance needs strictly fewer)\n",
+                 "footer stats admit %zu (acceptance needs strictly fewer)\n",
                  static_cast<unsigned long long>(
-                     v3_result.stats.blocks_scanned),
-                 static_cast<unsigned long long>(
-                     v2_result.stats.blocks_scanned));
+                     bitmap_result.stats.blocks_scanned),
+                 footer_blocks);
     std::exit(1);
   }
 
@@ -332,12 +332,18 @@ void BM_QueryPointLookupIndexed(benchmark::State& state) {
 BENCHMARK(BM_QueryPointLookupIndexed)->Unit(benchmark::kMicrosecond);
 
 void BM_QueryPointLookupMinMaxOnly(benchmark::State& state) {
-  // Same layout without the index: min/max pruning only.
-  const auto reader = OpenStore(kTimePlainStorePath);
-  query::QueryExecutor executor(Context());
-  const query::Query q = PointLookup();
+  // Same store, index bypassed: decode every block the footer min/max
+  // stats admit, filtering rows by object.
+  const auto reader = OpenStore(kTimeStorePath);
+  const storage::ScanOptions scan =
+      storage::ScanOptions::ForObject(ProbeObject());
+  const std::vector<std::size_t> blocks = FooterStatsBlocks(reader, scan);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(q, reader));
+    std::vector<core::SemanticTrajectory> out;
+    for (const std::size_t b : blocks) {
+      Check(reader.ReadTrajectoryBlock(b, scan, out));
+    }
+    benchmark::DoNotOptimize(out);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -13,20 +13,13 @@ not know this repo's conventions):
                        defeats it entirely; this rule has no gaps. The
                        callee set is derived by scanning src/ headers
                        for Status/Result-returning declarations.
-  naked-thread         `std::thread` may appear only in the concurrency
-                       substrates — base/parallel.* and the sched
-                       executor (ad-hoc threads bypass their determinism
-                       and shutdown discipline). `std::thread::id` /
+  naked-thread         `std::thread` may appear only in the one
+                       concurrency substrate, the sched executor
+                       (sched/executor.*): ad-hoc threads bypass its
+                       determinism and shutdown discipline, and span
+                       tracing. `std::thread::id` /
                        `std::thread::hardware_concurrency` type and
                        static accesses are fine anywhere.
-  direct-threadpool    Constructing a ThreadPool outside base/ and
-                       sched/ is forbidden: layers take a
-                       sched::Executor* and go through the task-graph
-                       adapters, so scheduling policy (and span tracing)
-                       stays in one place. The two substrate test
-                       harnesses (tests/base_parallel_test.cc,
-                       tests/parallel_stress_test.cc) are exempt — they
-                       test the pool itself.
   nondeterministic-rng std::random_device / std::mt19937 / srand / rand
                        are forbidden outside base/rng.h: every random
                        stream must come from sitm::Rng with an explicit
@@ -258,9 +251,7 @@ def check_discarded_status(root, findings):
 
 
 def check_naked_thread(root, findings):
-    exempt = {os.path.join("src", "base", "parallel.h"),
-              os.path.join("src", "base", "parallel.cc"),
-              os.path.join("src", "sched", "executor.h"),
+    exempt = {os.path.join("src", "sched", "executor.h"),
               os.path.join("src", "sched", "executor.cc")}
     # `(?!::)` keeps std::thread::id / ::hardware_concurrency accesses
     # legal everywhere: they name no thread of execution.
@@ -275,41 +266,9 @@ def check_naked_thread(root, findings):
             if token.search(code) and not allowed(lines, i, "naked-thread"):
                 findings.append(Finding(
                     path, i + 1, "naked-thread",
-                    "std::thread outside the base/sched substrates — "
+                    "std::thread outside the sched executor — "
                     "run work on a sched::Executor instead (or justify "
                     "with `sitm-lint: allow(naked-thread)`)"))
-
-
-# Construction forms only: declarations/references like `ThreadPool&` or
-# `ThreadPool*` do not trip the rule (base/parallel.h declares them, and
-# they own nothing).
-THREADPOOL_CONSTRUCT_RE = re.compile(
-    r"\bnew\s+ThreadPool\b|"
-    r"\bmake_(?:unique|shared)<\s*ThreadPool\b|"
-    r"\bThreadPool\s+[A-Za-z_]\w*\s*[({]|"
-    r"\bThreadPool\s*[({]")
-
-
-def check_direct_threadpool(root, findings):
-    exempt_dirs = (os.path.join("src", "base") + os.sep,
-                   os.path.join("src", "sched") + os.sep)
-    exempt_files = {os.path.join("tests", "base_parallel_test.cc"),
-                    os.path.join("tests", "parallel_stress_test.cc")}
-    for path in iter_files(root, SOURCE_DIRS, (".cc", ".cpp", ".h")):
-        rel = os.path.relpath(path, root)
-        if rel.startswith(exempt_dirs) or rel in exempt_files:
-            continue
-        lines = read_lines(path)
-        for i, line in enumerate(lines):
-            code = strip_comments_and_strings(line)
-            if THREADPOOL_CONSTRUCT_RE.search(code) and not allowed(
-                    lines, i, "direct-threadpool"):
-                findings.append(Finding(
-                    path, i + 1, "direct-threadpool",
-                    "ThreadPool constructed outside base/ and sched/ — "
-                    "create a sched::Executor and pass it through the "
-                    "layer's options (or justify with "
-                    "`sitm-lint: allow(direct-threadpool)`)"))
 
 
 RNG_TOKEN = re.compile(
@@ -638,7 +597,6 @@ def check_missing_nodiscard(root, findings):
 CHECKS = (
     check_discarded_status,
     check_naked_thread,
-    check_direct_threadpool,
     check_nondeterministic_rng,
     check_pragma_once,
     check_include_convention,

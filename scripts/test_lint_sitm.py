@@ -116,17 +116,21 @@ def test_status_call_inside_string_or_comment_is_ignored():
     assert not [f for f in findings if f.rule == "discarded-status"], findings
 
 
-def test_naked_thread_flagged_outside_base_parallel():
+def test_naked_thread_flagged_outside_the_executor():
     findings = _lint({
         "src/core/runner.cc": ("#include <thread>\n"
                                "void F() { std::thread t([] {}); t.join(); }\n"),
+        # base/ is no substrate: only sched/executor.* may own threads.
+        "src/base/pool.cc": "#include <thread>\nstd::thread worker;\n",
     })
-    assert "naked-thread" in _rules(findings), findings
+    flagged = [f for f in findings if f.rule == "naked-thread"]
+    assert len(flagged) == 2, findings
 
 
-def test_naked_thread_exempt_in_substrates_and_when_allowed():
+def test_naked_thread_exempt_in_executor_and_when_allowed():
     findings = _lint({
-        "src/base/parallel.cc": "#include <thread>\nstd::thread worker;\n",
+        "src/sched/executor.h": ("#pragma once\n#include <thread>\n"
+                                 "std::thread worker;\n"),
         "src/sched/executor.cc": "#include <thread>\nstd::thread worker;\n",
         "tests/stress.cc": ("// sitm-lint: allow(naked-thread)\n"
                             "std::thread submitter;\n"),
@@ -144,35 +148,6 @@ def test_thread_type_and_static_accesses_are_not_naked_threads():
                             " return std::thread::hardware_concurrency(); }\n"),
     })
     assert not [f for f in findings if f.rule == "naked-thread"], findings
-
-
-def test_direct_threadpool_construction_flagged_outside_substrates():
-    findings = _lint({
-        "src/mining/fill.cc": "void F() { ThreadPool pool(4); }\n",
-        "tests/some_test.cc": ("void G() {\n"
-                               "  auto p = std::make_unique<ThreadPool>(2);\n"
-                               "}\n"),
-        "bench/bench_x.cc": "static ThreadPool& P() { static ThreadPool pool(2); return pool; }\n",
-    })
-    flagged = [f for f in findings if f.rule == "direct-threadpool"]
-    assert len(flagged) == 3, findings
-
-
-def test_threadpool_references_and_substrates_are_exempt():
-    findings = _lint({
-        # References and pointers own nothing; declarations in the
-        # substrate dirs and the pool's own test harnesses are exempt.
-        "src/core/opts.h": ("#pragma once\n"
-                            "struct Opts { ThreadPool* pool = nullptr; };\n"
-                            "void F(ThreadPool& pool);\n"),
-        "src/base/parallel.cc": "void F() { ThreadPool pool(2); }\n",
-        "src/sched/helper.cc": "void G() { ThreadPool pool(2); }\n",
-        "tests/base_parallel_test.cc": "void H() { ThreadPool pool(2); }\n",
-        "tests/parallel_stress_test.cc": "void I() { ThreadPool pool(2); }\n",
-        "examples/demo.cpp": ("// sitm-lint: allow(direct-threadpool)\n"
-                              "static ThreadPool pool(2);\n"),
-    })
-    assert not [f for f in findings if f.rule == "direct-threadpool"], findings
 
 
 def test_nondeterministic_rng_flagged_outside_base_rng():

@@ -27,7 +27,7 @@ struct SegmentStoreOptions {
   /// this many inputs into one segment of the next level; < 2 disables
   /// compaction).
   std::size_t compaction_fanin = 4;
-  /// Segment file format (codec, block size, encoding executor).
+  /// Segment writer options (block size, encoding executor).
   storage::WriterOptions writer;
   /// Runner for background compaction (borrowed; null compacts inline
   /// on the thread that sealed the triggering segment).
@@ -57,7 +57,7 @@ struct SegmentStoreStats {
 ///
 /// Finalized trajectories append into an in-memory pending buffer;
 /// once it reaches `seal_trajectories` it is sealed into a small L0
-/// EventStore file (v3 writer — same format, codecs, and pushdown
+/// EventStore file (v3 writer — same format and pushdown
 /// metadata as batch stores). When a level accumulates
 /// `compaction_fanin` segments, a background task (on `runner`, via
 /// detached TaskRunner::Submit) merges them — sorted by (start time,

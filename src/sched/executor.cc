@@ -126,8 +126,8 @@ Status Executor::Run(TaskGraph graph) {
   SITM_RETURN_IF_ERROR(graph.Validate());
   if (graph.nodes().empty()) return Status::OK();
 
-  // Post-shutdown runs execute inline on the caller — the same pinned
-  // degradation as ThreadPool::Submit after shutdown.
+  // Post-shutdown runs execute inline on the caller: work is degraded
+  // to sequential, never dropped.
   bool inline_run = false;
   {
     MutexLock lock(mutex_);

@@ -72,8 +72,8 @@ class Executor : public TaskRunner {
   /// Executes `graph` to completion (validating it first) and returns
   /// the lowest-id task failure, if any. Safe to call concurrently from
   /// any thread, including from inside a task of this executor. After
-  /// Shutdown() the graph runs inline on the calling thread (mirroring
-  /// ThreadPool::Submit-after-shutdown), still deterministically.
+  /// Shutdown() the graph runs inline on the calling thread, still
+  /// deterministically.
   [[nodiscard]] Status Run(TaskGraph graph) override SITM_EXCLUDES(mutex_);
 
   /// Truly detached submission: the graph is seeded onto the workers and

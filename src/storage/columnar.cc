@@ -1,6 +1,6 @@
 #include "storage/columnar.h"
 
-#include <algorithm>
+#include <utility>
 #include <cstring>
 
 namespace sitm::storage {
@@ -170,156 +170,6 @@ Result<std::vector<bool>> ReadBitColumn(ByteReader& reader, std::size_t n) {
     const auto byte = static_cast<unsigned char>(bytes[i / 8]);
     out.push_back((byte >> (i % 8)) & 1u);
   }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Chunked frame-of-reference bitpacking.
-// ---------------------------------------------------------------------------
-
-namespace {
-
-/// Bits needed to represent v (0 for v == 0).
-int BitWidth(std::uint64_t v) {
-  int width = 0;
-  while (v != 0) {
-    ++width;
-    v >>= 1;
-  }
-  return width;
-}
-
-}  // namespace
-
-void PutPackedColumn(std::string& out,
-                     const std::vector<std::uint64_t>& values) {
-  for (std::size_t begin = 0; begin < values.size();
-       begin += kPackedChunkSize) {
-    const std::size_t end =
-        std::min(begin + kPackedChunkSize, values.size());
-    std::uint64_t reference = values[begin];
-    for (std::size_t i = begin + 1; i < end; ++i) {
-      reference = std::min(reference, values[i]);
-    }
-    int width = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      width = std::max(width, BitWidth(values[i] - reference));
-    }
-    PutVarint64(out, reference);
-    out.push_back(static_cast<char>(width));
-    // LSB-first bit stream: value bits land in ascending bit positions
-    // across consecutive bytes, mirroring PutBitColumn. The accumulator
-    // is filled at most 8 bits at a time, so no shift can overflow even
-    // at width 64.
-    unsigned acc = 0;
-    int acc_bits = 0;
-    for (std::size_t i = begin; i < end; ++i) {
-      std::uint64_t rebased = values[i] - reference;
-      int remaining = width;
-      while (remaining > 0) {
-        const int take = std::min(8 - acc_bits, remaining);
-        acc |= static_cast<unsigned>(rebased & ((1ull << take) - 1))
-               << acc_bits;
-        rebased >>= take;
-        remaining -= take;
-        acc_bits += take;
-        if (acc_bits == 8) {
-          out.push_back(static_cast<char>(acc));
-          acc = 0;
-          acc_bits = 0;
-        }
-      }
-    }
-    if (acc_bits > 0) out.push_back(static_cast<char>(acc));
-  }
-}
-
-Result<std::vector<std::uint64_t>> ReadPackedColumn(ByteReader& reader,
-                                                    std::size_t n) {
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
-  while (out.size() < n) {
-    const std::size_t len = std::min(kPackedChunkSize, n - out.size());
-    SITM_ASSIGN_OR_RETURN(const std::uint64_t reference,
-                          reader.ReadVarint64());
-    SITM_ASSIGN_OR_RETURN(const std::string_view width_byte,
-                          reader.ReadBytes(1));
-    const int width = static_cast<unsigned char>(width_byte[0]);
-    if (width > 64) {
-      return Status::Corruption("columnar: packed chunk bit width " +
-                                std::to_string(width) + " exceeds 64");
-    }
-    const std::size_t payload_bytes =
-        (len * static_cast<std::size_t>(width) + 7) / 8;
-    SITM_ASSIGN_OR_RETURN(const std::string_view payload,
-                          reader.ReadBytes(payload_bytes));
-    std::uint64_t acc = 0;
-    int acc_bits = 0;
-    std::size_t next_byte = 0;
-    for (std::size_t i = 0; i < len; ++i) {
-      std::uint64_t rebased = 0;
-      int have = 0;
-      while (have < width) {
-        if (acc_bits == 0) {
-          acc = static_cast<unsigned char>(payload[next_byte++]);
-          acc_bits = 8;
-        }
-        const int take = std::min(acc_bits, width - have);
-        rebased |= (acc & ((take == 64 ? 0 : (1ull << take)) - 1)) << have;
-        acc >>= take;
-        acc_bits -= take;
-        have += take;
-      }
-      // Additions are mod 2^64 by construction (unsigned), matching the
-      // encoder's wrap-defined subtraction.
-      out.push_back(reference + rebased);
-    }
-  }
-  return out;
-}
-
-void PutPackedDeltaColumn(std::string& out,
-                          const std::vector<std::int64_t>& values) {
-  std::vector<std::uint64_t> zigzag;
-  zigzag.reserve(values.size());
-  std::uint64_t previous = 0;
-  for (std::int64_t v : values) {
-    const auto u = static_cast<std::uint64_t>(v);
-    zigzag.push_back(ZigZagEncode(static_cast<std::int64_t>(u - previous)));
-    previous = u;
-  }
-  PutPackedColumn(out, zigzag);
-}
-
-Result<std::vector<std::int64_t>> ReadPackedDeltaColumn(ByteReader& reader,
-                                                        std::size_t n) {
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> zigzag,
-                        ReadPackedColumn(reader, n));
-  std::vector<std::int64_t> out;
-  out.reserve(n);
-  std::uint64_t previous = 0;
-  for (std::uint64_t z : zigzag) {
-    previous += static_cast<std::uint64_t>(ZigZagDecode(z));
-    out.push_back(static_cast<std::int64_t>(previous));
-  }
-  return out;
-}
-
-void PutPackedSignedColumn(std::string& out,
-                           const std::vector<std::int64_t>& values) {
-  std::vector<std::uint64_t> zigzag;
-  zigzag.reserve(values.size());
-  for (std::int64_t v : values) zigzag.push_back(ZigZagEncode(v));
-  PutPackedColumn(out, zigzag);
-}
-
-Result<std::vector<std::int64_t>> ReadPackedSignedColumn(ByteReader& reader,
-                                                         std::size_t n) {
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> zigzag,
-                        ReadPackedColumn(reader, n));
-  std::vector<std::int64_t> out;
-  out.reserve(n);
-  for (std::uint64_t z : zigzag) out.push_back(ZigZagDecode(z));
   return out;
 }
 

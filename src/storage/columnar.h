@@ -99,49 +99,7 @@ void PutBitColumn(std::string& out, const std::vector<bool>& values);
 [[nodiscard]] Result<std::vector<bool>> ReadBitColumn(ByteReader& reader, std::size_t n);
 
 // ---------------------------------------------------------------------------
-// Chunked frame-of-reference bitpacking (the v3 kPacked block codec).
-// ---------------------------------------------------------------------------
-
-/// Values per bitpacked chunk. Small enough that one large outlier
-/// (e.g. the timestamp jump between consecutive trajectories) widens at
-/// most 32 values, large enough that the 2-byte-ish chunk header
-/// amortizes away.
-inline constexpr std::size_t kPackedChunkSize = 32;
-
-/// \brief Appends a frame-of-reference bitpacked unsigned column: the
-/// values are cut into chunks of kPackedChunkSize; each chunk stores a
-/// varint reference (its minimum), one byte of bit width w, and
-/// ceil(len * w / 8) bytes of (value - reference) packed LSB-first.
-/// Constant runs cost ~2 bytes per chunk (w = 0 stores no payload).
-void PutPackedColumn(std::string& out,
-                     const std::vector<std::uint64_t>& values);
-
-/// Decodes `n` values of a PutPackedColumn column. Corruption on a bit
-/// width over 64 or truncated chunk payloads.
-[[nodiscard]] Result<std::vector<std::uint64_t>> ReadPackedColumn(
-    ByteReader& reader, std::size_t n);
-
-/// Delta + zigzag + PutPackedColumn: the packed twin of PutDeltaColumn
-/// (same wrap-defined mod 2^64 delta semantics, so every int64 sequence
-/// round-trips exactly).
-void PutPackedDeltaColumn(std::string& out,
-                          const std::vector<std::int64_t>& values);
-
-/// Decodes `n` values of a PutPackedDeltaColumn column.
-[[nodiscard]] Result<std::vector<std::int64_t>> ReadPackedDeltaColumn(
-    ByteReader& reader, std::size_t n);
-
-/// Zigzag + PutPackedColumn for signed columns that are not deltas
-/// (e.g. raw boundary ids where -1 means "unknown").
-void PutPackedSignedColumn(std::string& out,
-                           const std::vector<std::int64_t>& values);
-
-/// Decodes `n` values of a PutPackedSignedColumn column.
-[[nodiscard]] Result<std::vector<std::int64_t>> ReadPackedSignedColumn(
-    ByteReader& reader, std::size_t n);
-
-// ---------------------------------------------------------------------------
-// LZ byte codec (the v3 kLz / kPackedLz block codecs).
+// LZ byte codec (the v3 block codec).
 // ---------------------------------------------------------------------------
 
 /// \brief Compresses `input` with a greedy LZ77: the stream is a

@@ -61,32 +61,14 @@ struct EncodedBlock {
   std::vector<std::uint32_t> dictionary_ids;
 };
 
-/// Wraps raw column bytes into the on-disk block payload for the given
-/// format version: v1/v2 store them as-is; v3 prepends the codec id and
-/// applies the byte codec. `inner` must already be in the codec's
-/// column layout (raw vs packed) for kRaw/kPacked/kLz/kPackedLz.
-std::string WrapBlockPayload(std::uint32_t format_version, BlockCodec codec,
-                             std::string inner) {
-  if (format_version < 3) return inner;
+/// Wraps column bytes into the v3 block payload: the codec id, the
+/// column byte count, then the LZ stream of the columns.
+std::string LzBlockPayload(std::string_view columns) {
   std::string payload;
-  PutVarint64(payload, static_cast<std::uint64_t>(codec));
-  switch (codec) {
-    case BlockCodec::kRaw:
-    case BlockCodec::kPacked:
-      payload += inner;
-      break;
-    case BlockCodec::kLz:
-    case BlockCodec::kPackedLz:
-      PutVarint64(payload, inner.size());
-      payload += CompressBytes(inner);
-      break;
-  }
+  PutVarint64(payload, kLzCodecId);
+  PutVarint64(payload, columns.size());
+  payload += CompressBytes(columns);
   return payload;
-}
-
-/// True when the codec's inner column layout is the bitpacked one.
-bool CodecPacksColumns(BlockCodec codec) {
-  return codec == BlockCodec::kPacked || codec == BlockCodec::kPackedLz;
 }
 
 std::vector<std::int64_t> SortedUnique(std::vector<std::int64_t> values) {
@@ -127,17 +109,15 @@ Result<Timestamp> EndFromDuration(std::int64_t start, std::uint64_t duration) {
 }
 
 /// The column bytes of one block after codec framing is stripped:
-/// either a slice of the mapped payload (`offset` past the codec id) or
-/// an owned decompressed buffer. `View` must be called on the object's
-/// final resting place — the view may borrow from `owned`.
+/// the mapped payload itself (v1/v2) or an owned decompressed buffer
+/// (v3). `View` must be called on the object's final resting place —
+/// the view may borrow from `owned`.
 struct BlockColumns {
   std::string owned;
-  std::size_t offset = 0;
   bool decompressed = false;
-  bool packed = false;
 
   std::string_view View(std::string_view payload) const {
-    return decompressed ? std::string_view(owned) : payload.substr(offset);
+    return decompressed ? std::string_view(owned) : payload;
   }
 };
 
@@ -153,16 +133,10 @@ Result<BlockColumns> DecodeBlockPayload(std::uint32_t version,
   if (version < 3) return out;
   ByteReader reader(payload);
   SITM_ASSIGN_OR_RETURN(const std::uint64_t codec_id, reader.ReadVarint64());
-  if (codec_id > static_cast<std::uint64_t>(BlockCodec::kPackedLz)) {
-    return Status::Corruption("EventStore: unknown block codec " +
+  if (codec_id != kLzCodecId) {
+    return Status::Corruption("EventStore: unsupported block codec " +
                               std::to_string(codec_id) + " in block " +
                               std::to_string(block_index));
-  }
-  const auto codec = static_cast<BlockCodec>(codec_id);
-  out.packed = CodecPacksColumns(codec);
-  if (codec == BlockCodec::kRaw || codec == BlockCodec::kPacked) {
-    out.offset = reader.position();
-    return out;
   }
   SITM_ASSIGN_OR_RETURN(const std::uint64_t raw_size, reader.ReadVarint64());
   if (raw_size > max_raw_size) {
@@ -184,18 +158,6 @@ Result<BlockColumns> DecodeBlockPayload(std::uint32_t version,
   return out;
 }
 
-/// Column readers that pick the raw or bitpacked layout per `packed`.
-Result<std::vector<std::int64_t>> ReadDeltaish(ByteReader& reader,
-                                               std::size_t n, bool packed) {
-  return packed ? ReadPackedDeltaColumn(reader, n)
-                : ReadDeltaColumn(reader, n);
-}
-Result<std::vector<std::uint64_t>> ReadUnsignedish(ByteReader& reader,
-                                                   std::size_t n,
-                                                   bool packed) {
-  return packed ? ReadPackedColumn(reader, n) : ReadVarintColumn(reader, n);
-}
-
 bool RowMatches(const ScanOptions& scan, ObjectId object, Timestamp start,
                 Timestamp end) {
   if (!scan.objects.empty() &&
@@ -213,20 +175,6 @@ bool RowMatches(const ScanOptions& scan, ObjectId object, Timestamp start,
 
 }  // namespace
 
-const char* BlockCodecName(BlockCodec codec) {
-  switch (codec) {
-    case BlockCodec::kRaw:
-      return "raw";
-    case BlockCodec::kPacked:
-      return "packed";
-    case BlockCodec::kLz:
-      return "lz";
-    case BlockCodec::kPackedLz:
-      return "packed+lz";
-  }
-  return "?";
-}
-
 // ---------------------------------------------------------------------------
 // Writer.
 // ---------------------------------------------------------------------------
@@ -240,24 +188,6 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
   if (options.rows_per_block == 0) {
     return Status::InvalidArgument("EventStore: rows_per_block must be >= 1");
   }
-  if (options.format_version < 1 || options.format_version > kStoreVersion) {
-    return Status::InvalidArgument(
-        "EventStore: cannot write format version " +
-        std::to_string(options.format_version));
-  }
-  // Normalize to the version the file will actually carry, reproducing
-  // the pre-v3 writers byte for byte: under format 2 a file without the
-  // object index has no optional sections and *is* the version-1
-  // format, so it is stamped (and emitted) as such; format 1 never has
-  // sections or codec ids.
-  if (options.format_version == 2 && !options.write_object_index) {
-    options.format_version = 1;
-  }
-  if (options.format_version == 1) {
-    options.write_object_index = false;
-    options.write_annotation_bitmaps = false;
-  }
-  if (options.format_version < 3) options.codec = BlockCodec::kRaw;
   EventStoreWriter writer;
   writer.file_ = std::fopen(path.c_str(), "wb");
   if (writer.file_ == nullptr) {
@@ -267,7 +197,7 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
   writer.kind_ = kind;
   writer.options_ = options;
   std::string header(kStoreMagic, sizeof(kStoreMagic));
-  PutU32(header, options.format_version);
+  PutU32(header, kStoreVersion);
   PutU32(header, static_cast<std::uint32_t>(kind));
   SITM_RETURN_IF_ERROR(writer.WriteRaw(header));
   return writer;
@@ -382,20 +312,12 @@ Status EventStoreWriter::Append(
                        d.start.seconds_since_epoch(),
                        d.end.seconds_since_epoch());
         }
-        std::string inner;
-        if (CodecPacksColumns(options_.codec)) {
-          PutPackedDeltaColumn(inner, objects);
-          PutPackedDeltaColumn(inner, cells);
-          PutPackedDeltaColumn(inner, starts);
-          PutPackedColumn(inner, durations);
-        } else {
-          PutDeltaColumn(inner, objects);
-          PutDeltaColumn(inner, cells);
-          PutDeltaColumn(inner, starts);
-          PutVarintColumn(inner, durations);
-        }
-        block.payload = WrapBlockPayload(options_.format_version,
-                                         options_.codec, std::move(inner));
+        std::string columns;
+        PutDeltaColumn(columns, objects);
+        PutDeltaColumn(columns, cells);
+        PutDeltaColumn(columns, starts);
+        PutVarintColumn(columns, durations);
+        block.payload = LzBlockPayload(columns);
         block.meta.rows = n;
         block.meta.length = block.payload.size();
         block.meta.checksum = Checksum(block.payload);
@@ -504,62 +426,37 @@ Status EventStoreWriter::Append(
           return std::vector<std::uint64_t>(v.begin() + begin,
                                             v.begin() + end);
         };
-        std::string inner;
-        if (CodecPacksColumns(options_.codec)) {
-          PutPackedDeltaColumn(
-              inner, slice_i64(traj_ids, range.traj_begin, range.traj_end));
-          PutPackedDeltaColumn(
-              inner, slice_i64(traj_objects, range.traj_begin, range.traj_end));
-          PutPackedColumn(
-              inner, slice_u64(traj_dicts, range.traj_begin, range.traj_end));
-          PutPackedColumn(
-              inner, slice_u64(traj_rows, range.traj_begin, range.traj_end));
-          PutPackedDeltaColumn(
-              inner, slice_i64(cells, range.row_begin, range.row_end));
-          PutPackedSignedColumn(
-              inner, slice_i64(transitions, range.row_begin, range.row_end));
-          PutPackedDeltaColumn(
-              inner, slice_i64(starts, range.row_begin, range.row_end));
-          PutPackedColumn(
-              inner, slice_u64(durations, range.row_begin, range.row_end));
-          PutPackedColumn(
-              inner, slice_u64(stay_dicts, range.row_begin, range.row_end));
-          PutPackedColumn(
-              inner,
-              slice_u64(transition_dicts, range.row_begin, range.row_end));
-        } else {
-          PutDeltaColumn(inner,
-                         slice_i64(traj_ids, range.traj_begin, range.traj_end));
-          PutDeltaColumn(
-              inner, slice_i64(traj_objects, range.traj_begin, range.traj_end));
-          PutVarintColumn(
-              inner, slice_u64(traj_dicts, range.traj_begin, range.traj_end));
-          PutVarintColumn(
-              inner, slice_u64(traj_rows, range.traj_begin, range.traj_end));
-          PutDeltaColumn(inner,
-                         slice_i64(cells, range.row_begin, range.row_end));
-          for (std::size_t i = range.row_begin; i < range.row_end; ++i) {
-            PutSVarint64(inner, transitions[i]);
-          }
-          PutDeltaColumn(inner,
-                         slice_i64(starts, range.row_begin, range.row_end));
-          PutVarintColumn(inner,
-                          slice_u64(durations, range.row_begin, range.row_end));
-          PutVarintColumn(
-              inner, slice_u64(stay_dicts, range.row_begin, range.row_end));
-          PutVarintColumn(
-              inner,
-              slice_u64(transition_dicts, range.row_begin, range.row_end));
+        std::string columns;
+        PutDeltaColumn(columns,
+                       slice_i64(traj_ids, range.traj_begin, range.traj_end));
+        PutDeltaColumn(
+            columns, slice_i64(traj_objects, range.traj_begin, range.traj_end));
+        PutVarintColumn(
+            columns, slice_u64(traj_dicts, range.traj_begin, range.traj_end));
+        PutVarintColumn(
+            columns, slice_u64(traj_rows, range.traj_begin, range.traj_end));
+        PutDeltaColumn(columns,
+                       slice_i64(cells, range.row_begin, range.row_end));
+        for (std::size_t i = range.row_begin; i < range.row_end; ++i) {
+          PutSVarint64(columns, transitions[i]);
         }
-        PutBitColumn(inner,
+        PutDeltaColumn(columns,
+                       slice_i64(starts, range.row_begin, range.row_end));
+        PutVarintColumn(columns,
+                        slice_u64(durations, range.row_begin, range.row_end));
+        PutVarintColumn(
+            columns, slice_u64(stay_dicts, range.row_begin, range.row_end));
+        PutVarintColumn(
+            columns,
+            slice_u64(transition_dicts, range.row_begin, range.row_end));
+        PutBitColumn(columns,
                      std::vector<bool>(inferred.begin() +
                                            static_cast<std::ptrdiff_t>(
                                                range.row_begin),
                                        inferred.begin() +
                                            static_cast<std::ptrdiff_t>(
                                                range.row_end)));
-        block.payload = WrapBlockPayload(options_.format_version,
-                                         options_.codec, std::move(inner));
+        block.payload = LzBlockPayload(columns);
         {
           std::vector<std::uint32_t> ids;
           for (std::size_t t = range.traj_begin; t < range.traj_end; ++t) {
@@ -633,10 +530,12 @@ Status EventStoreWriter::Finish() {
     PutSVarint64(footer, meta.max_time);
     PutU64(footer, meta.checksum);
   }
-  // v2+ optional sections: count, then (kind, byte length, payload) per
-  // section. Length framing lets readers skip unknown kinds.
+  // Optional sections: count, then (kind, byte length, payload) per
+  // section. Length framing lets readers skip unknown kinds. The object
+  // index is always written; the annotation bitmaps whenever the file
+  // holds any annotation.
   std::vector<std::pair<std::uint64_t, std::string>> sections;
-  if (options_.write_object_index) {
+  {
     std::string section;
     PutVarint64(section, object_blocks_.size());
     std::int64_t prev_object = 0;
@@ -652,7 +551,7 @@ Status EventStoreWriter::Finish() {
     }
     sections.emplace_back(kSectionObjectIndex, std::move(section));
   }
-  if (options_.format_version >= 3 && options_.write_annotation_bitmaps) {
+  {
     // Term table: every distinct (kind, value) across the dictionary,
     // sorted ascending; per block one bit per term, set when the term
     // appears in a dictionary set the block references. Readers prune a
@@ -696,13 +595,11 @@ Status EventStoreWriter::Finish() {
       sections.emplace_back(kSectionAnnotationBitmaps, std::move(section));
     }
   }
-  if (options_.format_version >= 2) {
-    PutVarint64(footer, sections.size());
-    for (const auto& [section_kind, section] : sections) {
-      PutVarint64(footer, section_kind);
-      PutVarint64(footer, section.size());
-      footer += section;
-    }
+  PutVarint64(footer, sections.size());
+  for (const auto& [section_kind, section] : sections) {
+    PutVarint64(footer, section_kind);
+    PutVarint64(footer, section.size());
+    footer += section;
   }
   SITM_RETURN_IF_ERROR(WriteRaw(footer));
   std::string trailer;
@@ -1049,13 +946,13 @@ Status EventStoreReader::ReadDetectionBlock(
                          i));
   ByteReader reader(columns.View(payload));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> objects,
-                        ReadDeltaish(reader, n, columns.packed));
+                        ReadDeltaColumn(reader, n));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> cells,
-                        ReadDeltaish(reader, n, columns.packed));
+                        ReadDeltaColumn(reader, n));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> starts,
-                        ReadDeltaish(reader, n, columns.packed));
+                        ReadDeltaColumn(reader, n));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> durations,
-                        ReadUnsignedish(reader, n, columns.packed));
+                        ReadVarintColumn(reader, n));
   if (!reader.empty()) {
     return Status::Corruption("EventStore: trailing bytes in block " +
                               std::to_string(i));
@@ -1096,16 +993,13 @@ Status EventStoreReader::ReadTrajectoryBlock(
                          i));
   ByteReader reader(columns.View(payload));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> traj_ids,
-                        ReadDeltaish(reader, num_trajectories, columns.packed));
-  SITM_ASSIGN_OR_RETURN(
-      const std::vector<std::int64_t> traj_objects,
-      ReadDeltaish(reader, num_trajectories, columns.packed));
-  SITM_ASSIGN_OR_RETURN(
-      const std::vector<std::uint64_t> traj_dicts,
-      ReadUnsignedish(reader, num_trajectories, columns.packed));
-  SITM_ASSIGN_OR_RETURN(
-      const std::vector<std::uint64_t> traj_rows,
-      ReadUnsignedish(reader, num_trajectories, columns.packed));
+                        ReadDeltaColumn(reader, num_trajectories));
+  SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> traj_objects,
+                        ReadDeltaColumn(reader, num_trajectories));
+  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> traj_dicts,
+                        ReadVarintColumn(reader, num_trajectories));
+  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> traj_rows,
+                        ReadVarintColumn(reader, num_trajectories));
   std::uint64_t row_sum = 0;
   for (std::uint64_t r : traj_rows) {
     if (r == 0) {
@@ -1129,26 +1023,22 @@ Status EventStoreReader::ReadTrajectoryBlock(
         std::to_string(i));
   }
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> cells,
-                        ReadDeltaish(reader, rows, columns.packed));
+                        ReadDeltaColumn(reader, rows));
   std::vector<std::int64_t> transitions;
-  if (columns.packed) {
-    SITM_ASSIGN_OR_RETURN(transitions, ReadPackedSignedColumn(reader, rows));
-  } else {
-    transitions.reserve(rows);
-    for (std::size_t r = 0; r < rows; ++r) {
-      SITM_ASSIGN_OR_RETURN(const std::int64_t transition,
-                            reader.ReadSVarint64());
-      transitions.push_back(transition);
-    }
+  transitions.reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    SITM_ASSIGN_OR_RETURN(const std::int64_t transition,
+                          reader.ReadSVarint64());
+    transitions.push_back(transition);
   }
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> starts,
-                        ReadDeltaish(reader, rows, columns.packed));
+                        ReadDeltaColumn(reader, rows));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> durations,
-                        ReadUnsignedish(reader, rows, columns.packed));
+                        ReadVarintColumn(reader, rows));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> stay_dicts,
-                        ReadUnsignedish(reader, rows, columns.packed));
+                        ReadVarintColumn(reader, rows));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> transition_dicts,
-                        ReadUnsignedish(reader, rows, columns.packed));
+                        ReadVarintColumn(reader, rows));
   SITM_ASSIGN_OR_RETURN(const std::vector<bool> inferred,
                         ReadBitColumn(reader, rows));
   if (!reader.empty()) {
@@ -1228,8 +1118,8 @@ EventStoreReader::ReadTrajectories(const ScanOptions& scan) const {
 bool EventStoreReader::BlockMayContainAnnotation(std::size_t i,
                                                  core::AnnotationKind kind,
                                                  std::string_view value) const {
-  // No bitmap section (pre-v3 file, or bitmaps disabled): every block
-  // may match — the conservative answer.
+  // No bitmap section (pre-v3 file, or no annotations at all): every
+  // block may match — the conservative answer.
   if (annotation_terms_.empty() || i >= blocks_.size()) return true;
   const auto it = std::lower_bound(
       annotation_terms_.begin(), annotation_terms_.end(),

@@ -53,27 +53,21 @@ namespace sitm::storage {
 ///       of block indices holding its rows (ascending, delta-encoded).
 ///       Point lookups touch exactly those blocks instead of relying on
 ///       per-block min/max pruning.
-///   3 — per-block compression codecs and annotation bitmaps.
-///       Every block payload now begins with a varint codec id
-///       (BlockCodec) followed by codec-dependent bytes:
-///         0 raw        the v2 column layout, unchanged;
-///         1 packed     the same columns re-encoded with chunked
-///                      frame-of-reference bitpacking (delta and
-///                      dictionary-id columns shrink below one byte per
-///                      value — storage/columnar.h);
-///         2 lz         varint raw byte count, then an LZ77 stream of
-///                      the raw (codec 0) column bytes;
-///         3 packed+lz  varint packed byte count, then an LZ77 stream
-///                      of the packed (codec 1) column bytes.
-///       Unknown codec ids are Corruption. Block checksums cover the
+///   3 — LZ-compressed blocks and annotation bitmaps. Every block
+///       payload begins with the varint codec id 2 (kLzCodecId), then
+///       the varint byte count of the v2 column layout, then an LZ77
+///       stream of those column bytes (storage/columnar.h). Ids 0, 1
+///       and 3 are reserved (retired codecs); they and any unknown id
+///       are Corruption. Block checksums cover the
 ///       stored payload (codec id included). Section kind 2 holds the
 ///       annotation term table and per-block bitmaps: a term list of
 ///       every distinct (kind, value) annotation in the file
 ///       (ascending), then one bitmap per block whose bit t is set iff
 ///       some annotation set referenced by the block contains term t —
 ///       a sound over-approximation annotation predicates prune with.
-/// Version-1/2 files remain readable, and writers emit them on request
-/// (WriterOptions::format_version) byte-identically to the old code.
+///       Writers always emit the object index and, when the file has
+///       any annotation, the bitmaps.
+/// Writers emit version 3 only; readers accept versions 1 through 3.
 ///
 /// Corruption safety: every decode path is bounds-checked (Corruption,
 /// never UB, on truncated or bit-flipped files), footer and blocks are
@@ -96,17 +90,9 @@ inline constexpr std::size_t kStoreHeaderSize = 16;
 /// Byte size of the fixed file trailer.
 inline constexpr std::size_t kStoreTrailerSize = 32;
 
-/// Per-block compression codec (v3+; the varint id leading every block
-/// payload). See the version-3 layout notes above.
-enum class BlockCodec : std::uint8_t {
-  kRaw = 0,
-  kPacked = 1,
-  kLz = 2,
-  kPackedLz = 3,
-};
-
-/// Human-readable codec name ("raw", "packed", ...).
-const char* BlockCodecName(BlockCodec codec);
+/// The codec id leading every v3 block payload: LZ over the v2 column
+/// bytes. Any other id in a v3 block is Corruption.
+inline constexpr std::uint64_t kLzCodecId = 2;
 
 /// What a store file holds.
 enum class StoreKind : std::uint32_t {
@@ -123,8 +109,8 @@ struct WriterOptions {
   /// Target tuple rows per block. Trajectories never span blocks, so a
   /// block closes at the first trajectory boundary at or past this many
   /// rows (a single longer trajectory gets an oversized block). The
-  /// default balances the LZ codec's match window (bigger blocks
-  /// compress better) against block-pruning granularity.
+  /// default balances the LZ match window (bigger blocks compress
+  /// better) against block-pruning granularity.
   std::size_t rows_per_block = 8192;
   /// Runner for parallel column encoding of large batches (borrowed;
   /// null encodes on the calling thread; entry points pass a
@@ -132,24 +118,6 @@ struct WriterOptions {
   /// count: blocks are encoded independently and written in index
   /// order.
   TaskRunner* executor = nullptr;
-  /// Write the secondary object-id index footer section. Under
-  /// format_version 2 this is the old v2/v1 switch: false emits a
-  /// version-1 file, byte-identical to the base format.
-  bool write_object_index = true;
-  /// On-disk format to emit (1, 2, or 3). Versions 1 and 2 reproduce
-  /// the old writers byte for byte — the compatibility lever — and
-  /// require codec kRaw. The default is the current version.
-  std::uint32_t format_version = kStoreVersion;
-  /// Per-block compression codec (v3 only; earlier formats have no
-  /// codec id and reject anything but kRaw). kLz is the measured
-  /// density winner on the bench datasets (the packed columns are
-  /// high-entropy, so kPackedLz finds fewer matches) and the default.
-  BlockCodec codec = BlockCodec::kLz;
-  /// Write the annotation-bitmap footer section (v3 only; skipped when
-  /// the file ends up with an empty annotation dictionary, e.g. every
-  /// detection store). The block-pruning lever for annotation
-  /// predicates.
-  bool write_annotation_bitmaps = true;
 };
 
 /// Per-block index entry (also the unit of predicate pushdown).

@@ -1,10 +1,9 @@
-// Stress harness for the parallel substrates — the base/parallel pool
-// and the sched task-graph executor — written to run under TSan (ctest
-// label: parallel): every scenario here is about *schedule* coverage,
-// not output checking alone — nested submission, exceptions thrown and
-// handled inside tasks, pool teardown racing a full queue,
-// ParallelFor/ParallelMap hammered from many callers at once, and
-// task-graph shapes (diamonds, fan-out/fan-in) under steal pressure.
+// Stress harness for the parallel substrate — the sched task-graph
+// executor — written to run under TSan (ctest label: parallel): every
+// scenario here is about *schedule* coverage, not output checking
+// alone — task-graph shapes (diamonds, fan-out/fan-in) under steal
+// pressure, exceptions thrown inside nodes, executor teardown racing
+// unfinished graphs, and ParallelFor hammered from many callers at once.
 // The determinism contract ("byte-identical at every worker count") is
 // only credible if a race detector stays silent on exactly these
 // shapes.
@@ -23,7 +22,6 @@
 
 #include <gtest/gtest.h>
 
-#include "base/parallel.h"
 #include "core/pipeline.h"
 #include "louvre/museum.h"
 #include "louvre/simulator.h"
@@ -38,178 +36,14 @@
 namespace sitm {
 namespace {
 
-std::size_t Hc() { return ThreadPool::DefaultConcurrency(); }
+std::size_t Hc() { return sched::Executor::DefaultConcurrency(); }
 
-// Pool sizes the contract is pinned at: minimal contention (2) and the
+// Worker counts the contract is pinned at: minimal contention (2) and the
 // hardware concurrency of the machine running the test.
 std::vector<std::size_t> StressPoolSizes() {
   std::vector<std::size_t> sizes{2};
   if (Hc() != 2) sizes.push_back(Hc());
   return sizes;
-}
-
-TEST(ParallelStressTest, ManySubmittersOneConsumerCounter) {
-  for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
-    std::atomic<int> counter{0};
-    constexpr int kSubmitters = 4;
-    constexpr int kTasksEach = 256;
-    // Raw threads on purpose: they *are* the external submitters whose
-    // races this harness exists to provoke. sitm-lint: allow(naked-thread)
-    std::vector<std::thread> submitters;
-    submitters.reserve(kSubmitters);
-    for (int s = 0; s < kSubmitters; ++s) {
-      submitters.emplace_back([&pool, &counter] {
-        for (int i = 0; i < kTasksEach; ++i) {
-          pool.Submit([&counter] { counter.fetch_add(1); });
-        }
-      });
-    }
-    for (std::thread& t : submitters) t.join();  // sitm-lint: allow(naked-thread)
-    pool.WaitIdle();
-    EXPECT_EQ(counter.load(), kSubmitters * kTasksEach);
-  }
-}
-
-TEST(ParallelStressTest, NestedSubmissionFromInsideTasks) {
-  for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
-    std::atomic<int> leaves{0};
-    constexpr int kRoots = 64;
-    constexpr int kChildren = 8;
-    for (int r = 0; r < kRoots; ++r) {
-      pool.Submit([&pool, &leaves] {
-        for (int c = 0; c < kChildren; ++c) {
-          pool.Submit([&leaves] { leaves.fetch_add(1); });
-        }
-      });
-    }
-    // WaitIdle must cover tasks submitted *by* tasks: in_flight_ counts
-    // the children before any root finishes decrementing it to zero.
-    pool.WaitIdle();
-    EXPECT_EQ(leaves.load(), kRoots * kChildren);
-  }
-}
-
-TEST(ParallelStressTest, ExceptionsThrownAndCaughtInsideTasks) {
-  // The pool contract forbids exceptions *escaping* a task; throwing and
-  // catching inside one is ordinary control flow, and the unwinding must
-  // not corrupt queue state or lose the in-flight count.
-  for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
-    std::atomic<int> caught{0};
-    std::atomic<int> clean{0};
-    constexpr int kTasks = 512;
-    for (int i = 0; i < kTasks; ++i) {
-      pool.Submit([i, &caught, &clean] {
-        try {
-          if (i % 3 == 0) throw std::runtime_error("expected");
-          clean.fetch_add(1);
-        } catch (const std::runtime_error&) {
-          caught.fetch_add(1);
-        }
-      });
-    }
-    pool.WaitIdle();
-    EXPECT_EQ(caught.load() + clean.load(), kTasks);
-    EXPECT_EQ(caught.load(), (kTasks + 2) / 3);
-  }
-}
-
-TEST(ParallelStressTest, TeardownWithFullQueue) {
-  // Destroying a pool right after flooding it races ~shutdown against
-  // workers mid-dequeue; the destructor must drain everything first.
-  for (const std::size_t pool_size : StressPoolSizes()) {
-    for (int round = 0; round < 16; ++round) {
-      auto counter = std::make_shared<std::atomic<int>>(0);
-      constexpr int kTasks = 128;
-      {
-        ThreadPool pool(pool_size);
-        for (int i = 0; i < kTasks; ++i) {
-          pool.Submit([counter] { counter->fetch_add(1); });
-        }
-        // No WaitIdle: the destructor itself is the barrier under test.
-      }
-      EXPECT_EQ(counter->load(), kTasks);
-    }
-  }
-}
-
-TEST(ParallelStressTest, ConcurrentParallelForCallersShareOnePool) {
-  for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
-    constexpr int kCallers = 4;
-    constexpr std::size_t kN = 4096;
-    std::vector<std::vector<int>> outputs(kCallers,
-                                          std::vector<int>(kN, 0));
-    // Raw threads model independent library callers. sitm-lint: allow(naked-thread)
-    std::vector<std::thread> callers;
-    callers.reserve(kCallers);
-    for (int c = 0; c < kCallers; ++c) {
-      callers.emplace_back([&pool, &outputs, c] {
-        std::vector<int>& out = outputs[c];
-        ParallelFor(
-            &pool, kN,
-            [&out, c](std::size_t begin, std::size_t end) {
-              for (std::size_t i = begin; i < end; ++i) {
-                out[i] = static_cast<int>(i) + c;
-              }
-            },
-            /*grain=*/64);
-      });
-    }
-    for (std::thread& t : callers) t.join();  // sitm-lint: allow(naked-thread)
-    for (int c = 0; c < kCallers; ++c) {
-      for (std::size_t i = 0; i < kN; ++i) {
-        ASSERT_EQ(outputs[c][i], static_cast<int>(i) + c);
-      }
-    }
-  }
-}
-
-TEST(ParallelStressTest, NestedParallelForInsidePoolTasks) {
-  // The pipeline nests ParallelFor (over store blocks) inside pool tasks
-  // (over shards); caller participation is what keeps this deadlock-free
-  // when every worker is already busy in the outer loop.
-  for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
-    constexpr std::size_t kOuter = 16;
-    constexpr std::size_t kInner = 512;
-    std::vector<std::uint64_t> sums(kOuter, 0);
-    ParallelFor(
-        &pool, kOuter,
-        [&pool, &sums](std::size_t begin, std::size_t end) {
-          for (std::size_t o = begin; o < end; ++o) {
-            std::vector<std::uint64_t> inner(kInner, 0);
-            ParallelFor(
-                &pool, kInner,
-                [&inner](std::size_t ib, std::size_t ie) {
-                  for (std::size_t i = ib; i < ie; ++i) inner[i] = i;
-                },
-                /*grain=*/32);
-            sums[o] = std::accumulate(inner.begin(), inner.end(),
-                                      std::uint64_t{0});
-          }
-        },
-        /*grain=*/1);
-    const std::uint64_t expected = kInner * (kInner - 1) / 2;
-    for (std::size_t o = 0; o < kOuter; ++o) EXPECT_EQ(sums[o], expected);
-  }
-}
-
-TEST(ParallelStressTest, ParallelMapIdenticalAcrossPoolSizesUnderLoad) {
-  // The determinism oracle, run at stress sizes so TSan sees the exact
-  // slot-discipline the library's parallel entry points depend on.
-  constexpr std::size_t kN = 10000;
-  auto run = [](ThreadPool* pool) {
-    return ParallelMap<std::uint64_t>(
-        pool, kN, [](std::size_t i) { return i * i + 1; }, /*grain=*/37);
-  };
-  const std::vector<std::uint64_t> reference = run(nullptr);
-  for (const std::size_t pool_size : StressPoolSizes()) {
-    ThreadPool pool(pool_size);
-    EXPECT_EQ(run(&pool), reference) << "pool size " << pool_size;
-  }
 }
 
 // ---------------------------------------------------------------------------

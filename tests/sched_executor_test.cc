@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cstddef>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -158,6 +159,78 @@ TEST(ExecutorTest, ParallelForHonorsAnExplicitGrain) {
     total += size;
   }
   EXPECT_EQ(total, kN);
+}
+
+TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
+  const std::size_t kN = 10007;  // prime: chunks never divide it evenly
+  for (const std::size_t workers : WorkerCounts()) {
+    Executor executor(workers);
+    for (const std::size_t grain : {std::size_t{0}, std::size_t{1},
+                                    std::size_t{64}, kN, 2 * kN}) {
+      std::vector<std::atomic<int>> hits(kN);
+      for (auto& h : hits) h.store(0);
+      ParallelFor(
+          &executor, kN,
+          [&hits](std::size_t begin, std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
+          },
+          grain);
+      for (std::size_t i = 0; i < kN; ++i) {
+        ASSERT_EQ(hits[i].load(), 1)
+            << "index " << i << " workers " << workers << " grain " << grain;
+      }
+    }
+  }
+}
+
+TEST(ParallelForTest, NullPoolRunsOnCallingThread) {
+  std::vector<int> hits(257, 0);  // no synchronization: must be single-threaded
+  ParallelFor(nullptr, hits.size(), [&hits](std::size_t begin,
+                                            std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) ++hits[i];
+  });
+  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0),
+            static_cast<int>(hits.size()));
+}
+
+TEST(ParallelForTest, ChunkBoundariesDependOnlyOnSizeAndGrain) {
+  // The determinism contract: per-chunk work decomposition is a function
+  // of (n, grain), never of the worker count.
+  const std::size_t kN = 1000;
+  const std::size_t kGrain = 37;
+  auto chunks_with = [&](std::size_t workers) {
+    Executor executor(workers);
+    Mutex mutex;
+    std::set<std::pair<std::size_t, std::size_t>> chunks;
+    ParallelFor(
+        &executor, kN,
+        [&mutex, &chunks](std::size_t begin, std::size_t end) {
+          MutexLock lock(mutex);
+          chunks.emplace(begin, end);
+        },
+        kGrain);
+    return chunks;
+  };
+  const auto reference = chunks_with(1);
+  EXPECT_EQ(reference.size(), (kN + kGrain - 1) / kGrain);
+  EXPECT_EQ(chunks_with(2), reference);
+  EXPECT_EQ(chunks_with(Hc()), reference);
+}
+
+TEST(ParallelForTest, ManySmallCallsDoNotWedgeThePool) {
+  // Many short graphs back to back on one executor: every call must
+  // complete while later calls reuse the same workers.
+  Executor executor(2);
+  std::atomic<std::size_t> total{0};
+  for (int round = 0; round < 200; ++round) {
+    ParallelFor(
+        &executor, 10,
+        [&total](std::size_t begin, std::size_t end) {
+          total.fetch_add(end - begin);
+        },
+        /*grain=*/1);
+  }
+  EXPECT_EQ(total.load(), 2000u);
 }
 
 TEST(ExecutorTest, ThrowingTaskSurfacesAsInternalAndRestStillRuns) {

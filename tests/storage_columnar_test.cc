@@ -177,115 +177,17 @@ TEST(ColumnarFixedWidthTest, U32U64RoundTripAndTruncationChecks) {
 }
 
 // ---------------------------------------------------------------------------
-// Chunked FOR bitpacking (the v3 kPacked codec's column layer).
+// LZ byte codec (the byte layer of v3 blocks).
 // ---------------------------------------------------------------------------
 
-/// Deterministic xorshift so the property tests need no <random> and
-/// reproduce bit-for-bit everywhere.
+/// Deterministic xorshift so the corpus needs no <random> and
+/// reproduces bit-for-bit everywhere.
 std::uint64_t NextRand(std::uint64_t& state) {
   state ^= state << 13;
   state ^= state >> 7;
   state ^= state << 17;
   return state;
 }
-
-TEST(ColumnarPackedTest, RoundTripsCornersAndRandomWidths) {
-  // Corner values exercise every chunk bit width 0..64; random vectors
-  // of every length around the chunk size cover the tail handling.
-  std::vector<std::uint64_t> corners = U64Corners();
-  std::string buf;
-  PutPackedColumn(buf, corners);
-  ByteReader reader(buf);
-  const auto corner_decoded = ReadPackedColumn(reader, corners.size());
-  ASSERT_TRUE(corner_decoded.ok()) << corner_decoded.status();
-  EXPECT_EQ(*corner_decoded, corners);
-  EXPECT_TRUE(reader.empty());
-
-  std::uint64_t state = 0x9e3779b97f4a7c15ull;
-  for (const std::size_t n :
-       {0ul, 1ul, kPackedChunkSize - 1, kPackedChunkSize, kPackedChunkSize + 1,
-        3 * kPackedChunkSize + 7}) {
-    for (const int width : {1, 7, 13, 31, 64}) {
-      std::vector<std::uint64_t> values(n);
-      const std::uint64_t mask =
-          width == 64 ? ~0ull : (1ull << width) - 1;
-      for (auto& v : values) v = NextRand(state) & mask;
-      std::string packed;
-      PutPackedColumn(packed, values);
-      ByteReader packed_reader(packed);
-      const auto decoded = ReadPackedColumn(packed_reader, n);
-      ASSERT_TRUE(decoded.ok()) << decoded.status();
-      EXPECT_EQ(*decoded, values) << "n=" << n << " width=" << width;
-      EXPECT_TRUE(packed_reader.empty());
-    }
-  }
-}
-
-TEST(ColumnarPackedTest, ConstantRunsPackToReferenceOnly) {
-  // A constant chunk has bit width 0: only the reference varint and the
-  // width byte remain, the whole point of frame-of-reference packing.
-  const std::vector<std::uint64_t> values(kPackedChunkSize, 123456789ull);
-  std::string buf;
-  PutPackedColumn(buf, values);
-  EXPECT_LE(buf.size(), 6u);
-  ByteReader reader(buf);
-  const auto decoded = ReadPackedColumn(reader, values.size());
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(*decoded, values);
-}
-
-TEST(ColumnarPackedTest, DeltaAndSignedVariantsRoundTripExtremes) {
-  const std::vector<std::int64_t> values = {
-      std::numeric_limits<std::int64_t>::min(),
-      std::numeric_limits<std::int64_t>::max(),
-      0,
-      -1,
-      1,
-      std::numeric_limits<std::int64_t>::min(),
-      42};
-  std::string delta;
-  PutPackedDeltaColumn(delta, values);
-  ByteReader delta_reader(delta);
-  const auto delta_decoded = ReadPackedDeltaColumn(delta_reader,
-                                                   values.size());
-  ASSERT_TRUE(delta_decoded.ok()) << delta_decoded.status();
-  EXPECT_EQ(*delta_decoded, values);
-
-  std::string zz;
-  PutPackedSignedColumn(zz, values);
-  ByteReader zz_reader(zz);
-  const auto zz_decoded = ReadPackedSignedColumn(zz_reader, values.size());
-  ASSERT_TRUE(zz_decoded.ok()) << zz_decoded.status();
-  EXPECT_EQ(*zz_decoded, values);
-}
-
-TEST(ColumnarPackedTest, TruncationAndBadWidthAreCorruption) {
-  std::vector<std::uint64_t> values(kPackedChunkSize + 3, 0);
-  std::uint64_t state = 7;
-  for (auto& v : values) v = NextRand(state);
-  std::string buf;
-  PutPackedColumn(buf, values);
-  // Every proper prefix must fail cleanly, never read out of bounds.
-  for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-    ByteReader reader(buf.data(), cut);
-    EXPECT_EQ(ReadPackedColumn(reader, values.size()).status().code(),
-              StatusCode::kCorruption)
-        << "cut at " << cut;
-  }
-  // A forged chunk bit width above 64 can never be honest.
-  std::string forged = buf;
-  std::size_t width_at = 0;  // first chunk: varint reference, then width
-  while (static_cast<unsigned char>(forged[width_at]) & 0x80) ++width_at;
-  ++width_at;
-  forged[width_at] = 65;
-  ByteReader forged_reader(forged);
-  EXPECT_EQ(ReadPackedColumn(forged_reader, values.size()).status().code(),
-            StatusCode::kCorruption);
-}
-
-// ---------------------------------------------------------------------------
-// LZ byte codec (the v3 kLz / kPackedLz codecs' byte layer).
-// ---------------------------------------------------------------------------
 
 std::vector<std::string> LzCorpus() {
   std::vector<std::string> corpus;

@@ -539,46 +539,6 @@ TEST(EventStoreObjectIndexTest, PostingListsPruneBlocksExactly) {
   std::remove(path.c_str());
 }
 
-TEST(EventStoreObjectIndexTest, Version1FilesStayReadable) {
-  const auto trajectories = BuildTrajectories(SimulatedDetections(5, 80));
-  const std::string v1_path = TempPath("compat_v1.evst");
-  const std::string v2_path = TempPath("compat_v2.evst");
-  // Under format_version 2 the object-index switch is the old v2/v1
-  // lever: no index means no optional sections, i.e. the v1 format.
-  WriterOptions v1_options;
-  v1_options.rows_per_block = 32;
-  v1_options.format_version = 2;
-  v1_options.write_object_index = false;
-  WriterOptions v2_options;
-  v2_options.rows_per_block = 32;
-  v2_options.format_version = 2;
-  ASSERT_TRUE(WriteTrajectoryStore(v1_path, trajectories, v1_options).ok());
-  ASSERT_TRUE(WriteTrajectoryStore(v2_path, trajectories, v2_options).ok());
-
-  const auto v1 = EventStoreReader::Open(v1_path);
-  const auto v2 = EventStoreReader::Open(v2_path);
-  ASSERT_TRUE(v1.ok()) << v1.status();
-  ASSERT_TRUE(v2.ok()) << v2.status();
-  EXPECT_EQ(v1->version(), 1u);
-  EXPECT_FALSE(v1->has_object_index());
-  EXPECT_TRUE(v2->has_object_index());
-
-  // Same data, same answers — with and without the index, for full
-  // scans and for point lookups (v1 falls back to min/max pruning).
-  ScanOptions scan;
-  scan.objects = {trajectories[trajectories.size() / 3].object()};
-  const auto v1_all = v1->ReadTrajectories();
-  const auto v2_all = v2->ReadTrajectories();
-  ASSERT_TRUE(v1_all.ok() && v2_all.ok());
-  ExpectTrajectoriesEqual(*v1_all, *v2_all);
-  const auto v1_point = v1->ReadTrajectories(scan);
-  const auto v2_point = v2->ReadTrajectories(scan);
-  ASSERT_TRUE(v1_point.ok() && v2_point.ok());
-  ExpectTrajectoriesEqual(*v1_point, *v2_point);
-  std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
-}
-
 TEST(EventStoreObjectIndexTest, ForgedPostingBlockIsCorruption) {
   // A forged index that names a nonexistent block must be rejected even
   // when the footer checksum is made consistent again. One object, one
@@ -777,102 +737,46 @@ TEST(EventStoreWriterTest, StatsCountRowsBlocksAndBytes) {
 }
 
 // ---------------------------------------------------------------------------
-// v3 block codecs: property roundtrips across codecs and block sizes.
+// v3 LZ blocks: property roundtrips across block sizes.
 // ---------------------------------------------------------------------------
 
-TEST(EventStoreCodecTest, EveryCodecRoundTripsRandomDatasets) {
-  // Property: any (codec, block size) combination is lossless, for both
+TEST(EventStoreCodecTest, LzBlocksRoundTripRandomDatasets) {
+  // Property: LZ blocks are lossless at every block size, for both
   // store kinds, and the reader reports version 3.
   for (const std::uint64_t seed : {4u, 77u}) {
     const auto detections = SimulatedDetections(seed, 80);
     const auto trajectories = BuildTrajectories(detections);
     for (const std::size_t rows_per_block : {16ul, 512ul, 8192ul}) {
-      for (const BlockCodec codec :
-           {BlockCodec::kRaw, BlockCodec::kPacked, BlockCodec::kLz,
-            BlockCodec::kPackedLz}) {
-        WriterOptions options;
-        options.rows_per_block = rows_per_block;
-        options.codec = codec;
-        SCOPED_TRACE(std::string("codec=") + BlockCodecName(codec) +
-                     " rpb=" + std::to_string(rows_per_block));
+      WriterOptions options;
+      options.rows_per_block = rows_per_block;
+      SCOPED_TRACE("rpb=" + std::to_string(rows_per_block));
 
-        const std::string traj_path = TempPath("codec_traj.evst");
-        ASSERT_TRUE(WriteTrajectoryStore(traj_path, trajectories,
-                                         options).ok());
-        const auto traj_reader = EventStoreReader::Open(traj_path);
-        ASSERT_TRUE(traj_reader.ok()) << traj_reader.status();
-        EXPECT_EQ(traj_reader->version(), 3u);
-        EXPECT_TRUE(traj_reader->VerifyChecksums().ok());
-        const auto restored = traj_reader->ReadTrajectories();
-        ASSERT_TRUE(restored.ok()) << restored.status();
-        ExpectTrajectoriesEqual(trajectories, *restored);
-        std::remove(traj_path.c_str());
+      const std::string traj_path = TempPath("codec_traj.evst");
+      ASSERT_TRUE(WriteTrajectoryStore(traj_path, trajectories, options).ok());
+      const auto traj_reader = EventStoreReader::Open(traj_path);
+      ASSERT_TRUE(traj_reader.ok()) << traj_reader.status();
+      EXPECT_EQ(traj_reader->version(), 3u);
+      EXPECT_TRUE(traj_reader->VerifyChecksums().ok());
+      const auto restored = traj_reader->ReadTrajectories();
+      ASSERT_TRUE(restored.ok()) << restored.status();
+      ExpectTrajectoriesEqual(trajectories, *restored);
+      std::remove(traj_path.c_str());
 
-        const std::string det_path = TempPath("codec_det.evst");
-        ASSERT_TRUE(WriteDetectionStore(det_path, detections, options).ok());
-        const auto det_reader = EventStoreReader::Open(det_path);
-        ASSERT_TRUE(det_reader.ok()) << det_reader.status();
-        const auto det_restored = det_reader->ReadDetections();
-        ASSERT_TRUE(det_restored.ok()) << det_restored.status();
-        ASSERT_EQ(det_restored->size(), detections.size());
-        std::remove(det_path.c_str());
-      }
+      const std::string det_path = TempPath("codec_det.evst");
+      ASSERT_TRUE(WriteDetectionStore(det_path, detections, options).ok());
+      const auto det_reader = EventStoreReader::Open(det_path);
+      ASSERT_TRUE(det_reader.ok()) << det_reader.status();
+      const auto det_restored = det_reader->ReadDetections();
+      ASSERT_TRUE(det_restored.ok()) << det_restored.status();
+      ASSERT_EQ(det_restored->size(), detections.size());
+      std::remove(det_path.c_str());
     }
   }
 }
 
-TEST(EventStoreCodecTest, CompressedCodecsShrinkThePayload) {
-  const auto trajectories = BuildTrajectories(SimulatedDetections(8));
-  std::uint64_t payload_bytes[4] = {0, 0, 0, 0};
-  for (int c = 0; c <= 3; ++c) {
-    const std::string path = TempPath("codec_size.evst");
-    WriterOptions options;
-    options.codec = static_cast<BlockCodec>(c);
-    auto writer =
-        EventStoreWriter::Create(path, StoreKind::kTrajectories, options);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer->Append(trajectories).ok());
-    ASSERT_TRUE(writer->Finish().ok());
-    payload_bytes[c] = writer->stats().payload_bytes;
-    std::remove(path.c_str());
-  }
-  // Every compressed codec beats raw; the LZ family beats plain packing
-  // on this workload (the measured ordering the default codec pins).
-  EXPECT_LT(payload_bytes[1], payload_bytes[0]);
-  EXPECT_LT(payload_bytes[2], payload_bytes[1]);
-  EXPECT_LT(payload_bytes[3], payload_bytes[1]);
-}
-
-TEST(EventStoreCodecTest, ParallelCodecEncodingIsByteIdentical) {
-  // The determinism contract extends to compressed blocks: encode on 1
-  // vs several workers, compare whole files.
-  const auto trajectories = BuildTrajectories(SimulatedDetections(6));
-  for (const BlockCodec codec : {BlockCodec::kLz, BlockCodec::kPackedLz}) {
-    const std::string seq_path = TempPath("codec_seq.evst");
-    WriterOptions seq_options;
-    seq_options.rows_per_block = 64;
-    seq_options.codec = codec;
-    ASSERT_TRUE(WriteTrajectoryStore(seq_path, trajectories,
-                                     seq_options).ok());
-    sched::Executor executor(4);
-    const std::string par_path = TempPath("codec_par.evst");
-    WriterOptions par_options = seq_options;
-    par_options.executor = &executor;
-    ASSERT_TRUE(WriteTrajectoryStore(par_path, trajectories,
-                                     par_options).ok());
-    const auto seq_bytes = io::ReadFile(seq_path);
-    const auto par_bytes = io::ReadFile(par_path);
-    ASSERT_TRUE(seq_bytes.ok());
-    ASSERT_TRUE(par_bytes.ok());
-    EXPECT_EQ(*seq_bytes, *par_bytes) << BlockCodecName(codec);
-    std::remove(seq_path.c_str());
-    std::remove(par_path.c_str());
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Version compatibility: v3 readers accept v1/v2 files, and the v3
-// writer reproduces the old writers byte for byte.
+// Version compatibility: the writer's v3 bytes are pinned, and v3
+// readers accept the checked-in v1/v2 files.
 // ---------------------------------------------------------------------------
 
 /// A fixed dataset for the byte-identity goldens: 7 trajectories over 5
@@ -915,82 +819,103 @@ std::vector<core::SemanticTrajectory> GoldenTrajectories() {
   return out;
 }
 
-TEST(EventStoreCompatTest, V2EmissionIsByteIdenticalToPinnedGoldens) {
-  // The compatibility lever: format_version = 2 must reproduce the old
-  // writers exactly. These checksums were generated by the pre-v3
-  // writer over GoldenTrajectories(); write_object_index = false
-  // downgrades to a version-1 file, covering both old formats.
+/// A fixed detection batch for the v3 detection-store golden: 40 rows
+/// over 6 objects and 13 cells with irregular starts and durations.
+/// Changing it invalidates the pinned checksum below.
+std::vector<core::RawDetection> GoldenDetections() {
+  std::vector<core::RawDetection> out;
+  for (int i = 0; i < 40; ++i) {
+    const std::int64_t start = 2000000 + i * 45 + (i % 7) * 3;
+    out.emplace_back(ObjectId(i % 6), CellId((i * 7) % 13), Timestamp(start),
+                     Timestamp(start + 20 + i % 9));
+  }
+  return out;
+}
+
+TEST(EventStoreCompatTest, V3EmissionIsByteIdenticalToPinnedGoldens) {
+  // The default writer's output, pinned: v3, LZ blocks, object index,
+  // and annotation bitmaps (absent from the detection store, whose
+  // dictionary is empty). Any change to the emitted bytes breaks these.
   struct Golden {
+    StoreKind kind;
     std::size_t rows_per_block;
-    bool object_index;
     std::uint64_t checksum;
   };
   const Golden goldens[] = {
-      {3, true, 0x72c00a0f6e4a2625ull},
-      {3, false, 0x71df166c06b47831ull},
-      {4096, true, 0xc24024e8c4324573ull},
-      {4096, false, 0x6bf1f71ef7d37ad1ull},
+      {StoreKind::kTrajectories, 3, 0xec1bf504d77067fbull},
+      {StoreKind::kTrajectories, 4096, 0x072c23b292f7add2ull},
+      {StoreKind::kDetections, 16, 0xe6825a831a5de3e3ull},
   };
-  const auto trajectories = GoldenTrajectories();
   for (const Golden& golden : goldens) {
     WriterOptions options;
     options.rows_per_block = golden.rows_per_block;
-    options.write_object_index = golden.object_index;
-    options.format_version = 2;
-    const std::string path = TempPath("golden.evst");
-    ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
+    const std::string path = TempPath("golden_v3.evst");
+    if (golden.kind == StoreKind::kTrajectories) {
+      ASSERT_TRUE(
+          WriteTrajectoryStore(path, GoldenTrajectories(), options).ok());
+    } else {
+      ASSERT_TRUE(WriteDetectionStore(path, GoldenDetections(), options).ok());
+    }
     const auto bytes = io::ReadFile(path);
     ASSERT_TRUE(bytes.ok());
     EXPECT_EQ(Checksum(*bytes), golden.checksum)
-        << "rpb=" << golden.rows_per_block
-        << " index=" << golden.object_index;
-    // And the v3 reader still consumes the old bytes losslessly.
-    const auto reader = EventStoreReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    EXPECT_EQ(reader->version(), golden.object_index ? 2u : 1u);
-    EXPECT_FALSE(reader->has_annotation_bitmaps());
-    const auto restored = reader->ReadTrajectories();
-    ASSERT_TRUE(restored.ok()) << restored.status();
-    ExpectTrajectoriesEqual(trajectories, *restored);
+        << "kind=" << static_cast<int>(golden.kind)
+        << " rpb=" << golden.rows_per_block;
     std::remove(path.c_str());
   }
 }
 
-TEST(EventStoreCompatTest, OldVersionsRejectNonRawCodecs) {
-  WriterOptions options;
-  options.format_version = 2;
-  options.codec = BlockCodec::kLz;
-  const std::string path = TempPath("v2_codec.evst");
-  // Create() normalizes the codec away rather than writing a v2 file
-  // with v3 payload framing.
-  auto writer =
-      EventStoreWriter::Create(path, StoreKind::kTrajectories, options);
-  ASSERT_TRUE(writer.ok());
-  ASSERT_TRUE(writer->Append(GoldenTrajectories()).ok());
-  ASSERT_TRUE(writer->Finish().ok());
-  const auto reader = EventStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->version(), 2u);
-  const auto restored = reader->ReadTrajectories();
-  ASSERT_TRUE(restored.ok());
-  ExpectTrajectoriesEqual(GoldenTrajectories(), *restored);
-  std::remove(path.c_str());
-}
+TEST(EventStoreCompatTest, V2EmissionIsByteIdenticalToPinnedGoldens) {
+  // Files written by the v1/v2 writers over GoldenTrajectories(), checked
+  // in under tests/data. The checksums were pinned when those writers
+  // still existed, so they prove each fixture is the old writer's exact
+  // output; the v3 reader must still consume them losslessly.
+  struct Golden {
+    const char* file;
+    std::uint32_t version;
+    std::uint64_t checksum;
+  };
+  const Golden goldens[] = {
+      {"golden_v2_rpb3.evst", 2, 0x72c00a0f6e4a2625ull},
+      {"golden_v1_rpb3.evst", 1, 0x71df166c06b47831ull},
+      {"golden_v2_rpb4096.evst", 2, 0xc24024e8c4324573ull},
+      {"golden_v1_rpb4096.evst", 1, 0x6bf1f71ef7d37ad1ull},
+  };
+  const auto trajectories = GoldenTrajectories();
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.file);
+    const std::string path =
+        std::string(SITM_TEST_DATA_DIR) + "/" + golden.file;
+    const auto bytes = io::ReadFile(path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    EXPECT_EQ(Checksum(*bytes), golden.checksum);
 
-TEST(EventStoreCompatTest, BadFormatVersionIsInvalidArgument) {
-  WriterOptions options;
-  options.format_version = 4;
-  EXPECT_EQ(EventStoreWriter::Create(TempPath("v4.evst"),
-                                     StoreKind::kTrajectories, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
-  options.format_version = 0;
-  EXPECT_EQ(EventStoreWriter::Create(TempPath("v0.evst"),
-                                     StoreKind::kTrajectories, options)
-                .status()
-                .code(),
-            StatusCode::kInvalidArgument);
+    const auto reader = EventStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_EQ(reader->version(), golden.version);
+    EXPECT_EQ(reader->has_object_index(), golden.version == 2);
+    // No bitmap section before v3: every block answers "maybe".
+    EXPECT_FALSE(reader->has_annotation_bitmaps());
+    for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
+      EXPECT_TRUE(reader->BlockMayContainAnnotation(
+          i, core::AnnotationKind::kGoal, "no-such-term"));
+    }
+    const auto restored = reader->ReadTrajectories();
+    ASSERT_TRUE(restored.ok()) << restored.status();
+    ExpectTrajectoriesEqual(trajectories, *restored);
+
+    // Point lookup: v2 answers from its posting lists, v1 falls back to
+    // per-block min/max pruning; both find exactly the object's rows.
+    const ObjectId target = trajectories[2].object();
+    const auto point = reader->ReadTrajectories(ScanOptions::ForObject(target));
+    ASSERT_TRUE(point.ok()) << point.status();
+    std::vector<core::SemanticTrajectory> expected;
+    for (const auto& t : trajectories) {
+      if (t.object() == target) expected.push_back(t);
+    }
+    ASSERT_FALSE(expected.empty());
+    ExpectTrajectoriesEqual(expected, *point);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,11 +929,8 @@ class EventStoreCodecCorruptionTest : public ::testing::Test {
     // A detection store keeps the footer trivially parseable (empty
     // annotation dictionary), which the byte surgery below relies on.
     path_ = TempPath("codec_corrupt.evst");
-    WriterOptions options;
-    options.codec = BlockCodec::kLz;
     ASSERT_TRUE(
-        WriteDetectionStore(path_, SimulatedDetections(17, 60), options)
-            .ok());
+        WriteDetectionStore(path_, SimulatedDetections(17, 60)).ok());
     const auto bytes = io::ReadFile(path_);
     ASSERT_TRUE(bytes.ok());
     bytes_ = *bytes;
@@ -1074,11 +996,15 @@ class EventStoreCodecCorruptionTest : public ::testing::Test {
 };
 
 TEST_F(EventStoreCodecCorruptionTest, UnknownCodecIdIsCorruption) {
-  // The codec id is the first varint of every v3 block payload.
-  ASSERT_EQ(static_cast<unsigned char>(bytes_[block_offset_]),
-            static_cast<unsigned char>(BlockCodec::kLz));
-  EXPECT_EQ(MutatePayloadAndScan(0, "\x09").code(),
-            StatusCode::kCorruption);
+  // The codec id is the first varint of every v3 block payload. Only
+  // the LZ id decodes; the reserved ids 0, 1 and 3 are rejected like
+  // any unknown id.
+  ASSERT_EQ(static_cast<unsigned char>(bytes_[block_offset_]), kLzCodecId);
+  for (const char id : {'\x00', '\x01', '\x03', '\x09'}) {
+    EXPECT_EQ(MutatePayloadAndScan(0, std::string_view(&id, 1)).code(),
+              StatusCode::kCorruption)
+        << "codec id " << static_cast<int>(id);
+  }
 }
 
 TEST_F(EventStoreCodecCorruptionTest, ForgedHugeRawSizeIsCorruption) {
@@ -1178,21 +1104,6 @@ TEST(EventStoreAnnotationBitmapTest, PruningIsASoundOverApproximation) {
     EXPECT_FALSE(reader->BlockMayContainAnnotation(
         i, core::AnnotationKind::kGoal, "no-such-term"));
   }
-  std::remove(path.c_str());
-}
-
-TEST(EventStoreAnnotationBitmapTest, DisabledBitmapsFallBackToMaybe) {
-  const auto trajectories = BuildTrajectories(SimulatedDetections(13, 40));
-  const std::string path = TempPath("bitmap_off.evst");
-  WriterOptions options;
-  options.write_annotation_bitmaps = false;
-  ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
-  const auto reader = EventStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_FALSE(reader->has_annotation_bitmaps());
-  // Without bitmaps every block answers "maybe" — the sound default.
-  EXPECT_TRUE(reader->BlockMayContainAnnotation(
-      0, core::AnnotationKind::kGoal, "no-such-term"));
   std::remove(path.c_str());
 }
 
