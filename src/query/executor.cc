@@ -404,6 +404,7 @@ Result<QueryResult> QueryExecutor::Run(const Query& query,
       rows_scanned += segment.reader->block(b).rows;
     }
   }
+  const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
 
   struct DecodedBlock {
     Status status;
@@ -415,18 +416,16 @@ Result<QueryResult> QueryExecutor::Run(const Query& query,
       options_.executor, candidates.size(), [&](std::size_t i) {
         const BlockRef& ref = candidates[i];
         DecodedBlock out;
-        // Decode UNFILTERED: block position + ordinal_base then indexes
-        // canonical_ids exactly (a filtered decode would drop rows and
-        // misalign the mapping). The bound predicate still runs as the
-        // residual in the in-memory pass below, so this costs decode
-        // time on pruned rows, never correctness.
+        // The pushdown filters the decode; each kept trajectory's block
+        // position + ordinal_base indexes canonical_ids exactly.
+        std::vector<std::size_t> positions;
         out.status = ref.segment->reader->ReadTrajectoryBlock(
-            ref.block, storage::ScanOptions{}, out.trajectories);
+            ref.block, scan, out.trajectories, &positions);
         if (!out.status.ok()) return out;
         for (std::size_t t = 0; t < out.trajectories.size(); ++t) {
           core::SemanticTrajectory& stored = out.trajectories[t];
           const TrajectoryId canonical =
-              ref.segment->canonical_ids[ref.ordinal_base + t];
+              ref.segment->canonical_ids[ref.ordinal_base + positions[t]];
           stored = core::SemanticTrajectory(
               canonical, stored.object(), std::move(stored.mutable_trace()),
               stored.annotations());
@@ -448,8 +447,8 @@ Result<QueryResult> QueryExecutor::Run(const Query& query,
   }
   // Canonical ids rank by (object, start) over the whole set — the batch
   // pipeline's output order — so after this sort the in-memory path sees
-  // exactly the vector a batch build would have produced (restricted to
-  // candidate blocks, which is a superset of every match).
+  // exactly the vector a batch build would have produced, restricted to
+  // pushdown survivors and the tail (a superset of every match).
   std::sort(all.begin(), all.end(),
             [](const core::SemanticTrajectory& a,
                const core::SemanticTrajectory& b) { return a.id() < b.id(); });

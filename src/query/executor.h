@@ -109,7 +109,10 @@ struct ScoredTrajectory {
 
 /// Work accounting of one Run, the observable face of predicate
 /// pushdown (rows_scanned / rows_total is the pruning ratio the
-/// benches report).
+/// benches report). On a store, trajectories_considered counts only the
+/// pushdown survivors of decoded blocks; a one-segment StoreSet without
+/// an in-memory tail reports exactly the stats of the single-store Run
+/// over the same file (tail trajectories are all considered).
 struct ExecutionStats {
   std::uint64_t blocks_total = 0;    ///< store blocks in the file
   std::uint64_t blocks_scanned = 0;  ///< blocks actually decoded
@@ -177,16 +180,16 @@ class QueryExecutor {
 
   /// Store-set execution over live + compacted segments (the rolling
   /// SegmentStore snapshot): per segment, pushdown picks candidate
-  /// blocks; candidates decode UNFILTERED (ordinal-aligned, so each
-  /// decoded trajectory lines up with its canonical id — the full bound
-  /// predicate is the residual, so skipping row filtering costs time,
-  /// never correctness); decoded trajectories take their canonical ids,
-  /// merge with the in-memory tail, sort by id — the batch pipeline's
-  /// (object, start) order — and run through the in-memory path. Result
-  /// (order included) is byte-identical to an in-memory run over a
-  /// batch build of the same detections. The result cache is NOT
-  /// consulted: a segment set changes under ingest, so there is no
-  /// single immutable file to key on.
+  /// blocks and filters their decode exactly as the single-store path
+  /// does; each kept trajectory takes the canonical id at its ordinal
+  /// (block ordinal base + its reported position in the block). The
+  /// survivors merge with the in-memory tail, sort by id — the batch
+  /// pipeline's (object, start) order — and run through the in-memory
+  /// path with the full bound predicate as the residual. Result (order
+  /// included) is byte-identical to an in-memory run over a batch build
+  /// of the same detections. The result cache is NOT consulted: a
+  /// segment set changes under ingest, so there is no single immutable
+  /// file to key on.
   [[nodiscard]] Result<QueryResult> Run(const Query& query,
                           const storage::StoreSet& set) const;
 

@@ -117,16 +117,18 @@ void PutDeltaColumn(std::string& out,
 
 Result<std::vector<std::int64_t>> ReadDeltaColumn(ByteReader& reader,
                                                   std::size_t n) {
-  std::vector<std::int64_t> out;
-  out.reserve(n);
+  std::vector<std::int64_t> out(n);
   // Unsigned accumulation: crafted delta sequences that would overflow
   // int64 wrap deterministically instead of being UB (this decoder sees
   // untrusted bytes; later semantic validation rejects nonsense values).
   std::uint64_t previous = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    SITM_ASSIGN_OR_RETURN(const std::int64_t delta, reader.ReadSVarint64());
-    previous += static_cast<std::uint64_t>(delta);
-    out.push_back(static_cast<std::int64_t>(previous));
+    std::uint64_t raw = 0;
+    if (!reader.TryReadVarint64(&raw)) {
+      SITM_ASSIGN_OR_RETURN(raw, reader.ReadVarint64());
+    }
+    previous += static_cast<std::uint64_t>(ZigZagDecode(raw));
+    out[i] = static_cast<std::int64_t>(previous);
   }
   return out;
 }
@@ -138,11 +140,11 @@ void PutVarintColumn(std::string& out,
 
 Result<std::vector<std::uint64_t>> ReadVarintColumn(ByteReader& reader,
                                                     std::size_t n) {
-  std::vector<std::uint64_t> out;
-  out.reserve(n);
+  std::vector<std::uint64_t> out(n);
   for (std::size_t i = 0; i < n; ++i) {
-    SITM_ASSIGN_OR_RETURN(const std::uint64_t v, reader.ReadVarint64());
-    out.push_back(v);
+    if (!reader.TryReadVarint64(&out[i])) {
+      SITM_ASSIGN_OR_RETURN(out[i], reader.ReadVarint64());
+    }
   }
   return out;
 }
@@ -295,44 +297,60 @@ std::string CompressBytes(std::string_view input) {
 
 Result<std::string> DecompressBytes(std::string_view compressed,
                                     std::size_t decompressed_size) {
-  std::string out;
-  out.reserve(decompressed_size);
+  // Written in place into a buffer of the declared size; `produced`
+  // counts the bytes decoded so far, and every check below keeps it
+  // within the buffer.
+  std::string out(decompressed_size, '\0');
+  char* const base = &out[0];
+  std::size_t produced = 0;
   ByteReader reader(compressed);
   while (true) {
-    SITM_ASSIGN_OR_RETURN(const std::uint64_t literal_len,
-                          reader.ReadVarint64());
-    if (literal_len > decompressed_size - out.size()) {
+    std::uint64_t literal_len = 0;
+    if (!reader.TryReadVarint64(&literal_len)) {
+      SITM_ASSIGN_OR_RETURN(literal_len, reader.ReadVarint64());
+    }
+    if (literal_len > decompressed_size - produced) {
       return Status::Corruption(
           "columnar: LZ literal run overflows the declared size");
     }
     SITM_ASSIGN_OR_RETURN(const std::string_view literals,
                           reader.ReadBytes(literal_len));
-    out.append(literals);
+    std::memcpy(base + produced, literals.data(), literals.size());
+    produced += literals.size();
     if (reader.empty()) break;
-    SITM_ASSIGN_OR_RETURN(const std::uint64_t extra, reader.ReadVarint64());
+    std::uint64_t extra = 0;
+    if (!reader.TryReadVarint64(&extra)) {
+      SITM_ASSIGN_OR_RETURN(extra, reader.ReadVarint64());
+    }
     if (extra > decompressed_size ||
-        kLzMinMatch + extra > decompressed_size - out.size()) {
+        kLzMinMatch + extra > decompressed_size - produced) {
       return Status::Corruption(
           "columnar: LZ match overflows the declared size");
     }
     const std::size_t match = kLzMinMatch + static_cast<std::size_t>(extra);
-    SITM_ASSIGN_OR_RETURN(const std::uint64_t distance,
-                          reader.ReadVarint64());
-    if (distance == 0 || distance > out.size()) {
+    std::uint64_t distance = 0;
+    if (!reader.TryReadVarint64(&distance)) {
+      SITM_ASSIGN_OR_RETURN(distance, reader.ReadVarint64());
+    }
+    if (distance == 0 || distance > produced) {
       return Status::Corruption("columnar: LZ distance " +
                                 std::to_string(distance) +
                                 " outside the produced window");
     }
-    // Byte-wise copy: matches may overlap their own output (distance <
-    // match length), which is how runs compress.
-    std::size_t from = out.size() - static_cast<std::size_t>(distance);
-    for (std::size_t i = 0; i < match; ++i) {
-      out.push_back(out[from + i]);
+    char* const dst = base + produced;
+    const char* const src = dst - distance;
+    if (distance >= match) {
+      std::memcpy(dst, src, match);
+    } else {
+      // The match overlaps its own output (how runs compress): copy
+      // byte by byte so each byte sees the ones just written.
+      for (std::size_t i = 0; i < match; ++i) dst[i] = src[i];
     }
+    produced += match;
   }
-  if (out.size() != decompressed_size) {
+  if (produced != decompressed_size) {
     return Status::Corruption("columnar: LZ stream decodes to " +
-                              std::to_string(out.size()) + " bytes, not " +
+                              std::to_string(produced) + " bytes, not " +
                               std::to_string(decompressed_size));
   }
   return out;

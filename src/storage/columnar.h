@@ -65,6 +65,30 @@ class ByteReader {
   [[nodiscard]] Result<std::uint64_t> ReadU64();
   [[nodiscard]] Result<std::uint64_t> ReadVarint64();
   [[nodiscard]] Result<std::int64_t> ReadSVarint64();
+
+  /// \brief Inline varint fast path for hot decode loops: decodes an
+  /// in-bounds varint of at most 9 bytes into `*v` and returns true.
+  /// Returns false, consuming nothing, on anything else (truncation, a
+  /// 10-byte or malformed varint); the caller then re-reads through
+  /// ReadVarint64, which owns every Corruption message. At most 63
+  /// payload bits, so the 10th-byte overflow rule never applies here.
+  bool TryReadVarint64(std::uint64_t* v) {
+    const std::size_t available = size_ - pos_;
+    if (available == 0) return false;
+    const auto* p = reinterpret_cast<const unsigned char*>(data_ + pos_);
+    const std::size_t limit = available < 9 ? available : 9;
+    std::uint64_t result = 0;
+    for (std::size_t i = 0; i < limit; ++i) {
+      result |= static_cast<std::uint64_t>(p[i] & 0x7f) << (7 * i);
+      if (p[i] < 0x80) {
+        pos_ += i + 1;
+        *v = result;
+        return true;
+      }
+    }
+    return false;
+  }
+
   /// Borrows `n` raw bytes (valid while the underlying buffer lives).
   [[nodiscard]] Result<std::string_view> ReadBytes(std::size_t n);
 

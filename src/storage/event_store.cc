@@ -91,21 +91,26 @@ void FoldRowStats(BlockMeta& meta, bool first, std::int64_t object,
   meta.max_time = std::max(meta.max_time, end);
 }
 
-/// Converts an unsigned on-disk duration back to a timestamp pair,
-/// rejecting values that would overflow signed time arithmetic. All
-/// arithmetic is unsigned (wrap-defined): `start` is untrusted and may
-/// be any int64, including negative.
-Result<Timestamp> EndFromDuration(std::int64_t start, std::uint64_t duration) {
+/// Converts an unsigned on-disk duration back to an end timestamp,
+/// rejecting values that would overflow signed time arithmetic (false;
+/// see DurationOverflow). All arithmetic is unsigned (wrap-defined):
+/// `start` is untrusted and may be any int64, including negative. No
+/// Status on the success path: this runs once per decoded row.
+bool EndFromDuration(std::int64_t start, std::uint64_t duration,
+                     std::int64_t* end) {
   // INT64_MAX - start, computed mod 2^64: exact for every start, and
   // the mathematical value always fits in uint64.
   const std::uint64_t limit =
       static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max()) -
       static_cast<std::uint64_t>(start);
-  if (duration > limit) {
-    return Status::Corruption("EventStore: duration overflows the epoch");
-  }
-  return Timestamp(static_cast<std::int64_t>(
-      static_cast<std::uint64_t>(start) + duration));
+  if (duration > limit) return false;
+  *end = static_cast<std::int64_t>(static_cast<std::uint64_t>(start) +
+                                   duration);
+  return true;
+}
+
+Status DurationOverflow() {
+  return Status::Corruption("EventStore: duration overflows the epoch");
 }
 
 /// The column bytes of one block after codec framing is stripped:
@@ -958,10 +963,12 @@ Status EventStoreReader::ReadDetectionBlock(
                               std::to_string(i));
   }
   for (std::size_t r = 0; r < n; ++r) {
-    SITM_ASSIGN_OR_RETURN(const Timestamp end,
-                          EndFromDuration(starts[r], durations[r]));
+    std::int64_t end = 0;
+    if (!EndFromDuration(starts[r], durations[r], &end)) {
+      return DurationOverflow();
+    }
     const core::RawDetection detection(ObjectId(objects[r]), CellId(cells[r]),
-                                       Timestamp(starts[r]), end);
+                                       Timestamp(starts[r]), Timestamp(end));
     if (RowMatches(scan, detection.object, detection.start, detection.end)) {
       out.push_back(detection);
     }
@@ -971,7 +978,8 @@ Status EventStoreReader::ReadDetectionBlock(
 
 Status EventStoreReader::ReadTrajectoryBlock(
     std::size_t i, const ScanOptions& scan,
-    std::vector<core::SemanticTrajectory>& out) const {
+    std::vector<core::SemanticTrajectory>& out,
+    std::vector<std::size_t>* positions) const {
   if (kind_ != StoreKind::kTrajectories) {
     return Status::FailedPrecondition(
         "EventStore: not a trajectory store");
@@ -1024,12 +1032,13 @@ Status EventStoreReader::ReadTrajectoryBlock(
   }
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> cells,
                         ReadDeltaColumn(reader, rows));
-  std::vector<std::int64_t> transitions;
-  transitions.reserve(rows);
+  std::vector<std::int64_t> transitions(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    SITM_ASSIGN_OR_RETURN(const std::int64_t transition,
-                          reader.ReadSVarint64());
-    transitions.push_back(transition);
+    std::uint64_t raw = 0;
+    if (!reader.TryReadVarint64(&raw)) {
+      SITM_ASSIGN_OR_RETURN(raw, reader.ReadVarint64());
+    }
+    transitions[r] = ZigZagDecode(raw);
   }
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> starts,
                         ReadDeltaColumn(reader, rows));
@@ -1045,48 +1054,63 @@ Status EventStoreReader::ReadTrajectoryBlock(
     return Status::Corruption("EventStore: trailing bytes in block " +
                               std::to_string(i));
   }
-  auto dict_at = [this](std::uint64_t id) -> Result<core::AnnotationSet> {
-    if (id >= dictionary_.size()) {
-      return Status::Corruption("EventStore: dictionary index " +
-                                std::to_string(id) + " out of range");
-    }
-    return dictionary_[id];
+  auto dictionary_out_of_range = [](std::uint64_t id) {
+    return Status::Corruption("EventStore: dictionary index " +
+                              std::to_string(id) + " out of range");
   };
+  const std::uint64_t dictionary_size = dictionary_.size();
+  // Late materialization: every row of every trajectory is validated —
+  // the same checks, order and messages as building it — but only the
+  // trajectories the scan keeps, judged on the decoded columns, are
+  // built (their intervals made and annotation sets copied).
   std::size_t row = 0;
   for (std::size_t t = 0; t < num_trajectories; ++t) {
-    std::vector<core::PresenceInterval> intervals;
-    intervals.reserve(static_cast<std::size_t>(traj_rows[t]));
+    const std::size_t first = row;
+    std::int64_t end = 0;
     for (std::uint64_t k = 0; k < traj_rows[t]; ++k, ++row) {
-      SITM_ASSIGN_OR_RETURN(const Timestamp end,
-                            EndFromDuration(starts[row], durations[row]));
-      const auto interval = qsr::TimeInterval::Make(Timestamp(starts[row]),
-                                                    end);
-      if (!interval.ok()) {
+      if (!EndFromDuration(starts[row], durations[row], &end)) {
+        return DurationOverflow();
+      }
+      if (starts[row] > end) {
         return Status::Corruption("EventStore: invalid interval in block " +
                                   std::to_string(i));
       }
-      core::PresenceInterval p(BoundaryId(transitions[row]),
-                               CellId(cells[row]), *interval);
-      SITM_ASSIGN_OR_RETURN(p.annotations, dict_at(stay_dicts[row]));
-      SITM_ASSIGN_OR_RETURN(p.transition_annotations,
-                            dict_at(transition_dicts[row]));
-      p.inferred = inferred[row];
-      intervals.push_back(std::move(p));
+      if (stay_dicts[row] >= dictionary_size) {
+        return dictionary_out_of_range(stay_dicts[row]);
+      }
+      if (transition_dicts[row] >= dictionary_size) {
+        return dictionary_out_of_range(transition_dicts[row]);
+      }
     }
-    SITM_ASSIGN_OR_RETURN(core::AnnotationSet annotations,
-                          dict_at(traj_dicts[t]));
-    core::SemanticTrajectory trajectory(
-        TrajectoryId(traj_ids[t]), ObjectId(traj_objects[t]),
-        core::Trace(std::move(intervals)), std::move(annotations));
-    // Trajectory-level pushdown: traces are non-empty by construction
-    // here (zero-row trajectories were rejected above), so the checked
-    // bounds cannot fail.
-    SITM_ASSIGN_OR_RETURN(const Timestamp start,
-                          trajectory.trace().StartTime());
-    SITM_ASSIGN_OR_RETURN(const Timestamp end, trajectory.trace().EndTime());
-    if (RowMatches(scan, trajectory.object(), start, end)) {
-      out.push_back(std::move(trajectory));
+    if (traj_dicts[t] >= dictionary_size) {
+      return dictionary_out_of_range(traj_dicts[t]);
     }
+    // Trajectory-level pushdown on the columns: rows are non-empty
+    // (zero-row trajectories were rejected above), so the trace starts
+    // at its first row and ends at its last row's end.
+    if (!RowMatches(scan, ObjectId(traj_objects[t]), Timestamp(starts[first]),
+                    Timestamp(end))) {
+      continue;
+    }
+    std::vector<core::PresenceInterval> intervals;
+    intervals.reserve(row - first);
+    for (std::size_t r = first; r < row; ++r) {
+      // Validated above: the end cannot overflow and follows the start.
+      std::int64_t row_end = 0;
+      (void)EndFromDuration(starts[r], durations[r], &row_end);
+      const auto interval =
+          qsr::TimeInterval::Make(Timestamp(starts[r]), Timestamp(row_end));
+      core::PresenceInterval& p = intervals.emplace_back(
+          BoundaryId(transitions[r]), CellId(cells[r]), *interval,
+          dictionary_[static_cast<std::size_t>(stay_dicts[r])]);
+      p.transition_annotations =
+          dictionary_[static_cast<std::size_t>(transition_dicts[r])];
+      p.inferred = inferred[r];
+    }
+    out.emplace_back(TrajectoryId(traj_ids[t]), ObjectId(traj_objects[t]),
+                     core::Trace(std::move(intervals)),
+                     dictionary_[static_cast<std::size_t>(traj_dicts[t])]);
+    if (positions != nullptr) positions->push_back(t);
   }
   return Status::OK();
 }
@@ -1109,6 +1133,9 @@ EventStoreReader::ReadTrajectories(const ScanOptions& scan) const {
     return Status::FailedPrecondition("EventStore: not a trajectory store");
   }
   std::vector<core::SemanticTrajectory> out;
+  const bool keeps_all = scan.objects.empty() && !scan.min_time.has_value() &&
+                         !scan.max_time.has_value();
+  if (keeps_all) out.reserve(static_cast<std::size_t>(trajectories_));
   for (std::size_t i : CandidateBlocks(scan)) {
     SITM_RETURN_IF_ERROR(ReadTrajectoryBlock(i, scan, out));
   }

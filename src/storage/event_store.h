@@ -207,7 +207,12 @@ class EventStoreWriter {
 /// Predicate pushed down into a scan. Blocks whose footer stats cannot
 /// match are skipped without reading their bytes; surviving blocks are
 /// decoded and filtered row-wise (kDetections) or trajectory-wise
-/// (kTrajectories).
+/// (kTrajectories). Trajectory blocks filter on the decoded columns —
+/// each trajectory's object, its first row's start and its last row's
+/// end — before any trajectory is built, so only survivors are
+/// materialized. Filtering never skips validation: every row of every
+/// trajectory in a decoded block is checked, kept or not, and a bad row
+/// is Corruption whatever the scan.
 ///
 /// Time-window semantics (pinned by tests at block boundaries):
 ///  - the window [min_time, max_time] is CLOSED and both bounds are
@@ -308,12 +313,16 @@ class EventStoreReader {
       const ScanOptions& scan = {}) const;
 
   /// Block-wise scans, appending matches to `out`. Callers stream block
-  /// by block without materializing the whole store.
+  /// by block without materializing the whole store. When `positions` is
+  /// set, ReadTrajectoryBlock appends each kept trajectory's position in
+  /// block `i` (its index in an unfiltered decode of the block), so
+  /// callers can line filtered results up with per-trajectory ordinals.
   [[nodiscard]] Status ReadDetectionBlock(std::size_t i, const ScanOptions& scan,
                             std::vector<core::RawDetection>& out) const;
   [[nodiscard]] Status ReadTrajectoryBlock(
       std::size_t i, const ScanOptions& scan,
-      std::vector<core::SemanticTrajectory>& out) const;
+      std::vector<core::SemanticTrajectory>& out,
+      std::vector<std::size_t>* positions = nullptr) const;
 
   /// Verifies every block checksum (footer integrity is already checked
   /// at Open) without decoding columns.

@@ -69,8 +69,9 @@ struct StoreSet {
 /// Trajectory-ordinal offset of every block of `reader` (exclusive
 /// prefix sums of per-block trajectory counts): the trajectory decoded
 /// at position i of block b has ordinal `starts[b] + i`. This is what
-/// lets a reader that decodes blocks *unfiltered* line decoded
-/// trajectories up with StoreSetSegment::canonical_ids.
+/// lets a reader line decoded trajectories up with
+/// StoreSetSegment::canonical_ids — with the positions
+/// ReadTrajectoryBlock reports when its scan filters the block.
 std::vector<std::uint64_t> BlockTrajectoryStarts(const EventStoreReader& reader);
 
 /// \brief Rolling-segment file naming: "seg-L<level>-<sequence>.evst",

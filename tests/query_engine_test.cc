@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -590,6 +591,90 @@ TEST(QueryExecutorTest, ObjectPointLookupScansFarFewerTuples) {
   EXPECT_EQ(never->count, 0u);
   EXPECT_EQ(never->stats.blocks_scanned, 0u);
   EXPECT_EQ(never->stats.rows_scanned, 0u);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// One query path: a one-segment StoreSet without a tail is the store.
+// ---------------------------------------------------------------------------
+
+TEST(QueryExecutorTest, OneSegmentStoreSetReportsTheSingleStoreStats) {
+  const auto trajectories = SimulatedTrajectories(2024, 200);
+  const std::string path = TempPath("one_segment.evst");
+  storage::WriterOptions store_options;
+  store_options.rows_per_block = 48;
+  auto writer = storage::EventStoreWriter::Create(
+      path, storage::StoreKind::kTrajectories, store_options);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->Append(trajectories).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  auto opened = storage::EventStoreReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const auto reader = std::make_shared<const storage::EventStoreReader>(
+      std::move(opened).value());
+  ASSERT_GT(reader->num_blocks(), 4u);
+
+  // The store holds the batch in id order, so the trajectory at each
+  // ordinal keeps its own id as the canonical one.
+  storage::StoreSet set;
+  storage::StoreSetSegment segment;
+  segment.reader = reader;
+  for (const auto& t : trajectories) segment.canonical_ids.push_back(t.id());
+  set.segments.push_back(std::move(segment));
+
+  const core::SemanticTrajectory& middle = trajectories[trajectories.size() / 2];
+  const Timestamp mid_start = middle.start();
+  const std::vector<std::pair<const char*, Predicate>> wheres = {
+      {"point", ObjectIs(middle.object())},
+      {"objects", ObjectIn({trajectories.front().object(), middle.object(),
+                            trajectories.back().object()})},
+      {"window", TimeWindow(mid_start, mid_start + Duration::Hours(2))},
+      {"zone before", And(InZone(CellId(louvre::kMuseumCellId)),
+                          TimeWindow(std::nullopt, mid_start))},
+      {"annotation", And(HasAnnotation(core::AnnotationKind::kActivity, "visit",
+                                       AnnotationScope::kTrajectory),
+                         TimeWindow(mid_start, std::nullopt))},
+      {"never", And(ObjectIs(ObjectId(1)), ObjectIs(ObjectId(2)))},
+  };
+  const Projection projections[] = {
+      Projection::kTrajectories, Projection::kTuples, Projection::kIds,
+      Projection::kCount,        Projection::kEpisodes, Projection::kTopK,
+  };
+  sched::Executor pool(2);
+  ExecutorOptions options;
+  options.executor = &pool;
+  QueryExecutor executor(LouvreContext(), options);
+  for (const auto& [name, where] : wheres) {
+    for (const Projection projection : projections) {
+      SCOPED_TRACE(std::string(name) + " / projection " +
+                   std::to_string(static_cast<int>(projection)));
+      Query query;
+      query.where = where;
+      query.projection = projection;
+      query.tuple_where = InCell(CellId(louvre::kZonePassage));
+      query.episodes.push_back(
+          {"stay", core::StayAtLeast(Duration::Minutes(5)), {}});
+      query.top_k.k = 5;
+      query.top_k.probe = &middle;
+      const auto single = executor.Run(query, *reader);
+      ASSERT_TRUE(single.ok()) << single.status();
+      const auto segmented = executor.Run(query, set);
+      ASSERT_TRUE(segmented.ok()) << segmented.status();
+      const ExecutionStats& a = single->stats;
+      const ExecutionStats& b = segmented->stats;
+      EXPECT_EQ(a.blocks_total, b.blocks_total);
+      EXPECT_EQ(a.blocks_scanned, b.blocks_scanned);
+      EXPECT_EQ(a.rows_total, b.rows_total);
+      EXPECT_EQ(a.rows_scanned, b.rows_scanned);
+      EXPECT_EQ(a.trajectories_considered, b.trajectories_considered);
+      EXPECT_EQ(a.trajectories_matched, b.trajectories_matched);
+      EXPECT_EQ(single->Fingerprint(), segmented->Fingerprint());
+      if (std::string(name) == "point") {
+        // Only pushdown survivors reach the residual on either path.
+        EXPECT_LT(b.trajectories_considered, trajectories.size() / 10);
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

@@ -311,5 +311,170 @@ TEST(ColumnarLzTest, ForgedDistanceAndLengthAreCorruption) {
             StatusCode::kCorruption);
 }
 
+// ---------------------------------------------------------------------------
+// Fast decode paths: the inline varint reader the column decoders use,
+// and the memcpy copies in DecompressBytes. Both must agree exactly with
+// the checked slow paths — values, consumed bytes and every Status.
+// ---------------------------------------------------------------------------
+
+TEST(ColumnarFastPathTest, TryReadVarintTakesAtMostNineBytes) {
+  for (const std::uint64_t v : U64Corners()) {
+    std::string buf;
+    PutVarint64(buf, v);
+    ByteReader reader(buf);
+    std::uint64_t decoded = 0;
+    if (buf.size() <= 9) {
+      ASSERT_TRUE(reader.TryReadVarint64(&decoded)) << v;
+      EXPECT_EQ(decoded, v);
+      EXPECT_TRUE(reader.empty());
+    } else {
+      // 10-byte varints (>= 2^63) fall back, consuming nothing.
+      EXPECT_FALSE(reader.TryReadVarint64(&decoded)) << v;
+      EXPECT_EQ(reader.position(), 0u);
+    }
+  }
+  // Truncated in-bounds prefixes also fall back without consuming.
+  std::string full;
+  PutVarint64(full, 1ull << 40);
+  for (std::size_t cut = 0; cut < full.size(); ++cut) {
+    ByteReader reader(full.data(), cut);
+    std::uint64_t decoded = 0;
+    EXPECT_FALSE(reader.TryReadVarint64(&decoded)) << cut;
+    EXPECT_EQ(reader.position(), 0u);
+  }
+}
+
+TEST(ColumnarFastPathTest, TenByteValuesRoundTripThroughTheFallback) {
+  // Columns mixing one-byte values with values >= 2^63, whose varints
+  // take 10 bytes and so always leave the fast path.
+  const std::uint64_t big = 1ull << 63;
+  const std::vector<std::uint64_t> unsigned_values = {
+      1, big, 2, std::numeric_limits<std::uint64_t>::max(), 0, big + 5, 3};
+  std::string varints;
+  PutVarintColumn(varints, unsigned_values);
+  ByteReader varint_reader(varints);
+  const auto varint_decoded =
+      ReadVarintColumn(varint_reader, unsigned_values.size());
+  ASSERT_TRUE(varint_decoded.ok()) << varint_decoded.status();
+  EXPECT_EQ(*varint_decoded, unsigned_values);
+  EXPECT_TRUE(varint_reader.empty());
+
+  // Alternating int64 extremes: every wrapped delta zigzags to >= 2^63.
+  const std::vector<std::int64_t> signed_values = {
+      0,
+      std::numeric_limits<std::int64_t>::max(),
+      -1,
+      std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::min() + 1,
+      std::numeric_limits<std::int64_t>::max(),
+      7};
+  std::string deltas;
+  PutDeltaColumn(deltas, signed_values);
+  ASSERT_GT(deltas.size(), 3 * 10u);  // several 10-byte deltas
+  ByteReader delta_reader(deltas);
+  const auto delta_decoded = ReadDeltaColumn(delta_reader, signed_values.size());
+  ASSERT_TRUE(delta_decoded.ok()) << delta_decoded.status();
+  EXPECT_EQ(*delta_decoded, signed_values);
+  EXPECT_TRUE(delta_reader.empty());
+}
+
+/// The Status ReadVarint64 gives for the varint after `good` values of
+/// `buf` — what a column decoder must return word for word.
+Status SlowPathStatusAfter(const std::string& buf, std::size_t good) {
+  ByteReader reader(buf);
+  for (std::size_t i = 0; i < good; ++i) {
+    EXPECT_TRUE(reader.ReadVarint64().ok());
+  }
+  const Result<std::uint64_t> bad = reader.ReadVarint64();
+  EXPECT_FALSE(bad.ok());
+  return bad.status();
+}
+
+TEST(ColumnarFastPathTest, MalformedVarintMidColumnKeepsTheSlowPathStatus) {
+  std::string prefix;
+  for (const std::uint64_t v : {5ull, 300ull, 1ull << 50, 1ull << 63}) {
+    PutVarint64(prefix, v);
+  }
+  const std::size_t good = 4;
+  std::string overflowing(9, static_cast<char>(0x80));
+  overflowing.push_back(static_cast<char>(0x02));  // 10th byte > 1
+  std::string overlong(11, static_cast<char>(0x80));  // > 10 bytes
+  PutVarint64(overflowing, 1);  // valid bytes after a bad varint are
+  PutVarint64(overlong, 1);     // never read
+  const std::string tails[] = {
+      std::string(3, static_cast<char>(0x80)),  // truncated mid-varint
+      overflowing,
+      overlong,
+  };
+  for (const std::string& tail : tails) {
+    const std::string buf = prefix + tail;
+    const Status expected = SlowPathStatusAfter(buf, good);
+    ASSERT_EQ(expected.code(), StatusCode::kCorruption);
+
+    ByteReader varint_reader(buf);
+    const auto varints = ReadVarintColumn(varint_reader, good + 2);
+    ASSERT_FALSE(varints.ok());
+    EXPECT_EQ(varints.status().code(), expected.code());
+    EXPECT_EQ(varints.status().message(), expected.message());
+
+    ByteReader delta_reader(buf);
+    const auto deltas = ReadDeltaColumn(delta_reader, good + 2);
+    ASSERT_FALSE(deltas.ok());
+    EXPECT_EQ(deltas.status().code(), expected.code());
+    EXPECT_EQ(deltas.status().message(), expected.message());
+  }
+}
+
+/// Reference LZ decoder: the plain byte loop the fast decoder replaced,
+/// without any guard (test streams are well-formed).
+std::string ReferenceDecompress(std::string_view compressed) {
+  std::string out;
+  ByteReader reader(compressed);
+  while (true) {
+    const std::uint64_t literal_len = *reader.ReadVarint64();
+    out.append(*reader.ReadBytes(literal_len));
+    if (reader.empty()) break;
+    const std::uint64_t match = 4 + *reader.ReadVarint64();
+    const std::uint64_t distance = *reader.ReadVarint64();
+    const std::size_t from = out.size() - distance;
+    for (std::size_t i = 0; i < match; ++i) out.push_back(out[from + i]);
+  }
+  return out;
+}
+
+TEST(ColumnarFastPathTest, LzMatchCopiesAgreeWithAByteLoopAtEveryDistance) {
+  // One literal run, one match of length `match` at `distance`, one
+  // trailing literal run. Distances just below the match length overlap
+  // (byte loop); distance == match length is the first memcpy case.
+  const std::string literals = "0123456789abcdefghijklmnopqrstuv";
+  for (const std::size_t match : {4u, 5u, 7u, 16u, 29u}) {
+    for (const std::size_t distance :
+         {match - 3, match - 2, match - 1, match, match + 1,
+          literals.size()}) {
+      if (distance == 0 || distance > literals.size()) continue;
+      std::string stream;
+      PutVarint64(stream, literals.size());
+      stream += literals;
+      PutVarint64(stream, match - 4);
+      PutVarint64(stream, distance);
+      PutVarint64(stream, 3);
+      stream += "xyz";
+      const std::string expected = ReferenceDecompress(stream);
+      ASSERT_EQ(expected.size(), literals.size() + match + 3);
+      const auto decoded = DecompressBytes(stream, expected.size());
+      ASSERT_TRUE(decoded.ok())
+          << "match " << match << " distance " << distance << ": "
+          << decoded.status();
+      EXPECT_EQ(*decoded, expected)
+          << "match " << match << " distance " << distance;
+    }
+  }
+  // The whole corpus, against the reference decoder.
+  for (const std::string& input : LzCorpus()) {
+    const std::string compressed = CompressBytes(input);
+    EXPECT_EQ(ReferenceDecompress(compressed), input);
+  }
+}
+
 }  // namespace
 }  // namespace sitm::storage

@@ -4,10 +4,12 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <functional>
 #include <limits>
 #include <string>
 #include <vector>
 
+#include "base/rng.h"
 #include "sched/executor.h"
 #include "core/pipeline.h"
 #include "io/csv.h"
@@ -1237,6 +1239,362 @@ TEST(EventStoreReaderTest, MappedOnPosix) {
 #endif
   EXPECT_TRUE(reader->VerifyChecksums().ok());
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Late materialization: trajectory blocks filter on decoded columns and
+// build only the kept trajectories, yet validate every row.
+// ---------------------------------------------------------------------------
+
+/// The decoded columns of one v3 trajectory block, in payload order.
+struct TrajectoryColumns {
+  std::vector<std::int64_t> traj_ids, traj_objects;
+  std::vector<std::uint64_t> traj_dicts, traj_rows;
+  std::vector<std::int64_t> cells, transitions, starts;
+  std::vector<std::uint64_t> durations, stay_dicts, transition_dicts;
+  std::vector<bool> inferred;
+};
+
+/// Rewrites the only block of a single-block v3 trajectory store: its
+/// columns are decoded, changed by `mutate`, re-encoded, re-compressed
+/// with CompressBytes and re-framed; then the block's footer entry
+/// (length, checksum) and the footer checksum are repaired, so only the
+/// row validation can notice the change.
+template <typename Mutate>
+std::string ForgeSingleTrajectoryBlock(const std::string& bytes,
+                                       Mutate mutate) {
+  ByteReader trailer(bytes.data() + bytes.size() - kStoreTrailerSize,
+                     kStoreTrailerSize);
+  const std::uint64_t footer_offset = *trailer.ReadU64();
+  const std::uint64_t footer_length = *trailer.ReadU64();
+  const std::string footer(bytes, footer_offset, footer_length);
+  ByteReader index(footer);
+  const std::uint64_t dict_count = *index.ReadVarint64();
+  for (std::uint64_t d = 0; d < dict_count; ++d) {
+    const std::uint64_t entries = *index.ReadVarint64();
+    for (std::uint64_t e = 0; e < entries; ++e) {
+      (void)*index.ReadVarint64();  // kind
+      (void)*index.ReadBytes(*index.ReadVarint64());
+    }
+  }
+  const std::size_t dictionary_end = index.position();
+  EXPECT_EQ(*index.ReadVarint64(), 1u) << "single-block stores only";
+  BlockMeta meta;
+  meta.offset = *index.ReadVarint64();
+  meta.length = *index.ReadVarint64();
+  meta.rows = *index.ReadVarint64();
+  meta.trajectories = *index.ReadVarint64();
+  meta.min_object = *index.ReadSVarint64();
+  meta.max_object = *index.ReadSVarint64();
+  meta.min_time = *index.ReadSVarint64();
+  meta.max_time = *index.ReadSVarint64();
+  (void)*index.ReadU64();  // checksum
+  const std::size_t sections_begin = index.position();
+
+  ByteReader payload(bytes.data() + meta.offset, meta.length);
+  EXPECT_EQ(*payload.ReadVarint64(), kLzCodecId);
+  const std::uint64_t raw_size = *payload.ReadVarint64();
+  const std::string raw =
+      *DecompressBytes(*payload.ReadBytes(payload.remaining()), raw_size);
+  ByteReader reader(raw);
+  const auto trajectories = static_cast<std::size_t>(meta.trajectories);
+  const auto rows = static_cast<std::size_t>(meta.rows);
+  TrajectoryColumns c;
+  c.traj_ids = *ReadDeltaColumn(reader, trajectories);
+  c.traj_objects = *ReadDeltaColumn(reader, trajectories);
+  c.traj_dicts = *ReadVarintColumn(reader, trajectories);
+  c.traj_rows = *ReadVarintColumn(reader, trajectories);
+  c.cells = *ReadDeltaColumn(reader, rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    c.transitions.push_back(*reader.ReadSVarint64());
+  }
+  c.starts = *ReadDeltaColumn(reader, rows);
+  c.durations = *ReadVarintColumn(reader, rows);
+  c.stay_dicts = *ReadVarintColumn(reader, rows);
+  c.transition_dicts = *ReadVarintColumn(reader, rows);
+  c.inferred = *ReadBitColumn(reader, rows);
+  EXPECT_TRUE(reader.empty());
+
+  mutate(c);
+
+  std::string columns;
+  PutDeltaColumn(columns, c.traj_ids);
+  PutDeltaColumn(columns, c.traj_objects);
+  PutVarintColumn(columns, c.traj_dicts);
+  PutVarintColumn(columns, c.traj_rows);
+  PutDeltaColumn(columns, c.cells);
+  for (const std::int64_t t : c.transitions) PutSVarint64(columns, t);
+  PutDeltaColumn(columns, c.starts);
+  PutVarintColumn(columns, c.durations);
+  PutVarintColumn(columns, c.stay_dicts);
+  PutVarintColumn(columns, c.transition_dicts);
+  PutBitColumn(columns, c.inferred);
+  std::string block;
+  PutVarint64(block, kLzCodecId);
+  PutVarint64(block, columns.size());
+  block += CompressBytes(columns);
+
+  std::string new_footer = footer.substr(0, dictionary_end);
+  PutVarint64(new_footer, 1);
+  PutVarint64(new_footer, meta.offset);
+  PutVarint64(new_footer, block.size());
+  PutVarint64(new_footer, meta.rows);
+  PutVarint64(new_footer, meta.trajectories);
+  PutSVarint64(new_footer, meta.min_object);
+  PutSVarint64(new_footer, meta.max_object);
+  PutSVarint64(new_footer, meta.min_time);
+  PutSVarint64(new_footer, meta.max_time);
+  PutU64(new_footer, Checksum(block));
+  new_footer += footer.substr(sections_begin);
+
+  std::string out = bytes.substr(0, meta.offset) + block;
+  const std::uint64_t new_footer_offset = out.size();
+  out += new_footer;
+  PutU64(out, new_footer_offset);
+  PutU64(out, new_footer.size());
+  PutU64(out, Checksum(new_footer));
+  out.append(kTrailerMagic, sizeof(kTrailerMagic));
+  return out;
+}
+
+/// Position of the first row of trajectory `t` in a block's row columns.
+std::size_t FirstRowOf(const TrajectoryColumns& c, std::size_t t) {
+  std::size_t row = 0;
+  for (std::size_t k = 0; k < t; ++k) {
+    row += static_cast<std::size_t>(c.traj_rows[k]);
+  }
+  return row;
+}
+
+TEST(EventStoreLateMaterializationTest, FilteredScansStillValidateEveryRow) {
+  // GoldenTrajectories() in one block: trajectories 0..6 over objects
+  // 0,1,2,3,4,0,1. Each forgery puts a bad row (or trajectory entry) in
+  // a trajectory a point lookup of object 3 (trajectory 3) excludes,
+  // before or after the kept one. The lookup must fail exactly like the
+  // full scan does.
+  const std::string path = TempPath("late_materialization_forged.evst");
+  WriterOptions options;
+  options.rows_per_block = 4096;
+  ASSERT_TRUE(WriteTrajectoryStore(path, GoldenTrajectories(), options).ok());
+  const auto original = io::ReadFile(path);
+  ASSERT_TRUE(original.ok());
+  const ObjectId kept(3);
+
+  struct Forgery {
+    const char* name;
+    std::size_t trajectory;  // the excluded trajectory carrying the fault
+    std::function<void(TrajectoryColumns&, std::size_t row)> apply;
+    const char* message;
+  };
+  const Forgery forgeries[] = {
+      {"stay dictionary index past the end", 6,
+       [](TrajectoryColumns& c, std::size_t row) {
+         c.stay_dicts[row + 1] = 1000;
+       },
+       "EventStore: dictionary index 1000 out of range"},
+      {"transition dictionary index past the end", 1,
+       [](TrajectoryColumns& c, std::size_t row) {
+         c.transition_dicts[row + 2] = 999;
+       },
+       "EventStore: dictionary index 999 out of range"},
+      {"trajectory dictionary index past the end", 0,
+       [](TrajectoryColumns& c, std::size_t) { c.traj_dicts[0] = 77; },
+       "EventStore: dictionary index 77 out of range"},
+      {"overflowing duration", 6,
+       [](TrajectoryColumns& c, std::size_t row) {
+         // A 10-byte varint, so the fast varint path falls back too.
+         c.durations[row] = std::numeric_limits<std::uint64_t>::max();
+       },
+       "EventStore: duration overflows the epoch"},
+      {"overflowing duration before the kept trajectory", 1,
+       [](TrajectoryColumns& c, std::size_t row) {
+         c.durations[row + 4] = static_cast<std::uint64_t>(
+                                    std::numeric_limits<std::int64_t>::max()) -
+                                static_cast<std::uint64_t>(c.starts[row + 4]) +
+                                1;
+       },
+       "EventStore: duration overflows the epoch"},
+  };
+  for (const Forgery& forgery : forgeries) {
+    SCOPED_TRACE(forgery.name);
+    const std::string forged = ForgeSingleTrajectoryBlock(
+        *original, [&](TrajectoryColumns& c) {
+          ASSERT_NE(c.traj_objects[forgery.trajectory], kept.value());
+          forgery.apply(c, FirstRowOf(c, forgery.trajectory));
+        });
+    const std::string forged_path = TempPath("late_materialization_variant.evst");
+    ASSERT_TRUE(io::WriteFile(forged_path, forged).ok());
+    const auto reader = EventStoreReader::Open(forged_path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    ASSERT_EQ(reader->num_blocks(), 1u);
+
+    std::vector<core::SemanticTrajectory> out;
+    const Status full = reader->ReadTrajectoryBlock(0, ScanOptions{}, out);
+    ASSERT_EQ(full.code(), StatusCode::kCorruption) << full;
+    EXPECT_EQ(full.message(), forgery.message);
+
+    const Status point =
+        reader->ReadTrajectoryBlock(0, ScanOptions::ForObject(kept), out);
+    EXPECT_EQ(point.code(), full.code());
+    EXPECT_EQ(point.message(), full.message());
+
+    // A window holding only the kept trajectory fails the same way.
+    const Timestamp kept_start = GoldenTrajectories()[3].start();
+    ScanOptions window;
+    window.min_time = kept_start;
+    window.max_time = kept_start;
+    const Status windowed = reader->ReadTrajectoryBlock(0, window, out);
+    EXPECT_EQ(windowed.code(), full.code());
+    EXPECT_EQ(windowed.message(), full.message());
+    std::remove(forged_path.c_str());
+  }
+
+  // The unmodified re-encode decodes cleanly: the forger itself
+  // introduces no fault.
+  const std::string identity =
+      ForgeSingleTrajectoryBlock(*original, [](TrajectoryColumns&) {});
+  const std::string identity_path = TempPath("late_materialization_same.evst");
+  ASSERT_TRUE(io::WriteFile(identity_path, identity).ok());
+  const auto reader = EventStoreReader::Open(identity_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const auto restored = reader->ReadTrajectories();
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ExpectTrajectoriesEqual(GoldenTrajectories(), *restored);
+  std::remove(identity_path.c_str());
+  std::remove(path.c_str());
+}
+
+/// Random scans over a store: object sets (present, absent, empty),
+/// windows whose bounds sit exactly on block and trajectory bounds (and
+/// one off), open bounds, and inverted windows.
+std::vector<ScanOptions> RandomScans(
+    const EventStoreReader& reader,
+    const std::vector<core::SemanticTrajectory>& trajectories,
+    std::uint64_t seed, int count) {
+  std::vector<std::int64_t> times;
+  for (const BlockMeta& meta : reader.blocks()) {
+    times.push_back(meta.min_time);
+    times.push_back(meta.max_time);
+  }
+  std::vector<std::int64_t> objects;
+  for (const core::SemanticTrajectory& t : trajectories) {
+    times.push_back(t.start().seconds_since_epoch());
+    times.push_back(t.end().seconds_since_epoch());
+    objects.push_back(t.object().value());
+  }
+  std::sort(objects.begin(), objects.end());
+  objects.erase(std::unique(objects.begin(), objects.end()), objects.end());
+  Rng rng(seed);
+  auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.NextBounded(n));
+  };
+  auto pick_time = [&]() {
+    const std::int64_t t = times[pick(times.size())];
+    const int nudge = static_cast<int>(pick(5));  // 0,1,2 exact; -1; +1
+    return Timestamp(nudge == 3 ? t - 1 : nudge == 4 ? t + 1 : t);
+  };
+  std::vector<ScanOptions> scans;
+  for (int s = 0; s < count; ++s) {
+    ScanOptions scan;
+    switch (pick(4)) {
+      case 0:
+        break;  // every object
+      case 1:
+        scan.objects.push_back(ObjectId(objects[pick(objects.size())]));
+        break;
+      case 2: {
+        std::vector<std::int64_t> chosen;
+        const std::size_t n = 1 + pick(4);
+        for (std::size_t k = 0; k < n; ++k) {
+          chosen.push_back(objects[pick(objects.size())]);
+        }
+        chosen.push_back(objects.back() + 1);  // absent from the store
+        std::sort(chosen.begin(), chosen.end());
+        chosen.erase(std::unique(chosen.begin(), chosen.end()), chosen.end());
+        for (const std::int64_t o : chosen) scan.objects.push_back(ObjectId(o));
+        break;
+      }
+      default:
+        scan.objects.push_back(ObjectId(objects.back() + 1));  // absent
+        break;
+    }
+    if (pick(3) != 0) scan.min_time = pick_time();
+    if (pick(3) != 0) scan.max_time = pick_time();
+    if (pick(6) == 0) {  // force an inverted window
+      const Timestamp t = pick_time();
+      scan.min_time = t + Duration::Seconds(1);
+      scan.max_time = t;
+    }
+    scans.push_back(std::move(scan));
+  }
+  return scans;
+}
+
+TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) {
+  struct Store {
+    const char* name;
+    std::vector<core::SemanticTrajectory> trajectories;
+    std::size_t rows_per_block;
+  };
+  const Store stores[] = {
+      {"golden, 3 rows per block", GoldenTrajectories(), 3},
+      {"golden, one block", GoldenTrajectories(), 4096},
+      {"louvre", BuildTrajectories(SimulatedDetections(23)), 40},
+  };
+  for (const Store& store : stores) {
+    SCOPED_TRACE(store.name);
+    const std::string path = TempPath("late_materialization_oracle.evst");
+    WriterOptions options;
+    options.rows_per_block = store.rows_per_block;
+    ASSERT_TRUE(WriteTrajectoryStore(path, store.trajectories, options).ok());
+    const auto reader = EventStoreReader::Open(path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+
+    // Unfiltered decodes report every position, in order.
+    std::vector<std::vector<core::SemanticTrajectory>> full(
+        reader->num_blocks());
+    for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
+      std::vector<std::size_t> positions;
+      ASSERT_TRUE(
+          reader->ReadTrajectoryBlock(i, ScanOptions{}, full[i], &positions)
+              .ok());
+      ASSERT_EQ(full[i].size(), reader->block(i).trajectories);
+      for (std::size_t p = 0; p < positions.size(); ++p) {
+        EXPECT_EQ(positions[p], p);
+      }
+    }
+
+    for (const ScanOptions& scan :
+         RandomScans(*reader, store.trajectories, 0x5ca9, 300)) {
+      for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
+        std::vector<core::SemanticTrajectory> expected;
+        std::vector<std::size_t> expected_positions;
+        for (std::size_t p = 0; p < full[i].size(); ++p) {
+          const core::SemanticTrajectory& t = full[i][p];
+          const bool object_ok =
+              scan.objects.empty() ||
+              std::binary_search(scan.objects.begin(), scan.objects.end(),
+                                 t.object());
+          const bool time_ok = !scan.EmptyWindow() &&
+                               (!scan.min_time || t.end() >= *scan.min_time) &&
+                               (!scan.max_time || t.start() <= *scan.max_time);
+          if (object_ok && time_ok) {
+            expected.push_back(t);
+            expected_positions.push_back(p);
+          }
+        }
+        std::vector<core::SemanticTrajectory> kept;
+        std::vector<std::size_t> positions;
+        ASSERT_TRUE(reader->ReadTrajectoryBlock(i, scan, kept, &positions).ok());
+        ExpectTrajectoriesEqual(expected, kept);
+        EXPECT_EQ(positions, expected_positions) << "block " << i;
+        for (std::size_t k = 0; k < positions.size() && k < kept.size(); ++k) {
+          EXPECT_EQ(full[i][positions[k]].id(), kept[k].id());
+        }
+      }
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
