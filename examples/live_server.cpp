@@ -16,6 +16,7 @@
 //
 // Query string: projection=count|ids|trajectories (default count),
 // object=<id>, cell=<id> (filters AND together).
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -74,8 +75,9 @@ Result<query::Query> QueryFromParams(
       }
     } else if (key == "object" || key == "cell") {
       char* end = nullptr;
+      errno = 0;  // strtoll clamps out-of-range ids and flags only errno
       const long long id = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || id < 0) {
+      if (end == value.c_str() || *end != '\0' || errno == ERANGE || id < 0) {
         return Status::InvalidArgument("bad " + key + " id: " + value);
       }
       q.where = query::And(std::move(q.where),
@@ -187,22 +189,25 @@ int RunServe(int argc, char** argv) {
   server.Handle("GET", "/query", [&service, &executor](
                                      const live::HttpRequest& request) {
     live::HttpResponse response;
-    const auto fail = [&response](const Status& status) {
-      response.status = 400;
+    // 400 for bad parameters; 500 when the server fails to answer a
+    // well-formed query (a snapshot or execution error, e.g. a corrupt
+    // segment).
+    const auto fail = [&response](int code, const Status& status) {
+      response.status = code;
       io::JsonValue error{io::JsonValue::Object{}};
       Check(error.Set("error", status.ToString()));
       response.body = error.Dump();
       return response;
     };
     auto q = QueryFromParams(request.query_params);
-    if (!q.ok()) return fail(q.status());
+    if (!q.ok()) return fail(400, q.status());
     auto snapshot = service.Snapshot();
-    if (!snapshot.ok()) return fail(snapshot.status());
+    if (!snapshot.ok()) return fail(500, snapshot.status());
     query::ExecutorOptions exec_options;
     exec_options.executor = &executor;
     query::QueryExecutor query_executor{query::QueryContext{}, exec_options};
     auto result = query_executor.Run(*q, *snapshot);
-    if (!result.ok()) return fail(result.status());
+    if (!result.ok()) return fail(500, result.status());
     response.body = RenderResult(*result).Dump();
     return response;
   });

@@ -3,7 +3,8 @@
 # server on loopback, POSTs an out-of-order detection stream in several
 # batches, flushes, queries back over the live segments, and diffs every
 # answer byte-for-byte against `live_server batch` — the batch pipeline
-# run over the same detection multiset. Also saves the /stats document
+# run over the same detection multiset — and checks that malformed
+# queries answer 400 with a JSON error body. Also saves the /stats document
 # (live_smoke_stats.json in the work dir) for CI to archive.
 #
 # Usage:
@@ -124,6 +125,29 @@ for q in "${queries[@]}"; do
   fi
 done
 
+# Bad parameters must answer 400 with a JSON {"error": "..."} body; an
+# out-of-range id must not clamp into a valid one.
+bad_queries=(
+  "projection=bogus"
+  "object=99999999999999999999"
+)
+for q in "${bad_queries[@]}"; do
+  # curl -f would hide the body on 4xx; check the status code by hand.
+  code="$(curl -s -o "$work_dir/error_answer.json" -w '%{http_code}' \
+               "$base/query?$q")"
+  if [ "$code" = "400" ] && python3 -c '
+import json, sys
+with open(sys.argv[1]) as fh:
+    doc = json.load(fh)
+sys.exit(0 if isinstance(doc, dict) and isinstance(doc.get("error"), str) else 1)
+' "$work_dir/error_answer.json" 2> /dev/null; then
+    echo "live_smoke: 400    ?$q"
+  else
+    echo "live_smoke: WRONG ERROR ?$q ($code): $(cat "$work_dir/error_answer.json")" >&2
+    failed=1
+  fi
+done
+
 curl -s -X POST "$base/shutdown" > /dev/null
 wait "$server_pid"
 server_status=$?
@@ -133,7 +157,7 @@ if [ "$server_status" -ne 0 ]; then
   exit 1
 fi
 if [ "$failed" -ne 0 ]; then
-  echo "live_smoke: FAILED — live answers diverge from batch" >&2
+  echo "live_smoke: FAILED — live answers diverge from batch, or a bad query was not rejected" >&2
   exit 1
 fi
-echo "live_smoke: OK — ${#queries[@]} live answers byte-identical to batch"
+echo "live_smoke: OK — ${#queries[@]} live answers byte-identical to batch, ${#bad_queries[@]} bad queries rejected with 400"

@@ -86,8 +86,7 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
   // --- Stages 2+3 as one task graph: each shard is a build task chained
   // to an enrich+infer task, so enrichment of an early shard overlaps
   // the builds of later shards instead of waiting behind a global
-  // barrier (the `barrier_stages` knob restores the fork-join schedule
-  // as an ablation baseline — same bytes out, different overlap).
+  // barrier.
   const std::size_t per_shard = std::max<std::size_t>(
       static_cast<std::size_t>(1), options_.objects_per_shard);
   const std::size_t num_shards = (groups.size() + per_shard - 1) / per_shard;
@@ -137,14 +136,6 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
         });
   }
   if (enrich || infer) {
-    TaskId barrier = 0;
-    const bool barriered = options_.barrier_stages && num_shards > 1;
-    if (barriered) {
-      barrier = graph.AddTask("pipeline/barrier", nullptr);
-      for (std::size_t s = 0; s < num_shards; ++s) {
-        SITM_RETURN_IF_ERROR(graph.AddEdge(build_tasks[s], barrier));
-      }
-    }
     for (std::size_t s = 0; s < num_shards; ++s) {
       const TaskId enrich_task = graph.AddTask(
           "pipeline/enrich",
@@ -183,8 +174,7 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
               }
             }
           });
-      SITM_RETURN_IF_ERROR(graph.AddEdge(
-          barriered ? barrier : build_tasks[s], enrich_task));
+      SITM_RETURN_IF_ERROR(graph.AddEdge(build_tasks[s], enrich_task));
     }
   }
   SITM_RETURN_IF_ERROR(RunGraph(options_.executor, std::move(graph)));

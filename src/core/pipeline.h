@@ -46,13 +46,6 @@ struct PipelineOptions {
   /// Moving objects per build shard (>= 1; smaller shards balance
   /// better, larger ones amortize per-shard builder setup).
   std::size_t objects_per_shard = 32;
-
-  /// When true, inserts a barrier between the build and enrich/infer
-  /// stages, reproducing the old fork-join schedule (every shard builds
-  /// before any shard enriches). Output is byte-identical either way;
-  /// this exists as the ablation baseline for the stage-overlap
-  /// speedup measured in bench_p2.
-  bool barrier_stages = false;
 };
 
 /// Merged counters of one Run() call: per-shard BuildReports and
@@ -72,8 +65,7 @@ struct PipelineReport {
 /// detections are grouped by moving object and objects are sharded;
 /// each shard is a build task chained to an enrich+infer task in one
 /// task graph, so a shard that finishes building is enriched while
-/// later shards are still building — no global stage barriers (unless
-/// `barrier_stages` asks for the fork-join baseline). The merged
+/// later shards are still building — no global stage barrier. The merged
 /// trajectories are renumbered to the exact ids the sequential builder
 /// would have assigned.
 ///

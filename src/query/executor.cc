@@ -38,7 +38,7 @@ bool ReferencesEpisodes(const Predicate& predicate) {
   return false;
 }
 
-/// Per-chunk / per-block partial result, merged in input order.
+/// Per-unit partial result, merged in unit order.
 struct Fragment {
   std::vector<core::SemanticTrajectory> trajectories;
   std::vector<TupleRow> tuples;
@@ -47,7 +47,7 @@ struct Fragment {
   std::vector<ScoredTrajectory> scored;
   std::uint64_t considered = 0;
   std::uint64_t matched = 0;
-  Status status;  // store path: decode failures surface in block order
+  Status status;  // block units: decode failures surface in unit order
 };
 
 /// Deterministic ranking: similarity descending, id ascending.
@@ -91,9 +91,9 @@ bool EpisodePassesFilter(const EpisodeFilter& filter,
 }
 
 /// Evaluates one trajectory and appends its contribution to `fragment`.
-/// `movable` aliases `trajectory` when the caller owns it (store-path
-/// decode buffers), letting the kTrajectories projection move instead
-/// of deep-copying; null for borrowed in-memory sources.
+/// `movable` aliases `trajectory` when the caller owns it (a block
+/// unit's decode buffer), letting the kTrajectories projection move
+/// instead of deep-copying; null for borrowed chunks.
 void ProcessTrajectory(const Query& query, const BoundQuery& bound,
                        const core::SemanticTrajectory& trajectory,
                        core::SemanticTrajectory* movable,
@@ -165,12 +165,139 @@ void ProcessTrajectory(const Query& query, const BoundQuery& bound,
   }
 }
 
-/// Merges fragments in index order into the final result.
-QueryResult MergeFragments(const Query& query,
-                           std::vector<Fragment> fragments) {
+Result<BoundQuery> BindQuery(const Query& query, const QueryContext& context) {
+  BoundQuery bound;
+  SITM_ASSIGN_OR_RETURN(bound.where, query.where.Bind(context));
+  SITM_ASSIGN_OR_RETURN(bound.tuple_where, query.tuple_where.Bind(context));
+  if (query.projection == Projection::kTopK) {
+    if (query.top_k.probe == nullptr) {
+      return Status::InvalidArgument(
+          "query: kTopK projection needs a probe trajectory");
+    }
+    bound.cost = query.top_k.cost ? query.top_k.cost : mining::UnitCellCost();
+    bound.probe_cells = mining::CellSequenceOf(*query.top_k.probe);
+  }
+  if (!query.episodes.empty()) {
+    bound.episodes_before_filter = ReferencesEpisodes(bound.where);
+    bound.episodes_after_filter =
+        query.projection == Projection::kEpisodes ||
+        (query.projection == Projection::kTuples &&
+         ReferencesEpisodes(bound.tuple_where));
+  }
+  return bound;
+}
+
+/// One fixed piece of a query's input. A chunk unit borrows `size`
+/// trajectories starting at `chunk`; a block unit (`reader` set) decodes
+/// one candidate block of a trajectory store. Units are a function of
+/// the input and the plan only — never of the worker count.
+struct WorkUnit {
+  const core::SemanticTrajectory* chunk = nullptr;
+  std::size_t size = 0;
+  const storage::EventStoreReader* reader = nullptr;
+  std::size_t block = 0;
+  /// Block units of a StoreSet segment: the segment's canonical ids from
+  /// this block's first trajectory ordinal on, indexed by the positions
+  /// ReadTrajectoryBlock reports. Null keeps the stored ids.
+  const TrajectoryId* canonical_ids = nullptr;
+  std::uint64_t rows = 0;  ///< tuple rows the unit scans
+};
+
+/// Appends `source` as chunks of `chunk` borrowed trajectories and
+/// returns the rows they hold.
+std::uint64_t AddChunks(const std::vector<core::SemanticTrajectory>& source,
+                        std::size_t chunk, std::vector<WorkUnit>& units) {
+  if (chunk == 0) chunk = 64;
+  std::uint64_t rows = 0;
+  for (std::size_t begin = 0; begin < source.size(); begin += chunk) {
+    WorkUnit unit;
+    unit.chunk = source.data() + begin;
+    unit.size = std::min(chunk, source.size() - begin);
+    for (std::size_t i = 0; i < unit.size; ++i) {
+      unit.rows += unit.chunk[i].trace().size();
+    }
+    rows += unit.rows;
+    units.push_back(unit);
+  }
+  return rows;
+}
+
+/// Appends the blocks of `reader` the pushdown cannot rule out.
+void AddBlocks(const storage::EventStoreReader& reader,
+               const PushdownSummary& pushdown,
+               const std::vector<TrajectoryId>* canonical_ids,
+               std::vector<WorkUnit>& units) {
+  const std::vector<std::uint64_t> starts =
+      canonical_ids != nullptr ? storage::BlockTrajectoryStarts(reader)
+                               : std::vector<std::uint64_t>{};
+  for (const std::size_t b : PlanBlocks(reader, pushdown)) {
+    WorkUnit unit;
+    unit.reader = &reader;
+    unit.block = b;
+    unit.rows = reader.block(b).rows;
+    unit.canonical_ids =
+        canonical_ids != nullptr ? canonical_ids->data() + starts[b] : nullptr;
+    units.push_back(unit);
+  }
+}
+
+/// The one execution loop: runs every unit into its own Fragment on
+/// `runner`, then merges the fragments in unit order — the first decode
+/// failure in unit order wins. Every block unit counts as a scanned
+/// block and every unit's rows as scanned rows; the caller fills in the
+/// totals of its source.
+Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
+                            const QueryPlan& plan, std::vector<WorkUnit> units,
+                            TaskRunner* runner) {
+  if (plan.pushdown.never_matches) units.clear();  // nothing to scan
+  const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
+  // Thread-safety: chunk units read borrowed trajectories; block units
+  // call the const, mmap-backed EventStoreReader::ReadTrajectoryBlock,
+  // which has no shared mutable state. Each unit writes only its own
+  // Fragment slot, and slots merge in unit order, so the result (order
+  // and stats included) is independent of the schedule.
+  std::vector<Fragment> fragments = sched::ParallelMap<Fragment>(
+      runner, units.size(),
+      [&](std::size_t u) {
+        const WorkUnit& unit = units[u];
+        Fragment fragment;
+        if (unit.reader == nullptr) {
+          for (std::size_t i = 0; i < unit.size; ++i) {
+            ProcessTrajectory(query, bound, unit.chunk[i],
+                              /*movable=*/nullptr, fragment);
+          }
+        } else {
+          std::vector<core::SemanticTrajectory> decoded;
+          std::vector<std::size_t> positions;
+          fragment.status = unit.reader->ReadTrajectoryBlock(
+              unit.block, scan, decoded,
+              unit.canonical_ids != nullptr ? &positions : nullptr);
+          if (!fragment.status.ok()) return fragment;
+          for (std::size_t t = 0; t < decoded.size(); ++t) {
+            core::SemanticTrajectory& stored = decoded[t];
+            if (unit.canonical_ids != nullptr) {
+              stored = core::SemanticTrajectory(
+                  unit.canonical_ids[positions[t]], stored.object(),
+                  std::move(stored.mutable_trace()), stored.annotations());
+            }
+            ProcessTrajectory(query, bound, stored, /*movable=*/&stored,
+                              fragment);
+          }
+        }
+        if (query.projection == Projection::kTopK) {
+          TrimTopK(fragment, query.top_k.k);
+        }
+        return fragment;
+      },
+      /*grain=*/0, "query/unit");
+
   QueryResult result;
   result.projection = query.projection;
-  for (Fragment& fragment : fragments) {
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    Fragment& fragment = fragments[u];
+    SITM_RETURN_IF_ERROR(fragment.status);
+    if (units[u].reader != nullptr) result.stats.blocks_scanned += 1;
+    result.stats.rows_scanned += units[u].rows;
     result.stats.trajectories_considered += fragment.considered;
     result.stats.trajectories_matched += fragment.matched;
     std::move(fragment.trajectories.begin(), fragment.trajectories.end(),
@@ -194,28 +321,6 @@ QueryResult MergeFragments(const Query& query,
     }
   }
   return result;
-}
-
-Result<BoundQuery> BindQuery(const Query& query, const QueryContext& context) {
-  BoundQuery bound;
-  SITM_ASSIGN_OR_RETURN(bound.where, query.where.Bind(context));
-  SITM_ASSIGN_OR_RETURN(bound.tuple_where, query.tuple_where.Bind(context));
-  if (query.projection == Projection::kTopK) {
-    if (query.top_k.probe == nullptr) {
-      return Status::InvalidArgument(
-          "query: kTopK projection needs a probe trajectory");
-    }
-    bound.cost = query.top_k.cost ? query.top_k.cost : mining::UnitCellCost();
-    bound.probe_cells = mining::CellSequenceOf(*query.top_k.probe);
-  }
-  if (!query.episodes.empty()) {
-    bound.episodes_before_filter = ReferencesEpisodes(bound.where);
-    bound.episodes_after_filter =
-        query.projection == Projection::kEpisodes ||
-        (query.projection == Projection::kTuples &&
-         ReferencesEpisodes(bound.tuple_where));
-  }
-  return bound;
 }
 
 }  // namespace
@@ -262,45 +367,13 @@ Result<QueryResult> QueryExecutor::Run(
     const std::vector<core::SemanticTrajectory>& trajectories) const {
   SITM_ASSIGN_OR_RETURN(const BoundQuery bound, BindQuery(query, context_));
   const QueryPlan plan = Plan(bound.where);
-
-  QueryResult result;
-  std::uint64_t rows_total = 0;
-  for (const core::SemanticTrajectory& t : trajectories) {
-    rows_total += t.trace().size();
-  }
-  if (plan.pushdown.never_matches) {
-    result.projection = query.projection;
-    result.stats.rows_total = rows_total;
-    return result;
-  }
-
-  const std::size_t chunk = options_.chunk == 0 ? 64 : options_.chunk;
-  const std::size_t num_chunks = (trajectories.size() + chunk - 1) / chunk;
-  // Thread-safety: chunks read the borrowed trajectories vector and
-  // accumulate matches into their own Fragment slot; fragments are
-  // concatenated in index order below, keeping result order (and
-  // stats) independent of the schedule.
-  std::vector<Fragment> fragments = sched::ParallelMap<Fragment>(
-      options_.executor, num_chunks, [&](std::size_t c) {
-        Fragment fragment;
-        const std::size_t begin = c * chunk;
-        const std::size_t end =
-            std::min(begin + chunk, trajectories.size());
-        for (std::size_t i = begin; i < end; ++i) {
-          // In-memory source is borrowed: never moved from.
-          ProcessTrajectory(query, bound, trajectories[i],
-                            /*movable=*/nullptr, fragment);
-        }
-        if (query.projection == Projection::kTopK) {
-          TrimTopK(fragment, query.top_k.k);
-        }
-        return fragment;
-      },
-      /*grain=*/0, "query/chunk");
-
-  result = MergeFragments(query, std::move(fragments));
+  std::vector<WorkUnit> units;
+  const std::uint64_t rows_total =
+      AddChunks(trajectories, options_.chunk, units);
+  SITM_ASSIGN_OR_RETURN(
+      QueryResult result,
+      Execute(query, bound, plan, std::move(units), options_.executor));
   result.stats.rows_total = rows_total;
-  result.stats.rows_scanned = rows_total;
   return result;
 }
 
@@ -327,49 +400,13 @@ Result<QueryResult> QueryExecutor::Run(
     if (hit.has_value()) return *std::move(hit);
   }
 
-  QueryResult result;
-  result.projection = query.projection;
+  std::vector<WorkUnit> units;
+  AddBlocks(reader, plan.pushdown, /*canonical_ids=*/nullptr, units);
+  SITM_ASSIGN_OR_RETURN(
+      QueryResult result,
+      Execute(query, bound, plan, std::move(units), options_.executor));
   result.stats.blocks_total = reader.num_blocks();
   result.stats.rows_total = reader.rows();
-  if (plan.pushdown.never_matches) {
-    if (cacheable) options_.cache->Insert(cache_key, result);
-    return result;
-  }
-
-  const std::vector<std::size_t> blocks = PlanBlocks(reader, plan.pushdown);
-  const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
-
-  // Thread-safety: EventStoreReader::ReadTrajectoryBlock is const
-  // (mmap-backed, no shared mutable state), so concurrent block
-  // reads need no lock; per-block results land in Fragment slots.
-  std::vector<Fragment> fragments = sched::ParallelMap<Fragment>(
-      options_.executor, blocks.size(), [&](std::size_t b) {
-        Fragment fragment;
-        std::vector<core::SemanticTrajectory> decoded;
-        fragment.status =
-            reader.ReadTrajectoryBlock(blocks[b], scan, decoded);
-        if (!fragment.status.ok()) return fragment;
-        for (core::SemanticTrajectory& t : decoded) {
-          ProcessTrajectory(query, bound, t, /*movable=*/&t, fragment);
-        }
-        if (query.projection == Projection::kTopK) {
-          TrimTopK(fragment, query.top_k.k);
-        }
-        return fragment;
-      },
-      /*grain=*/0, "query/block");
-
-  for (const Fragment& fragment : fragments) {
-    SITM_RETURN_IF_ERROR(fragment.status);
-  }
-  result = MergeFragments(query, std::move(fragments));
-  result.projection = query.projection;
-  result.stats.blocks_total = reader.num_blocks();
-  result.stats.blocks_scanned = blocks.size();
-  result.stats.rows_total = reader.rows();
-  for (std::size_t b : blocks) {
-    result.stats.rows_scanned += reader.block(b).rows;
-  }
   if (cacheable) options_.cache->Insert(cache_key, result);
   return result;
 }
@@ -380,84 +417,31 @@ Result<QueryResult> QueryExecutor::Run(const Query& query,
   SITM_ASSIGN_OR_RETURN(const BoundQuery bound, BindQuery(query, context_));
   const QueryPlan plan = Plan(bound.where);
 
-  QueryResult result;
-  result.projection = query.projection;
-  result.stats.blocks_total = set.TotalBlocks();
-  result.stats.rows_total = set.TotalRows();
-  if (plan.pushdown.never_matches) return result;
-
-  // Candidate (segment, block) pairs in segment order then block order —
-  // a fixed decomposition of the set, so the merge below is independent
-  // of the schedule.
-  struct BlockRef {
-    const storage::StoreSetSegment* segment = nullptr;
-    std::size_t block = 0;
-    std::uint64_t ordinal_base = 0;  ///< trajectory ordinal of position 0
-  };
-  std::vector<BlockRef> candidates;
-  std::uint64_t rows_scanned = 0;
+  std::vector<WorkUnit> units;
   for (const storage::StoreSetSegment& segment : set.segments) {
-    const std::vector<std::uint64_t> starts =
-        storage::BlockTrajectoryStarts(*segment.reader);
-    for (const std::size_t b : PlanBlocks(*segment.reader, plan.pushdown)) {
-      candidates.push_back(BlockRef{&segment, b, starts[b]});
-      rows_scanned += segment.reader->block(b).rows;
-    }
+    AddBlocks(*segment.reader, plan.pushdown, &segment.canonical_ids, units);
   }
-  const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
-
-  struct DecodedBlock {
-    Status status;
-    std::vector<core::SemanticTrajectory> trajectories;
-  };
-  // Thread-safety: concurrent const reads of mmap-backed readers, one
-  // output slot per block (same argument as the single-store path).
-  std::vector<DecodedBlock> decoded = sched::ParallelMap<DecodedBlock>(
-      options_.executor, candidates.size(), [&](std::size_t i) {
-        const BlockRef& ref = candidates[i];
-        DecodedBlock out;
-        // The pushdown filters the decode; each kept trajectory's block
-        // position + ordinal_base indexes canonical_ids exactly.
-        std::vector<std::size_t> positions;
-        out.status = ref.segment->reader->ReadTrajectoryBlock(
-            ref.block, scan, out.trajectories, &positions);
-        if (!out.status.ok()) return out;
-        for (std::size_t t = 0; t < out.trajectories.size(); ++t) {
-          core::SemanticTrajectory& stored = out.trajectories[t];
-          const TrajectoryId canonical =
-              ref.segment->canonical_ids[ref.ordinal_base + positions[t]];
-          stored = core::SemanticTrajectory(
-              canonical, stored.object(), std::move(stored.mutable_trace()),
-              stored.annotations());
-        }
-        return out;
-      },
-      /*grain=*/0, "query/segment-block");
-
-  std::vector<core::SemanticTrajectory> all;
-  for (DecodedBlock& block : decoded) {
-    SITM_RETURN_IF_ERROR(block.status);
-    std::move(block.trajectories.begin(), block.trajectories.end(),
-              std::back_inserter(all));
-  }
-  std::uint64_t extra_rows = 0;
-  for (const core::SemanticTrajectory& t : set.extra) {
-    extra_rows += t.trace().size();
-    all.push_back(t);
-  }
-  // Canonical ids rank by (object, start) over the whole set — the batch
-  // pipeline's output order — so after this sort the in-memory path sees
-  // exactly the vector a batch build would have produced, restricted to
-  // pushdown survivors and the tail (a superset of every match).
-  std::sort(all.begin(), all.end(),
-            [](const core::SemanticTrajectory& a,
-               const core::SemanticTrajectory& b) { return a.id() < b.id(); });
-
-  SITM_ASSIGN_OR_RETURN(result, Run(query, all));
+  AddChunks(set.extra, options_.chunk, units);
+  SITM_ASSIGN_OR_RETURN(
+      QueryResult result,
+      Execute(query, bound, plan, std::move(units), options_.executor));
   result.stats.blocks_total = set.TotalBlocks();
-  result.stats.blocks_scanned = candidates.size();
   result.stats.rows_total = set.TotalRows();
-  result.stats.rows_scanned = rows_scanned + extra_rows;
+
+  // Canonical ids rank by (object, start) over the whole set — the batch
+  // pipeline's output order — and every unit emits its rows grouped by
+  // trajectory, so a stable sort by id yields exactly the rows an
+  // in-memory run over the batch build would. kTopK is already ranked.
+  const auto by_trajectory = [](const auto& a, const auto& b) {
+    return a.trajectory < b.trajectory;
+  };
+  std::stable_sort(
+      result.trajectories.begin(), result.trajectories.end(),
+      [](const auto& a, const auto& b) { return a.id() < b.id(); });
+  std::stable_sort(result.tuples.begin(), result.tuples.end(), by_trajectory);
+  std::sort(result.ids.begin(), result.ids.end());
+  std::stable_sort(result.episodes.begin(), result.episodes.end(),
+                   by_trajectory);
   return result;
 }
 

@@ -16,18 +16,23 @@
 
 namespace sitm::query {
 
-/// \brief The query executor: streams matching trajectories, tuples, or
-/// episodes out of an in-memory batch or an on-disk EventStore, fanning
-/// the per-trajectory work across a TaskRunner (a sched::Executor at
-/// every entry point).
+/// \brief The query executor: filters trajectories and projects the
+/// matches as trajectories, tuples, ids, a count, episodes or top-k, out
+/// of an in-memory batch, an on-disk EventStore, or a StoreSet of
+/// segments plus a tail, fanning the work across a TaskRunner (a
+/// sched::Executor at every entry point).
 ///
-/// Determinism contract (the PR 3/4 discipline): for the same query
-/// over the same data, the result — order included — is byte-identical
-/// for every worker count, and in-memory execution agrees with
-/// store-backed execution over a store holding the same trajectories.
-/// Work is decomposed by fixed input position (chunks of the input
-/// vector, blocks of the store), never by schedule; fragments merge in
-/// input order.
+/// One execution loop serves every source. Each Run overload only lists
+/// its work units: chunks of borrowed in-memory trajectories (`chunk`
+/// per unit) and candidate store blocks (those PlanBlocks keeps). Every
+/// unit evaluates its trajectories into its own fragment, and fragments
+/// merge in unit order.
+///
+/// Determinism contract: for the same query over the same data, the
+/// result — order included — is byte-identical for every worker count,
+/// and in-memory execution agrees with store-backed execution over a
+/// store holding the same trajectories. Units are a function of the
+/// input and the plan, never of the schedule.
 
 /// How matching episodes are defined for episode predicates and the
 /// kEpisodes projection: maximal runs where `condition` holds on every
@@ -109,15 +114,18 @@ struct ScoredTrajectory {
 
 /// Work accounting of one Run, the observable face of predicate
 /// pushdown (rows_scanned / rows_total is the pruning ratio the
-/// benches report). On a store, trajectories_considered counts only the
-/// pushdown survivors of decoded blocks; a one-segment StoreSet without
-/// an in-memory tail reports exactly the stats of the single-store Run
-/// over the same file (tail trajectories are all considered).
+/// benches report). One formula holds for every source:
+/// `blocks_scanned` is the number of block units and `rows_scanned` the
+/// rows of all units, so an in-memory run scans every row and no block.
+/// trajectories_considered counts every chunk trajectory but only the
+/// pushdown survivors of decoded blocks. A StoreSet therefore reports
+/// the sums of single-store runs over its segments plus its tail's rows
+/// and trajectories. A plan that can never match scans nothing.
 struct ExecutionStats {
-  std::uint64_t blocks_total = 0;    ///< store blocks in the file
+  std::uint64_t blocks_total = 0;    ///< store blocks in the file / set
   std::uint64_t blocks_scanned = 0;  ///< blocks actually decoded
-  std::uint64_t rows_total = 0;      ///< tuple rows in the file / batch
-  std::uint64_t rows_scanned = 0;    ///< rows in decoded blocks
+  std::uint64_t rows_total = 0;      ///< tuple rows in the file / batch / set
+  std::uint64_t rows_scanned = 0;    ///< rows in decoded blocks and chunks
   std::uint64_t trajectories_considered = 0;  ///< ran the residual filter
   std::uint64_t trajectories_matched = 0;
 
@@ -167,29 +175,32 @@ class QueryExecutor {
   explicit QueryExecutor(QueryContext context, ExecutorOptions options = {})
       : context_(std::move(context)), options_(options) {}
 
-  /// In-memory execution over a trajectory batch.
+  /// In-memory execution over a trajectory batch: the units are chunks
+  /// of `trajectories`, borrowed and copied only into a kTrajectories
+  /// result.
   [[nodiscard]] Result<QueryResult> Run(
       const Query& query,
       const std::vector<core::SemanticTrajectory>& trajectories) const;
 
-  /// Store-backed execution (kTrajectories stores only): plans the
-  /// pushdown, decodes only candidate blocks, applies the residual
-  /// per decoded trajectory.
+  /// Store-backed execution (kTrajectories stores only): the units are
+  /// the blocks PlanBlocks keeps; each decodes with the pushdown as its
+  /// row filter and applies the residual to the survivors. The only
+  /// overload that consults the result cache, because a finished store
+  /// is one immutable file to key on.
   [[nodiscard]] Result<QueryResult> Run(const Query& query,
                           const storage::EventStoreReader& reader) const;
 
   /// Store-set execution over live + compacted segments (the rolling
-  /// SegmentStore snapshot): per segment, pushdown picks candidate
-  /// blocks and filters their decode exactly as the single-store path
-  /// does; each kept trajectory takes the canonical id at its ordinal
-  /// (block ordinal base + its reported position in the block). The
-  /// survivors merge with the in-memory tail, sort by id — the batch
-  /// pipeline's (object, start) order — and run through the in-memory
-  /// path with the full bound predicate as the residual. Result (order
-  /// included) is byte-identical to an in-memory run over a batch build
-  /// of the same detections. The result cache is NOT consulted: a
-  /// segment set changes under ingest, so there is no single immutable
-  /// file to key on.
+  /// SegmentStore snapshot). The units are each segment's planned
+  /// blocks, then chunks of the in-memory tail. A block's survivors
+  /// take the canonical ids at their ordinals (block ordinal base plus
+  /// the position ReadTrajectoryBlock reports). The merged rows are then
+  /// stable-sorted by trajectory id, the batch pipeline's (object,
+  /// start) order, so the result (order included) is byte-identical to
+  /// an in-memory run over a batch build of the same detections. The
+  /// query is bound and planned once. The result cache is NOT
+  /// consulted: a segment set changes under ingest, so there is no
+  /// single immutable file to key on.
   [[nodiscard]] Result<QueryResult> Run(const Query& query,
                           const storage::StoreSet& set) const;
 

@@ -147,22 +147,18 @@ TEST(BatchPipelineTest, MatchesSequentialReferenceAtEveryPoolSize) {
     sched::Executor executor(threads);
     for (const std::size_t per_shard : {std::size_t{1}, std::size_t{7},
                                         std::size_t{1000}}) {
-      for (const bool barrier : {false, true}) {
-        PipelineOptions options = BaseOptions();
-        options.executor = &executor;
-        options.objects_per_shard = per_shard;
-        options.barrier_stages = barrier;
-        BatchPipeline pipeline(options);
-        auto result = pipeline.Run(detections);
-        ASSERT_TRUE(result.ok())
-            << result.status() << " threads=" << threads
-            << " per_shard=" << per_shard << " barrier=" << barrier;
-        ExpectIdentical(reference, *result);
-        ExpectSameReport(reference_report, pipeline.report());
-        EXPECT_EQ(pipeline.report().shards,
-                  (pipeline.report().build.objects_seen + per_shard - 1) /
-                      per_shard);
-      }
+      PipelineOptions options = BaseOptions();
+      options.executor = &executor;
+      options.objects_per_shard = per_shard;
+      BatchPipeline pipeline(options);
+      auto result = pipeline.Run(detections);
+      ASSERT_TRUE(result.ok()) << result.status() << " threads=" << threads
+                               << " per_shard=" << per_shard;
+      ExpectIdentical(reference, *result);
+      ExpectSameReport(reference_report, pipeline.report());
+      EXPECT_EQ(pipeline.report().shards,
+                (pipeline.report().build.objects_seen + per_shard - 1) /
+                    per_shard);
     }
   }
 }

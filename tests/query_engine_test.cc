@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <memory>
@@ -676,6 +677,139 @@ TEST(QueryExecutorTest, OneSegmentStoreSetReportsTheSingleStoreStats) {
     }
   }
   std::remove(path.c_str());
+}
+
+// Several segments with interleaved canonical ids plus an unsorted tail
+// go through the same loop: the answer is the batch's, and the stats are
+// the sums of the per-source runs.
+TEST(QueryExecutorTest, MultiSegmentStoreSetMatchesTheBatchAndSumsStats) {
+  const auto trajectories = SimulatedTrajectories(314, 200);
+  // Segment s holds every third trajectory from s on, stored in start
+  // order (as compaction leaves them) under provisional ids; the rest
+  // form the tail, in descending id order.
+  storage::StoreSet set;
+  std::vector<std::string> paths;
+  for (std::size_t s = 0; s < 2; ++s) {
+    std::vector<core::SemanticTrajectory> members;
+    for (std::size_t i = s; i < trajectories.size(); i += 3) {
+      members.push_back(trajectories[i]);
+    }
+    std::stable_sort(members.begin(), members.end(),
+                     [](const auto& a, const auto& b) {
+                       return a.start() < b.start();
+                     });
+    storage::StoreSetSegment segment;
+    std::vector<core::SemanticTrajectory> stored;
+    for (const auto& t : members) {
+      segment.canonical_ids.push_back(t.id());
+      stored.emplace_back(TrajectoryId(1000000 + stored.size()), t.object(),
+                          t.trace(), t.annotations());
+    }
+    paths.push_back(TempPath("multi_segment_" + std::to_string(s) + ".evst"));
+    storage::WriterOptions store_options;
+    store_options.rows_per_block = 40;
+    auto writer = storage::EventStoreWriter::Create(
+        paths.back(), storage::StoreKind::kTrajectories, store_options);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->Append(stored).ok());
+    ASSERT_TRUE(writer->Finish().ok());
+    auto opened = storage::EventStoreReader::Open(paths.back());
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    segment.reader = std::make_shared<const storage::EventStoreReader>(
+        std::move(opened).value());
+    ASSERT_GT(segment.reader->num_blocks(), 3u);
+    set.segments.push_back(std::move(segment));
+  }
+  for (std::size_t i = trajectories.size(); i-- > 0;) {
+    if (i % 3 == 2) set.extra.push_back(trajectories[i]);
+  }
+  std::string tail_before;
+  for (const auto& t : set.extra) tail_before += t.ToString() + "\n";
+
+  const core::SemanticTrajectory& middle = trajectories[trajectories.size() / 2];
+  const Timestamp mid_start = middle.start();
+  // A returning visitor: consecutive ids of one object, so its
+  // trajectories sit in different sources.
+  std::size_t returning = trajectories.size() / 2;
+  while (returning + 2 < trajectories.size() &&
+         trajectories[returning].object() !=
+             trajectories[returning + 1].object()) {
+    ++returning;
+  }
+  const std::vector<std::pair<const char*, Predicate>> wheres = {
+      {"point", ObjectIs(trajectories[returning].object())},
+      {"window", TimeWindow(mid_start, mid_start + Duration::Hours(6))},
+      {"zone", InZone(CellId(louvre::kZoneSouvenirShops))},
+      {"never", And(ObjectIs(ObjectId(1)), ObjectIs(ObjectId(2)))},
+  };
+  const Projection projections[] = {
+      Projection::kTrajectories, Projection::kTuples, Projection::kIds,
+      Projection::kCount,        Projection::kEpisodes, Projection::kTopK,
+  };
+  sched::Executor pool(2);
+  ExecutorOptions options;
+  options.executor = &pool;
+  options.chunk = 16;  // several tail chunks
+  QueryExecutor executor(LouvreContext(), options);
+  for (const auto& [name, where] : wheres) {
+    for (const Projection projection : projections) {
+      SCOPED_TRACE(std::string(name) + " / projection " +
+                   std::to_string(static_cast<int>(projection)));
+      Query query;
+      query.where = where;
+      query.projection = projection;
+      query.tuple_where = InCell(CellId(louvre::kZonePassage));
+      query.episodes.push_back(
+          {"stay", core::StayAtLeast(Duration::Minutes(5)), {}});
+      query.top_k.k = 5;
+      query.top_k.probe = &middle;
+
+      const auto batch = executor.Run(query, trajectories);
+      ASSERT_TRUE(batch.ok()) << batch.status();
+      const auto segmented = executor.Run(query, set);
+      ASSERT_TRUE(segmented.ok()) << segmented.status();
+      EXPECT_EQ(segmented->Fingerprint(), batch->Fingerprint());
+
+      ExecutionStats expected;
+      for (const storage::StoreSetSegment& segment : set.segments) {
+        const auto single = executor.Run(query, *segment.reader);
+        ASSERT_TRUE(single.ok()) << single.status();
+        expected.blocks_total += single->stats.blocks_total;
+        expected.blocks_scanned += single->stats.blocks_scanned;
+        expected.rows_total += single->stats.rows_total;
+        expected.rows_scanned += single->stats.rows_scanned;
+        expected.trajectories_considered +=
+            single->stats.trajectories_considered;
+      }
+      // The whole tail is scanned and considered unless the plan alone
+      // rules every trajectory out.
+      const bool never = std::string(name) == "never";
+      for (const auto& t : set.extra) {
+        expected.rows_total += t.trace().size();
+        if (!never) expected.rows_scanned += t.trace().size();
+      }
+      if (!never) {
+        expected.trajectories_considered += set.extra.size();
+        EXPECT_GT(expected.blocks_scanned, 0u);
+        EXPECT_GT(batch->stats.trajectories_matched, 1u);
+      }
+      const ExecutionStats& got = segmented->stats;
+      EXPECT_EQ(got.blocks_total, expected.blocks_total);
+      EXPECT_EQ(got.blocks_scanned, expected.blocks_scanned);
+      EXPECT_EQ(got.rows_total, expected.rows_total);
+      EXPECT_EQ(got.rows_scanned, expected.rows_scanned);
+      EXPECT_EQ(got.trajectories_considered, expected.trajectories_considered);
+      EXPECT_EQ(got.trajectories_matched, batch->stats.trajectories_matched);
+
+      const auto again = executor.Run(query, set);
+      ASSERT_TRUE(again.ok()) << again.status();
+      EXPECT_EQ(again->Fingerprint(), segmented->Fingerprint());
+      std::string tail_after;
+      for (const auto& t : set.extra) tail_after += t.ToString() + "\n";
+      EXPECT_EQ(tail_after, tail_before);
+    }
+  }
+  for (const std::string& path : paths) std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
