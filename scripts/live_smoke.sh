@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the live ingest subsystem: starts the example
 # server on loopback, POSTs an out-of-order detection stream in several
-# batches, flushes, queries back over the live segments, and diffs every
+# batches, checks the ids served mid-stream, flushes, queries back over
+# the live segments, and diffs every
 # answer byte-for-byte against `live_server batch` — the batch pipeline
 # run over the same detection multiset — and checks that malformed
 # queries answer 400 with a JSON error body. Also saves the /stats document
@@ -30,7 +31,9 @@ echo "live_smoke: server=$server_bin work_dir=$work_dir"
 # Three ingest batches, out of order within and across batches but
 # within the 600 s default lateness (worst regression here: 1700 ->
 # 1300 = 400 s). Object 1 revisits cell 10; object 3 arrives as a
-# string-timestamp detection ("1970-01-01 00:40:00" = epoch 2400).
+# string-timestamp detection ("1970-01-01 00:40:00" = epoch 2400). A
+# fourth, much later detection moves the watermark past the first three
+# objects, so they finalize before the flush.
 cat > "$work_dir/batch1.json" <<'EOF'
 [{"object": 1, "cell": 10, "start": 1200, "end": 1400},
  {"object": 2, "cell": 11, "start": 1000, "end": 1250},
@@ -47,13 +50,16 @@ cat > "$work_dir/batch3.json" <<'EOF'
   "end": "1970-01-01 00:45:00"},
  {"object": 2, "cell": 10, "start": 1950, "end": 2300}]
 EOF
+cat > "$work_dir/batch4.json" <<'EOF'
+[{"object": 4, "cell": 11, "start": 20000, "end": 20100}]
+EOF
 
 # The batch oracle consumes the union of everything POSTed.
 python3 - "$work_dir" <<'EOF'
 import json, sys
 work = sys.argv[1]
 merged = []
-for name in ("batch1.json", "batch2.json", "batch3.json"):
+for name in ("batch1.json", "batch2.json", "batch3.json", "batch4.json"):
     with open(f"{work}/{name}") as fh:
         doc = json.load(fh)
     merged.extend(doc["detections"] if isinstance(doc, dict) else doc)
@@ -93,9 +99,34 @@ post() {
   fi
 }
 
+# Mid-stream, before the flush: the ids served over the segments and
+# the unsealed tail must ascend with no gap, one per trajectory
+# finalized so far.
+check_mid_stream_ids() {
+  curl -s "$base/query?projection=ids" > "$work_dir/mid_ids.json"
+  curl -s "$base/stats" > "$work_dir/mid_stats.json"
+  if ! python3 - "$work_dir/mid_ids.json" "$work_dir/mid_stats.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as fh:
+    ids = json.load(fh)["ids"]
+with open(sys.argv[2]) as fh:
+    finalized = json.load(fh)["builder"]["finalized"]
+contiguous = all(b == a + 1 for a, b in zip(ids, ids[1:]))
+print(f"live_smoke: mid-stream ids {ids}, finalized {finalized}")
+sys.exit(0 if contiguous and len(ids) == finalized else 1)
+EOF
+  then
+    echo "live_smoke: mid-stream ids are not one gapless run per finalized trajectory" >&2
+    exit 1
+  fi
+}
+
 post "$work_dir/batch1.json" /detections
 post "$work_dir/batch2.json" /detections
+check_mid_stream_ids
 post "$work_dir/batch3.json" /detections
+post "$work_dir/batch4.json" /detections
+check_mid_stream_ids
 curl -s -X POST "$base/flush" > /dev/null
 curl -s "$base/stats" > "$work_dir/live_smoke_stats.json"
 echo "live_smoke: /stats ->"

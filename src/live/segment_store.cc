@@ -4,6 +4,7 @@
 #include <sys/types.h>
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <map>
 #include <utility>
@@ -24,62 +25,64 @@ SegmentStore::~SegmentStore() {
 Status SegmentStore::Append(
     std::vector<core::SemanticTrajectory> trajectories) {
   if (trajectories.empty()) return Status::OK();
-  std::shared_ptr<std::vector<core::SemanticTrajectory>> batch;
+  for (const core::SemanticTrajectory& t : trajectories) {
+    // The writer's check, up front: a snapshot ranks the tail by start
+    // time, and a seal must never fail on data it cannot hand back.
+    SITM_RETURN_IF_ERROR(t.trace().StartTime().status().WithContext(
+        "SegmentStore: refusing to append trajectory #" +
+        std::to_string(t.id().value())));
+  }
   {
     MutexLock lock(mutex_);
-    std::move(trajectories.begin(), trajectories.end(),
-              std::back_inserter(pending_));
+    pending_trajectories_ += trajectories.size();
+    pending_.push_back(
+        std::make_shared<const std::vector<core::SemanticTrajectory>>(
+            std::move(trajectories)));
     if (options_.seal_trajectories == 0 ||
-        pending_.size() < options_.seal_trajectories) {
+        pending_trajectories_ < options_.seal_trajectories) {
       return Status::OK();
     }
-    batch = std::make_shared<std::vector<core::SemanticTrajectory>>(
-        std::move(pending_));
-    pending_.clear();
-    sealing_.push_back(batch);
   }
-  return SealBatch(std::move(batch));
+  return Flush();
 }
 
 Status SegmentStore::Flush() {
-  std::shared_ptr<std::vector<core::SemanticTrajectory>> batch;
-  {
-    MutexLock lock(mutex_);
-    if (pending_.empty()) return Status::OK();
-    batch = std::make_shared<std::vector<core::SemanticTrajectory>>(
-        std::move(pending_));
-    pending_.clear();
-    sealing_.push_back(batch);
-  }
-  return SealBatch(std::move(batch));
-}
-
-Status SegmentStore::SealBatch(
-    std::shared_ptr<std::vector<core::SemanticTrajectory>> batch) {
+  std::vector<storage::TrajectoryBatch> batches;
   std::uint64_t sequence = 0;
   {
     MutexLock lock(mutex_);
+    if (pending_.empty()) return Status::OK();
+    batches = std::move(pending_);
+    pending_.clear();
+    pending_trajectories_ = 0;
+    sealing_ = batches;
     sequence = next_sequence_++;
   }
-  // IO strictly outside the lock; the batch stays Snapshot-visible via
-  // the sealing_ holding list the whole time.
-  Result<std::shared_ptr<Segment>> segment = WriteSegment(*batch, 0, sequence);
+  // IO strictly outside the lock; the batches stay Snapshot-visible via
+  // the sealing_ holding list the whole time. One writer Append for the
+  // whole seal: each Append closes its own last block.
+  std::vector<core::SemanticTrajectory> sealed;
+  for (const storage::TrajectoryBatch& batch : batches) {
+    sealed.insert(sealed.end(), batch->begin(), batch->end());
+  }
+  Result<std::shared_ptr<Segment>> segment = WriteSegment(sealed, 0, sequence);
 
   bool claimed = false;
   CompactionJob job;
   {
     MutexLock lock(mutex_);
-    sealing_.erase(std::remove(sealing_.begin(), sealing_.end(), batch),
-                   sealing_.end());
+    sealing_.clear();
     if (!segment.ok()) {
       // Put the data back so a failed seal loses nothing; the next seal
       // retries it.
-      pending_.insert(pending_.begin(), batch->begin(), batch->end());
+      pending_.insert(pending_.begin(), batches.begin(), batches.end());
+      pending_trajectories_ += sealed.size();
     } else {
       const std::shared_ptr<Segment>& seg = segment.value();
       logical_bytes_ += seg->bytes;
       written_bytes_ += seg->bytes;
       segments_.push_back(seg);
+      ranks_.reset();
       claimed = MaybeClaimCompactionLocked(&job);
       idle_.NotifyAll();
     }
@@ -94,11 +97,12 @@ Result<std::shared_ptr<SegmentStore::Segment>> SegmentStore::WriteSegment(
     std::uint64_t sequence) {
   // Idempotent; a real failure surfaces as Create() failing below.
   ::mkdir(options_.directory.c_str(), 0775);
-  storage::SegmentName name;
-  name.level = level;
-  name.sequence = sequence;
-  const std::string path =
-      options_.directory + "/" + storage::FormatSegmentName(name);
+  // "seg-L<level>-<sequence>.evst": the sequence is store-global and
+  // strictly increasing, so names never collide.
+  char name[64];
+  std::snprintf(name, sizeof(name), "seg-L%d-%06" PRIu64 ".evst", level,
+                sequence);
+  const std::string path = options_.directory + "/" + name;
   SITM_ASSIGN_OR_RETURN(
       storage::EventStoreWriter writer,
       storage::EventStoreWriter::Create(
@@ -114,11 +118,7 @@ Result<std::shared_ptr<SegmentStore::Segment>> SegmentStore::WriteSegment(
   segment->bytes = writer.stats().file_bytes;
   segment->reader =
       std::make_shared<const storage::EventStoreReader>(std::move(reader));
-  segment->keys.reserve(batch.size());
-  for (const core::SemanticTrajectory& t : batch) {
-    segment->keys.emplace_back(t.object().value(),
-                               t.start().seconds_since_epoch());
-  }
+  segment->keys = storage::SortedKeys(batch);
   return segment;
 }
 
@@ -223,6 +223,7 @@ Status SegmentStore::CompactOnce(CompactionJob job, bool* has_next,
           segments_.end());
     }
     segments_.push_back(output);
+    ranks_.reset();
     ++compactions_;
     written_bytes_ += output->bytes;
     *has_next = MaybeClaimCompactionLocked(next);
@@ -259,64 +260,33 @@ Status SegmentStore::CompactAll() {
 
 Result<storage::StoreSet> SegmentStore::Snapshot(TrajectoryId first_id) const {
   std::vector<std::shared_ptr<Segment>> segs;
-  std::vector<core::SemanticTrajectory> extras;
+  std::vector<storage::TrajectoryBatch> tail;
+  std::shared_ptr<const storage::SealedRanks> ranks;
   {
     MutexLock lock(mutex_);
     segs = segments_;
-    for (const auto& batch : sealing_) {
-      extras.insert(extras.end(), batch->begin(), batch->end());
+    tail = sealing_;
+    tail.insert(tail.end(), pending_.begin(), pending_.end());
+    ranks = ranks_;
+  }
+  if (!ranks) {
+    // First snapshot of this manifest: merge off-lock, and publish unless
+    // the manifest moved on meanwhile.
+    std::vector<const std::vector<storage::TrajectoryKey>*> sorted;
+    for (const std::shared_ptr<Segment>& seg : segs) {
+      sorted.push_back(&seg->keys);
     }
-    extras.insert(extras.end(), pending_.begin(), pending_.end());
+    ranks = std::make_shared<const storage::SealedRanks>(
+        storage::RankSegments(sorted));
+    MutexLock lock(mutex_);
+    if (segments_ == segs) ranks_ = ranks;
   }
-
-  storage::StoreSet set;
-  set.segments.reserve(segs.size());
-  // Canonical ids: rank EVERY trajectory in the snapshot — sealed and
-  // tail alike — by (object, start), the batch pipeline's global output
-  // order, and number sequentially from first_id.
-  struct Entry {
-    std::int64_t object;
-    std::int64_t start;
-    std::size_t source;  // segment index, or segs.size() for the tail
-    std::size_t ordinal;
-  };
-  std::vector<Entry> entries;
-  for (std::size_t i = 0; i < segs.size(); ++i) {
-    storage::StoreSetSegment out;
-    out.reader = segs[i]->reader;
-    out.canonical_ids.resize(segs[i]->keys.size());
-    for (std::size_t j = 0; j < segs[i]->keys.size(); ++j) {
-      entries.push_back(
-          Entry{segs[i]->keys[j].first, segs[i]->keys[j].second, i, j});
-    }
-    set.segments.push_back(std::move(out));
+  std::vector<storage::StoreSetSegment> segments;
+  for (const std::shared_ptr<Segment>& seg : segs) {
+    segments.push_back({seg->reader});
   }
-  const std::size_t tail_source = segs.size();
-  for (std::size_t j = 0; j < extras.size(); ++j) {
-    entries.push_back(Entry{extras[j].object().value(),
-                            extras[j].start().seconds_since_epoch(),
-                            tail_source, j});
-  }
-  std::sort(entries.begin(), entries.end(), [](const Entry& a,
-                                               const Entry& b) {
-    if (a.object != b.object) return a.object < b.object;
-    if (a.start != b.start) return a.start < b.start;
-    if (a.source != b.source) return a.source < b.source;
-    return a.ordinal < b.ordinal;
-  });
-  TrajectoryId id = first_id;
-  for (const Entry& e : entries) {
-    if (e.source < tail_source) {
-      set.segments[e.source].canonical_ids[e.ordinal] = id;
-    } else {
-      core::SemanticTrajectory& t = extras[e.ordinal];
-      t = core::SemanticTrajectory(id, t.object(),
-                                   std::move(t.mutable_trace()),
-                                   t.annotations());
-    }
-    id = TrajectoryId(id.value() + 1);
-  }
-  set.extra = std::move(extras);
+  storage::StoreSet set = storage::StoreSet::Make(
+      first_id, std::move(segments), std::move(ranks), std::move(tail));
   SITM_RETURN_IF_ERROR(set.Validate());
   return set;
 }
@@ -325,7 +295,7 @@ SegmentStoreStats SegmentStore::stats() const {
   MutexLock lock(mutex_);
   SegmentStoreStats out;
   out.segments = segments_.size();
-  out.pending_trajectories = pending_.size();
+  out.pending_trajectories = pending_trajectories_;
   for (const auto& batch : sealing_) out.pending_trajectories += batch->size();
   for (const std::shared_ptr<Segment>& seg : segments_) {
     out.sealed_trajectories += seg->keys.size();

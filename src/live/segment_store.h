@@ -67,10 +67,10 @@ struct SegmentStoreStats {
 /// the replaced readers, and POSIX keeps an unlinked mapped file
 /// readable until the last reader closes.
 ///
-/// Segments persist the builder's *provisional* trajectory ids;
-/// Snapshot() derives the canonical batch ids (global (object, start)
-/// rank) from per-segment key lists captured at seal time, so the
-/// query engine never re-reads a file to renumber.
+/// Segments persist the builder's *provisional* trajectory ids. Each
+/// keeps its keys sorted from when it was written, and the pending tail
+/// is a list of immutable shared batches, so Snapshot() copies pointers;
+/// queries derive canonical ids per emitted row (storage::StoreSet).
 ///
 /// Threading: Append/Flush/CompactAll/Close are writer-side calls and
 /// must be externally serialized with each other (live::LiveService
@@ -87,7 +87,9 @@ class SegmentStore {
   SegmentStore& operator=(const SegmentStore&) = delete;
 
   /// Appends finalized trajectories; seals a segment (and possibly
-  /// schedules compaction) when the pending buffer fills.
+  /// schedules compaction) when the pending buffer fills. A trajectory
+  /// with an empty trace fails the call with InvalidArgument, and
+  /// nothing from the call is buffered.
   [[nodiscard]] Status Append(std::vector<core::SemanticTrajectory> trajectories);
 
   /// Seals the pending buffer regardless of size (no-op when empty).
@@ -99,9 +101,10 @@ class SegmentStore {
   [[nodiscard]] Status CompactAll();
 
   /// Consistent queryable view: every sealed segment plus the pending
-  /// tail, with canonical trajectory ids assigned from `first_id` by
-  /// global (object, start) rank — exactly the ids a batch build of the
-  /// same detections would carry.
+  /// tail, numbering trajectories from `first_id` by global (object,
+  /// start) rank — exactly the ids a batch build of the same detections
+  /// would carry. Copies pointers only; the sealed ranks are rebuilt
+  /// once per manifest change, outside the lock.
   [[nodiscard]] Result<storage::StoreSet> Snapshot(TrajectoryId first_id) const;
 
   SegmentStoreStats stats() const;
@@ -119,9 +122,9 @@ class SegmentStore {
     std::uint64_t sequence = 0;
     std::uint64_t bytes = 0;
     std::shared_ptr<const storage::EventStoreReader> reader;
-    /// (object id, start seconds) per trajectory in file order —
+    /// Every trajectory's key, sorted (storage::SortedKeys) —
     /// everything Snapshot needs to rank without reading the file.
-    std::vector<std::pair<std::int64_t, std::int64_t>> keys;
+    std::vector<storage::TrajectoryKey> keys;
     /// Claimed by an in-flight compaction (invisible to new triggers).
     bool compacting = false;
   };
@@ -136,10 +139,6 @@ class SegmentStore {
   [[nodiscard]] Result<std::shared_ptr<Segment>> WriteSegment(
       const std::vector<core::SemanticTrajectory>& batch, int level,
       std::uint64_t sequence);
-  /// Seals the pending buffer (already moved out, holding-listed) and
-  /// registers the segment; returns a compaction job if one triggered.
-  [[nodiscard]] Status SealBatch(
-      std::shared_ptr<std::vector<core::SemanticTrajectory>> batch);
   /// Claims a ready level merge, if any. Bumps in_flight_.
   bool MaybeClaimCompactionLocked(CompactionJob* job)
       SITM_REQUIRES(mutex_);
@@ -158,12 +157,17 @@ class SegmentStore {
   /// Signaled when in_flight_ drops or segments change.
   mutable CondVar idle_;
   std::vector<std::shared_ptr<Segment>> segments_ SITM_GUARDED_BY(mutex_);
-  /// Finalized, not yet sealed (the snapshot tail).
-  std::vector<core::SemanticTrajectory> pending_ SITM_GUARDED_BY(mutex_);
-  /// Batches being written to disk right now: still visible to
-  /// Snapshot so a concurrent query never misses sealing data.
-  std::vector<std::shared_ptr<std::vector<core::SemanticTrajectory>>>
-      sealing_ SITM_GUARDED_BY(mutex_);
+  /// Finalized, not yet sealed (the snapshot tail), one batch per Append.
+  std::vector<storage::TrajectoryBatch> pending_ SITM_GUARDED_BY(mutex_);
+  std::size_t pending_trajectories_ SITM_GUARDED_BY(mutex_) = 0;
+  /// The batches of the one seal being written to disk right now (seals
+  /// are writer-side, so serialized): still visible to Snapshot so a
+  /// concurrent query never misses sealing data.
+  std::vector<storage::TrajectoryBatch> sealing_ SITM_GUARDED_BY(mutex_);
+  /// Ranks of segments_, built by the first Snapshot() after each
+  /// manifest change (which resets it) and shared by later ones.
+  mutable std::shared_ptr<const storage::SealedRanks> ranks_
+      SITM_GUARDED_BY(mutex_);
   std::uint64_t next_sequence_ SITM_GUARDED_BY(mutex_) = 0;
   std::size_t in_flight_ SITM_GUARDED_BY(mutex_) = 0;
   Status background_error_ SITM_GUARDED_BY(mutex_);

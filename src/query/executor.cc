@@ -93,10 +93,12 @@ bool EpisodePassesFilter(const EpisodeFilter& filter,
 /// Evaluates one trajectory and appends its contribution to `fragment`.
 /// `movable` aliases `trajectory` when the caller owns it (a block
 /// unit's decode buffer), letting the kTrajectories projection move
-/// instead of deep-copying; null for borrowed chunks.
+/// instead of deep-copying; null for borrowed chunks. `id_of()` yields
+/// the id the rows carry; it runs only for a match that emits rows.
+template <typename IdOf>
 void ProcessTrajectory(const Query& query, const BoundQuery& bound,
                        const core::SemanticTrajectory& trajectory,
-                       core::SemanticTrajectory* movable,
+                       core::SemanticTrajectory* movable, const IdOf& id_of,
                        Fragment& fragment) {
   fragment.considered += 1;
   std::vector<core::Episode> episodes;
@@ -107,18 +109,24 @@ void ProcessTrajectory(const Query& query, const BoundQuery& bound,
   }
   if (!bound.where.MatchesTrajectory(trajectory, episodes_ptr)) return;
   fragment.matched += 1;
+  if (query.projection == Projection::kCount) return;  // matched is the payload
+  const TrajectoryId id = id_of();
   if (bound.episodes_after_filter && episodes_ptr == nullptr) {
     episodes = ExtractEpisodes(query, trajectory);
     episodes_ptr = &episodes;
   }
   switch (query.projection) {
-    case Projection::kTrajectories:
-      if (movable != nullptr) {
-        fragment.trajectories.push_back(std::move(*movable));
-      } else {
-        fragment.trajectories.push_back(trajectory);
+    case Projection::kTrajectories: {
+      core::SemanticTrajectory out =
+          movable != nullptr ? std::move(*movable) : trajectory;
+      if (out.id() != id) {
+        out = core::SemanticTrajectory(id, out.object(),
+                                       std::move(out.mutable_trace()),
+                                       out.annotations());
       }
+      fragment.trajectories.push_back(std::move(out));
       return;
+    }
     case Projection::kTuples: {
       const core::Trace& trace = trajectory.trace();
       for (std::size_t i = 0; i < trace.size(); ++i) {
@@ -126,7 +134,7 @@ void ProcessTrajectory(const Query& query, const BoundQuery& bound,
           continue;
         }
         TupleRow row;
-        row.trajectory = trajectory.id();
+        row.trajectory = id;
         row.object = trajectory.object();
         row.index = i;
         row.tuple = trace.at(i);
@@ -135,10 +143,10 @@ void ProcessTrajectory(const Query& query, const BoundQuery& bound,
       return;
     }
     case Projection::kIds:
-      fragment.ids.push_back(trajectory.id());
+      fragment.ids.push_back(id);
       return;
     case Projection::kCount:
-      return;  // matched counter is the payload
+      return;
     case Projection::kEpisodes:
       for (const core::Episode& episode : episodes) {
         const auto interval = episode.IntervalIn(trajectory);
@@ -147,7 +155,7 @@ void ProcessTrajectory(const Query& query, const BoundQuery& bound,
           continue;
         }
         EpisodeRow row;
-        row.trajectory = trajectory.id();
+        row.trajectory = id;
         row.object = trajectory.object();
         row.episode = episode;
         row.interval = *interval;
@@ -156,7 +164,7 @@ void ProcessTrajectory(const Query& query, const BoundQuery& bound,
       return;
     case Projection::kTopK: {
       ScoredTrajectory scored;
-      scored.trajectory = trajectory.id();
+      scored.trajectory = id;
       scored.similarity = mining::EditSimilarity(
           bound.probe_cells, mining::CellSequenceOf(trajectory), bound.cost);
       fragment.scored.push_back(scored);
@@ -196,23 +204,31 @@ struct WorkUnit {
   std::size_t size = 0;
   const storage::EventStoreReader* reader = nullptr;
   std::size_t block = 0;
-  /// Block units of a StoreSet segment: the segment's canonical ids from
-  /// this block's first trajectory ordinal on, indexed by the positions
-  /// ReadTrajectoryBlock reports. Null keeps the stored ids.
-  const TrajectoryId* canonical_ids = nullptr;
+  /// StoreSet units: the set whose canonical ids the rows carry, the
+  /// unit's source in it, and the ordinal of the unit's first
+  /// trajectory there. Null keeps the stored ids.
+  const storage::StoreSet* set = nullptr;
+  std::size_t source = 0;
+  std::uint64_t first_ordinal = 0;
   std::uint64_t rows = 0;  ///< tuple rows the unit scans
 };
 
 /// Appends `source` as chunks of `chunk` borrowed trajectories and
-/// returns the rows they hold.
+/// returns the rows they hold; with a `set`, `source` is the part of
+/// its tail from ordinal `first_ordinal` on.
 std::uint64_t AddChunks(const std::vector<core::SemanticTrajectory>& source,
-                        std::size_t chunk, std::vector<WorkUnit>& units) {
+                        std::size_t chunk, const storage::StoreSet* set,
+                        std::uint64_t first_ordinal,
+                        std::vector<WorkUnit>& units) {
   if (chunk == 0) chunk = 64;
   std::uint64_t rows = 0;
   for (std::size_t begin = 0; begin < source.size(); begin += chunk) {
     WorkUnit unit;
     unit.chunk = source.data() + begin;
     unit.size = std::min(chunk, source.size() - begin);
+    unit.set = set;
+    unit.source = set != nullptr ? set->segments.size() : 0;
+    unit.first_ordinal = first_ordinal + begin;
     for (std::size_t i = 0; i < unit.size; ++i) {
       unit.rows += unit.chunk[i].trace().size();
     }
@@ -222,21 +238,25 @@ std::uint64_t AddChunks(const std::vector<core::SemanticTrajectory>& source,
   return rows;
 }
 
-/// Appends the blocks of `reader` the pushdown cannot rule out.
+/// Appends the blocks of `reader` the pushdown cannot rule out; with a
+/// `set`, the reader is its segment `source`.
 void AddBlocks(const storage::EventStoreReader& reader,
-               const PushdownSummary& pushdown,
-               const std::vector<TrajectoryId>* canonical_ids,
-               std::vector<WorkUnit>& units) {
-  const std::vector<std::uint64_t> starts =
-      canonical_ids != nullptr ? storage::BlockTrajectoryStarts(reader)
-                               : std::vector<std::uint64_t>{};
+               const PushdownSummary& pushdown, const storage::StoreSet* set,
+               std::size_t source, std::vector<WorkUnit>& units) {
+  // The trajectory decoded at position i of block b has ordinal
+  // starts[b] + i.
+  std::vector<std::uint64_t> starts(reader.num_blocks() + 1, 0);
+  for (std::size_t b = 0; set != nullptr && b < reader.num_blocks(); ++b) {
+    starts[b + 1] = starts[b] + reader.block(b).trajectories;
+  }
   for (const std::size_t b : PlanBlocks(reader, pushdown)) {
     WorkUnit unit;
     unit.reader = &reader;
     unit.block = b;
     unit.rows = reader.block(b).rows;
-    unit.canonical_ids =
-        canonical_ids != nullptr ? canonical_ids->data() + starts[b] : nullptr;
+    unit.set = set;
+    unit.source = source;
+    unit.first_ordinal = set != nullptr ? starts[b] : 0;
     units.push_back(unit);
   }
 }
@@ -253,7 +273,8 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
   const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
   // Thread-safety: chunk units read borrowed trajectories; block units
   // call the const, mmap-backed EventStoreReader::ReadTrajectoryBlock,
-  // which has no shared mutable state. Each unit writes only its own
+  // which has no shared mutable state; StoreSet units also read the
+  // set's immutable ranks. Each unit writes only its own
   // Fragment slot, and slots merge in unit order, so the result (order
   // and stats included) is independent of the schedule.
   std::vector<Fragment> fragments = sched::ParallelMap<Fragment>(
@@ -261,27 +282,33 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
       [&](std::size_t u) {
         const WorkUnit& unit = units[u];
         Fragment fragment;
+        // The trajectory at `position` emits its stored id or, in a
+        // StoreSet, its canonical one.
+        const auto process = [&](const core::SemanticTrajectory& t,
+                                 core::SemanticTrajectory* movable,
+                                 std::uint64_t position) {
+          const auto id_of = [&] {
+            return unit.set == nullptr ? t.id()
+                                       : unit.set->CanonicalId(
+                                             unit.source,
+                                             unit.first_ordinal + position, t);
+          };
+          ProcessTrajectory(query, bound, t, movable, id_of, fragment);
+        };
         if (unit.reader == nullptr) {
           for (std::size_t i = 0; i < unit.size; ++i) {
-            ProcessTrajectory(query, bound, unit.chunk[i],
-                              /*movable=*/nullptr, fragment);
+            process(unit.chunk[i], /*movable=*/nullptr, i);
           }
         } else {
           std::vector<core::SemanticTrajectory> decoded;
           std::vector<std::size_t> positions;
           fragment.status = unit.reader->ReadTrajectoryBlock(
               unit.block, scan, decoded,
-              unit.canonical_ids != nullptr ? &positions : nullptr);
+              unit.set != nullptr ? &positions : nullptr);
           if (!fragment.status.ok()) return fragment;
           for (std::size_t t = 0; t < decoded.size(); ++t) {
-            core::SemanticTrajectory& stored = decoded[t];
-            if (unit.canonical_ids != nullptr) {
-              stored = core::SemanticTrajectory(
-                  unit.canonical_ids[positions[t]], stored.object(),
-                  std::move(stored.mutable_trace()), stored.annotations());
-            }
-            ProcessTrajectory(query, bound, stored, /*movable=*/&stored,
-                              fragment);
+            process(decoded[t], /*movable=*/&decoded[t],
+                    unit.set != nullptr ? positions[t] : 0);
           }
         }
         if (query.projection == Projection::kTopK) {
@@ -369,7 +396,7 @@ Result<QueryResult> QueryExecutor::Run(
   const QueryPlan plan = Plan(bound.where);
   std::vector<WorkUnit> units;
   const std::uint64_t rows_total =
-      AddChunks(trajectories, options_.chunk, units);
+      AddChunks(trajectories, options_.chunk, /*set=*/nullptr, 0, units);
   SITM_ASSIGN_OR_RETURN(
       QueryResult result,
       Execute(query, bound, plan, std::move(units), options_.executor));
@@ -401,7 +428,7 @@ Result<QueryResult> QueryExecutor::Run(
   }
 
   std::vector<WorkUnit> units;
-  AddBlocks(reader, plan.pushdown, /*canonical_ids=*/nullptr, units);
+  AddBlocks(reader, plan.pushdown, /*set=*/nullptr, 0, units);
   SITM_ASSIGN_OR_RETURN(
       QueryResult result,
       Execute(query, bound, plan, std::move(units), options_.executor));
@@ -418,10 +445,14 @@ Result<QueryResult> QueryExecutor::Run(const Query& query,
   const QueryPlan plan = Plan(bound.where);
 
   std::vector<WorkUnit> units;
-  for (const storage::StoreSetSegment& segment : set.segments) {
-    AddBlocks(*segment.reader, plan.pushdown, &segment.canonical_ids, units);
+  for (std::size_t s = 0; s < set.segments.size(); ++s) {
+    AddBlocks(*set.segments[s].reader, plan.pushdown, &set, s, units);
   }
-  AddChunks(set.extra, options_.chunk, units);
+  std::uint64_t ordinal = 0;
+  for (const storage::TrajectoryBatch& batch : set.tail) {
+    AddChunks(*batch, options_.chunk, &set, ordinal, units);
+    ordinal += batch->size();
+  }
   SITM_ASSIGN_OR_RETURN(
       QueryResult result,
       Execute(query, bound, plan, std::move(units), options_.executor));

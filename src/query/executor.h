@@ -192,9 +192,10 @@ class QueryExecutor {
 
   /// Store-set execution over live + compacted segments (the rolling
   /// SegmentStore snapshot). The units are each segment's planned
-  /// blocks, then chunks of the in-memory tail. A block's survivors
-  /// take the canonical ids at their ordinals (block ordinal base plus
-  /// the position ReadTrajectoryBlock reports). The merged rows are then
+  /// blocks, then chunks of the in-memory tail. A matching trajectory
+  /// emits StoreSet::CanonicalId at its ordinal (a block's ordinal base
+  /// plus the position ReadTrajectoryBlock reports, or its tail
+  /// position); kCount computes no id. The merged rows are then
   /// stable-sorted by trajectory id, the batch pipeline's (object,
   /// start) order, so the result (order included) is byte-identical to
   /// an in-memory run over a batch build of the same detections. The

@@ -1,13 +1,95 @@
 #include "storage/store_set.h"
 
-#include <cctype>
-#include <cinttypes>
-#include <cstdio>
+#include <algorithm>
+#include <tuple>
 
 namespace sitm::storage {
 
+namespace {
+
+TrajectoryKey KeyOf(const core::SemanticTrajectory& t, std::uint64_t ordinal) {
+  return {t.object().value(), t.start().seconds_since_epoch(), ordinal};
+}
+
+bool ObjectStartLess(const TrajectoryKey& a, const TrajectoryKey& b) {
+  return std::tie(a.object, a.start) < std::tie(b.object, b.start);
+}
+
+}  // namespace
+
+std::vector<TrajectoryKey> SortedKeys(
+    const std::vector<core::SemanticTrajectory>& trajectories) {
+  std::vector<TrajectoryKey> keys;
+  keys.reserve(trajectories.size());
+  for (const core::SemanticTrajectory& t : trajectories) {
+    keys.push_back(KeyOf(t, keys.size()));
+  }
+  std::sort(keys.begin(), keys.end());
+  return keys;
+}
+
+SealedRanks RankSegments(
+    const std::vector<const std::vector<TrajectoryKey>*>& sorted) {
+  SealedRanks out;
+  for (const std::vector<TrajectoryKey>* keys : sorted) {
+    const std::size_t base = out.keys.size();
+    out.offsets.push_back(base);
+    for (TrajectoryKey key : *keys) {
+      key.ordinal += base;
+      out.keys.push_back(key);
+    }
+    // Stable on equal (object, start): earlier segments stay first, and
+    // each segment's own keys stay in ordinal order.
+    std::inplace_merge(out.keys.begin(),
+                       out.keys.begin() + static_cast<std::ptrdiff_t>(base),
+                       out.keys.end(), ObjectStartLess);
+  }
+  out.offsets.push_back(out.keys.size());
+  out.rank.resize(out.keys.size());
+  for (std::size_t i = 0; i < out.keys.size(); ++i) {
+    out.rank[out.keys[i].ordinal] = i;
+  }
+  return out;
+}
+
+StoreSet StoreSet::Make(TrajectoryId first_id,
+                        std::vector<StoreSetSegment> segments,
+                        std::shared_ptr<const SealedRanks> ranks,
+                        std::vector<TrajectoryBatch> tail) {
+  StoreSet set{std::move(segments), std::move(tail), first_id,
+               std::move(ranks), {}};
+  for (const TrajectoryBatch& batch : set.tail) {
+    for (const core::SemanticTrajectory& t : *batch) {
+      set.tail_keys.push_back(KeyOf(t, set.tail_keys.size()));
+    }
+  }
+  std::sort(set.tail_keys.begin(), set.tail_keys.end());
+  return set;
+}
+
+TrajectoryId StoreSet::CanonicalId(std::size_t source, std::uint64_t ordinal,
+                                   const core::SemanticTrajectory& t) const {
+  // The tail sorts after every segment on equal (object, start).
+  const TrajectoryKey key = KeyOf(t, ordinal);
+  std::ptrdiff_t rank = 0;
+  if (source < segments.size()) {
+    rank = static_cast<std::ptrdiff_t>(
+               ranks->rank[ranks->offsets[source] + ordinal]) +
+           (std::lower_bound(tail_keys.begin(), tail_keys.end(), key,
+                             ObjectStartLess) -
+            tail_keys.begin());
+  } else {
+    rank = (std::upper_bound(ranks->keys.begin(), ranks->keys.end(), key,
+                             ObjectStartLess) -
+            ranks->keys.begin()) +
+           (std::lower_bound(tail_keys.begin(), tail_keys.end(), key) -
+            tail_keys.begin());
+  }
+  return TrajectoryId(first_id.value() + rank);
+}
+
 std::uint64_t StoreSet::TotalTrajectories() const {
-  std::uint64_t total = extra.size();
+  std::uint64_t total = tail_keys.size();
   for (const StoreSetSegment& segment : segments) {
     if (segment.reader) total += segment.reader->trajectories();
   }
@@ -16,8 +98,8 @@ std::uint64_t StoreSet::TotalTrajectories() const {
 
 std::uint64_t StoreSet::TotalRows() const {
   std::uint64_t total = 0;
-  for (const core::SemanticTrajectory& t : extra) {
-    total += t.trace().size();
+  for (const TrajectoryBatch& batch : tail) {
+    for (const core::SemanticTrajectory& t : *batch) total += t.trace().size();
   }
   for (const StoreSetSegment& segment : segments) {
     if (segment.reader) total += segment.reader->rows();
@@ -34,6 +116,9 @@ std::uint64_t StoreSet::TotalBlocks() const {
 }
 
 Status StoreSet::Validate() const {
+  if (!ranks || ranks->offsets.size() != segments.size() + 1) {
+    return Status::InvalidArgument("StoreSet: ranks do not match segments");
+  }
   for (std::size_t i = 0; i < segments.size(); ++i) {
     const StoreSetSegment& segment = segments[i];
     if (!segment.reader) {
@@ -45,69 +130,15 @@ Status StoreSet::Validate() const {
           "StoreSet: segment " + std::to_string(i) +
           " is not a trajectory store");
     }
-    if (segment.canonical_ids.size() != segment.reader->trajectories()) {
+    const std::uint64_t ranked = ranks->offsets[i + 1] - ranks->offsets[i];
+    if (ranked != segment.reader->trajectories()) {
       return Status::InvalidArgument(
           "StoreSet: segment " + std::to_string(i) + " has " +
-          std::to_string(segment.canonical_ids.size()) +
-          " canonical ids for " +
+          std::to_string(ranked) + " ranks for " +
           std::to_string(segment.reader->trajectories()) + " trajectories");
     }
   }
   return Status::OK();
-}
-
-std::vector<std::uint64_t> BlockTrajectoryStarts(
-    const EventStoreReader& reader) {
-  std::vector<std::uint64_t> starts(reader.num_blocks(), 0);
-  std::uint64_t running = 0;
-  for (std::size_t b = 0; b < reader.num_blocks(); ++b) {
-    starts[b] = running;
-    running += reader.block(b).trajectories;
-  }
-  return starts;
-}
-
-std::string FormatSegmentName(const SegmentName& name) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "seg-L%d-%06" PRIu64 ".evst", name.level,
-                name.sequence);
-  return buf;
-}
-
-std::optional<SegmentName> ParseSegmentName(std::string_view filename) {
-  constexpr std::string_view kPrefix = "seg-L";
-  constexpr std::string_view kSuffix = ".evst";
-  if (filename.size() <= kPrefix.size() + kSuffix.size()) return std::nullopt;
-  if (filename.substr(0, kPrefix.size()) != kPrefix) return std::nullopt;
-  if (filename.substr(filename.size() - kSuffix.size()) != kSuffix) {
-    return std::nullopt;
-  }
-  const std::string_view middle = filename.substr(
-      kPrefix.size(), filename.size() - kPrefix.size() - kSuffix.size());
-  const std::size_t dash = middle.find('-');
-  if (dash == std::string_view::npos || dash == 0 ||
-      dash + 1 >= middle.size()) {
-    return std::nullopt;
-  }
-  const std::string_view level_part = middle.substr(0, dash);
-  const std::string_view seq_part = middle.substr(dash + 1);
-  SegmentName name;
-  // Strict digit parses: any non-digit (including a second '-') rejects.
-  std::int64_t level = 0;
-  for (const char c : level_part) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    level = level * 10 + (c - '0');
-    if (level > 1000000) return std::nullopt;
-  }
-  std::uint64_t sequence = 0;
-  for (const char c : seq_part) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return std::nullopt;
-    if (sequence > (UINT64_MAX - 9) / 10) return std::nullopt;
-    sequence = sequence * 10 + static_cast<std::uint64_t>(c - '0');
-  }
-  name.level = static_cast<int>(level);
-  name.sequence = sequence;
-  return name;
 }
 
 }  // namespace sitm::storage

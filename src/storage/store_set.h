@@ -2,9 +2,8 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "base/result.h"
@@ -12,6 +11,43 @@
 #include "storage/event_store.h"
 
 namespace sitm::storage {
+
+/// A trajectory's (object, start seconds) plus its ordinal in its
+/// source (a segment's file position, or a StoreSet tail position).
+struct TrajectoryKey {
+  std::int64_t object = 0;
+  std::int64_t start = 0;
+  std::uint64_t ordinal = 0;
+
+  friend bool operator<(const TrajectoryKey& a, const TrajectoryKey& b) {
+    return std::tie(a.object, a.start, a.ordinal) <
+           std::tie(b.object, b.start, b.ordinal);
+  }
+};
+
+/// The keys of `trajectories` (ordinal = position), sorted. Every trace
+/// must be non-empty.
+std::vector<TrajectoryKey> SortedKeys(
+    const std::vector<core::SemanticTrajectory>& trajectories);
+
+/// Every sealed trajectory of a segment list in (object, start, segment,
+/// ordinal) order: `keys` in that order, with ordinals made global
+/// (`offsets[s]` + ordinal in segment s; `offsets` ends with the total),
+/// and `rank[g]` the position of global ordinal g in `keys`.
+struct SealedRanks {
+  std::vector<std::uint64_t> offsets;
+  std::vector<std::uint64_t> rank;
+  std::vector<TrajectoryKey> keys;
+};
+
+/// Merges the segments' SortedKeys lists (`sorted[s]` for segment s).
+SealedRanks RankSegments(
+    const std::vector<const std::vector<TrajectoryKey>*>& sorted);
+
+/// An immutable batch of finalized trajectories, shared by its producer
+/// and every snapshot that includes it.
+using TrajectoryBatch =
+    std::shared_ptr<const std::vector<core::SemanticTrajectory>>;
 
 /// \brief Multi-store view: a consistent set of sealed EventStore
 /// segments plus an in-memory tail, queryable as if it were ONE
@@ -23,36 +59,45 @@ namespace sitm::storage {
 /// compaction levels plus a buffer of not-yet-sealed trajectories. A
 /// StoreSet is an immutable snapshot of that state: shared readers keep
 /// the mapped files alive even if the segment store unlinks them after
-/// a later compaction (POSIX keeps the mapping valid), and `extra`
-/// carries the tail by value.
+/// a later compaction (POSIX keeps the mapping valid), and the tail is
+/// a list of shared immutable batches.
 ///
 /// Canonical trajectory ids: segments persist *provisional* ids (the
-/// order trajectories happened to finalize in), which is unknowable
-/// online — the batch pipeline assigns ids sequentially in (object,
-/// start time) order over the WHOLE detection set. The snapshot closes
-/// that gap: `canonical_ids[ordinal]` maps each trajectory's physical
-/// position in its segment to the id the batch pipeline would have
-/// assigned, computed from the global (object, start) rank at snapshot
-/// time. Query execution over a StoreSet substitutes these ids and
-/// sorts by them, which is exactly what makes live + compacted query
+/// order trajectories happened to finalize in); the batch pipeline
+/// numbers trajectories in (object, start) order over the WHOLE
+/// detection set. A trajectory's canonical id is `first_id` plus its
+/// position in (object, start, source, ordinal) order, the tail being
+/// the last source. CanonicalId computes it per emitted row from the
+/// shared sealed ranks and the sorted tail keys; execution over a
+/// StoreSet emits and sorts by these ids, which makes live + compacted
 /// results byte-identical to a batch run over the same detections
 /// (pinned by tests/live_equivalence_property_test.cc).
 struct StoreSetSegment {
   /// Open reader of one sealed segment (kTrajectories). Shared: the
   /// snapshot outlives manifest churn in the producing segment store.
   std::shared_ptr<const EventStoreReader> reader;
-  /// Canonical trajectory id per trajectory ordinal, where ordinal is
-  /// the trajectory's physical position in the file (block order, then
-  /// position within the block). Size must equal reader->trajectories().
-  std::vector<TrajectoryId> canonical_ids;
 };
 
 struct StoreSet {
   std::vector<StoreSetSegment> segments;
-  /// Finalized-but-unsealed trajectories (the live tail), canonical ids
-  /// already substituted. Owned by value: the producer may seal or drop
-  /// its buffer after the snapshot.
-  std::vector<core::SemanticTrajectory> extra;
+  /// The unsealed tail; its ordinals run through the batches in order.
+  std::vector<TrajectoryBatch> tail;
+  TrajectoryId first_id;
+  /// RankSegments over the segments' sorted keys.
+  std::shared_ptr<const SealedRanks> ranks;
+  /// The tail's keys, sorted.
+  std::vector<TrajectoryKey> tail_keys;
+
+  /// Assembles a set, sorting the tail's keys.
+  static StoreSet Make(TrajectoryId first_id,
+                       std::vector<StoreSetSegment> segments,
+                       std::shared_ptr<const SealedRanks> ranks,
+                       std::vector<TrajectoryBatch> tail);
+
+  /// The canonical id of `t`, found at `ordinal` of `source` (a segment
+  /// index, or segments.size() for the tail).
+  TrajectoryId CanonicalId(std::size_t source, std::uint64_t ordinal,
+                           const core::SemanticTrajectory& t) const;
 
   /// Trajectory count across segments and the tail.
   std::uint64_t TotalTrajectories() const;
@@ -62,33 +107,8 @@ struct StoreSet {
   std::uint64_t TotalBlocks() const;
 
   /// Structural invariants: every segment has an open kTrajectories
-  /// reader and exactly one canonical id per stored trajectory.
+  /// reader, and the ranks cover exactly its stored trajectories.
   [[nodiscard]] Status Validate() const;
 };
-
-/// Trajectory-ordinal offset of every block of `reader` (exclusive
-/// prefix sums of per-block trajectory counts): the trajectory decoded
-/// at position i of block b has ordinal `starts[b] + i`. This is what
-/// lets a reader line decoded trajectories up with
-/// StoreSetSegment::canonical_ids — with the positions
-/// ReadTrajectoryBlock reports when its scan filters the block.
-std::vector<std::uint64_t> BlockTrajectoryStarts(const EventStoreReader& reader);
-
-/// \brief Rolling-segment file naming: "seg-L<level>-<sequence>.evst",
-/// e.g. "seg-L0-000042.evst". Level counts compaction generations
-/// (fresh seals are L0; each merge bumps it); the sequence number is
-/// store-global and strictly increasing, so names never collide and a
-/// directory listing sorts in creation order within a level.
-struct SegmentName {
-  int level = 0;
-  std::uint64_t sequence = 0;
-};
-
-/// Formats a segment file name (zero-padded sequence, ".evst" suffix).
-std::string FormatSegmentName(const SegmentName& name);
-
-/// Parses a segment file name; nullopt when `filename` is not of the
-/// form FormatSegmentName produces (any zero-padding width accepted).
-std::optional<SegmentName> ParseSegmentName(std::string_view filename);
 
 }  // namespace sitm::storage

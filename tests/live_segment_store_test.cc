@@ -5,12 +5,19 @@
 // queries them.
 #include "live/segment_store.h"
 
+#include <algorithm>
 #include <array>
+#include <atomic>
+#include <chrono>
+#include <filesystem>
 #include <string>
+#include <thread>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "base/rng.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 #include "sched/executor.h"
@@ -233,6 +240,271 @@ TEST(SegmentStoreTest, BackgroundCompactionOnExecutor) {
   EXPECT_GT(store.stats().compactions, 0u);
   // Idempotent.
   ASSERT_TRUE(store.Close().ok());
+}
+
+TEST(SegmentStoreTest, EmptyTraceIsRejectedAndNothingIsBuffered) {
+  SegmentStoreOptions options;
+  options.directory = UniqueDir("a");
+  std::filesystem::remove_all(options.directory);
+  options.seal_trajectories = 2;
+  options.compaction_fanin = 0;
+  SegmentStore store(options);
+  std::vector<core::SemanticTrajectory> working = WorkingSet();
+  std::vector<core::SemanticTrajectory> first(working.begin(),
+                                              working.begin() + 1);
+  ASSERT_TRUE(store.Append(std::move(first)).ok());
+  const SegmentStoreStats before = store.stats();
+
+  // A valid trajectory next to an empty one: the whole call is refused.
+  std::vector<core::SemanticTrajectory> bad;
+  bad.push_back(working[1]);
+  bad.emplace_back(TrajectoryId(999), ObjectId(7), core::Trace(),
+                   core::AnnotationSet{});
+  const Status status = store.Append(std::move(bad));
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status.ToString();
+  const SegmentStoreStats after = store.stats();
+  EXPECT_EQ(after.segments, before.segments);
+  EXPECT_EQ(after.pending_trajectories, before.pending_trajectories);
+  EXPECT_EQ(after.sealed_trajectories, before.sealed_trajectories);
+  EXPECT_EQ(after.written_bytes, before.written_bytes);
+
+  // Later appends seal normally, and no orphan file was left behind.
+  for (std::size_t i = 1; i < working.size(); ++i) {
+    ASSERT_TRUE(store.Append({working[i]}).ok());
+  }
+  EXPECT_EQ(store.stats().segments, 2u);
+  EXPECT_EQ(store.stats().pending_trajectories, 1u);
+  std::size_t files = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options.directory)) {
+    static_cast<void>(entry);
+    ++files;
+  }
+  EXPECT_EQ(files, store.stats().segments);
+  ExpectSnapshotMatches(store, TrajectoryId(1), CanonicalSet(1));
+  ASSERT_TRUE(store.Close().ok());
+}
+
+/// The eager ranking rule, kept as the reference: decode every segment
+/// of `snapshot`, append its tail, sort everything by (object, start,
+/// source, ordinal), and number from `first_id`.
+std::vector<core::SemanticTrajectory> EagerCanonical(
+    const storage::StoreSet& snapshot, TrajectoryId first_id) {
+  using Key = std::tuple<std::int64_t, std::int64_t, std::size_t,
+                         std::size_t>;
+  std::vector<std::pair<Key, core::SemanticTrajectory>> all;
+  const auto add = [&](std::vector<core::SemanticTrajectory> source,
+                       std::size_t index) {
+    for (std::size_t o = 0; o < source.size(); ++o) {
+      const core::SemanticTrajectory& t = source[o];
+      all.emplace_back(Key{t.object().value(), t.start().seconds_since_epoch(),
+                           index, o},
+                       t);
+    }
+  };
+  for (std::size_t s = 0; s < snapshot.segments.size(); ++s) {
+    auto decoded = snapshot.segments[s].reader->ReadTrajectories({});
+    EXPECT_TRUE(decoded.ok()) << decoded.status();
+    add(std::move(decoded).value(), s);
+  }
+  std::vector<core::SemanticTrajectory> tail;
+  for (const storage::TrajectoryBatch& batch : snapshot.tail) {
+    tail.insert(tail.end(), batch->begin(), batch->end());
+  }
+  add(std::move(tail), snapshot.segments.size());
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  std::vector<core::SemanticTrajectory> out;
+  for (auto& [key, t] : all) {
+    out.emplace_back(TrajectoryId(first_id.value() + out.size()), t.object(),
+                     std::move(t.mutable_trace()), t.annotations());
+  }
+  return out;
+}
+
+/// Every projection of a snapshot answers exactly like an in-memory run
+/// over the eager reference.
+void ExpectMatchesEagerRule(const SegmentStore& store, TrajectoryId first_id,
+                            const core::SemanticTrajectory& probe) {
+  auto snapshot = store.Snapshot(first_id);
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  const std::vector<core::SemanticTrajectory> expected =
+      EagerCanonical(*snapshot, first_id);
+  ASSERT_EQ(expected.size(), snapshot->TotalTrajectories());
+  const query::QueryExecutor executor{query::QueryContext{}};
+  const query::Projection projections[] = {
+      query::Projection::kIds, query::Projection::kTrajectories,
+      query::Projection::kTuples, query::Projection::kEpisodes,
+      query::Projection::kTopK};
+  const query::Predicate wheres[] = {
+      query::All(), query::ObjectIn({ObjectId(2), ObjectId(3)})};
+  for (const query::Predicate& where : wheres) {
+    for (const query::Projection projection : projections) {
+      query::Query q;
+      q.where = where;
+      q.projection = projection;
+      q.tuple_where = query::InCell(CellId(1));
+      q.episodes.push_back(
+          {"stay", core::StayAtLeast(Duration::Seconds(5)), {}});
+      // Few cells and short traces: many trajectories tie on similarity,
+      // so the id tie-break decides the top k.
+      q.top_k.k = 4;
+      q.top_k.probe = &probe;
+      auto got = executor.Run(q, *snapshot);
+      ASSERT_TRUE(got.ok()) << got.status();
+      auto want = executor.Run(q, expected);
+      ASSERT_TRUE(want.ok()) << want.status();
+      ASSERT_EQ(got->Fingerprint(), want->Fingerprint())
+          << "projection " << static_cast<int>(projection) << ", "
+          << where.ToString();
+    }
+  }
+}
+
+TEST(SegmentStoreTest, MidStreamSnapshotsMatchTheEagerRankingRule) {
+  Rng rng(17);
+  std::vector<core::SemanticTrajectory> stream;
+  for (int i = 0; i < 24; ++i) {
+    std::vector<std::array<std::int64_t, 3>> stays;
+    std::int64_t at = rng.NextInt(0, 12) * 10;
+    for (std::int64_t n = rng.NextInt(1, 3); n > 0; --n) {
+      const std::int64_t end = at + rng.NextInt(1, 9);
+      stays.push_back({rng.NextInt(1, 3), at, end});
+      at = end + 1;
+    }
+    // Objects and starts drawn from small ranges, so some (object,
+    // start) keys repeat across sources.
+    stream.push_back(MakeTrajectory(100 + i, rng.NextInt(1, 5), stays));
+  }
+  const core::SemanticTrajectory probe =
+      MakeTrajectory(0, 9, {{1, 0, 5}, {2, 6, 9}});
+  sched::Executor pool(2);
+  for (const std::size_t seal : {0, 1, 2, 7}) {
+    for (const std::size_t fanin : {0, 2, 4}) {
+      for (const bool background : {false, true}) {
+        // Without seals nothing compacts, and without compaction the
+        // runner is never used.
+        if ((seal == 0 && fanin != 0) || (fanin == 0 && background)) continue;
+        for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
+                                        seal + 1}) {
+          SCOPED_TRACE("seal " + std::to_string(seal) + " fanin " +
+                       std::to_string(fanin) + " background " +
+                       std::to_string(background) + " batch " +
+                       std::to_string(batch));
+          SegmentStoreOptions options;
+          options.directory = UniqueDir("p");
+          std::filesystem::remove_all(options.directory);
+          options.seal_trajectories = seal;
+          options.compaction_fanin = fanin;
+          options.runner = background ? &pool : nullptr;
+          SegmentStore store(options);
+          for (std::size_t begin = 0; begin < stream.size(); begin += batch) {
+            const std::size_t end = std::min(stream.size(), begin + batch);
+            ASSERT_TRUE(store
+                            .Append({stream.begin() + static_cast<long>(begin),
+                                     stream.begin() + static_cast<long>(end)})
+                            .ok());
+            ExpectMatchesEagerRule(store, TrajectoryId(1), probe);
+            if (::testing::Test::HasFatalFailure()) return;
+          }
+          ASSERT_TRUE(store.Close().ok());
+        }
+      }
+    }
+  }
+}
+
+// Equal (object, start) keys: within a segment by ordinal, and every
+// segment before the tail.
+TEST(SegmentStoreTest, EqualKeysRankSegmentsBeforeTheTail) {
+  SegmentStoreOptions options;
+  options.directory = UniqueDir("a");
+  std::filesystem::remove_all(options.directory);
+  options.seal_trajectories = 2;
+  options.compaction_fanin = 0;
+  SegmentStore store(options);
+  // Same object and start everywhere; the cells tell them apart.
+  ASSERT_TRUE(store
+                  .Append({MakeTrajectory(1, 4, {{31, 100, 110}}),
+                           MakeTrajectory(2, 4, {{32, 100, 120}})})
+                  .ok());
+  ASSERT_TRUE(store.Append({MakeTrajectory(3, 4, {{33, 100, 130}})}).ok());
+  ASSERT_EQ(store.stats().segments, 1u);
+  ASSERT_EQ(store.stats().pending_trajectories, 1u);
+  ExpectSnapshotMatches(store, TrajectoryId(10),
+                        {MakeTrajectory(10, 4, {{31, 100, 110}}),
+                         MakeTrajectory(11, 4, {{32, 100, 120}}),
+                         MakeTrajectory(12, 4, {{33, 100, 130}})});
+  ASSERT_TRUE(store.Close().ok());
+}
+
+// Readers snapshot and query while a writer seals and compacts on a
+// 2-worker executor: every answer is one contiguous id range. A large
+// first segment makes each rank rebuild slow enough to overlap seals,
+// so a snapshot that installed ranks for a stale manifest would hand
+// later snapshots ranks that do not fit their segments.
+TEST(SegmentStoreTest, ConcurrentSnapshotsDuringBackgroundCompaction) {
+  sched::Executor pool(2);
+  SegmentStoreOptions options;
+  options.directory = UniqueDir("a");
+  std::filesystem::remove_all(options.directory);
+  options.seal_trajectories = 3;
+  options.compaction_fanin = 4;
+  options.runner = &pool;
+  SegmentStore store(options);
+  Rng rng(5);
+  std::int64_t next = 0;
+  const auto stream = [&](int n) {
+    std::vector<core::SemanticTrajectory> out;
+    for (int i = 0; i < n; ++i, ++next) {
+      const std::int64_t start = 1000 + next * 10 + rng.NextInt(0, 9);
+      out.push_back(MakeTrajectory(
+          next, rng.NextInt(1, 4000),
+          {{rng.NextInt(1, 50), start, start + rng.NextInt(1, 300)}}));
+    }
+    return out;
+  };
+  ASSERT_TRUE(store.Append(stream(20000)).ok());
+
+  std::atomic<bool> done{false};
+  std::atomic<int> failures{0};
+  std::atomic<int> queries{0};
+  const auto read = [&] {
+    query::Query q;
+    q.where = query::All();
+    q.projection = query::Projection::kIds;
+    const query::QueryExecutor executor{query::QueryContext{}};
+    while (!done.load()) {
+      auto snapshot = store.Snapshot(TrajectoryId(5));
+      auto ids = snapshot.ok() ? executor.Run(q, *snapshot)
+                               : Result<query::QueryResult>(snapshot.status());
+      bool contiguous = ids.ok() && ids->ids.size() ==
+                                        snapshot->TotalTrajectories();
+      for (std::size_t i = 0; contiguous && i < ids->ids.size(); ++i) {
+        contiguous = ids->ids[i] == TrajectoryId(5 + static_cast<long>(i));
+      }
+      if (!contiguous) failures.fetch_add(1);
+      queries.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> readers;  // sitm-lint: allow(naked-thread)
+  for (int r = 0; r < 2; ++r) readers.emplace_back(read);
+  for (int i = 0; i < 1200; ++i) {
+    const Status appended = store.Append(stream(1));
+    EXPECT_TRUE(appended.ok()) << appended.ToString();
+    if (!appended.ok()) break;
+    // Spaced out so readers also see each manifest between seals.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  while (queries.load() < 20) std::this_thread::yield();
+  done.store(true);
+  // sitm-lint: allow(naked-thread)
+  for (std::thread& reader : readers) reader.join();
+  EXPECT_EQ(failures.load(), 0);
+  const Status closed = store.Close();
+  ASSERT_TRUE(closed.ok()) << closed.ToString();
+  EXPECT_GT(store.stats().compactions, 0u);
 }
 
 }  // namespace

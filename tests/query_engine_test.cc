@@ -617,11 +617,13 @@ TEST(QueryExecutorTest, OneSegmentStoreSetReportsTheSingleStoreStats) {
 
   // The store holds the batch in id order, so the trajectory at each
   // ordinal keeps its own id as the canonical one.
-  storage::StoreSet set;
-  storage::StoreSetSegment segment;
-  segment.reader = reader;
-  for (const auto& t : trajectories) segment.canonical_ids.push_back(t.id());
-  set.segments.push_back(std::move(segment));
+  const std::vector<storage::TrajectoryKey> keys =
+      storage::SortedKeys(trajectories);
+  const storage::StoreSet set = storage::StoreSet::Make(
+      trajectories.front().id(), {storage::StoreSetSegment{reader}},
+      std::make_shared<const storage::SealedRanks>(
+          storage::RankSegments({&keys})),
+      {});
 
   const core::SemanticTrajectory& middle = trajectories[trajectories.size() / 2];
   const Timestamp mid_start = middle.start();
@@ -687,7 +689,8 @@ TEST(QueryExecutorTest, MultiSegmentStoreSetMatchesTheBatchAndSumsStats) {
   // Segment s holds every third trajectory from s on, stored in start
   // order (as compaction leaves them) under provisional ids; the rest
   // form the tail, in descending id order.
-  storage::StoreSet set;
+  std::vector<storage::StoreSetSegment> segments;
+  std::vector<std::vector<storage::TrajectoryKey>> keys;
   std::vector<std::string> paths;
   for (std::size_t s = 0; s < 2; ++s) {
     std::vector<core::SemanticTrajectory> members;
@@ -701,7 +704,6 @@ TEST(QueryExecutorTest, MultiSegmentStoreSetMatchesTheBatchAndSumsStats) {
     storage::StoreSetSegment segment;
     std::vector<core::SemanticTrajectory> stored;
     for (const auto& t : members) {
-      segment.canonical_ids.push_back(t.id());
       stored.emplace_back(TrajectoryId(1000000 + stored.size()), t.object(),
                           t.trace(), t.annotations());
     }
@@ -718,13 +720,20 @@ TEST(QueryExecutorTest, MultiSegmentStoreSetMatchesTheBatchAndSumsStats) {
     segment.reader = std::make_shared<const storage::EventStoreReader>(
         std::move(opened).value());
     ASSERT_GT(segment.reader->num_blocks(), 3u);
-    set.segments.push_back(std::move(segment));
+    segments.push_back(std::move(segment));
+    keys.push_back(storage::SortedKeys(stored));
   }
+  auto tail = std::make_shared<std::vector<core::SemanticTrajectory>>();
   for (std::size_t i = trajectories.size(); i-- > 0;) {
-    if (i % 3 == 2) set.extra.push_back(trajectories[i]);
+    if (i % 3 == 2) tail->push_back(trajectories[i]);
   }
   std::string tail_before;
-  for (const auto& t : set.extra) tail_before += t.ToString() + "\n";
+  for (const auto& t : *tail) tail_before += t.ToString() + "\n";
+  const storage::StoreSet set = storage::StoreSet::Make(
+      trajectories.front().id(), std::move(segments),
+      std::make_shared<const storage::SealedRanks>(
+          storage::RankSegments({&keys[0], &keys[1]})),
+      {tail});
 
   const core::SemanticTrajectory& middle = trajectories[trajectories.size() / 2];
   const Timestamp mid_start = middle.start();
@@ -784,12 +793,12 @@ TEST(QueryExecutorTest, MultiSegmentStoreSetMatchesTheBatchAndSumsStats) {
       // The whole tail is scanned and considered unless the plan alone
       // rules every trajectory out.
       const bool never = std::string(name) == "never";
-      for (const auto& t : set.extra) {
+      for (const auto& t : *tail) {
         expected.rows_total += t.trace().size();
         if (!never) expected.rows_scanned += t.trace().size();
       }
       if (!never) {
-        expected.trajectories_considered += set.extra.size();
+        expected.trajectories_considered += tail->size();
         EXPECT_GT(expected.blocks_scanned, 0u);
         EXPECT_GT(batch->stats.trajectories_matched, 1u);
       }
@@ -805,7 +814,7 @@ TEST(QueryExecutorTest, MultiSegmentStoreSetMatchesTheBatchAndSumsStats) {
       ASSERT_TRUE(again.ok()) << again.status();
       EXPECT_EQ(again->Fingerprint(), segmented->Fingerprint());
       std::string tail_after;
-      for (const auto& t : set.extra) tail_after += t.ToString() + "\n";
+      for (const auto& t : *tail) tail_after += t.ToString() + "\n";
       EXPECT_EQ(tail_after, tail_before);
     }
   }
