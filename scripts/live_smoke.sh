@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the live ingest subsystem: starts the example
 # server on loopback, POSTs an out-of-order detection stream in several
-# batches, checks the ids served mid-stream, flushes, queries back over
+# batches, checks the ids served mid-stream, flushes, checks the
+# builder's cleaning counters in /stats, queries back over
 # the live segments, and diffs every
 # answer byte-for-byte against `live_server batch` — the batch pipeline
 # run over the same detection multiset — and checks that malformed
@@ -29,11 +30,14 @@ mkdir -p "$work_dir"
 echo "live_smoke: server=$server_bin work_dir=$work_dir"
 
 # Three ingest batches, out of order within and across batches but
-# within the 600 s default lateness (worst regression here: 1700 ->
-# 1300 = 400 s). Object 1 revisits cell 10; object 3 arrives as a
+# within the 600 s default lateness (worst regression here: 1750 ->
+# 1200 = 550 s). Object 1 revisits cell 10; object 3 arrives as a
 # string-timestamp detection ("1970-01-01 00:40:00" = epoch 2400). A
 # fourth, much later detection moves the watermark past the first three
-# objects, so they finalize before the flush.
+# objects, so they finalize before the flush. Three detections exist to
+# be cleaned: a zero-duration one (object 1, 1600-1600), one contained
+# in an earlier detection (object 2, 1200-1240 inside 1000-1250), and
+# an overlapping one (object 1, 1900-2100 over 1750-2000).
 cat > "$work_dir/batch1.json" <<'EOF'
 [{"object": 1, "cell": 10, "start": 1200, "end": 1400},
  {"object": 2, "cell": 11, "start": 1000, "end": 1250},
@@ -43,12 +47,15 @@ cat > "$work_dir/batch2.json" <<'EOF'
 {"detections": [
  {"object": 2, "cell": 12, "start": 1700, "end": 1900},
  {"object": 2, "cell": 11, "start": 1300, "end": 1650},
- {"object": 1, "cell": 10, "start": 1750, "end": 2000}]}
+ {"object": 1, "cell": 10, "start": 1750, "end": 2000},
+ {"object": 1, "cell": 12, "start": 1600, "end": 1600},
+ {"object": 2, "cell": 11, "start": 1200, "end": 1240}]}
 EOF
 cat > "$work_dir/batch3.json" <<'EOF'
 [{"object": 3, "cell": 10, "start": "1970-01-01 00:40:00",
   "end": "1970-01-01 00:45:00"},
- {"object": 2, "cell": 10, "start": 1950, "end": 2300}]
+ {"object": 2, "cell": 10, "start": 1950, "end": 2300},
+ {"object": 1, "cell": 12, "start": 1900, "end": 2100}]
 EOF
 cat > "$work_dir/batch4.json" <<'EOF'
 [{"object": 4, "cell": 11, "start": 20000, "end": 20100}]
@@ -131,6 +138,33 @@ curl -s -X POST "$base/flush" > /dev/null
 curl -s "$base/stats" > "$work_dir/live_smoke_stats.json"
 echo "live_smoke: /stats ->"
 cat "$work_dir/live_smoke_stats.json"
+
+# The live path runs the batch build step, so its cleaning counters are
+# the ones a batch build of the same stream reports. By hand, with the
+# default builder options (no graph, 300 s merge gap):
+#   zero_duration_dropped 1: object 1's 1600-1600.
+#   contained_dropped     1: object 2's 1200-1240, inside 1000-1250.
+#   overlaps_clipped      1: object 1's 1900-2100 starts before 1750-2000
+#                            ends; it is clipped to start at 2001.
+#   graph_inconsistent_dropped 0: the server has no graph.
+#   merged_same_cell      1: object 2's cell 11 at 1300-1650 extends
+#                            1000-1250 (a 50 s gap).
+if ! python3 - "$work_dir/live_smoke_stats.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as fh:
+    cleaning = json.load(fh)["builder"]["cleaning"]
+expected = {"zero_duration_dropped": 1, "contained_dropped": 1,
+            "overlaps_clipped": 1, "graph_inconsistent_dropped": 0,
+            "merged_same_cell": 1}
+if cleaning != expected:
+    print(f"live_smoke: cleaning {cleaning}, expected {expected}")
+    sys.exit(1)
+EOF
+then
+  echo "live_smoke: /stats builder.cleaning does not match the hand count" >&2
+  exit 1
+fi
+echo "live_smoke: cleaning counters match"
 
 queries=(
   "projection=count"

@@ -23,118 +23,145 @@ BoundaryId InferTransition(const indoor::Nrg* graph, CellId from, CellId to) {
 
 }  // namespace
 
-Result<std::vector<SemanticTrajectory>> TrajectoryBuilder::Build(
-    std::vector<RawDetection> detections) {
-  report_ = BuildReport{};
-  report_.records_in = detections.size();
-  if (options_.default_annotations.empty()) {
+Status BuilderOptions::Validate() const {
+  if (default_annotations.empty()) {
     return Status::InvalidArgument(
-        "TrajectoryBuilder: default_annotations must be non-empty "
-        "(Def. 3.1 requires a non-empty A_traj)");
+        "builder.default_annotations must be non-empty (Def. 3.1 requires "
+        "a non-empty A_traj)");
   }
+  return Status::OK();
+}
 
-  // Group by object, ordered for deterministic output.
+bool DetectionBefore(const RawDetection& a, const RawDetection& b) {
+  if (a.start != b.start) return a.start < b.start;
+  return a.end < b.end;
+}
+
+Result<std::vector<std::vector<RawDetection>>> GroupByObject(
+    std::vector<RawDetection> detections) {
   std::map<ObjectId, std::vector<RawDetection>> by_object;
   for (RawDetection& d : detections) {
     if (!d.object.valid() || !d.cell.valid()) {
       return Status::InvalidArgument(
-          "TrajectoryBuilder: detection with invalid object or cell id");
+          "detection with invalid object or cell id");
     }
     by_object[d.object].push_back(std::move(d));
   }
-  report_.objects_seen = by_object.size();
-
-  std::vector<SemanticTrajectory> out;
-  TrajectoryId next_id = options_.first_trajectory_id;
-
+  std::vector<std::vector<RawDetection>> groups;
+  groups.reserve(by_object.size());
   for (auto& [object, records] : by_object) {
-    std::sort(records.begin(), records.end(),
-              [](const RawDetection& a, const RawDetection& b) {
-                if (a.start != b.start) return a.start < b.start;
-                return a.end < b.end;
-              });
-
-    // Cleaning pass: zero-duration, overlap clipping, graph filtering.
-    std::vector<RawDetection> clean;
-    for (const RawDetection& d : records) {
-      RawDetection cur = d;
-      if (options_.drop_zero_duration && cur.end <= cur.start) {
-        ++report_.zero_duration_dropped;
-        continue;
-      }
-      if (!clean.empty()) {
-        const RawDetection& prev = clean.back();
-        if (cur.end <= prev.end) {
-          // Entirely inside the previous detection: redundant.
-          ++report_.contained_dropped;
-          continue;
-        }
-        if (cur.start <= prev.end) {
-          // Sensor hand-over overlap: clip the start just past the
-          // previous end to keep presence intervals monotone.
-          cur.start = prev.end + Duration::Seconds(1);
-          ++report_.overlaps_clipped;
-          if (cur.start > cur.end) {
-            ++report_.zero_duration_dropped;
-            continue;
-          }
-        }
-        if (options_.drop_graph_inconsistent && options_.graph != nullptr &&
-            cur.cell != prev.cell) {
-          const std::vector<CellId> reach = options_.graph->Reachable(
-              prev.cell, indoor::EdgeType::kAccessibility);
-          if (std::find(reach.begin(), reach.end(), cur.cell) == reach.end()) {
-            ++report_.graph_inconsistent_dropped;
-            continue;
-          }
-        }
-      }
-      clean.push_back(cur);
-    }
-    if (clean.empty()) continue;
-
-    // Visit splitting + same-cell merging + trace assembly.
-    Trace trace;
-    auto flush = [&]() -> Status {
-      if (trace.empty()) return Status::OK();
-      SemanticTrajectory traj(next_id, object, std::move(trace),
-                              options_.default_annotations);
-      next_id = TrajectoryId(next_id.value() + 1);
-      SITM_RETURN_IF_ERROR(traj.Validate());
-      out.push_back(std::move(traj));
-      trace = Trace();
-      return Status::OK();
-    };
-
-    for (const RawDetection& d : clean) {
-      if (!trace.empty()) {
-        const PresenceInterval& last = trace.intervals().back();
-        const Duration gap = d.start - last.end();
-        if (gap > options_.session_gap) {
-          SITM_RETURN_IF_ERROR(flush());
-        } else if (d.cell == last.cell &&
-                   gap <= options_.same_cell_merge_gap) {
-          // Extend the ongoing presence in the same cell.
-          PresenceInterval merged = last;
-          merged.interval = *qsr::TimeInterval::Make(last.start(), d.end);
-          trace.mutable_intervals().back() = std::move(merged);
-          ++report_.merged_same_cell;
-          continue;
-        }
-      }
-      PresenceInterval p;
-      p.cell = d.cell;
-      p.interval = *qsr::TimeInterval::Make(d.start, d.end);
-      if (!trace.empty() && trace.intervals().back().cell != d.cell) {
-        p.transition =
-            InferTransition(options_.graph, trace.intervals().back().cell,
-                            d.cell);
-      }
-      trace.Append(std::move(p));
-    }
-    SITM_RETURN_IF_ERROR(flush());
+    groups.push_back(std::move(records));
   }
-  report_.trajectories_out = out.size();
+  return groups;
+}
+
+Status Assembler::Add(ObjectId object, OpenObject& state, RawDetection cur,
+                      std::vector<SemanticTrajectory>* out) {
+  // Cleaning: zero-duration, containment, overlap clipping, graph
+  // filtering — all against the last kept detection.
+  if (options_.drop_zero_duration && cur.end <= cur.start) {
+    ++report_.zero_duration_dropped;
+    return Status::OK();
+  }
+  if (state.last_kept) {
+    const RawDetection& prev = *state.last_kept;
+    if (cur.end <= prev.end) {
+      // Entirely inside the previous detection: redundant.
+      ++report_.contained_dropped;
+      return Status::OK();
+    }
+    if (cur.start <= prev.end) {
+      // Sensor hand-over overlap: clip the start just past the previous
+      // end to keep presence intervals monotone.
+      cur.start = prev.end + Duration::Seconds(1);
+      ++report_.overlaps_clipped;
+      if (cur.start > cur.end) {
+        ++report_.zero_duration_dropped;
+        return Status::OK();
+      }
+    }
+    if (options_.drop_graph_inconsistent && options_.graph != nullptr &&
+        cur.cell != prev.cell) {
+      const std::vector<CellId> reach = options_.graph->Reachable(
+          prev.cell, indoor::EdgeType::kAccessibility);
+      if (std::find(reach.begin(), reach.end(), cur.cell) == reach.end()) {
+        ++report_.graph_inconsistent_dropped;
+        return Status::OK();
+      }
+    }
+  }
+  state.last_kept = cur;
+
+  // Visit splitting + same-cell merging + trace assembly.
+  if (!state.trace.empty()) {
+    const PresenceInterval& last = state.trace.intervals().back();
+    const Duration gap = cur.start - last.end();
+    if (gap > options_.session_gap) {
+      SITM_RETURN_IF_ERROR(Flush(object, state, out));
+    } else if (cur.cell == last.cell && gap <= options_.same_cell_merge_gap) {
+      // Extend the ongoing presence in the same cell.
+      PresenceInterval merged = last;
+      merged.interval = *qsr::TimeInterval::Make(last.start(), cur.end);
+      state.trace.mutable_intervals().back() = std::move(merged);
+      ++report_.merged_same_cell;
+      return Status::OK();
+    }
+  }
+  PresenceInterval p;
+  p.cell = cur.cell;
+  p.interval = *qsr::TimeInterval::Make(cur.start, cur.end);
+  if (!state.trace.empty() &&
+      state.trace.intervals().back().cell != cur.cell) {
+    p.transition = InferTransition(
+        options_.graph, state.trace.intervals().back().cell, cur.cell);
+  }
+  state.trace.Append(std::move(p));
+  return Status::OK();
+}
+
+Status Assembler::Flush(ObjectId object, OpenObject& state,
+                        std::vector<SemanticTrajectory>* out) {
+  if (state.trace.empty()) return Status::OK();
+  SemanticTrajectory trajectory(next_id_, object, std::move(state.trace),
+                                options_.default_annotations);
+  next_id_ = TrajectoryId(next_id_.value() + 1);
+  state.trace = Trace();
+  SITM_RETURN_IF_ERROR(trajectory.Validate());
+  out->push_back(std::move(trajectory));
+  ++report_.trajectories_out;
+  return Status::OK();
+}
+
+Status Assembler::BuildObject(std::vector<RawDetection> detections,
+                              std::vector<SemanticTrajectory>* out) {
+  if (detections.empty()) return Status::OK();
+  const ObjectId object = detections.front().object;
+  std::sort(detections.begin(), detections.end(), DetectionBefore);
+  OpenObject state;
+  for (const RawDetection& d : detections) {
+    SITM_RETURN_IF_ERROR(Add(object, state, d, out));
+  }
+  return Flush(object, state, out);
+}
+
+Result<std::vector<SemanticTrajectory>> TrajectoryBuilder::Build(
+    std::vector<RawDetection> detections) {
+  report_ = BuildReport{};
+  report_.records_in = detections.size();
+  SITM_RETURN_IF_ERROR(options_.Validate());
+  Result<std::vector<std::vector<RawDetection>>> groups =
+      GroupByObject(std::move(detections));
+  if (!groups.ok()) return groups.status();
+
+  Assembler assembler(options_);
+  std::vector<SemanticTrajectory> out;
+  for (std::vector<RawDetection>& records : *groups) {
+    SITM_RETURN_IF_ERROR(assembler.BuildObject(std::move(records), &out));
+  }
+  const std::size_t records_in = report_.records_in;
+  report_ = assembler.report();
+  report_.records_in = records_in;
+  report_.objects_seen = groups->size();
   return out;
 }
 

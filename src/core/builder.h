@@ -1,5 +1,7 @@
 #pragma once
 
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -56,6 +58,9 @@ struct BuilderOptions {
   /// the previous detection's cell by one accessibility edge or by any
   /// path (teleports — localization glitches).
   bool drop_graph_inconsistent = false;
+
+  /// InvalidArgument when default_annotations is empty.
+  [[nodiscard]] Status Validate() const;
 };
 
 /// Counters describing what the builder did.
@@ -70,13 +75,68 @@ struct BuildReport {
   std::size_t trajectories_out = 0;
 };
 
+/// The order every build step consumes one object's detections in:
+/// by start, then by end.
+bool DetectionBefore(const RawDetection& a, const RawDetection& b);
+
+/// Groups detections by moving object, in object-id order; each group
+/// is non-empty and keeps input order. InvalidArgument on an invalid
+/// object or cell id.
+[[nodiscard]] Result<std::vector<std::vector<RawDetection>>> GroupByObject(
+    std::vector<RawDetection> detections);
+
+/// One moving object's build state between Assembler calls.
+struct OpenObject {
+  /// The last detection cleaning kept. Later detections are cleaned
+  /// against it, across session splits.
+  std::optional<RawDetection> last_kept;
+  /// The trace being assembled (empty between visits).
+  Trace trace;
+};
+
+/// \brief The build step, once for every builder: TrajectoryBuilder,
+/// BatchPipeline and live::IncrementalBuilder all run it.
+///
+/// Feed each object's detections to Add() in DetectionBefore order. Add
+/// cleans a detection against the object's last kept one (zero-duration
+/// drop, containment drop, overlap clip, graph filter), then splits the
+/// visit at a session gap, merges it into a same-cell presence, or
+/// appends it. Flush() closes the open trace. Trajectories are numbered
+/// from first_trajectory_id in emission order. report() counts the
+/// cleaning, the merges and trajectories_out; records_in and
+/// objects_seen belong to the caller that groups the input.
+class Assembler {
+ public:
+  explicit Assembler(BuilderOptions options)
+      : options_(std::move(options)), next_id_(options_.first_trajectory_id) {}
+
+  /// Cleans and assembles one detection of `object`; a session split
+  /// emits the finished trajectory into `out`.
+  [[nodiscard]] Status Add(ObjectId object, OpenObject& state,
+                           RawDetection detection,
+                           std::vector<SemanticTrajectory>* out);
+  /// Validates the open trace, if any, and emits it into `out`.
+  [[nodiscard]] Status Flush(ObjectId object, OpenObject& state,
+                             std::vector<SemanticTrajectory>* out);
+  /// One whole object (a GroupByObject group): sort, Add each, Flush.
+  [[nodiscard]] Status BuildObject(std::vector<RawDetection> detections,
+                                   std::vector<SemanticTrajectory>* out);
+
+  const BuildReport& report() const { return report_; }
+  /// The id the next emitted trajectory gets.
+  TrajectoryId next_id() const { return next_id_; }
+
+ private:
+  BuilderOptions options_;
+  BuildReport report_;
+  TrajectoryId next_id_;
+};
+
 /// \brief Assembles semantic trajectories from raw symbolic detections.
 ///
-/// Pipeline per moving object: sort by start time; drop zero-duration
-/// errors; clip overlapping detections (sensor hand-over overlap) to
-/// make time monotonic; split into visits at session gaps; merge
-/// consecutive same-cell detections; emit one SemanticTrajectory per
-/// visit with sequential ids.
+/// Groups by moving object, sorts each object's detections, and runs
+/// them through the Assembler: one SemanticTrajectory per visit, with
+/// sequential ids.
 class TrajectoryBuilder {
  public:
   explicit TrajectoryBuilder(BuilderOptions options = {})
@@ -96,4 +156,3 @@ class TrajectoryBuilder {
 };
 
 }  // namespace sitm::core
-

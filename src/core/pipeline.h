@@ -13,12 +13,11 @@
 
 namespace sitm::core {
 
-/// Options for the batched build -> enrich -> infer pipeline.
-struct PipelineOptions {
-  /// Cleaning and trace-assembly options, applied per shard. The
-  /// `first_trajectory_id` is honored globally: output ids are
-  /// sequential from it in (object, start time) order, exactly as the
-  /// sequential TrajectoryBuilder would assign them.
+/// \brief The build and per-trajectory stage settings that the batch
+/// pipeline and the live builder share, with the one implementation of
+/// their config checks and stage order.
+struct StageOptions {
+  /// Cleaning and trace-assembly options (see Assembler).
   BuilderOptions builder;
 
   /// Enrichment rules applied to every built trajectory; empty = skip
@@ -36,6 +35,24 @@ struct PipelineOptions {
   /// then `builder.graph`. Required when `infer_hidden_passages`.
   const indoor::Nrg* inference_graph = nullptr;
 
+  /// InvalidArgument on empty builder.default_annotations, or on an
+  /// enabled stage that has no graph after defaulting.
+  [[nodiscard]] Status Validate() const;
+
+  /// Runs the enabled stages on one built trajectory: enrichment, then
+  /// inference, adding their counters to the reports. Both read only
+  /// this trajectory's trace, never its id, so they may run before or
+  /// after ids are final.
+  [[nodiscard]] Status Apply(SemanticTrajectory* trajectory,
+                             EnrichmentReport* enrichment_report,
+                             InferenceReport* inference_report) const;
+};
+
+/// Options for the batched build -> enrich -> infer pipeline. The
+/// builder's `first_trajectory_id` is honored globally: output ids are
+/// sequential from it in (object, start time) order, exactly as the
+/// sequential TrajectoryBuilder would assign them.
+struct PipelineOptions : StageOptions {
   /// Runner to execute the shard task graph on (borrowed; not owned).
   /// Entry points pass a sched::Executor; core itself holds only the
   /// base interface — the layering manifest keeps core below sched.
@@ -44,7 +61,7 @@ struct PipelineOptions {
   TaskRunner* executor = nullptr;
 
   /// Moving objects per build shard (>= 1; smaller shards balance
-  /// better, larger ones amortize per-shard builder setup).
+  /// better, larger ones amortize per-shard setup).
   std::size_t objects_per_shard = 32;
 };
 

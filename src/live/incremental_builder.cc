@@ -5,77 +5,28 @@
 
 namespace sitm::live {
 
-namespace {
-
-/// Exact replica of the batch builder's transition inference: the
-/// boundary of the single accessibility edge between the cells, or
-/// Invalid when none or several exist. Kept in sync with
-/// core/builder.cc (pinned by the equivalence property test, which
-/// compares full traces — boundary ids included).
-BoundaryId InferTransition(const indoor::Nrg* graph, CellId from, CellId to) {
-  if (graph == nullptr) return BoundaryId::Invalid();
-  BoundaryId found = BoundaryId::Invalid();
-  int matches = 0;
-  for (const indoor::NrgEdge& e :
-       graph->OutEdges(from, indoor::EdgeType::kAccessibility)) {
-    if (e.to != to) continue;
-    ++matches;
-    found = e.boundary;
-  }
-  return matches == 1 ? found : BoundaryId::Invalid();
-}
-
-bool DetectionBefore(const core::RawDetection& a, const core::RawDetection& b) {
-  if (a.start != b.start) return a.start < b.start;
-  return a.end < b.end;
-}
-
-}  // namespace
-
 IncrementalBuilder::IncrementalBuilder(IncrementalOptions options)
-    : options_(std::move(options)), next_id_(options_.builder.first_trajectory_id) {
-  enrich_graph_ = options_.enrichment_graph != nullptr
-                      ? options_.enrichment_graph
-                      : options_.builder.graph;
-  infer_graph_ =
-      options_.inference_graph != nullptr ? options_.inference_graph
-                                          : enrich_graph_;
-}
-
-Status IncrementalBuilder::CheckConfig() const {
-  if (options_.builder.default_annotations.empty()) {
-    return Status::InvalidArgument(
-        "IncrementalBuilder: builder.default_annotations must be non-empty "
-        "(Def. 3.1 requires a non-empty A_traj)");
-  }
-  if (!options_.rules.empty() && enrich_graph_ == nullptr) {
-    return Status::InvalidArgument(
-        "IncrementalBuilder: enrichment rules need enrichment_graph (or "
-        "builder.graph)");
-  }
-  if (options_.infer_hidden_passages && infer_graph_ == nullptr) {
-    return Status::InvalidArgument(
-        "IncrementalBuilder: infer_hidden_passages needs inference_graph "
-        "(or enrichment_graph / builder.graph)");
-  }
-  return Status::OK();
-}
+    : options_(std::move(options)), assembler_(options_.builder) {}
 
 Status IncrementalBuilder::Ingest(
     const std::vector<core::RawDetection>& batch,
     std::vector<core::SemanticTrajectory>* finalized) {
-  SITM_RETURN_IF_ERROR(CheckConfig());
+  SITM_RETURN_IF_ERROR(options_.Validate());
+  // All or nothing: check every id before admitting any detection.
+  for (const core::RawDetection& d : batch) {
+    if (!d.object.valid() || !d.cell.valid()) {
+      return Status::InvalidArgument(
+          "IncrementalBuilder: detection with invalid object or cell id");
+    }
+  }
   stats_.records_in += batch.size();
+  const std::size_t first = finalized->size();
 
   // Admission: lateness is judged against the watermark as of the
   // PREVIOUS batch — everything admitted here still sorts after every
   // already-consumed detection (consumed starts are strictly below
   // that watermark).
   for (const core::RawDetection& d : batch) {
-    if (!d.object.valid() || !d.cell.valid()) {
-      return Status::InvalidArgument(
-          "IncrementalBuilder: detection with invalid object or cell id");
-    }
     if (stats_.has_watermark && d.start < stats_.watermark) {
       ++stats_.late_dropped;
       continue;
@@ -109,12 +60,13 @@ Status IncrementalBuilder::Ingest(
     for (auto& [object, state] : objects_) {
       SITM_RETURN_IF_ERROR(ConsumeReady(object, state, stats_.watermark,
                                         /*consume_all=*/false, finalized));
-      if (!state.trace.empty() &&
-          stats_.watermark - state.trace.end() > options_.builder.session_gap) {
+      if (!state.open.trace.empty() &&
+          stats_.watermark - state.open.trace.end() >
+              options_.builder.session_gap) {
         // Any future admission starts at or after the watermark, so its
         // session gap from this trace is even larger (cleaning can only
         // move starts later): the batch builder splits here too.
-        SITM_RETURN_IF_ERROR(FlushTrace(object, state, finalized));
+        SITM_RETURN_IF_ERROR(assembler_.Flush(object, state.open, finalized));
       }
     }
   }
@@ -126,127 +78,40 @@ Status IncrementalBuilder::Ingest(
          objects_.size() > options_.max_open_objects) {
     SITM_RETURN_IF_ERROR(EvictOne(finalized));
   }
-
-  UpdateFootprint();
-  return Status::OK();
+  return Finalize(first, finalized);
 }
 
 Status IncrementalBuilder::Drain(
     std::vector<core::SemanticTrajectory>* finalized) {
-  SITM_RETURN_IF_ERROR(CheckConfig());
+  SITM_RETURN_IF_ERROR(options_.Validate());
+  const std::size_t first = finalized->size();
   for (auto& [object, state] : objects_) {
     SITM_RETURN_IF_ERROR(ConsumeReady(object, state, Timestamp(),
                                       /*consume_all=*/true, finalized));
-    SITM_RETURN_IF_ERROR(FlushTrace(object, state, finalized));
+    SITM_RETURN_IF_ERROR(assembler_.Flush(object, state.open, finalized));
   }
   objects_.clear();
   stats_.buffered_detections = 0;
-  UpdateFootprint();
-  return Status::OK();
+  return Finalize(first, finalized);
 }
 
 Status IncrementalBuilder::ConsumeReady(
     ObjectId object, ObjectState& state, Timestamp watermark, bool consume_all,
     std::vector<core::SemanticTrajectory>* out) {
   if (state.pending.empty()) return Status::OK();
-  std::sort(state.pending.begin(), state.pending.end(), DetectionBefore);
+  std::sort(state.pending.begin(), state.pending.end(), core::DetectionBefore);
 
   std::size_t consumed = 0;
   while (consumed < state.pending.size() &&
          (consume_all || state.pending[consumed].start < watermark)) {
-    // The cleaning pass, verbatim from core::TrajectoryBuilder::Build:
-    // zero-duration drop, containment drop, overlap clip, graph
-    // filtering — all against the last KEPT detection, which persists
-    // across session splits.
-    core::RawDetection cur = state.pending[consumed];
+    SITM_RETURN_IF_ERROR(
+        assembler_.Add(object, state.open, state.pending[consumed], out));
     ++consumed;
-    if (options_.builder.drop_zero_duration && cur.end <= cur.start) {
-      continue;
-    }
-    if (state.has_prev_clean) {
-      const core::RawDetection& prev = state.prev_clean;
-      if (cur.end <= prev.end) continue;  // contained: redundant
-      if (cur.start <= prev.end) {
-        cur.start = prev.end + Duration::Seconds(1);
-        if (cur.start > cur.end) continue;
-      }
-      if (options_.builder.drop_graph_inconsistent &&
-          options_.builder.graph != nullptr && cur.cell != prev.cell) {
-        const std::vector<CellId> reach = options_.builder.graph->Reachable(
-            prev.cell, indoor::EdgeType::kAccessibility);
-        if (std::find(reach.begin(), reach.end(), cur.cell) == reach.end()) {
-          continue;
-        }
-      }
-    }
-    state.prev_clean = cur;
-    state.has_prev_clean = true;
-    SITM_RETURN_IF_ERROR(Assemble(object, state, cur, out));
   }
   state.pending.erase(state.pending.begin(),
                       state.pending.begin() +
                           static_cast<std::ptrdiff_t>(consumed));
   stats_.buffered_detections -= consumed;
-  return Status::OK();
-}
-
-Status IncrementalBuilder::Assemble(
-    ObjectId object, ObjectState& state, const core::RawDetection& cur,
-    std::vector<core::SemanticTrajectory>* out) {
-  if (!state.trace.empty()) {
-    const core::PresenceInterval& last = state.trace.intervals().back();
-    const Duration gap = cur.start - last.end();
-    if (gap > options_.builder.session_gap) {
-      SITM_RETURN_IF_ERROR(FlushTrace(object, state, out));
-    } else if (cur.cell == last.cell &&
-               gap <= options_.builder.same_cell_merge_gap) {
-      core::PresenceInterval merged = last;
-      merged.interval = *qsr::TimeInterval::Make(last.start(), cur.end);
-      state.trace.mutable_intervals().back() = std::move(merged);
-      return Status::OK();
-    }
-  }
-  core::PresenceInterval p;
-  p.cell = cur.cell;
-  p.interval = *qsr::TimeInterval::Make(cur.start, cur.end);
-  if (!state.trace.empty() &&
-      state.trace.intervals().back().cell != cur.cell) {
-    p.transition = InferTransition(options_.builder.graph,
-                                   state.trace.intervals().back().cell,
-                                   cur.cell);
-  }
-  state.trace.Append(std::move(p));
-  return Status::OK();
-}
-
-Status IncrementalBuilder::FlushTrace(
-    ObjectId object, ObjectState& state,
-    std::vector<core::SemanticTrajectory>* out) {
-  if (state.trace.empty()) return Status::OK();
-  core::SemanticTrajectory trajectory(next_id_, object, std::move(state.trace),
-                                      options_.builder.default_annotations);
-  next_id_ = TrajectoryId(next_id_.value() + 1);
-  state.trace = core::Trace();
-  SITM_RETURN_IF_ERROR(trajectory.Validate());
-
-  // The BatchPipeline's per-trajectory stages, in its order. Both read
-  // only this trajectory's trace — never ids or other trajectories —
-  // so applying them at finalization time commutes with batch's
-  // build-everything-then-enrich schedule.
-  if (!options_.rules.empty()) {
-    Result<core::EnrichmentReport> enriched =
-        core::EnrichTrajectory(&trajectory, *enrich_graph_, options_.rules);
-    if (!enriched.ok()) return enriched.status();
-  }
-  if (options_.infer_hidden_passages) {
-    Result<std::pair<core::SemanticTrajectory, core::InferenceReport>>
-        inferred = core::InferHiddenPassages(trajectory, *infer_graph_,
-                                             options_.inference);
-    if (!inferred.ok()) return inferred.status();
-    trajectory = std::move(inferred->first);
-  }
-  out->push_back(std::move(trajectory));
-  ++stats_.finalized;
   return Status::OK();
 }
 
@@ -263,8 +128,22 @@ Status IncrementalBuilder::EvictOne(
   ++stats_.evicted_objects;
   SITM_RETURN_IF_ERROR(ConsumeReady(victim->first, victim->second, Timestamp(),
                                     /*consume_all=*/true, out));
-  SITM_RETURN_IF_ERROR(FlushTrace(victim->first, victim->second, out));
+  SITM_RETURN_IF_ERROR(
+      assembler_.Flush(victim->first, victim->second.open, out));
   objects_.erase(victim);
+  return Status::OK();
+}
+
+Status IncrementalBuilder::Finalize(
+    std::size_t first, std::vector<core::SemanticTrajectory>* out) {
+  core::EnrichmentReport enrichment;
+  core::InferenceReport inference;
+  for (std::size_t i = first; i < out->size(); ++i) {
+    SITM_RETURN_IF_ERROR(options_.Apply(&(*out)[i], &enrichment, &inference));
+  }
+  stats_.finalized += out->size() - first;
+  stats_.build = assembler_.report();
+  UpdateFootprint();
   return Status::OK();
 }
 

@@ -6,21 +6,16 @@
 
 #include "base/result.h"
 #include "core/builder.h"
-#include "core/enrichment.h"
-#include "core/inference.h"
+#include "core/pipeline.h"
 #include "core/trajectory.h"
-#include "indoor/nrg.h"
 
 namespace sitm::live {
 
-/// Options for the streaming builder. `builder` carries the exact
-/// cleaning/assembly knobs of the batch core::TrajectoryBuilder; the
-/// enrichment/inference fields mirror core::PipelineOptions (same graph
-/// defaulting), so a stream finalized here goes through the same
-/// per-trajectory stages a BatchPipeline run would apply.
-struct IncrementalOptions {
-  core::BuilderOptions builder;
-
+/// Options for the streaming builder. The inherited core::StageOptions
+/// are the batch pipeline's own: the same build step, config checks,
+/// graph defaulting and per-trajectory stages. Only the two streaming
+/// bounds below are live-specific.
+struct IncrementalOptions : core::StageOptions {
   /// How far event time may run behind the maximum start time seen
   /// before a detection counts as late. The watermark is
   /// `max(start seen) - allowed_lateness`; arrivals starting before it
@@ -33,15 +28,6 @@ struct IncrementalOptions {
   /// — see IncrementalBuilder's eviction note for the (documented,
   /// counted) divergence from batch semantics this can introduce.
   std::size_t max_open_objects = 0;
-
-  /// Enrichment rules applied to every finalized trajectory; empty =
-  /// skip. Graph defaulting matches core::PipelineOptions: enrichment
-  /// falls back to builder.graph, inference to the enrichment graph.
-  std::vector<core::EnrichmentRule> rules;
-  const indoor::Nrg* enrichment_graph = nullptr;
-  bool infer_hidden_passages = false;
-  core::InferenceOptions inference;
-  const indoor::Nrg* inference_graph = nullptr;
 };
 
 /// Observable state of the stream (monotone counters plus the current
@@ -60,12 +46,20 @@ struct IncrementalStats {
   /// High-water marks of the two fields above.
   std::size_t peak_open_objects = 0;
   std::size_t peak_buffered_detections = 0;
+  /// The shared build step's counters (core::Assembler::report());
+  /// its records_in and objects_seen stay zero.
+  core::BuildReport build;
 };
 
-/// \brief Streaming counterpart of core::TrajectoryBuilder +
-/// BatchPipeline's per-trajectory stages: consumes raw detections out
-/// of arrival order and emits finalized semantic trajectories once the
-/// watermark guarantees no earlier-sorting detection can still arrive.
+/// \brief Streaming front end of the build step: consumes raw
+/// detections out of arrival order and emits finalized semantic
+/// trajectories once the watermark guarantees no earlier-sorting
+/// detection can still arrive.
+///
+/// Only admission, lateness, the pending buffer, the watermark sweep,
+/// eviction and the footprint stats are streaming-specific. Cleaning and
+/// assembly are the batch builders' core::Assembler, and finalized
+/// trajectories pass through core::StageOptions::Apply.
 ///
 /// Equivalence contract (pinned by tests/live_equivalence_property_test
 /// through the full live stack): feed any permutation of a detection
@@ -82,10 +76,8 @@ struct IncrementalStats {
 ///    detection started before any future admission (late arrivals
 ///    below W are dropped by definition), and a tie at W stays
 ///    buffered — an equal-start, smaller-end arrival must still sort
-///    first — so the consumed sequence IS the batch sort order.
-///  - Cleaning state (the last *kept* detection) persists per object
-///    across session splits, exactly like the batch cleaning pass,
-///    which runs over the whole object before any splitting.
+///    first — so the consumed sequence IS the batch sort order, and the
+///    assembler's per-object state sees what batch would.
 ///  - An open trace flushes once W - trace.end() exceeds the session
 ///    gap: any future detection starts at or after W, so its gap from
 ///    the trace is even larger (overlap clipping only moves starts
@@ -106,7 +98,9 @@ class IncrementalBuilder {
 
   /// Ingests one batch (any order, any objects), appending every
   /// trajectory finalized by the resulting watermark advance — and by
-  /// any eviction it forces — to `finalized`.
+  /// any eviction it forces — to `finalized`. A batch holding an invalid
+  /// object or cell id is rejected whole: nothing of it is admitted or
+  /// counted.
   [[nodiscard]] Status Ingest(const std::vector<core::RawDetection>& batch,
                               std::vector<core::SemanticTrajectory>* finalized);
 
@@ -120,50 +114,38 @@ class IncrementalBuilder {
 
   /// Next provisional trajectory id (what the next finalized trajectory
   /// will be numbered).
-  TrajectoryId next_id() const { return next_id_; }
+  TrajectoryId next_id() const { return assembler_.next_id(); }
 
  private:
   struct ObjectState {
-    /// Admitted, not yet consumed; kept sorted by (start, end) lazily
-    /// (sorted at consumption).
+    /// Admitted, not yet consumed; sorted by core::DetectionBefore at
+    /// consumption.
     std::vector<core::RawDetection> pending;
-    /// Cleaning state: the last detection the cleaning pass kept.
-    bool has_prev_clean = false;
-    core::RawDetection prev_clean;
-    /// The open (being-assembled) trajectory.
-    core::Trace trace;
+    /// The assembler's state: last kept detection and open trace.
+    core::OpenObject open;
     /// Ingest-sequence number of the last admission (eviction order).
     std::uint64_t last_activity = 0;
   };
 
-  [[nodiscard]] Status CheckConfig() const;
-  /// Consumes `state`'s sorted pending prefix below `watermark` (all of
-  /// it when `consume_all`) through cleaning + assembly.
+  /// Feeds `state`'s sorted pending prefix below `watermark` (all of it
+  /// when `consume_all`) to the assembler.
   [[nodiscard]] Status ConsumeReady(ObjectId object, ObjectState& state,
                                     Timestamp watermark, bool consume_all,
                                     std::vector<core::SemanticTrajectory>* out);
-  /// One cleaned detection through session split / merge / append —
-  /// the exact batch assembly step.
-  [[nodiscard]] Status Assemble(ObjectId object, ObjectState& state,
-                                const core::RawDetection& cur,
-                                std::vector<core::SemanticTrajectory>* out);
-  /// Finalizes the open trace (validate, enrich, infer) into `out`.
-  [[nodiscard]] Status FlushTrace(ObjectId object, ObjectState& state,
-                                  std::vector<core::SemanticTrajectory>* out);
   /// Force-finalizes and forgets the least-recently-active object.
   [[nodiscard]] Status EvictOne(std::vector<core::SemanticTrajectory>* out);
+  /// Runs the per-trajectory stages on out[first..] and updates stats.
+  [[nodiscard]] Status Finalize(std::size_t first,
+                                std::vector<core::SemanticTrajectory>* out);
   void UpdateFootprint();
 
   IncrementalOptions options_;
-  /// Resolved per-trajectory stage graphs (PipelineOptions defaulting).
-  const indoor::Nrg* enrich_graph_ = nullptr;
-  const indoor::Nrg* infer_graph_ = nullptr;
+  core::Assembler assembler_;
   /// Ordered so watermark sweeps visit objects deterministically.
   std::map<ObjectId, ObjectState> objects_;
   bool has_max_start_ = false;
   Timestamp max_start_;
   std::uint64_t activity_seq_ = 0;
-  TrajectoryId next_id_;
   IncrementalStats stats_;
 };
 

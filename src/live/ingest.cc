@@ -136,6 +136,18 @@ io::JsonValue RenderStats(const IncrementalStats& builder,
           static_cast<std::int64_t>(builder.peak_open_objects));
   MustSet(b, "peak_buffered_detections",
           static_cast<std::int64_t>(builder.peak_buffered_detections));
+  io::JsonValue cleaning{io::JsonValue::Object{}};
+  MustSet(cleaning, "zero_duration_dropped",
+          static_cast<std::int64_t>(builder.build.zero_duration_dropped));
+  MustSet(cleaning, "contained_dropped",
+          static_cast<std::int64_t>(builder.build.contained_dropped));
+  MustSet(cleaning, "overlaps_clipped",
+          static_cast<std::int64_t>(builder.build.overlaps_clipped));
+  MustSet(cleaning, "graph_inconsistent_dropped",
+          static_cast<std::int64_t>(builder.build.graph_inconsistent_dropped));
+  MustSet(cleaning, "merged_same_cell",
+          static_cast<std::int64_t>(builder.build.merged_same_cell));
+  MustSet(b, "cleaning", std::move(cleaning));
   MustSet(doc, "builder", std::move(b));
 
   io::JsonValue s{io::JsonValue::Object{}};

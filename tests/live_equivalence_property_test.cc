@@ -76,12 +76,7 @@ core::PipelineOptions BatchOptions() {
 IncrementalOptions StreamOptions(Duration lateness) {
   const core::PipelineOptions batch = BatchOptions();
   IncrementalOptions options;
-  options.builder = batch.builder;
-  options.rules = batch.rules;
-  options.enrichment_graph = batch.enrichment_graph;
-  options.infer_hidden_passages = batch.infer_hidden_passages;
-  options.inference = batch.inference;
-  options.inference_graph = batch.inference_graph;
+  static_cast<core::StageOptions&>(options) = batch;
   options.allowed_lateness = lateness;
   return options;
 }
@@ -273,6 +268,16 @@ TEST_P(LiveEquivalenceSweep, StreamedStoreAnswersMatchBatch) {
       // The lateness bound was computed to admit everything.
       EXPECT_EQ(builder.stats().late_dropped, 0u);
       EXPECT_EQ(builder.stats().finalized, reference->size());
+      // The cleaning counters are the shared build step's, on both paths.
+      const core::BuildReport& live_build = builder.stats().build;
+      const core::BuildReport& batch_build = batch.report().build;
+      EXPECT_EQ(live_build.zero_duration_dropped,
+                batch_build.zero_duration_dropped);
+      EXPECT_EQ(live_build.contained_dropped, batch_build.contained_dropped);
+      EXPECT_EQ(live_build.overlaps_clipped, batch_build.overlaps_clipped);
+      EXPECT_EQ(live_build.graph_inconsistent_dropped,
+                batch_build.graph_inconsistent_dropped);
+      EXPECT_EQ(live_build.merged_same_cell, batch_build.merged_same_cell);
 
       // Query over the live view: sealed segments + unsealed tail.
       auto snapshot = store.Snapshot(

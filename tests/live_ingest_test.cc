@@ -143,6 +143,11 @@ TEST(RenderStatsTest, EmitsEveryCounterAsValidJson) {
   builder.late_dropped = 2;
   builder.finalized = 3;
   builder.peak_open_objects = 4;
+  builder.build.zero_duration_dropped = 6;
+  builder.build.contained_dropped = 7;
+  builder.build.overlaps_clipped = 8;
+  builder.build.graph_inconsistent_dropped = 9;
+  builder.build.merged_same_cell = 11;
   SegmentStoreStats store;
   store.segments = 5;
   store.compactions = 1;
@@ -157,6 +162,14 @@ TEST(RenderStatsTest, EmitsEveryCounterAsValidJson) {
   EXPECT_EQ(b->Get("records_in").value()->AsInt().value(), 10);
   EXPECT_EQ(b->Get("late_dropped").value()->AsInt().value(), 2);
   EXPECT_EQ(b->Get("peak_open_objects").value()->AsInt().value(), 4);
+  const io::JsonValue* cleaning = b->Get("cleaning").value();
+  EXPECT_EQ(cleaning->Get("zero_duration_dropped").value()->AsInt().value(),
+            6);
+  EXPECT_EQ(cleaning->Get("contained_dropped").value()->AsInt().value(), 7);
+  EXPECT_EQ(cleaning->Get("overlaps_clipped").value()->AsInt().value(), 8);
+  EXPECT_EQ(
+      cleaning->Get("graph_inconsistent_dropped").value()->AsInt().value(), 9);
+  EXPECT_EQ(cleaning->Get("merged_same_cell").value()->AsInt().value(), 11);
   const io::JsonValue* s = parsed->Get("store").value();
   EXPECT_EQ(s->Get("segments").value()->AsInt().value(), 5);
   EXPECT_EQ(s->Get("compactions").value()->AsInt().value(), 1);
