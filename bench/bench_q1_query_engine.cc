@@ -13,6 +13,8 @@
 #include "core/pipeline.h"
 #include "louvre/museum.h"
 #include "louvre/simulator.h"
+#include "mining/patterns.h"
+#include "mining/similarity.h"
 #include "query/executor.h"
 #include "query/planner.h"
 #include "query/result_cache.h"
@@ -414,12 +416,70 @@ void BM_QueryEpisodeOverlapInMemory(benchmark::State& state) {
 }
 BENCHMARK(BM_QueryEpisodeOverlapInMemory)->Unit(benchmark::kMillisecond);
 
+/// The exhaustive top-k answer's fingerprint: EditSimilarity on every
+/// match of `q`, ranked by (similarity desc, id asc), cut at k.
+std::string TopKOracle(const query::Query& q) {
+  const query::Predicate where = Unwrap(q.where.Bind(Context()));
+  const std::vector<CellId> probe = mining::CellSequenceOf(*q.top_k.probe);
+  query::QueryResult expected;
+  expected.projection = query::Projection::kTopK;
+  for (const core::SemanticTrajectory& t : Trajectories()) {
+    if (!where.MatchesTrajectory(t)) continue;
+    expected.count += 1;
+    expected.top_k.push_back(
+        {t.id(), mining::EditSimilarity(probe, mining::CellSequenceOf(t),
+                                        mining::UnitCellCost())});
+  }
+  std::sort(expected.top_k.begin(), expected.top_k.end(),
+            [](const query::ScoredTrajectory& a,
+               const query::ScoredTrajectory& b) {
+              if (a.similarity != b.similarity) {
+                return a.similarity > b.similarity;
+              }
+              return a.trajectory < b.trajectory;
+            });
+  if (expected.top_k.size() > q.top_k.k) expected.top_k.resize(q.top_k.k);
+  return expected.Fingerprint();
+}
+
+/// Checks a top-k query against the exhaustive oracle, in memory and on
+/// the indexed store (which holds the same trajectories under the same
+/// ids), before it is timed; exits 1 on a mismatch, like the fingerprint
+/// checks in Report(). The timed probe's cell sequence is common, so its
+/// top 10 all tie at similarity 1; the same query probed with the
+/// longest trace also reaches the scores the running cutoff prunes.
+void CheckTopK(const query::QueryExecutor& executor, query::Query q) {
+  const storage::EventStoreReader store = OpenStore(kIndexedStorePath);
+  const core::SemanticTrajectory& longest = *std::max_element(
+      Trajectories().begin(), Trajectories().end(),
+      [](const core::SemanticTrajectory& a,
+         const core::SemanticTrajectory& b) {
+        return a.trace().size() < b.trace().size();
+      });
+  for (const core::SemanticTrajectory* probe : {q.top_k.probe, &longest}) {
+    q.top_k.probe = probe;
+    const std::string expected = TopKOracle(q);
+    const bool in_memory =
+        Unwrap(executor.Run(q, Trajectories())).Fingerprint() == expected;
+    const bool from_store =
+        Unwrap(executor.Run(q, store)).Fingerprint() == expected;
+    if (!in_memory || !from_store) {
+      std::fprintf(stderr,
+                   "BENCH Q1 FAILED: top-k answer %s differs from the "
+                   "exhaustive oracle\n",
+                   in_memory ? "from the store" : "in memory");
+      std::exit(1);
+    }
+  }
+}
+
 void BM_QueryTopKSimilarity(benchmark::State& state) {
   query::QueryExecutor executor(Context());
   query::Query q;
   q.projection = query::Projection::kTopK;
   q.top_k.k = 10;
   q.top_k.probe = &Trajectories().front();
+  CheckTopK(executor, q);
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.Run(q, Trajectories()));
   }
@@ -437,6 +497,7 @@ void BM_QueryTopKSimilarityScheduled(benchmark::State& state) {
   q.projection = query::Projection::kTopK;
   q.top_k.k = 10;
   q.top_k.probe = &Trajectories().front();
+  CheckTopK(executor, q);
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.Run(q, Trajectories()));
   }

@@ -185,6 +185,15 @@ int main() {
                 hit.similarity);
   }
   PrintStats(similar);
+  // The store answers the same ranking from its decoded columns: the
+  // plan is exact, so no trajectory is built.
+  const auto similar_stored = Unwrap(executor.Run(similar_query, store));
+  if (similar_stored.Fingerprint() != similar.Fingerprint()) {
+    std::cerr << "FATAL: store top-k differs from the in-memory one\n";
+    return 1;
+  }
+  std::printf("    same ranking from the store:\n");
+  PrintStats(similar_stored);
 
   std::remove(store_path.c_str());
   std::printf("\nquery cookbook done.\n");

@@ -90,6 +90,17 @@ double EditDistanceBounded(const std::vector<CellId>& a,
   return prev[m] <= cutoff ? prev[m] : kInf;
 }
 
+double EditDistanceCutoff(double similarity, std::size_t longest) {
+  const double length = static_cast<double>(longest);
+  const double share = 1.0 - similarity;
+  // Each rounding step is off by a few units in the last place of
+  // magnitudes up to (|similarity| + |share| + 1) * length; a relative
+  // slack of 1e-9 covers them many times over and admits at most a
+  // sliver of extra DP work.
+  return share * length +
+         (std::abs(similarity) + std::abs(share) + 1.0) * length * 1e-9;
+}
+
 double EditSimilarity(const std::vector<CellId>& a,
                       const std::vector<CellId>& b,
                       const CellCost& substitution_cost) {

@@ -45,6 +45,14 @@ double EditDistanceBounded(const std::vector<CellId>& a,
                            const std::vector<CellId>& b,
                            const CellCost& substitution_cost, double cutoff);
 
+/// \brief The EditDistanceBounded cutoff that keeps every pair of
+/// longer length `longest` whose EditSimilarity is at least
+/// `similarity`: (1 - similarity) * longest, loosened past the rounding
+/// of both that product and EditSimilarity's own 1 - d / longest, so a
+/// distance computed back from a similarity is always accepted at it.
+/// Holds for any non-negative substitution cost.
+double EditDistanceCutoff(double similarity, std::size_t longest);
+
 /// 1 - EditDistance / max(|a|, |b|); 1 for two empty sequences. The
 /// length-difference lower bound (EditDistance >= ||a| - |b||) makes
 /// ||a| - |b|| >= max(|a|, |b|) imply similarity 0 without running the

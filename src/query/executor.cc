@@ -1,6 +1,7 @@
 #include "query/executor.h"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <sstream>
 #include <utility>
@@ -19,6 +20,7 @@ struct BoundQuery {
   Predicate tuple_where;
   mining::CellCost cost;              // kTopK
   std::vector<CellId> probe_cells;    // kTopK
+  std::size_t k = 0;                  // kTopK
   /// Episode extraction is O(trace) per trajectory: do it before the
   /// where-filter only when the filter actually reads episodes, and
   /// after it only when the projection does.
@@ -44,9 +46,13 @@ struct Fragment {
   std::vector<TupleRow> tuples;
   std::vector<TrajectoryId> ids;
   std::vector<EpisodeRow> episodes;
+  /// kTopK: a heap of at most k entries under ScoredBefore, its top
+  /// the fragment's k-th best so far.
   std::vector<ScoredTrajectory> scored;
+  std::vector<CellId> cells;  // kTopK scratch: the scored cell sequence
   std::uint64_t considered = 0;
   std::uint64_t matched = 0;
+  std::uint64_t built = 0;
   Status status;  // block units: decode failures surface in unit order
 };
 
@@ -56,16 +62,59 @@ bool ScoredBefore(const ScoredTrajectory& a, const ScoredTrajectory& b) {
   return a.trajectory < b.trajectory;
 }
 
-/// Caps a fragment's kTopK candidates at the query's k. Any global
-/// top-k entry is necessarily in its own fragment's top-k, so trimming
-/// per fragment never changes the merged answer — it just keeps memory
-/// and the final sort bounded by fragments x k instead of the corpus.
-void TrimTopK(Fragment& fragment, std::size_t k) {
-  if (fragment.scored.size() <= k) return;
-  std::partial_sort(fragment.scored.begin(),
-                    fragment.scored.begin() + static_cast<std::ptrdiff_t>(k),
-                    fragment.scored.end(), ScoredBefore);
-  fragment.scored.resize(k);
+/// Sets `cells` to a trace's cell sequence with runs collapsed, as
+/// mining::CellSequenceOf does.
+void SetCells(const core::SemanticTrajectory& trajectory,
+              std::vector<CellId>& cells) {
+  cells.clear();
+  for (const core::PresenceInterval& p : trajectory.trace().intervals()) {
+    if (cells.empty() || cells.back() != p.cell) cells.push_back(p.cell);
+  }
+}
+void SetCells(const storage::TrajectoryView& view, std::vector<CellId>& cells) {
+  cells.clear();
+  for (std::size_t r = 0; r < view.rows; ++r) {
+    const CellId cell(view.cells[r]);
+    if (cells.empty() || cells.back() != cell) cells.push_back(cell);
+  }
+}
+
+/// Offers trajectory `id`, whose cell sequence is `fragment.cells`, to
+/// the fragment's top-k heap. Any global top-k entry is in its own
+/// fragment's top-k, so per-fragment heaps never change the merged
+/// answer. Once the heap is full, the k-th best similarity s_k bounds
+/// the edit distance worth computing, d <= (1 - s_k) * max(|a|, |b|),
+/// and the banded DP stops past it: a candidate it rejects scores
+/// strictly below s_k. One it accepts gets its exact distance, hence
+/// EditSimilarity's exact value, and ScoredBefore alone decides whether
+/// it displaces the k-th — so ties keep ascending-id order.
+void ScoreTopK(const BoundQuery& bound, TrajectoryId id, Fragment& fragment) {
+  std::vector<ScoredTrajectory>& heap = fragment.scored;
+  if (bound.k == 0) return;
+  ScoredTrajectory scored;
+  scored.trajectory = id;
+  if (heap.size() < bound.k) {
+    scored.similarity =
+        mining::EditSimilarity(bound.probe_cells, fragment.cells, bound.cost);
+    heap.push_back(scored);
+    std::push_heap(heap.begin(), heap.end(), ScoredBefore);
+    return;
+  }
+  const std::size_t longest =
+      std::max(bound.probe_cells.size(), fragment.cells.size());
+  if (longest == 0) {
+    scored.similarity = 1.0;  // two empty sequences, as EditSimilarity
+  } else {
+    const double distance = mining::EditDistanceBounded(
+        bound.probe_cells, fragment.cells, bound.cost,
+        mining::EditDistanceCutoff(heap.front().similarity, longest));
+    if (std::isinf(distance)) return;
+    scored.similarity = 1.0 - distance / static_cast<double>(longest);
+  }
+  if (!ScoredBefore(scored, heap.front())) return;
+  std::pop_heap(heap.begin(), heap.end(), ScoredBefore);
+  heap.back() = scored;
+  std::push_heap(heap.begin(), heap.end(), ScoredBefore);
 }
 
 std::vector<core::Episode> ExtractEpisodes(
@@ -162,14 +211,10 @@ void ProcessTrajectory(const Query& query, const BoundQuery& bound,
         fragment.episodes.push_back(std::move(row));
       }
       return;
-    case Projection::kTopK: {
-      ScoredTrajectory scored;
-      scored.trajectory = id;
-      scored.similarity = mining::EditSimilarity(
-          bound.probe_cells, mining::CellSequenceOf(trajectory), bound.cost);
-      fragment.scored.push_back(scored);
+    case Projection::kTopK:
+      SetCells(trajectory, fragment.cells);
+      ScoreTopK(bound, id, fragment);
       return;
-    }
   }
 }
 
@@ -184,6 +229,7 @@ Result<BoundQuery> BindQuery(const Query& query, const QueryContext& context) {
     }
     bound.cost = query.top_k.cost ? query.top_k.cost : mining::UnitCellCost();
     bound.probe_cells = mining::CellSequenceOf(*query.top_k.probe);
+    bound.k = query.top_k.k;
   }
   if (!query.episodes.empty()) {
     bound.episodes_before_filter = ReferencesEpisodes(bound.where);
@@ -211,6 +257,16 @@ struct WorkUnit {
   std::size_t source = 0;
   std::uint64_t first_ordinal = 0;
   std::uint64_t rows = 0;  ///< tuple rows the unit scans
+
+  /// The id the trajectory at `position` of this unit emits: its stored
+  /// id or, in a StoreSet, its canonical one.
+  TrajectoryId IdOf(TrajectoryId stored, ObjectId object, Timestamp start,
+                    std::uint64_t position) const {
+    if (set == nullptr) return stored;
+    return set->CanonicalId(source, {object.value(),
+                                     start.seconds_since_epoch(),
+                                     first_ordinal + position});
+  }
 };
 
 /// Appends `source` as chunks of `chunk` borrowed trajectories and
@@ -265,12 +321,18 @@ void AddBlocks(const storage::EventStoreReader& reader,
 /// `runner`, then merges the fragments in unit order — the first decode
 /// failure in unit order wins. Every block unit counts as a scanned
 /// block and every unit's rows as scanned rows; the caller fills in the
-/// totals of its source.
+/// totals of its source. When the scan decides the predicate and the
+/// projection reads nothing but ids, a count or cells, block units
+/// answer from the decoded columns and build no trajectory.
 Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
                             const QueryPlan& plan, std::vector<WorkUnit> units,
                             TaskRunner* runner) {
   if (plan.pushdown.never_matches) units.clear();  // nothing to scan
   const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
+  const bool columnar = plan.exact &&
+                        (query.projection == Projection::kCount ||
+                         query.projection == Projection::kIds ||
+                         query.projection == Projection::kTopK);
   // Thread-safety: chunk units read borrowed trajectories; block units
   // call the const, mmap-backed EventStoreReader::ReadTrajectoryBlock,
   // which has no shared mutable state; StoreSet units also read the
@@ -282,18 +344,28 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
       [&](std::size_t u) {
         const WorkUnit& unit = units[u];
         Fragment fragment;
-        // The trajectory at `position` emits its stored id or, in a
-        // StoreSet, its canonical one.
         const auto process = [&](const core::SemanticTrajectory& t,
                                  core::SemanticTrajectory* movable,
                                  std::uint64_t position) {
           const auto id_of = [&] {
-            return unit.set == nullptr ? t.id()
-                                       : unit.set->CanonicalId(
-                                             unit.source,
-                                             unit.first_ordinal + position, t);
+            return unit.IdOf(t.id(), t.object(), t.start(), position);
           };
           ProcessTrajectory(query, bound, t, movable, id_of, fragment);
+        };
+        // Exact plans: every trajectory the scan keeps matches.
+        const auto visit = [&](const storage::TrajectoryView& view) {
+          fragment.considered += 1;
+          fragment.matched += 1;
+          if (query.projection == Projection::kCount) return true;
+          const TrajectoryId id =
+              unit.IdOf(view.id, view.object, view.start, view.position);
+          if (query.projection == Projection::kIds) {
+            fragment.ids.push_back(id);
+          } else {
+            SetCells(view, fragment.cells);
+            ScoreTopK(bound, id, fragment);
+          }
+          return true;
         };
         if (unit.reader == nullptr) {
           for (std::size_t i = 0; i < unit.size; ++i) {
@@ -304,15 +376,14 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
           std::vector<std::size_t> positions;
           fragment.status = unit.reader->ReadTrajectoryBlock(
               unit.block, scan, decoded,
-              unit.set != nullptr ? &positions : nullptr);
+              unit.set != nullptr ? &positions : nullptr,
+              columnar ? storage::TrajectoryVisitor(visit) : nullptr);
           if (!fragment.status.ok()) return fragment;
+          fragment.built = decoded.size();
           for (std::size_t t = 0; t < decoded.size(); ++t) {
             process(decoded[t], /*movable=*/&decoded[t],
                     unit.set != nullptr ? positions[t] : 0);
           }
-        }
-        if (query.projection == Projection::kTopK) {
-          TrimTopK(fragment, query.top_k.k);
         }
         return fragment;
       },
@@ -327,6 +398,7 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
     result.stats.rows_scanned += units[u].rows;
     result.stats.trajectories_considered += fragment.considered;
     result.stats.trajectories_matched += fragment.matched;
+    result.stats.trajectories_built += fragment.built;
     std::move(fragment.trajectories.begin(), fragment.trajectories.end(),
               std::back_inserter(result.trajectories));
     std::move(fragment.tuples.begin(), fragment.tuples.end(),
@@ -340,8 +412,8 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
   }
   result.count = result.stats.trajectories_matched;
   if (query.projection == Projection::kTopK) {
-    // Fragments arrive pre-trimmed to k candidates each; this final
-    // sort ranks at most fragments x k entries.
+    // Fragments arrive as heaps of at most k candidates each; this
+    // final sort ranks at most fragments x k entries.
     std::sort(result.top_k.begin(), result.top_k.end(), ScoredBefore);
     if (result.top_k.size() > query.top_k.k) {
       result.top_k.resize(query.top_k.k);
@@ -357,7 +429,7 @@ std::string ExecutionStats::ToString() const {
   out << "blocks " << blocks_scanned << "/" << blocks_total << ", rows "
       << rows_scanned << "/" << rows_total << ", trajectories "
       << trajectories_matched << "/" << trajectories_considered
-      << " matched/considered";
+      << " matched/considered, " << trajectories_built << " built";
   return out.str();
 }
 

@@ -43,7 +43,11 @@ struct EpisodeSpec {
   core::AnnotationSet annotations;
 };
 
-/// What the query returns.
+/// What the query returns. kIds, kCount and kTopK read nothing of a
+/// match but its id, its existence, or its cells: when the plan is
+/// exact (QueryPlan::exact — the store scan alone decides the
+/// predicate), store blocks answer them from the decoded columns and
+/// build no trajectory (ExecutionStats::trajectories_built stays 0).
 enum class Projection : int {
   kTrajectories = 0,  ///< full matching trajectories
   kTuples,            ///< matching tuples of matching trajectories
@@ -56,6 +60,15 @@ enum class Projection : int {
 /// kTopK parameters. Similarity is mining::EditSimilarity over the
 /// trajectories' cell sequences; ties break by ascending trajectory id
 /// so results stay deterministic.
+///
+/// Each work unit keeps its k best so far. Once it has k, the k-th
+/// similarity s_k becomes a running cutoff: a later candidate's edit
+/// distance runs through the banded mining::EditDistanceBounded with
+/// cutoff (1 - s_k) * max(|a|, |b|) (rounding only loosens it), which
+/// gives up only on candidates scoring strictly below s_k. Candidates
+/// within it get their exact similarity and displace the k-th only if
+/// they rank strictly before it, so ties still go to the lower id and
+/// the answer equals scoring every match in full.
 struct TopKSpec {
   std::size_t k = 10;
   /// The probe trajectory (borrowed; must outlive the Run call).
@@ -121,6 +134,9 @@ struct ScoredTrajectory {
 /// pushdown survivors of decoded blocks. A StoreSet therefore reports
 /// the sums of single-store runs over its segments plus its tail's rows
 /// and trajectories. A plan that can never match scans nothing.
+/// trajectories_built counts the trajectories block units materialized
+/// (chunks borrow theirs and build none); it is 0 for kIds, kCount and
+/// kTopK under an exact plan, which answer from the decoded columns.
 struct ExecutionStats {
   std::uint64_t blocks_total = 0;    ///< store blocks in the file / set
   std::uint64_t blocks_scanned = 0;  ///< blocks actually decoded
@@ -128,6 +144,7 @@ struct ExecutionStats {
   std::uint64_t rows_scanned = 0;    ///< rows in decoded blocks and chunks
   std::uint64_t trajectories_considered = 0;  ///< ran the residual filter
   std::uint64_t trajectories_matched = 0;
+  std::uint64_t trajectories_built = 0;  ///< decoded into trajectories
 
   std::string ToString() const;
 };
@@ -193,15 +210,16 @@ class QueryExecutor {
   /// Store-set execution over live + compacted segments (the rolling
   /// SegmentStore snapshot). The units are each segment's planned
   /// blocks, then chunks of the in-memory tail. A matching trajectory
-  /// emits StoreSet::CanonicalId at its ordinal (a block's ordinal base
-  /// plus the position ReadTrajectoryBlock reports, or its tail
-  /// position); kCount computes no id. The merged rows are then
-  /// stable-sorted by trajectory id, the batch pipeline's (object,
-  /// start) order, so the result (order included) is byte-identical to
-  /// an in-memory run over a batch build of the same detections. The
-  /// query is bound and planned once. The result cache is NOT
-  /// consulted: a segment set changes under ingest, so there is no
-  /// single immutable file to key on.
+  /// emits StoreSet::CanonicalId of its (object, start) key at its
+  /// ordinal (a block's ordinal base plus the position
+  /// ReadTrajectoryBlock reports, or its tail position), so segment
+  /// blocks can answer from the columns too; kCount computes no id. The
+  /// merged rows are then stable-sorted by trajectory id, the batch
+  /// pipeline's (object, start) order, so the result (order included)
+  /// is byte-identical to an in-memory run over a batch build of the
+  /// same detections. The query is bound and planned once. The result
+  /// cache is NOT consulted: a segment set changes under ingest, so
+  /// there is no single immutable file to key on.
   [[nodiscard]] Result<QueryResult> Run(const Query& query,
                           const storage::StoreSet& set) const;
 

@@ -70,7 +70,11 @@ PushdownSummary Meet(PushdownSummary a, const PushdownSummary& b) {
   }
   if (a.min_time.has_value() && a.max_time.has_value() &&
       *a.max_time < *a.min_time) {
-    return Never();
+    // The bounds come from different windows, each valid alone (a
+    // single inverted window is Never already). A trajectory spanning
+    // the gap meets both, but ScanOptions reads an inverted window as
+    // empty: keep only the later start bound, which every match meets.
+    a.max_time.reset();
   }
   return a;
 }
@@ -173,6 +177,33 @@ PushdownSummary Summarize(const Predicate& predicate) {
   }
 }
 
+/// The TimeWindow leaves of a conjunction of true, ObjectIn and
+/// TimeWindow leaves (nested Ands included); -1 when it holds any other
+/// node. The store scan decides such a conjunction exactly when it has
+/// at most one window (see QueryPlan::exact): object sets meet exactly,
+/// but a trajectory can span two disjoint windows, meeting each and not
+/// their empty intersection.
+int ConjunctionWindows(const Predicate& predicate) {
+  switch (predicate.kind()) {
+    case PredicateKind::kTrue:
+    case PredicateKind::kObjectIn:
+      return 0;
+    case PredicateKind::kTimeWindow:
+      return 1;
+    case PredicateKind::kAnd: {
+      int windows = 0;
+      for (const Predicate& child : predicate.children()) {
+        const int child_windows = ConjunctionWindows(child);
+        if (child_windows < 0) return -1;
+        windows += child_windows;
+      }
+      return windows;
+    }
+    default:
+      return -1;
+  }
+}
+
 }  // namespace
 
 std::string PushdownSummary::ToString() const {
@@ -218,6 +249,8 @@ QueryPlan Plan(const Predicate& bound_predicate) {
   QueryPlan plan;
   plan.pushdown = Summarize(bound_predicate);
   plan.residual = bound_predicate;
+  const int windows = ConjunctionWindows(bound_predicate);
+  plan.exact = windows == 0 || windows == 1;
   return plan;
 }
 

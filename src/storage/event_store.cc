@@ -128,11 +128,14 @@ struct BlockColumns {
 
 /// Strips the v3 codec framing from a block payload. `max_raw_size`
 /// caps the decompressed allocation a forged size field could demand —
-/// callers derive it from the block's (already-validated) row and
-/// trajectory counts.
+/// callers derive it from the block's row and trajectory counts — and
+/// so does kMaxBlockExpansion times the payload. Every one of the
+/// block's `rows` takes at least one byte in each raw column, so the
+/// declared size bounds them in turn.
 Result<BlockColumns> DecodeBlockPayload(std::uint32_t version,
                                         std::string_view payload,
                                         std::uint64_t max_raw_size,
+                                        std::uint64_t rows,
                                         std::size_t block_index) {
   BlockColumns out;
   if (version < 3) return out;
@@ -144,11 +147,17 @@ Result<BlockColumns> DecodeBlockPayload(std::uint32_t version,
                               std::to_string(block_index));
   }
   SITM_ASSIGN_OR_RETURN(const std::uint64_t raw_size, reader.ReadVarint64());
-  if (raw_size > max_raw_size) {
+  if (raw_size > max_raw_size ||
+      raw_size > payload.size() * kMaxBlockExpansion) {
     return Status::Corruption(
         "EventStore: block " + std::to_string(block_index) +
         " claims an implausible decompressed size " +
         std::to_string(raw_size));
+  }
+  if (rows > raw_size) {
+    return Status::Corruption("EventStore: block " +
+                              std::to_string(block_index) +
+                              " row count exceeds its column bytes");
   }
   SITM_ASSIGN_OR_RETURN(const std::string_view compressed,
                         reader.ReadBytes(reader.remaining()));
@@ -713,10 +722,14 @@ Result<EventStoreReader> EventStoreReader::Open(const std::string& path) {
       return Status::Corruption("EventStore: block " + std::to_string(i) +
                                 " bounds out of range");
     }
-    // Every row occupies at least one byte in each of its columns, so a
-    // forged row count larger than the payload cannot be honest — reject
-    // it here rather than letting decode attempt a giant allocation.
-    if (meta.rows > meta.length) {
+    // Every row occupies at least one byte in each of its raw columns:
+    // the payload itself in v1/v2, at most kMaxBlockExpansion times it
+    // behind v3's LZ (decode checks the declared size exactly). A forged
+    // row count beyond that cannot be honest — reject it here rather
+    // than letting decode attempt a giant allocation.
+    const std::uint64_t max_rows =
+        version >= 3 ? meta.length * kMaxBlockExpansion : meta.length;
+    if (meta.rows > max_rows) {
       return Status::Corruption("EventStore: block " + std::to_string(i) +
                                 " row count exceeds payload size");
     }
@@ -948,7 +961,7 @@ Status EventStoreReader::ReadDetectionBlock(
       DecodeBlockPayload(version_, payload,
                          blocks_[i].rows * 80 + blocks_[i].trajectories * 48 +
                              64,
-                         i));
+                         blocks_[i].rows, i));
   ByteReader reader(columns.View(payload));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> objects,
                         ReadDeltaColumn(reader, n));
@@ -979,7 +992,8 @@ Status EventStoreReader::ReadDetectionBlock(
 Status EventStoreReader::ReadTrajectoryBlock(
     std::size_t i, const ScanOptions& scan,
     std::vector<core::SemanticTrajectory>& out,
-    std::vector<std::size_t>* positions) const {
+    std::vector<std::size_t>* positions,
+    const TrajectoryVisitor& visitor) const {
   if (kind_ != StoreKind::kTrajectories) {
     return Status::FailedPrecondition(
         "EventStore: not a trajectory store");
@@ -998,7 +1012,7 @@ Status EventStoreReader::ReadTrajectoryBlock(
       DecodeBlockPayload(version_, payload,
                          blocks_[i].rows * 80 + blocks_[i].trajectories * 48 +
                              64,
-                         i));
+                         blocks_[i].rows, i));
   ByteReader reader(columns.View(payload));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> traj_ids,
                         ReadDeltaColumn(reader, num_trajectories));
@@ -1061,8 +1075,9 @@ Status EventStoreReader::ReadTrajectoryBlock(
   const std::uint64_t dictionary_size = dictionary_.size();
   // Late materialization: every row of every trajectory is validated —
   // the same checks, order and messages as building it — but only the
-  // trajectories the scan keeps, judged on the decoded columns, are
-  // built (their intervals made and annotation sets copied).
+  // trajectories the scan keeps, judged on the decoded columns, reach
+  // the visitor, and only those it leaves are built (their intervals
+  // made and annotation sets copied).
   std::size_t row = 0;
   for (std::size_t t = 0; t < num_trajectories; ++t) {
     const std::size_t first = row;
@@ -1091,6 +1106,17 @@ Status EventStoreReader::ReadTrajectoryBlock(
     if (!RowMatches(scan, ObjectId(traj_objects[t]), Timestamp(starts[first]),
                     Timestamp(end))) {
       continue;
+    }
+    if (visitor) {
+      TrajectoryView view;
+      view.position = t;
+      view.id = TrajectoryId(traj_ids[t]);
+      view.object = ObjectId(traj_objects[t]);
+      view.start = Timestamp(starts[first]);
+      view.end = Timestamp(end);
+      view.cells = cells.data() + first;
+      view.rows = row - first;
+      if (visitor(view)) continue;
     }
     std::vector<core::PresenceInterval> intervals;
     intervals.reserve(row - first);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <optional>
 #include <string>
@@ -71,7 +72,12 @@ namespace sitm::storage {
 ///
 /// Corruption safety: every decode path is bounds-checked (Corruption,
 /// never UB, on truncated or bit-flipped files), footer and blocks are
-/// checksummed, and unknown versions/kinds/codecs are rejected.
+/// checksummed, and unknown versions/kinds/codecs are rejected. Forged
+/// counts cannot drive a huge decode allocation: every row takes at
+/// least one byte in each raw column, so a block's rows are bounded by
+/// its raw column bytes — the payload itself in v1/v2, the declared
+/// decompressed size in v3 — and that size by kMaxBlockExpansion times
+/// the payload.
 
 /// Leading and trailing file magic ("SITMEVST" / "SITMTRLR" as bytes).
 inline constexpr char kStoreMagic[8] = {'S', 'I', 'T', 'M',
@@ -93,6 +99,14 @@ inline constexpr std::size_t kStoreTrailerSize = 32;
 /// The codec id leading every v3 block payload: LZ over the v2 column
 /// bytes. Any other id in a v3 block is Corruption.
 inline constexpr std::uint64_t kLzCodecId = 2;
+
+/// The most raw column bytes a v3 block may declare per payload byte.
+/// LZ runs have no fixed expansion limit (a block of N identical rows
+/// costs a few bytes per column whatever N is), so this is the reader's
+/// allocation cap rather than a property of the codec: a default-size
+/// block of 8192 identical 17-byte rows expands ~1,900-fold, and a
+/// forged block can claim at most 8 KiB per payload byte.
+inline constexpr std::uint64_t kMaxBlockExpansion = 8192;
 
 /// What a store file holds.
 enum class StoreKind : std::uint32_t {
@@ -251,6 +265,23 @@ struct ScanOptions {
   }
 };
 
+/// One trajectory of a trajectory block, seen through its decoded
+/// columns before it would be built (see ReadTrajectoryBlock). The cell
+/// span points into the decode buffer and lives only for the call.
+struct TrajectoryView {
+  std::size_t position = 0;  ///< index in an unfiltered decode of the block
+  TrajectoryId id;
+  ObjectId object;
+  Timestamp start;  ///< its first row's start
+  Timestamp end;    ///< its last row's end
+  const std::int64_t* cells = nullptr;  ///< one cell id per row, in order
+  std::size_t rows = 0;
+};
+
+/// Called for each trajectory a block scan keeps; returning true
+/// consumes the trajectory, so the scan does not build it.
+using TrajectoryVisitor = std::function<bool(const TrajectoryView&)>;
+
 /// \brief Zero-copy reader: maps the file (plain read fallback) and
 /// decodes blocks on demand straight out of the mapping.
 class EventStoreReader {
@@ -317,12 +348,16 @@ class EventStoreReader {
   /// set, ReadTrajectoryBlock appends each kept trajectory's position in
   /// block `i` (its index in an unfiltered decode of the block), so
   /// callers can line filtered results up with per-trajectory ordinals.
+  /// A `visitor` sees each kept trajectory's columns first; one it
+  /// consumes is neither built nor reported in `positions`. Every row
+  /// is validated either way, with the same checks, order and messages.
   [[nodiscard]] Status ReadDetectionBlock(std::size_t i, const ScanOptions& scan,
                             std::vector<core::RawDetection>& out) const;
   [[nodiscard]] Status ReadTrajectoryBlock(
       std::size_t i, const ScanOptions& scan,
       std::vector<core::SemanticTrajectory>& out,
-      std::vector<std::size_t>* positions = nullptr) const;
+      std::vector<std::size_t>* positions = nullptr,
+      const TrajectoryVisitor& visitor = nullptr) const;
 
   /// Verifies every block checksum (footer integrity is already checked
   /// at Open) without decoding columns.

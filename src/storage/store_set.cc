@@ -67,14 +67,13 @@ StoreSet StoreSet::Make(TrajectoryId first_id,
   return set;
 }
 
-TrajectoryId StoreSet::CanonicalId(std::size_t source, std::uint64_t ordinal,
-                                   const core::SemanticTrajectory& t) const {
+TrajectoryId StoreSet::CanonicalId(std::size_t source,
+                                   const TrajectoryKey& key) const {
   // The tail sorts after every segment on equal (object, start).
-  const TrajectoryKey key = KeyOf(t, ordinal);
   std::ptrdiff_t rank = 0;
   if (source < segments.size()) {
     rank = static_cast<std::ptrdiff_t>(
-               ranks->rank[ranks->offsets[source] + ordinal]) +
+               ranks->rank[ranks->offsets[source] + key.ordinal]) +
            (std::lower_bound(tail_keys.begin(), tail_keys.end(), key,
                              ObjectStartLess) -
             tail_keys.begin());

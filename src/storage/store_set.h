@@ -94,10 +94,11 @@ struct StoreSet {
                        std::shared_ptr<const SealedRanks> ranks,
                        std::vector<TrajectoryBatch> tail);
 
-  /// The canonical id of `t`, found at `ordinal` of `source` (a segment
-  /// index, or segments.size() for the tail).
-  TrajectoryId CanonicalId(std::size_t source, std::uint64_t ordinal,
-                           const core::SemanticTrajectory& t) const;
+  /// The canonical id of the trajectory keyed `key` — its object, its
+  /// start, and its ordinal in `source` (a segment index, or
+  /// segments.size() for the tail). Needs only the key, so a scan can
+  /// ask without building the trajectory.
+  TrajectoryId CanonicalId(std::size_t source, const TrajectoryKey& key) const;
 
   /// Trajectory count across segments and the tail.
   std::uint64_t TotalTrajectories() const;

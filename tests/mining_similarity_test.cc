@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -129,6 +130,47 @@ TEST(EditDistanceBoundedTest, AgreesWithFullDpOnRandomSequences) {
       }
     }
   }
+}
+
+TEST(EditDistanceBoundedTest, CutoffFromASimilarityAcceptsItsDistance) {
+  // Top-k turns its k-th similarity s back into a distance cutoff
+  // (1 - s) * L. Rounding must never push that cutoff below the
+  // distance s came from: EditDistanceBounded at EditDistanceCutoff(s, L)
+  // returns exactly EditDistance, bit for bit, so the similarity
+  // recomputed from it is EditSimilarity's own value.
+  const CellCost unit = UnitCellCost();
+  const CellCost fractional = [](CellId a, CellId b) {
+    return a == b ? 0.0 : 0.1 + 0.07 * static_cast<double>(
+                                           (a.value() * 7 + b.value()) % 13);
+  };
+  // d = 1 of L = 3: the naive product lands just under 1.
+  const double third = EditSimilarity(Seq({1, 2, 3}), Seq({1, 9, 3}), unit);
+  EXPECT_LT((1.0 - third) * 3.0, 1.0);
+  EXPECT_EQ(EditDistanceBounded(Seq({1, 2, 3}), Seq({1, 9, 3}), unit,
+                                EditDistanceCutoff(third, 3)),
+            1.0);
+  Rng rng(20261017);
+  int checked = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::vector<CellId> a;
+    std::vector<CellId> b;
+    const int la = static_cast<int>(rng.NextInt(0, 40));
+    const int lb = static_cast<int>(rng.NextInt(0, 40));
+    for (int i = 0; i < la; ++i) a.push_back(CellId(rng.NextInt(1, 6)));
+    for (int i = 0; i < lb; ++i) b.push_back(CellId(rng.NextInt(1, 6)));
+    const std::size_t longest = std::max(a.size(), b.size());
+    if (longest == 0) continue;
+    for (const CellCost* cost : {&unit, &fractional}) {
+      const double similarity = EditSimilarity(a, b, *cost);
+      const double bounded = EditDistanceBounded(
+          a, b, *cost, EditDistanceCutoff(similarity, longest));
+      ASSERT_EQ(bounded, EditDistance(a, b, *cost)) << "round " << round;
+      ASSERT_EQ(1.0 - bounded / static_cast<double>(longest), similarity)
+          << "round " << round;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 3000);
 }
 
 TEST(EditDistanceTest, HierarchyCostSoftensSubstitutions) {

@@ -302,10 +302,23 @@ TEST(PlannerTest, ConjunctionTightensPushdown) {
   const QueryPlan never = Plan(
       And(ObjectIs(ObjectId(1)), ObjectIs(ObjectId(2))));
   EXPECT_TRUE(never.pushdown.never_matches);
-  EXPECT_TRUE(
-      Plan(And(TimeWindow(Timestamp(500), std::nullopt),
-               TimeWindow(std::nullopt, Timestamp(100))))
-          .pushdown.never_matches);
+  // Disjoint windows are not a contradiction: a trajectory that starts
+  // by 100 and ends at 500 or later meets both. The summary keeps the
+  // start bound alone, which every such trajectory meets.
+  const Predicate disjoint = And(TimeWindow(Timestamp(500), std::nullopt),
+                                 TimeWindow(std::nullopt, Timestamp(100)));
+  const QueryPlan spanning = Plan(disjoint);
+  EXPECT_FALSE(spanning.pushdown.never_matches);
+  EXPECT_EQ(spanning.pushdown.min_time, Timestamp(500));
+  EXPECT_FALSE(spanning.pushdown.max_time.has_value());
+  const auto long_stay = MakeTrajectory(1, 7, {{10, 0, 1000}});
+  EXPECT_TRUE(disjoint.MatchesTrajectory(long_stay));
+  Query query;
+  query.where = disjoint;
+  query.projection = Projection::kIds;
+  const auto found = QueryExecutor(LouvreContext()).Run(query, {long_stay});
+  ASSERT_TRUE(found.ok()) << found.status();
+  EXPECT_EQ(found->ids, std::vector<TrajectoryId>{TrajectoryId(1)});
 }
 
 TEST(PlannerTest, DisjunctionUnionsAndNotIsConservative) {
@@ -324,6 +337,33 @@ TEST(PlannerTest, DisjunctionUnionsAndNotIsConservative) {
   // Negation never pushes (Not(object=3) still requires a full scan).
   const QueryPlan negated = Plan(Not(ObjectIs(ObjectId(3))));
   EXPECT_FALSE(negated.pushdown.HasConstraint());
+}
+
+TEST(PlannerTest, ExactOnlyWhenTheScanDecidesThePredicate) {
+  const Predicate window = TimeWindow(Timestamp(100), Timestamp(500));
+  const Predicate objects = ObjectIn({ObjectId(3), ObjectId(9)});
+  EXPECT_TRUE(Plan(Predicate()).exact);
+  EXPECT_TRUE(Plan(objects).exact);
+  EXPECT_TRUE(Plan(window).exact);
+  EXPECT_TRUE(Plan(TimeWindow(std::nullopt, Timestamp(7))).exact);
+  EXPECT_TRUE(Plan(And(objects, window)).exact);
+  EXPECT_TRUE(Plan(And(And(objects, ObjectIs(ObjectId(3))), window)).exact);
+  EXPECT_TRUE(Plan(And(All(), window)).exact);
+
+  // A trajectory can span two disjoint windows, so two never count.
+  EXPECT_FALSE(
+      Plan(And(window, TimeWindow(Timestamp(300), Timestamp(900)))).exact);
+  EXPECT_FALSE(Plan(Or(objects, window)).exact);
+  EXPECT_FALSE(Plan(Not(objects)).exact);
+  EXPECT_FALSE(Plan(And(objects, InCell(CellId(1)))).exact);
+  EXPECT_FALSE(Plan(And(And(objects, window), window)).exact);
+  EXPECT_FALSE(Plan(And(And(objects, InCell(CellId(1))), window)).exact);
+  EXPECT_FALSE(Plan(HasAnnotation(core::AnnotationKind::kActivity, "visit",
+                                  AnnotationScope::kTrajectory))
+                   .exact);
+  const auto probe = qsr::TimeInterval::Make(Timestamp(1000), Timestamp(2000));
+  ASSERT_TRUE(probe.ok());
+  EXPECT_FALSE(Plan(AllenAgainst(AllenMask::Intersecting(), *probe)).exact);
 }
 
 TEST(PlannerTest, AllenMasksPushTimeWindows) {
@@ -671,7 +711,16 @@ TEST(QueryExecutorTest, OneSegmentStoreSetReportsTheSingleStoreStats) {
       EXPECT_EQ(a.rows_scanned, b.rows_scanned);
       EXPECT_EQ(a.trajectories_considered, b.trajectories_considered);
       EXPECT_EQ(a.trajectories_matched, b.trajectories_matched);
+      EXPECT_EQ(a.trajectories_built, b.trajectories_built);
       EXPECT_EQ(single->Fingerprint(), segmented->Fingerprint());
+      // Exact plans answer ids, counts and top-k from the columns; every
+      // other query builds each pushdown survivor, as before.
+      const bool exact = Plan(where).exact;
+      const bool columnar = exact && (projection == Projection::kIds ||
+                                      projection == Projection::kCount ||
+                                      projection == Projection::kTopK);
+      EXPECT_EQ(a.trajectories_built,
+                columnar ? 0u : a.trajectories_considered);
       if (std::string(name) == "point") {
         // Only pushdown survivors reach the residual on either path.
         EXPECT_LT(b.trajectories_considered, trajectories.size() / 10);
@@ -789,6 +838,7 @@ TEST(QueryExecutorTest, MultiSegmentStoreSetMatchesTheBatchAndSumsStats) {
         expected.rows_scanned += single->stats.rows_scanned;
         expected.trajectories_considered +=
             single->stats.trajectories_considered;
+        expected.trajectories_built += single->stats.trajectories_built;
       }
       // The whole tail is scanned and considered unless the plan alone
       // rules every trajectory out.
@@ -809,6 +859,9 @@ TEST(QueryExecutorTest, MultiSegmentStoreSetMatchesTheBatchAndSumsStats) {
       EXPECT_EQ(got.rows_scanned, expected.rows_scanned);
       EXPECT_EQ(got.trajectories_considered, expected.trajectories_considered);
       EXPECT_EQ(got.trajectories_matched, batch->stats.trajectories_matched);
+      // Tail chunks borrow their trajectories and build none.
+      EXPECT_EQ(got.trajectories_built, expected.trajectories_built);
+      EXPECT_EQ(batch->stats.trajectories_built, 0u);
 
       const auto again = executor.Run(query, set);
       ASSERT_TRUE(again.ok()) << again.status();

@@ -323,6 +323,32 @@ TEST(EventStoreRoundTripTest, EmptyStoreRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(EventStoreRoundTripTest, RegularBlocksBelowOneBytePerRowReopen) {
+  // 256 one-row trajectories of object 7 in cell 3: 60 s stays starting
+  // every 100 s. Every column is one run, so LZ packs the block into
+  // fewer payload bytes than it has rows; the reader must still open it.
+  std::vector<core::SemanticTrajectory> trajectories;
+  for (std::int64_t i = 0; i < 256; ++i) {
+    std::vector<core::PresenceInterval> intervals;
+    intervals.emplace_back(
+        BoundaryId::Invalid(), CellId(3),
+        *qsr::TimeInterval::Make(Timestamp(100 * i), Timestamp(100 * i + 60)));
+    trajectories.emplace_back(TrajectoryId(i), ObjectId(7),
+                              core::Trace(std::move(intervals)),
+                              core::AnnotationSet{});
+  }
+  const std::string path = TempPath("regular_rows.evst");
+  ASSERT_TRUE(WriteTrajectoryStore(path, trajectories).ok());
+  const auto reader = EventStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_EQ(reader->num_blocks(), 1u);
+  EXPECT_LT(reader->block(0).length, reader->block(0).rows);
+  const auto restored = reader->ReadTrajectories();
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ExpectTrajectoriesEqual(trajectories, *restored);
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Predicate pushdown.
 // ---------------------------------------------------------------------------
@@ -1446,6 +1472,13 @@ TEST(EventStoreLateMaterializationTest, FilteredScansStillValidateEveryRow) {
     const Status windowed = reader->ReadTrajectoryBlock(0, window, out);
     EXPECT_EQ(windowed.code(), full.code());
     EXPECT_EQ(windowed.message(), full.message());
+
+    // So does a scan whose visitor consumes what it keeps.
+    const Status visited = reader->ReadTrajectoryBlock(
+        0, ScanOptions::ForObject(kept), out, nullptr,
+        [](const TrajectoryView&) { return true; });
+    EXPECT_EQ(visited.code(), full.code());
+    EXPECT_EQ(visited.message(), full.message());
     std::remove(forged_path.c_str());
   }
 
@@ -1591,6 +1624,43 @@ TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) 
         for (std::size_t k = 0; k < positions.size() && k < kept.size(); ++k) {
           EXPECT_EQ(full[i][positions[k]].id(), kept[k].id());
         }
+
+        // A visitor sees the same trajectories as columns; the ones it
+        // consumes (odd positions) are neither built nor reported.
+        std::vector<std::size_t> visited;
+        std::vector<core::SemanticTrajectory> left;
+        std::vector<std::size_t> left_positions;
+        ASSERT_TRUE(reader
+                        ->ReadTrajectoryBlock(
+                            i, scan, left, &left_positions,
+                            [&](const TrajectoryView& view) {
+                              visited.push_back(view.position);
+                              const core::SemanticTrajectory& t =
+                                  full[i][view.position];
+                              EXPECT_EQ(view.id, t.id());
+                              EXPECT_EQ(view.object, t.object());
+                              EXPECT_EQ(view.start, t.start());
+                              EXPECT_EQ(view.end, t.end());
+                              EXPECT_EQ(view.rows, t.trace().size());
+                              for (std::size_t r = 0;
+                                   r < view.rows && r < t.trace().size();
+                                   ++r) {
+                                EXPECT_EQ(view.cells[r],
+                                          t.trace().at(r).cell.value());
+                              }
+                              return view.position % 2 == 1;
+                            })
+                        .ok());
+        EXPECT_EQ(visited, expected_positions) << "block " << i;
+        std::vector<core::SemanticTrajectory> expected_left;
+        std::vector<std::size_t> expected_left_positions;
+        for (std::size_t k = 0; k < expected.size(); ++k) {
+          if (expected_positions[k] % 2 == 1) continue;
+          expected_left.push_back(expected[k]);
+          expected_left_positions.push_back(expected_positions[k]);
+        }
+        ExpectTrajectoriesEqual(expected_left, left);
+        EXPECT_EQ(left_positions, expected_left_positions) << "block " << i;
       }
     }
     std::remove(path.c_str());
