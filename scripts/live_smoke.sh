@@ -166,6 +166,23 @@ then
 fi
 echo "live_smoke: cleaning counters match"
 
+# The watermark sweep visits only objects with work: each visit consumes
+# a detection or flushes a trajectory, so the visit count is bounded by
+# the records in plus the trajectories out.
+if ! python3 - "$work_dir/live_smoke_stats.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as fh:
+    builder = json.load(fh)["builder"]
+swept = builder["objects_swept"]
+bound = builder["records_in"] + builder["finalized"]
+print(f"live_smoke: objects_swept {swept} <= records_in + finalized {bound}")
+sys.exit(0 if swept <= bound else 1)
+EOF
+then
+  echo "live_smoke: /stats builder.objects_swept exceeds records_in + finalized" >&2
+  exit 1
+fi
+
 queries=(
   "projection=count"
   "projection=ids"

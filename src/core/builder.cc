@@ -34,7 +34,8 @@ Status BuilderOptions::Validate() const {
 
 bool DetectionBefore(const RawDetection& a, const RawDetection& b) {
   if (a.start != b.start) return a.start < b.start;
-  return a.end < b.end;
+  if (a.end != b.end) return a.end < b.end;
+  return a.cell < b.cell;
 }
 
 Result<std::vector<std::vector<RawDetection>>> GroupByObject(

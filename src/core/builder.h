@@ -76,7 +76,9 @@ struct BuildReport {
 };
 
 /// The order every build step consumes one object's detections in:
-/// by start, then by end.
+/// by start, then by end, then by cell. Total over one object's
+/// distinct detections, so the consumed sequence never depends on
+/// arrival order or on when (and how often) a buffer was sorted.
 bool DetectionBefore(const RawDetection& a, const RawDetection& b);
 
 /// Groups detections by moving object, in object-id order; each group

@@ -1,9 +1,24 @@
 #include "live/incremental_builder.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 namespace sitm::live {
+namespace {
+
+/// t + d, clamped to the int64 range: an open trace's due key is never
+/// later than the `watermark - end > session_gap` test it stands for.
+Timestamp SaturatingAdd(Timestamp t, Duration d) {
+  std::int64_t sum = 0;
+  if (__builtin_add_overflow(t.seconds_since_epoch(), d.seconds(), &sum)) {
+    sum = d.seconds() > 0 ? std::numeric_limits<std::int64_t>::max()
+                          : std::numeric_limits<std::int64_t>::min();
+  }
+  return Timestamp(sum);
+}
+
+}  // namespace
 
 IncrementalBuilder::IncrementalBuilder(IncrementalOptions options)
     : options_(std::move(options)), assembler_(options_.builder) {}
@@ -33,7 +48,16 @@ Status IncrementalBuilder::Ingest(
     }
     ObjectState& state = objects_[d.object];
     state.pending.push_back(d);
-    state.last_activity = ++activity_seq_;
+    // The open trace is unchanged, so the due key can only move earlier.
+    SetDue(d.object, state,
+           state.due ? std::min(*state.due, d.start) : d.start);
+    if (options_.max_open_objects != 0) {
+      // Only eviction reads activity order; unbounded builders skip it.
+      by_activity_.erase(state.last_activity);
+      state.last_activity = ++activity_seq_;
+      by_activity_.emplace_hint(by_activity_.end(), state.last_activity,
+                                d.object);
+    }
     ++stats_.buffered_detections;
     if (!has_max_start_ || d.start > max_start_) {
       has_max_start_ = true;
@@ -52,12 +76,18 @@ Status IncrementalBuilder::Ingest(
     stats_.has_watermark = true;
   }
 
-  // Watermark sweep: EVERY object may have pending detections the new
-  // watermark releases, and idle objects' open traces go stale purely
-  // by time passing — so the sweep visits all of them, in id order for
-  // a deterministic finalization sequence.
+  // Watermark sweep: an object has work iff it holds a pending
+  // detection starting below the watermark or an open trace gone stale
+  // by time passing — iff its due key is below the watermark. The due
+  // prefix of due_ is visited in id order for a deterministic
+  // finalization sequence; every other object would consume and flush
+  // nothing.
   if (stats_.has_watermark) {
-    for (auto& [object, state] : objects_) {
+    const std::vector<ObjectId> due =
+        DueObjects(stats_.watermark, /*all=*/false);
+    stats_.objects_swept += due.size();
+    for (const ObjectId object : due) {
+      ObjectState& state = objects_.find(object)->second;
       SITM_RETURN_IF_ERROR(ConsumeReady(object, state, stats_.watermark,
                                         /*consume_all=*/false, finalized));
       if (!state.open.trace.empty() &&
@@ -68,12 +98,13 @@ Status IncrementalBuilder::Ingest(
         // move starts later): the batch builder splits here too.
         SITM_RETURN_IF_ERROR(assembler_.Flush(object, state.open, finalized));
       }
+      RefreshDue(object, state);
     }
   }
 
   // Eviction: bound the tracked-object count by force-finalizing the
-  // least-recently-active objects (ties broken by object id — the map
-  // scan below is deterministic).
+  // least-recently-active objects (activity sequence numbers are
+  // unique, so the victim is unambiguous).
   while (options_.max_open_objects != 0 &&
          objects_.size() > options_.max_open_objects) {
     SITM_RETURN_IF_ERROR(EvictOne(finalized));
@@ -85,12 +116,16 @@ Status IncrementalBuilder::Drain(
     std::vector<core::SemanticTrajectory>* finalized) {
   SITM_RETURN_IF_ERROR(options_.Validate());
   const std::size_t first = finalized->size();
-  for (auto& [object, state] : objects_) {
+  // Objects without a due key have nothing buffered and no open trace.
+  for (const ObjectId object : DueObjects(Timestamp(), /*all=*/true)) {
+    ObjectState& state = objects_.find(object)->second;
     SITM_RETURN_IF_ERROR(ConsumeReady(object, state, Timestamp(),
                                       /*consume_all=*/true, finalized));
     SITM_RETURN_IF_ERROR(assembler_.Flush(object, state.open, finalized));
   }
   objects_.clear();
+  due_.clear();
+  by_activity_.clear();
   stats_.buffered_detections = 0;
   return Finalize(first, finalized);
 }
@@ -117,21 +152,47 @@ Status IncrementalBuilder::ConsumeReady(
 
 Status IncrementalBuilder::EvictOne(
     std::vector<core::SemanticTrajectory>* out) {
-  auto victim = objects_.end();
-  for (auto it = objects_.begin(); it != objects_.end(); ++it) {
-    if (victim == objects_.end() ||
-        it->second.last_activity < victim->second.last_activity) {
-      victim = it;  // map order breaks last_activity ties by object id
-    }
-  }
-  if (victim == objects_.end()) return Status::OK();
+  if (by_activity_.empty()) return Status::OK();
+  const auto victim = objects_.find(by_activity_.begin()->second);
   ++stats_.evicted_objects;
   SITM_RETURN_IF_ERROR(ConsumeReady(victim->first, victim->second, Timestamp(),
                                     /*consume_all=*/true, out));
   SITM_RETURN_IF_ERROR(
       assembler_.Flush(victim->first, victim->second.open, out));
+  SetDue(victim->first, victim->second, std::nullopt);
+  by_activity_.erase(by_activity_.begin());
   objects_.erase(victim);
   return Status::OK();
+}
+
+std::vector<ObjectId> IncrementalBuilder::DueObjects(Timestamp watermark,
+                                                    bool all) const {
+  std::vector<ObjectId> objects;
+  for (auto it = due_.begin();
+       it != due_.end() && (all || it->first < watermark); ++it) {
+    objects.push_back(it->second);
+  }
+  std::sort(objects.begin(), objects.end());
+  return objects;
+}
+
+void IncrementalBuilder::SetDue(ObjectId object, ObjectState& state,
+                                std::optional<Timestamp> due) {
+  if (state.due == due) return;
+  if (state.due) due_.erase({*state.due, object});
+  state.due = due;
+  if (due) due_.emplace(*due, object);
+}
+
+void IncrementalBuilder::RefreshDue(ObjectId object, ObjectState& state) {
+  std::optional<Timestamp> due;
+  if (!state.pending.empty()) due = state.pending.front().start;
+  if (!state.open.trace.empty()) {
+    const Timestamp stale = SaturatingAdd(state.open.trace.end(),
+                                          options_.builder.session_gap);
+    due = due ? std::min(*due, stale) : stale;
+  }
+  SetDue(object, state, due);
 }
 
 Status IncrementalBuilder::Finalize(

@@ -2,6 +2,10 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
+#include <set>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/result.h"
@@ -40,6 +44,10 @@ struct IncrementalStats {
   std::size_t late_dropped = 0;
   std::size_t evicted_objects = 0;
   std::size_t finalized = 0;
+  /// Objects the watermark sweeps visited (Drain not counted). Only due
+  /// objects are visited, and each visit consumes a detection or
+  /// flushes a trajectory, so this never exceeds records_in + finalized.
+  std::size_t objects_swept = 0;
   /// Current footprint.
   std::size_t open_objects = 0;
   std::size_t buffered_detections = 0;
@@ -60,6 +68,15 @@ struct IncrementalStats {
 /// eviction and the footprint stats are streaming-specific. Cleaning and
 /// assembly are the batch builders' core::Assembler, and finalized
 /// trajectories pass through core::StageOptions::Apply.
+///
+/// Cost: a batch costs O(batch + due objects) ordered-index operations,
+/// not O(objects ever seen). Every object with buffered detections or an
+/// open trace carries one due key in an ordered index — the earlier of
+/// its smallest pending start and its open trace's end + session_gap —
+/// and is due exactly when that key is below the watermark. A sweep
+/// visits only the due prefix of the index; objects left out would
+/// consume and flush nothing. Eviction takes its victim from a second
+/// index ordered by last activity.
 ///
 /// Equivalence contract (pinned by tests/live_equivalence_property_test
 /// through the full live stack): feed any permutation of a detection
@@ -123,8 +140,13 @@ class IncrementalBuilder {
     std::vector<core::RawDetection> pending;
     /// The assembler's state: last kept detection and open trace.
     core::OpenObject open;
-    /// Ingest-sequence number of the last admission (eviction order).
+    /// Ingest-sequence number of the last admission (eviction order);
+    /// this object's key in by_activity_. Kept only when
+    /// max_open_objects bounds the object count.
     std::uint64_t last_activity = 0;
+    /// This object's key in due_; empty when nothing is pending and no
+    /// trace is open.
+    std::optional<Timestamp> due;
   };
 
   /// Feeds `state`'s sorted pending prefix below `watermark` (all of it
@@ -134,6 +156,15 @@ class IncrementalBuilder {
                                     std::vector<core::SemanticTrajectory>* out);
   /// Force-finalizes and forgets the least-recently-active object.
   [[nodiscard]] Status EvictOne(std::vector<core::SemanticTrajectory>* out);
+  /// Ids of the objects whose due key is below `watermark` (of every
+  /// object with a due key when `all`), ascending.
+  std::vector<ObjectId> DueObjects(Timestamp watermark, bool all) const;
+  /// Moves `object`'s due_ entry to `due` (none when empty).
+  void SetDue(ObjectId object, ObjectState& state,
+              std::optional<Timestamp> due);
+  /// Recomputes `object`'s due key after a sweep visit, which leaves
+  /// its pending buffer sorted.
+  void RefreshDue(ObjectId object, ObjectState& state);
   /// Runs the per-trajectory stages on out[first..] and updates stats.
   [[nodiscard]] Status Finalize(std::size_t first,
                                 std::vector<core::SemanticTrajectory>* out);
@@ -141,8 +172,14 @@ class IncrementalBuilder {
 
   IncrementalOptions options_;
   core::Assembler assembler_;
-  /// Ordered so watermark sweeps visit objects deterministically.
-  std::map<ObjectId, ObjectState> objects_;
+  /// Unordered: sweeps, Drain and eviction pick objects through due_
+  /// and by_activity_, and sort what they visit by id.
+  std::unordered_map<ObjectId, ObjectState> objects_;
+  /// (due key, object) for every object whose ObjectState::due is set.
+  std::set<std::pair<Timestamp, ObjectId>> due_;
+  /// last_activity -> object for every tracked object; begin() is the
+  /// eviction victim. Empty when max_open_objects is 0 (no eviction).
+  std::map<std::uint64_t, ObjectId> by_activity_;
   bool has_max_start_ = false;
   Timestamp max_start_;
   std::uint64_t activity_seq_ = 0;

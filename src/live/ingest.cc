@@ -129,6 +129,8 @@ io::JsonValue RenderStats(const IncrementalStats& builder,
   MustSet(b, "evicted_objects",
           static_cast<std::int64_t>(builder.evicted_objects));
   MustSet(b, "finalized", static_cast<std::int64_t>(builder.finalized));
+  MustSet(b, "objects_swept",
+          static_cast<std::int64_t>(builder.objects_swept));
   MustSet(b, "open_objects", static_cast<std::int64_t>(builder.open_objects));
   MustSet(b, "buffered_detections",
           static_cast<std::int64_t>(builder.buffered_detections));

@@ -28,9 +28,11 @@ Status SegmentStore::Append(
   for (const core::SemanticTrajectory& t : trajectories) {
     // The writer's check, up front: a snapshot ranks the tail by start
     // time, and a seal must never fail on data it cannot hand back.
-    SITM_RETURN_IF_ERROR(t.trace().StartTime().status().WithContext(
-        "SegmentStore: refusing to append trajectory #" +
-        std::to_string(t.id().value())));
+    if (const Result<Timestamp> start = t.trace().StartTime(); !start.ok()) {
+      return start.status().WithContext(
+          "SegmentStore: refusing to append trajectory #" +
+          std::to_string(t.id().value()));
+    }
   }
   {
     MutexLock lock(mutex_);

@@ -1,7 +1,8 @@
 #include "storage/columnar.h"
 
-#include <utility>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 namespace sitm::storage {
 
@@ -102,14 +103,14 @@ Result<std::string_view> ByteReader::ReadBytes(std::size_t n) {
   return view;
 }
 
-void PutDeltaColumn(std::string& out,
-                    const std::vector<std::int64_t>& values) {
+void PutDeltaColumn(std::string& out, const std::int64_t* values,
+                    std::size_t n) {
   // Deltas are computed mod 2^64 (unsigned, wrap-defined) so every
   // int64 pair round-trips exactly through the wrap-adding decoder —
   // including adjacent values at the two ends of the int64 range.
   std::uint64_t previous = 0;
-  for (std::int64_t v : values) {
-    const auto u = static_cast<std::uint64_t>(v);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto u = static_cast<std::uint64_t>(values[i]);
     PutSVarint64(out, static_cast<std::int64_t>(u - previous));
     previous = u;
   }
@@ -133,9 +134,9 @@ Result<std::vector<std::int64_t>> ReadDeltaColumn(ByteReader& reader,
   return out;
 }
 
-void PutVarintColumn(std::string& out,
-                     const std::vector<std::uint64_t>& values) {
-  for (std::uint64_t v : values) PutVarint64(out, v);
+void PutVarintColumn(std::string& out, const std::uint64_t* values,
+                     std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) PutVarint64(out, values[i]);
 }
 
 Result<std::vector<std::uint64_t>> ReadVarintColumn(ByteReader& reader,
@@ -149,11 +150,12 @@ Result<std::vector<std::uint64_t>> ReadVarintColumn(ByteReader& reader,
   return out;
 }
 
-void PutBitColumn(std::string& out, const std::vector<bool>& values) {
+void PutBitColumn(std::string& out, const std::vector<bool>& values,
+                  std::size_t begin, std::size_t end) {
   unsigned char byte = 0;
   int bit = 0;
-  for (bool v : values) {
-    if (v) byte |= static_cast<unsigned char>(1u << bit);
+  for (std::size_t i = begin; i < end; ++i) {
+    if (values[i]) byte |= static_cast<unsigned char>(1u << bit);
     if (++bit == 8) {
       out.push_back(static_cast<char>(byte));
       byte = 0;
@@ -197,26 +199,64 @@ std::uint32_t LzHash(const char* p) {
 
 namespace {
 
+/// Length of the common prefix of `a` and `b`, at most `limit`: eight
+/// bytes per compare, the first differing byte found from the XOR.
+std::size_t MatchLength(const char* a, const char* b, std::size_t limit) {
+  std::size_t len = 0;
+  while (len + 8 <= limit) {
+    std::uint64_t x = 0, y = 0;
+    std::memcpy(&x, a + len, sizeof(x));
+    std::memcpy(&y, b + len, sizeof(y));
+    if (const std::uint64_t diff = x ^ y; diff != 0) {
+#if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_BIG_ENDIAN__
+      return len + static_cast<std::size_t>(__builtin_clzll(diff)) / 8;
+#else
+      return len + static_cast<std::size_t>(__builtin_ctzll(diff)) / 8;
+#endif
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
+/// The match finder's tables, one set per thread and reused by every
+/// CompressBytes call on it. A call stores positions offset by its own
+/// base, and bases only grow, so entries left by earlier calls read as
+/// "no candidate" without clearing 2^16 head slots per call.
+/// Thread-safety: thread-local, so concurrent encoders (ParallelMap
+/// workers compressing their own blocks) share nothing.
+struct LzTables {
+  std::vector<std::size_t> head =
+      std::vector<std::size_t>(std::size_t{1} << kLzHashBits, 0);
+  std::vector<std::size_t> prev;
+  std::size_t next_base = 1;  // 0 never names a position
+};
+
 /// Hash-chained match finder: head[h] is the most recent position whose
 /// 4-byte prefix hashed to h, prev[] threads earlier ones. Bounded
 /// probing (kLzMaxChain) keeps compression O(n) while finding much
 /// longer matches than a single-slot table on repetitive column bytes.
 class LzMatcher {
  public:
-  explicit LzMatcher(std::string_view input)
-      : input_(input),
-        head_(std::size_t{1} << kLzHashBits, SIZE_MAX),
-        prev_(input.size(), SIZE_MAX) {}
+  explicit LzMatcher(std::string_view input) : input_(input) {
+    thread_local LzTables tables;
+    tables_ = &tables;
+    base_ = tables.next_base;
+    tables.next_base += input.size();
+    if (tables.prev.size() < input.size()) tables.prev.resize(input.size());
+  }
 
   /// Longest match (>= kLzMinMatch) ending the probe at `pos`, as
   /// (length, distance); length 0 when none. Ties prefer the nearer
   /// candidate (shorter distance varint).
   std::pair<std::size_t, std::size_t> Find(std::size_t pos) const {
     std::size_t best_len = 0, best_dist = 0;
-    std::size_t candidate = head_[LzHash(input_.data() + pos)];
+    std::size_t stored = tables_->head[LzHash(input_.data() + pos)];
     const std::size_t limit = input_.size() - pos;
-    for (int probes = 0; probes < kLzMaxChain && candidate != SIZE_MAX;
-         ++probes, candidate = prev_[candidate]) {
+    for (int probes = 0; probes < kLzMaxChain && stored >= base_;
+         ++probes, stored = tables_->prev[stored - base_]) {
+      const std::size_t candidate = stored - base_;
       if (pos - candidate > kLzMaxDistance) break;  // chain only ages
       // Cheap rejection: a longer match must agree at best_len too.
       if (best_len > 0 && (best_len >= limit ||
@@ -224,10 +264,8 @@ class LzMatcher {
                                input_[pos + best_len])) {
         continue;
       }
-      std::size_t len = 0;
-      while (len < limit && input_[candidate + len] == input_[pos + len]) {
-        ++len;
-      }
+      const std::size_t len =
+          MatchLength(input_.data() + candidate, input_.data() + pos, limit);
       if (len >= kLzMinMatch && len > best_len) {
         best_len = len;
         best_dist = pos - candidate;
@@ -239,14 +277,14 @@ class LzMatcher {
 
   void Insert(std::size_t pos) {
     const std::uint32_t h = LzHash(input_.data() + pos);
-    prev_[pos] = head_[h];
-    head_[h] = pos;
+    tables_->prev[pos] = tables_->head[h];
+    tables_->head[h] = base_ + pos;
   }
 
  private:
   std::string_view input_;
-  std::vector<std::size_t> head_;
-  std::vector<std::size_t> prev_;
+  LzTables* tables_ = nullptr;
+  std::size_t base_ = 0;
 };
 
 }  // namespace

@@ -102,22 +102,36 @@ class ByteReader {
 /// absolute, every later one as the difference to its predecessor, all
 /// zigzag varints. Ids assigned in roughly increasing order and sorted
 /// timestamps shrink to one or two bytes per row.
-void PutDeltaColumn(std::string& out, const std::vector<std::int64_t>& values);
+void PutDeltaColumn(std::string& out, const std::int64_t* values,
+                    std::size_t n);
+inline void PutDeltaColumn(std::string& out,
+                           const std::vector<std::int64_t>& values) {
+  PutDeltaColumn(out, values.data(), values.size());
+}
 
 /// Decodes `n` values of a PutDeltaColumn column.
 [[nodiscard]] Result<std::vector<std::int64_t>> ReadDeltaColumn(ByteReader& reader,
                                                   std::size_t n);
 
 /// Appends an unsigned varint column (no delta).
-void PutVarintColumn(std::string& out,
-                     const std::vector<std::uint64_t>& values);
+void PutVarintColumn(std::string& out, const std::uint64_t* values,
+                     std::size_t n);
+inline void PutVarintColumn(std::string& out,
+                            const std::vector<std::uint64_t>& values) {
+  PutVarintColumn(out, values.data(), values.size());
+}
 
 /// Decodes `n` values of a PutVarintColumn column.
 [[nodiscard]] Result<std::vector<std::uint64_t>> ReadVarintColumn(ByteReader& reader,
                                                     std::size_t n);
 
-/// Appends a bit-packed bool column ((n + 7) / 8 bytes, LSB first).
-void PutBitColumn(std::string& out, const std::vector<bool>& values);
+/// Appends a bit-packed bool column ((n + 7) / 8 bytes, LSB first) of
+/// values[begin, end).
+void PutBitColumn(std::string& out, const std::vector<bool>& values,
+                  std::size_t begin, std::size_t end);
+inline void PutBitColumn(std::string& out, const std::vector<bool>& values) {
+  PutBitColumn(out, values, 0, values.size());
+}
 
 /// Decodes `n` values of a PutBitColumn column.
 [[nodiscard]] Result<std::vector<bool>> ReadBitColumn(ByteReader& reader, std::size_t n);
@@ -132,6 +146,11 @@ void PutBitColumn(std::string& out, const std::vector<bool>& values);
 /// match length - 4, varint distance). Matches are at least 4 bytes and
 /// may overlap their own output (RLE falls out for free). Self-framing
 /// except for the decompressed size, which callers must convey.
+///
+/// The match finder's hash tables are per thread and reused across
+/// calls, so a call costs O(input) with no 2^16-slot table to allocate
+/// and clear. The parse — and so every output byte — is a pure function
+/// of `input`: reuse changes no match decision.
 std::string CompressBytes(std::string_view input);
 
 /// Decompresses a CompressBytes stream into exactly `decompressed_size`

@@ -12,18 +12,18 @@ namespace sitm::storage {
 
 namespace {
 
-/// Serialized annotation set: varint count, then per annotation varint
+/// Serializes an annotation set into `out` (replacing its contents):
+/// varint count, then per annotation varint
 /// kind + varint byte length + value bytes. Canonical because
 /// AnnotationSet keeps its contents sorted and unique.
-std::string EncodeAnnotationSet(const core::AnnotationSet& set) {
-  std::string out;
+void EncodeAnnotationSet(const core::AnnotationSet& set, std::string& out) {
+  out.clear();
   PutVarint64(out, set.size());
   for (const core::SemanticAnnotation& a : set.annotations()) {
     PutVarint64(out, static_cast<std::uint64_t>(a.kind));
     PutVarint64(out, a.value.size());
     out += a.value;
   }
-  return out;
 }
 
 Result<core::AnnotationSet> DecodeAnnotationSet(ByteReader& reader) {
@@ -231,6 +231,7 @@ EventStoreWriter::EventStoreWriter(EventStoreWriter&& other) noexcept
       dictionary_(std::move(other.dictionary_)),
       dictionary_sets_(std::move(other.dictionary_sets_)),
       dictionary_index_(std::move(other.dictionary_index_)),
+      last_dictionary_id_(other.last_dictionary_id_),
       object_blocks_(std::move(other.object_blocks_)),
       block_dictionary_ids_(std::move(other.block_dictionary_ids_)),
       stats_(other.stats_) {}
@@ -248,6 +249,7 @@ EventStoreWriter& EventStoreWriter::operator=(
     dictionary_ = std::move(other.dictionary_);
     dictionary_sets_ = std::move(other.dictionary_sets_);
     dictionary_index_ = std::move(other.dictionary_index_);
+    last_dictionary_id_ = other.last_dictionary_id_;
     object_blocks_ = std::move(other.object_blocks_);
     block_dictionary_ids_ = std::move(other.block_dictionary_ids_);
     stats_ = other.stats_;
@@ -268,15 +270,21 @@ Status EventStoreWriter::WriteRaw(std::string_view bytes) {
 }
 
 std::uint32_t EventStoreWriter::DictionaryId(const core::AnnotationSet& set) {
-  std::string encoded = EncodeAnnotationSet(set);
-  const auto it = dictionary_index_.find(encoded);
-  if (it != dictionary_index_.end()) return it->second;
+  EncodeAnnotationSet(set, dictionary_scratch_);
+  // Rows repeat their neighbours' sets, so the last answer usually
+  // stands without a hash lookup.
+  if (last_dictionary_id_ < dictionary_.size() &&
+      dictionary_[last_dictionary_id_] == dictionary_scratch_) {
+    return last_dictionary_id_;
+  }
+  const auto it = dictionary_index_.find(dictionary_scratch_);
+  if (it != dictionary_index_.end()) return last_dictionary_id_ = it->second;
   const auto id = static_cast<std::uint32_t>(dictionary_.size());
-  dictionary_index_.emplace(encoded, id);
-  dictionary_.push_back(std::move(encoded));
+  dictionary_index_.emplace(dictionary_scratch_, id);
+  dictionary_.push_back(dictionary_scratch_);
   dictionary_sets_.push_back(set);
   stats_.dictionary_entries = dictionary_.size();
-  return id;
+  return last_dictionary_id_ = id;
 }
 
 Status EventStoreWriter::Append(
@@ -379,12 +387,25 @@ Status EventStoreWriter::Append(
   traj_objects.reserve(num_trajectories);
   traj_dicts.reserve(num_trajectories);
   traj_rows.reserve(num_trajectories);
+  std::size_t num_rows = 0;
+  for (const core::SemanticTrajectory& t : trajectories) {
+    num_rows += t.trace().size();
+  }
+  cells.reserve(num_rows);
+  transitions.reserve(num_rows);
+  starts.reserve(num_rows);
+  durations.reserve(num_rows);
+  stay_dicts.reserve(num_rows);
+  transition_dicts.reserve(num_rows);
+  inferred.reserve(num_rows);
   for (const core::SemanticTrajectory& t : trajectories) {
     // Checked accessor: an empty trace must never reach the disk, or
     // readers could not reconstruct the trajectory's bounds.
-    SITM_RETURN_IF_ERROR(t.trace().StartTime().status().WithContext(
-        "EventStore: refusing to append trajectory #" +
-        std::to_string(t.id().value())));
+    if (const Result<Timestamp> start = t.trace().StartTime(); !start.ok()) {
+      return start.status().WithContext(
+          "EventStore: refusing to append trajectory #" +
+          std::to_string(t.id().value()));
+    }
     traj_ids.push_back(t.id().value());
     traj_objects.push_back(t.object().value());
     traj_dicts.push_back(DictionaryId(t.annotations()));
@@ -431,45 +452,22 @@ Status EventStoreWriter::Append(
       options_.executor, ranges.size(), [&](std::size_t b) {
         const BlockRange& range = ranges[b];
         EncodedBlock block;
-        auto slice_i64 = [](const std::vector<std::int64_t>& v,
-                            std::size_t begin, std::size_t end) {
-          return std::vector<std::int64_t>(v.begin() + begin, v.begin() + end);
-        };
-        auto slice_u64 = [](const std::vector<std::uint64_t>& v,
-                            std::size_t begin, std::size_t end) {
-          return std::vector<std::uint64_t>(v.begin() + begin,
-                                            v.begin() + end);
-        };
+        const std::size_t t0 = range.traj_begin, nt = range.traj_end - t0;
+        const std::size_t r0 = range.row_begin, nr = range.row_end - r0;
         std::string columns;
-        PutDeltaColumn(columns,
-                       slice_i64(traj_ids, range.traj_begin, range.traj_end));
-        PutDeltaColumn(
-            columns, slice_i64(traj_objects, range.traj_begin, range.traj_end));
-        PutVarintColumn(
-            columns, slice_u64(traj_dicts, range.traj_begin, range.traj_end));
-        PutVarintColumn(
-            columns, slice_u64(traj_rows, range.traj_begin, range.traj_end));
-        PutDeltaColumn(columns,
-                       slice_i64(cells, range.row_begin, range.row_end));
+        PutDeltaColumn(columns, traj_ids.data() + t0, nt);
+        PutDeltaColumn(columns, traj_objects.data() + t0, nt);
+        PutVarintColumn(columns, traj_dicts.data() + t0, nt);
+        PutVarintColumn(columns, traj_rows.data() + t0, nt);
+        PutDeltaColumn(columns, cells.data() + r0, nr);
         for (std::size_t i = range.row_begin; i < range.row_end; ++i) {
           PutSVarint64(columns, transitions[i]);
         }
-        PutDeltaColumn(columns,
-                       slice_i64(starts, range.row_begin, range.row_end));
-        PutVarintColumn(columns,
-                        slice_u64(durations, range.row_begin, range.row_end));
-        PutVarintColumn(
-            columns, slice_u64(stay_dicts, range.row_begin, range.row_end));
-        PutVarintColumn(
-            columns,
-            slice_u64(transition_dicts, range.row_begin, range.row_end));
-        PutBitColumn(columns,
-                     std::vector<bool>(inferred.begin() +
-                                           static_cast<std::ptrdiff_t>(
-                                               range.row_begin),
-                                       inferred.begin() +
-                                           static_cast<std::ptrdiff_t>(
-                                               range.row_end)));
+        PutDeltaColumn(columns, starts.data() + r0, nr);
+        PutVarintColumn(columns, durations.data() + r0, nr);
+        PutVarintColumn(columns, stay_dicts.data() + r0, nr);
+        PutVarintColumn(columns, transition_dicts.data() + r0, nr);
+        PutBitColumn(columns, inferred, range.row_begin, range.row_end);
         block.payload = LzBlockPayload(columns);
         {
           std::vector<std::uint32_t> ids;
@@ -498,8 +496,9 @@ Status EventStoreWriter::Append(
         block.meta.trajectories = range.traj_end - range.traj_begin;
         block.meta.length = block.payload.size();
         block.meta.checksum = Checksum(block.payload);
-        block.objects = SortedUnique(
-            slice_i64(traj_objects, range.traj_begin, range.traj_end));
+        block.objects = SortedUnique(std::vector<std::int64_t>(
+            traj_objects.begin() + static_cast<std::ptrdiff_t>(t0),
+            traj_objects.begin() + static_cast<std::ptrdiff_t>(t0 + nt)));
         return block;
       },
       /*grain=*/0, "store/encode");

@@ -210,6 +210,9 @@ class EventStoreWriter {
   /// annotation-bitmap section at Finish).
   std::vector<core::AnnotationSet> dictionary_sets_;
   std::unordered_map<std::string, std::uint32_t> dictionary_index_;
+  /// DictionaryId's last answer and its encoding buffer.
+  std::uint32_t last_dictionary_id_ = 0;
+  std::string dictionary_scratch_;
   /// Secondary index under construction: object id -> ascending block
   /// indices (std::map so Finish emits objects in ascending order).
   std::map<std::int64_t, std::vector<std::uint32_t>> object_blocks_;

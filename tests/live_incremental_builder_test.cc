@@ -1,12 +1,16 @@
 // IncrementalBuilder unit behavior: config validation, all-or-nothing
 // admission, watermark admission and finalization, arrival-order
 // insensitivity, cleaning identical to the batch builder, bounded-
-// memory eviction, Drain, and footprint peaks. (The full-stack
-// batch-equivalence contract lives in live_equivalence_property_test.)
+// memory eviction, Drain, footprint peaks, sweeps that visit only
+// objects with work, and a differential check of the indexed sweep
+// against a full-sweep oracle. (The full-stack batch-equivalence
+// contract lives in live_equivalence_property_test.)
 #include "live/incremental_builder.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -78,6 +82,7 @@ std::vector<std::int64_t> StatsFields(const IncrementalStats& s) {
           static_cast<std::int64_t>(s.late_dropped),
           static_cast<std::int64_t>(s.evicted_objects),
           static_cast<std::int64_t>(s.finalized),
+          static_cast<std::int64_t>(s.objects_swept),
           static_cast<std::int64_t>(s.open_objects),
           static_cast<std::int64_t>(s.buffered_detections),
           static_cast<std::int64_t>(s.peak_open_objects),
@@ -353,6 +358,307 @@ TEST(IncrementalBuilderTest, ProvisionalIdsAdvanceInFinalizationOrder) {
   EXPECT_EQ(out[0].id(), TrajectoryId(100));
   EXPECT_EQ(out[1].id(), TrajectoryId(101));
   EXPECT_EQ(builder.next_id(), TrajectoryId(102));
+}
+
+TEST(IncrementalBuilderTest, TiedDetectionsBuildTheSameInAnyArrivalOrder) {
+  // One object, two detections equal in (start, end) but not in cell:
+  // cleaning keeps whichever sorts first and drops the other as
+  // contained, so the sort must not leave the tie to arrival order.
+  const core::RawDetection a = D(1, 20, 100, 200);
+  const core::RawDetection b = D(1, 10, 100, 200);
+  const auto check = [](const std::vector<core::SemanticTrajectory>& out) {
+    ASSERT_EQ(out.size(), 1u);
+    ASSERT_EQ(out[0].trace().size(), 1u);
+    EXPECT_EQ(out[0].trace().intervals()[0].cell, CellId(10));
+  };
+  for (const auto& order : {std::vector<core::RawDetection>{a, b},
+                            std::vector<core::RawDetection>{b, a}}) {
+    core::TrajectoryBuilder batch;
+    const auto built = batch.Build(order);
+    ASSERT_TRUE(built.ok()) << built.status();
+    check(*built);
+
+    IncrementalBuilder one_batch(TightOptions());
+    std::vector<core::SemanticTrajectory> out;
+    ASSERT_TRUE(one_batch.Ingest(order, &out).ok());
+    ASSERT_TRUE(one_batch.Drain(&out).ok());
+    check(out);
+    EXPECT_EQ(out[0].trace().intervals(), (*built)[0].trace().intervals());
+
+    IncrementalBuilder two_batches(TightOptions());
+    out.clear();
+    ASSERT_TRUE(two_batches.Ingest({order[0]}, &out).ok());
+    ASSERT_TRUE(two_batches.Ingest({order[1]}, &out).ok());
+    // Released by the watermark mid-stream, not by Drain.
+    ASSERT_TRUE(two_batches.Ingest({D(2, 1, 20000, 20100)}, &out).ok());
+    check(out);
+  }
+}
+
+TEST(IncrementalBuilderTest, SweepVisitsOnlyObjectsWithWork) {
+  IncrementalBuilder builder(TightOptions());  // 60 s lateness, 2 h gap
+  std::vector<core::SemanticTrajectory> out;
+  std::vector<core::RawDetection> idle;
+  for (std::int64_t object = 1; object <= 10000; ++object) {
+    idle.push_back(D(object, 1, 0, 10));
+  }
+  ASSERT_TRUE(builder.Ingest(idle, &out).ok());
+  EXPECT_EQ(builder.stats().objects_swept, 0u);
+
+  // One active detection past the session gap: each idle object is
+  // visited once, consuming its detection and flushing the trace.
+  const ObjectId active(20000);
+  ASSERT_TRUE(builder.Ingest({D(active.value(), 2, 10000, 10050)}, &out).ok());
+  EXPECT_EQ(out.size(), 10000u);
+  EXPECT_EQ(builder.stats().objects_swept, 10000u);
+
+  // The idle objects stay tracked, but only the active one has work.
+  for (std::int64_t k = 1; k <= 100; ++k) {
+    const std::size_t before = builder.stats().objects_swept;
+    const std::int64_t start = 10000 + 100 * k;
+    ASSERT_TRUE(
+        builder.Ingest({D(active.value(), 2 + k % 2, start, start + 50)}, &out)
+            .ok());
+    EXPECT_LE(builder.stats().objects_swept - before, 1u) << k;
+  }
+  const IncrementalStats& stats = builder.stats();
+  EXPECT_EQ(stats.open_objects, 10001u);
+  EXPECT_LE(stats.objects_swept, stats.records_in + stats.finalized);
+}
+
+/// The full-sweep builder the due index replaced, kept as a brute-force
+/// oracle: every sweep visits every tracked object in id order, and
+/// eviction scans for the smallest last activity. stats().objects_swept
+/// counts only the visits that consumed or flushed something — exactly
+/// the visits the indexed builder makes.
+class FullSweepOracle {
+ public:
+  explicit FullSweepOracle(IncrementalOptions options)
+      : options_(std::move(options)), assembler_(options_.builder) {}
+
+  Status Ingest(const std::vector<core::RawDetection>& batch,
+                std::vector<core::SemanticTrajectory>* finalized) {
+    SITM_RETURN_IF_ERROR(options_.Validate());
+    for (const core::RawDetection& d : batch) {
+      if (!d.object.valid() || !d.cell.valid()) {
+        return Status::InvalidArgument("invalid id");
+      }
+    }
+    stats_.records_in += batch.size();
+    const std::size_t first = finalized->size();
+    for (const core::RawDetection& d : batch) {
+      if (stats_.has_watermark && d.start < stats_.watermark) {
+        ++stats_.late_dropped;
+        continue;
+      }
+      State& state = objects_[d.object];
+      state.pending.push_back(d);
+      state.last_activity = ++activity_seq_;
+      ++stats_.buffered_detections;
+      if (!has_max_start_ || d.start > max_start_) {
+        has_max_start_ = true;
+        max_start_ = d.start;
+      }
+    }
+    UpdateFootprint();
+    if (has_max_start_) {
+      stats_.watermark = max_start_ - options_.allowed_lateness;
+      stats_.has_watermark = true;
+    }
+    if (stats_.has_watermark) {
+      for (auto& [object, state] : objects_) {
+        const std::size_t buffered = stats_.buffered_detections;
+        const std::size_t emitted = finalized->size();
+        SITM_RETURN_IF_ERROR(ConsumeReady(object, state, stats_.watermark,
+                                          /*consume_all=*/false, finalized));
+        if (!state.open.trace.empty() &&
+            stats_.watermark - state.open.trace.end() >
+                options_.builder.session_gap) {
+          SITM_RETURN_IF_ERROR(
+              assembler_.Flush(object, state.open, finalized));
+        }
+        if (stats_.buffered_detections != buffered ||
+            finalized->size() != emitted) {
+          ++stats_.objects_swept;
+        }
+      }
+    }
+    while (options_.max_open_objects != 0 &&
+           objects_.size() > options_.max_open_objects) {
+      auto victim = objects_.begin();
+      for (auto it = objects_.begin(); it != objects_.end(); ++it) {
+        if (it->second.last_activity < victim->second.last_activity) {
+          victim = it;
+        }
+      }
+      ++stats_.evicted_objects;
+      SITM_RETURN_IF_ERROR(ConsumeReady(victim->first, victim->second,
+                                        Timestamp(), /*consume_all=*/true,
+                                        finalized));
+      SITM_RETURN_IF_ERROR(
+          assembler_.Flush(victim->first, victim->second.open, finalized));
+      objects_.erase(victim);
+    }
+    return Finalize(first, finalized);
+  }
+
+  Status Drain(std::vector<core::SemanticTrajectory>* finalized) {
+    SITM_RETURN_IF_ERROR(options_.Validate());
+    const std::size_t first = finalized->size();
+    for (auto& [object, state] : objects_) {
+      SITM_RETURN_IF_ERROR(ConsumeReady(object, state, Timestamp(),
+                                        /*consume_all=*/true, finalized));
+      SITM_RETURN_IF_ERROR(assembler_.Flush(object, state.open, finalized));
+    }
+    objects_.clear();
+    stats_.buffered_detections = 0;
+    return Finalize(first, finalized);
+  }
+
+  const IncrementalStats& stats() const { return stats_; }
+
+ private:
+  struct State {
+    std::vector<core::RawDetection> pending;
+    core::OpenObject open;
+    std::uint64_t last_activity = 0;
+  };
+
+  Status ConsumeReady(ObjectId object, State& state, Timestamp watermark,
+                      bool consume_all,
+                      std::vector<core::SemanticTrajectory>* out) {
+    std::sort(state.pending.begin(), state.pending.end(),
+              core::DetectionBefore);
+    std::size_t consumed = 0;
+    while (consumed < state.pending.size() &&
+           (consume_all || state.pending[consumed].start < watermark)) {
+      SITM_RETURN_IF_ERROR(
+          assembler_.Add(object, state.open, state.pending[consumed], out));
+      ++consumed;
+    }
+    state.pending.erase(state.pending.begin(),
+                        state.pending.begin() +
+                            static_cast<std::ptrdiff_t>(consumed));
+    stats_.buffered_detections -= consumed;
+    return Status::OK();
+  }
+
+  Status Finalize(std::size_t first,
+                  std::vector<core::SemanticTrajectory>* out) {
+    core::EnrichmentReport enrichment;
+    core::InferenceReport inference;
+    for (std::size_t i = first; i < out->size(); ++i) {
+      SITM_RETURN_IF_ERROR(
+          options_.Apply(&(*out)[i], &enrichment, &inference));
+    }
+    stats_.finalized += out->size() - first;
+    stats_.build = assembler_.report();
+    UpdateFootprint();
+    return Status::OK();
+  }
+
+  void UpdateFootprint() {
+    stats_.open_objects = objects_.size();
+    stats_.peak_open_objects =
+        std::max(stats_.peak_open_objects, stats_.open_objects);
+    stats_.peak_buffered_detections = std::max(
+        stats_.peak_buffered_detections, stats_.buffered_detections);
+  }
+
+  IncrementalOptions options_;
+  core::Assembler assembler_;
+  std::map<ObjectId, State> objects_;
+  bool has_max_start_ = false;
+  Timestamp max_start_;
+  std::uint64_t activity_seq_ = 0;
+  IncrementalStats stats_;
+};
+
+/// A random stream in batches: busy objects revisiting across session
+/// gaps, idle objects seen once that only ever time out by session gap,
+/// duplicates, zero-length detections, (start, end) ties across cells,
+/// and arrivals late enough to be dropped.
+std::vector<std::vector<core::RawDetection>> RandomBatches(Rng& rng) {
+  std::vector<std::vector<core::RawDetection>> batches;
+  std::vector<core::RawDetection> sent;
+  std::int64_t now = 0;
+  std::int64_t next_idle = 100;
+  const std::int64_t num_batches = rng.NextInt(5, 40);
+  for (std::int64_t b = 0; b < num_batches; ++b) {
+    std::vector<core::RawDetection> batch;
+    const std::int64_t size = rng.NextInt(1, 12);
+    for (std::int64_t i = 0; i < size; ++i) {
+      const double kind = rng.NextDouble();
+      core::RawDetection d;
+      if (kind < 0.1 && !sent.empty()) {  // duplicate
+        d = sent[rng.NextBounded(sent.size())];
+      } else if (kind < 0.2 && !sent.empty()) {  // tie in another cell
+        d = sent[rng.NextBounded(sent.size())];
+        d.cell = CellId(d.cell.value() % 4 + 1);
+      } else {
+        const std::int64_t object =
+            kind < 0.3 ? next_idle++ : rng.NextInt(1, 6);
+        // Up to 900 s behind `now` against 600 s of lateness.
+        const std::int64_t start = now - rng.NextInt(0, 900);
+        d = D(object, rng.NextInt(1, 4), start,
+              start + rng.NextInt(0, 400));
+      }
+      batch.push_back(d);
+      sent.push_back(d);
+    }
+    batches.push_back(std::move(batch));
+    // Mostly small steps; now and then past the 1800 s session gap.
+    now += rng.NextBool(0.15) ? rng.NextInt(2000, 5000) : rng.NextInt(0, 500);
+  }
+  return batches;
+}
+
+void ExpectSameTrajectories(const std::vector<core::SemanticTrajectory>& a,
+                            const std::vector<core::SemanticTrajectory>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].id(), b[i].id()) << i;
+    EXPECT_EQ(a[i].object(), b[i].object()) << i;
+    EXPECT_EQ(a[i].trace().intervals(), b[i].trace().intervals()) << i;
+    EXPECT_EQ(a[i].annotations(), b[i].annotations()) << i;
+  }
+}
+
+TEST(IncrementalBuilderTest, IndexedSweepMatchesTheFullSweepOracle) {
+  std::size_t late = 0, evicted = 0, swept = 0;
+  for (const std::size_t max_open : {std::size_t{0}, std::size_t{3}}) {
+    for (std::uint64_t seed = 1; seed <= 150; ++seed) {
+      SCOPED_TRACE(::testing::Message()
+                   << "seed " << seed << " max_open " << max_open);
+      Rng rng(seed);
+      IncrementalOptions options;
+      options.allowed_lateness = Duration::Seconds(600);
+      options.builder.session_gap = Duration::Seconds(1800);
+      options.max_open_objects = max_open;
+      IncrementalBuilder builder(options);
+      FullSweepOracle oracle(options);
+      std::vector<core::SemanticTrajectory> got, want;
+      for (const std::vector<core::RawDetection>& batch : RandomBatches(rng)) {
+        ASSERT_TRUE(builder.Ingest(batch, &got).ok());
+        ASSERT_TRUE(oracle.Ingest(batch, &want).ok());
+        ExpectSameTrajectories(got, want);
+        ASSERT_EQ(StatsFields(builder.stats()), StatsFields(oracle.stats()));
+        const IncrementalStats& stats = builder.stats();
+        ASSERT_LE(stats.objects_swept, stats.records_in + stats.finalized);
+      }
+      ASSERT_TRUE(builder.Drain(&got).ok());
+      ASSERT_TRUE(oracle.Drain(&want).ok());
+      ExpectSameTrajectories(got, want);
+      ASSERT_EQ(StatsFields(builder.stats()), StatsFields(oracle.stats()));
+      late += builder.stats().late_dropped;
+      evicted += builder.stats().evicted_objects;
+      swept += builder.stats().objects_swept;
+    }
+  }
+  // The streams reach the branches they exist for.
+  EXPECT_GT(late, 0u);
+  EXPECT_GT(evicted, 0u);
+  EXPECT_GT(swept, 0u);
 }
 
 }  // namespace

@@ -142,6 +142,7 @@ TEST(RenderStatsTest, EmitsEveryCounterAsValidJson) {
   builder.records_in = 10;
   builder.late_dropped = 2;
   builder.finalized = 3;
+  builder.objects_swept = 12;
   builder.peak_open_objects = 4;
   builder.build.zero_duration_dropped = 6;
   builder.build.contained_dropped = 7;
@@ -161,6 +162,7 @@ TEST(RenderStatsTest, EmitsEveryCounterAsValidJson) {
   EXPECT_EQ(b->Get("watermark").value()->AsInt().value(), 1234);
   EXPECT_EQ(b->Get("records_in").value()->AsInt().value(), 10);
   EXPECT_EQ(b->Get("late_dropped").value()->AsInt().value(), 2);
+  EXPECT_EQ(b->Get("objects_swept").value()->AsInt().value(), 12);
   EXPECT_EQ(b->Get("peak_open_objects").value()->AsInt().value(), 4);
   const io::JsonValue* cleaning = b->Get("cleaning").value();
   EXPECT_EQ(cleaning->Get("zero_duration_dropped").value()->AsInt().value(),
