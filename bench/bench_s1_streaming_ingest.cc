@@ -5,8 +5,9 @@
 // high-water marks (the builder's peaks are the bounded-memory oracle),
 // and the compaction write amplification, then self-checks that
 //   (a) the arrival order loses nothing (late_dropped == 0),
-//   (b) the open state stayed bounded by the shuffle window, not by
-//       the stream length, and
+//   (b) the open state stayed bounded by the shuffle window and the
+//       visitors active around the watermark, not by the stream
+//       length or the visitor count, and
 //   (c) a snapshot query over live segments counts exactly the
 //       finalized trajectories.
 // Any violation exits 1 — the bench IS the regression gate.
@@ -22,7 +23,9 @@
 #include <chrono>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "base/rng.h"
@@ -118,6 +121,46 @@ Duration StreamLateness() {
     }
   }
   return worst + Duration::Seconds(1);
+}
+
+// The most distinct objects with a detection meeting one event-time
+// window of length `window`. Detection [s, e] meets [t, t + window] iff
+// t lies in [s - window, max(s, e)], so this is the deepest overlap of
+// those t-ranges, merged per object.
+std::size_t MaxObjectsInWindow(
+    const std::vector<core::RawDetection>& detections, Duration window) {
+  std::map<ObjectId, std::vector<std::pair<Timestamp, Timestamp>>> ranges;
+  for (const core::RawDetection& d : detections) {
+    ranges[d.object].emplace_back(d.start - window, std::max(d.start, d.end));
+  }
+  // (t, 0) opens a range and (t, 1) closes one; opens sort first, so
+  // ranges that touch overlap.
+  std::vector<std::pair<Timestamp, int>> events;
+  for (auto& [object, object_ranges] : ranges) {
+    std::sort(object_ranges.begin(), object_ranges.end());
+    Timestamp lo = object_ranges.front().first;
+    Timestamp hi = object_ranges.front().second;
+    for (const auto& [from, to] : object_ranges) {
+      if (hi < from) {
+        events.emplace_back(lo, 0);
+        events.emplace_back(hi, 1);
+        lo = from;
+      }
+      hi = std::max(hi, to);
+    }
+    events.emplace_back(lo, 0);
+    events.emplace_back(hi, 1);
+  }
+  std::sort(events.begin(), events.end());
+  std::size_t depth = 0, deepest = 0;
+  for (const auto& [t, kind] : events) {
+    if (kind == 0) {
+      deepest = std::max(deepest, ++depth);
+    } else {
+      --depth;
+    }
+  }
+  return deepest;
 }
 
 live::IncrementalOptions StreamOptions() {
@@ -286,9 +329,23 @@ void Report() {
                   "peak buffered detections " +
                   std::to_string(stats.peak_buffered_detections) +
                   " exceeds bound " + std::to_string(buffer_bound)));
-  Check(stats.peak_open_objects <= distinct_objects
+  // The builder retires an object once nothing of it is buffered and
+  // its trace has flushed, so every tracked object has a detection
+  // meeting [W − session_gap, W + lateness]: the peak is bounded by the
+  // most objects active in any (lateness + session_gap)-long window,
+  // plus one ingest batch of new arrivals.
+  const std::size_t object_bound =
+      MaxObjectsInWindow(arrival, StreamLateness() +
+                                      StreamOptions().builder.session_gap) +
+      kIngestBatch;
+  Check(stats.peak_open_objects <= object_bound
             ? Status::OK()
-            : Status::Internal("more open objects than objects"));
+            : Status::Internal("peak open objects " +
+                               std::to_string(stats.peak_open_objects) +
+                               " exceeds bound " +
+                               std::to_string(object_bound)));
+  std::printf("  peak open objects %zu <= window bound %zu (%zu objects)\n",
+              stats.peak_open_objects, object_bound, distinct_objects);
   // A snapshot over the live segments must count exactly the finalized
   // trajectories (canonical-id snapshot + store-set count query).
   {

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the live ingest subsystem: starts the example
 # server on loopback, POSTs an out-of-order detection stream in several
-# batches, checks the ids served mid-stream, flushes, checks the
+# batches, checks the ids served mid-stream and the objects the builder
+# has retired, flushes, checks the
 # builder's cleaning counters in /stats, queries back over
 # the live segments, and diffs every
 # answer byte-for-byte against `live_server batch` — the batch pipeline
@@ -134,6 +135,21 @@ check_mid_stream_ids
 post "$work_dir/batch3.json" /detections
 post "$work_dir/batch4.json" /detections
 check_mid_stream_ids
+# Batch 4 moved the watermark (19400) a session gap past the traces of
+# objects 1-3: flushed, with nothing buffered, they are retired, and
+# only object 4 is still tracked.
+if ! python3 - "$work_dir/mid_stats.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as fh:
+    builder = json.load(fh)["builder"]
+got = (builder["open_objects"], builder["retired_objects"])
+print(f"live_smoke: before the flush, (open_objects, retired_objects) = {got}")
+sys.exit(0 if got == (1, 3) else 1)
+EOF
+then
+  echo "live_smoke: expected open_objects 1 and retired_objects 3 before the flush" >&2
+  exit 1
+fi
 curl -s -X POST "$base/flush" > /dev/null
 curl -s "$base/stats" > "$work_dir/live_smoke_stats.json"
 echo "live_smoke: /stats ->"

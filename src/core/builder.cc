@@ -29,6 +29,9 @@ Status BuilderOptions::Validate() const {
         "builder.default_annotations must be non-empty (Def. 3.1 requires "
         "a non-empty A_traj)");
   }
+  if (session_gap < Duration::Seconds(0)) {
+    return Status::InvalidArgument("builder.session_gap must not be negative");
+  }
   return Status::OK();
 }
 
@@ -38,14 +41,22 @@ bool DetectionBefore(const RawDetection& a, const RawDetection& b) {
   return a.cell < b.cell;
 }
 
+Status CheckDetection(const RawDetection& detection,
+                      const BuilderOptions& options) {
+  if (!detection.object.valid() || !detection.cell.valid()) {
+    return Status::InvalidArgument("detection with invalid object or cell id");
+  }
+  if (!options.drop_zero_duration && detection.end < detection.start) {
+    return Status::InvalidArgument("detection ends before it starts");
+  }
+  return Status::OK();
+}
+
 Result<std::vector<std::vector<RawDetection>>> GroupByObject(
-    std::vector<RawDetection> detections) {
+    std::vector<RawDetection> detections, const BuilderOptions& options) {
   std::map<ObjectId, std::vector<RawDetection>> by_object;
   for (RawDetection& d : detections) {
-    if (!d.object.valid() || !d.cell.valid()) {
-      return Status::InvalidArgument(
-          "detection with invalid object or cell id");
-    }
+    SITM_RETURN_IF_ERROR(CheckDetection(d, options));
     by_object[d.object].push_back(std::move(d));
   }
   std::vector<std::vector<RawDetection>> groups;
@@ -151,7 +162,7 @@ Result<std::vector<SemanticTrajectory>> TrajectoryBuilder::Build(
   report_.records_in = detections.size();
   SITM_RETURN_IF_ERROR(options_.Validate());
   Result<std::vector<std::vector<RawDetection>>> groups =
-      GroupByObject(std::move(detections));
+      GroupByObject(std::move(detections), options_);
   if (!groups.ok()) return groups.status();
 
   Assembler assembler(options_);

@@ -59,7 +59,8 @@ struct BuilderOptions {
   /// path (teleports — localization glitches).
   bool drop_graph_inconsistent = false;
 
-  /// InvalidArgument when default_annotations is empty.
+  /// InvalidArgument when default_annotations is empty or session_gap
+  /// is negative.
   [[nodiscard]] Status Validate() const;
 };
 
@@ -81,11 +82,18 @@ struct BuildReport {
 /// arrival order or on when (and how often) a buffer was sorted.
 bool DetectionBefore(const RawDetection& a, const RawDetection& b);
 
+/// InvalidArgument when `detection` has an invalid object or cell id,
+/// or ends before it starts while `options` keep zero-duration
+/// detections (with drop_zero_duration on, cleaning drops and counts
+/// it). Every builder checks its input with this before building.
+[[nodiscard]] Status CheckDetection(const RawDetection& detection,
+                                    const BuilderOptions& options);
+
 /// Groups detections by moving object, in object-id order; each group
-/// is non-empty and keeps input order. InvalidArgument on an invalid
-/// object or cell id.
+/// is non-empty and keeps input order. InvalidArgument when
+/// CheckDetection rejects a detection.
 [[nodiscard]] Result<std::vector<std::vector<RawDetection>>> GroupByObject(
-    std::vector<RawDetection> detections);
+    std::vector<RawDetection> detections, const BuilderOptions& options);
 
 /// One moving object's build state between Assembler calls.
 struct OpenObject {

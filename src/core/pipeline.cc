@@ -102,7 +102,7 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
   // preserves the sequential builder's (object, start time) order.
   report_.build.records_in = detections.size();
   Result<std::vector<std::vector<RawDetection>>> grouped =
-      GroupByObject(std::move(detections));
+      GroupByObject(std::move(detections), options_.builder);
   if (!grouped.ok()) return grouped.status();
   std::vector<std::vector<RawDetection>> groups = std::move(grouped).value();
   report_.build.objects_seen = groups.size();

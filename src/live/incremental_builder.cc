@@ -27,12 +27,9 @@ Status IncrementalBuilder::Ingest(
     const std::vector<core::RawDetection>& batch,
     std::vector<core::SemanticTrajectory>* finalized) {
   SITM_RETURN_IF_ERROR(options_.Validate());
-  // All or nothing: check every id before admitting any detection.
+  // All or nothing: check every detection before admitting any.
   for (const core::RawDetection& d : batch) {
-    if (!d.object.valid() || !d.cell.valid()) {
-      return Status::InvalidArgument(
-          "IncrementalBuilder: detection with invalid object or cell id");
-    }
+    SITM_RETURN_IF_ERROR(core::CheckDetection(d, options_.builder));
   }
   stats_.records_in += batch.size();
   const std::size_t first = finalized->size();
@@ -46,18 +43,18 @@ Status IncrementalBuilder::Ingest(
       ++stats_.late_dropped;
       continue;
     }
-    ObjectState& state = objects_[d.object];
+    const auto [it, tracked_anew] = objects_.try_emplace(d.object);
+    ObjectState& state = it->second;
+    if (tracked_anew) {
+      // A retired object returns: hand back what the graph filter reads.
+      if (auto retired = retired_last_kept_.extract(d.object)) {
+        state.open.last_kept = retired.mapped();
+      }
+    }
     state.pending.push_back(d);
     // The open trace is unchanged, so the due key can only move earlier.
     SetDue(d.object, state,
            state.due ? std::min(*state.due, d.start) : d.start);
-    if (options_.max_open_objects != 0) {
-      // Only eviction reads activity order; unbounded builders skip it.
-      by_activity_.erase(state.last_activity);
-      state.last_activity = ++activity_seq_;
-      by_activity_.emplace_hint(by_activity_.end(), state.last_activity,
-                                d.object);
-    }
     ++stats_.buffered_detections;
     if (!has_max_start_ || d.start > max_start_) {
       has_max_start_ = true;
@@ -99,15 +96,16 @@ Status IncrementalBuilder::Ingest(
         SITM_RETURN_IF_ERROR(assembler_.Flush(object, state.open, finalized));
       }
       RefreshDue(object, state);
+      if (!state.due) {
+        // Retirement (see the class comment).
+        if (options_.builder.drop_graph_inconsistent &&
+            options_.builder.graph != nullptr && state.open.last_kept) {
+          retired_last_kept_.emplace(object, *state.open.last_kept);
+        }
+        objects_.erase(object);
+        ++stats_.retired_objects;
+      }
     }
-  }
-
-  // Eviction: bound the tracked-object count by force-finalizing the
-  // least-recently-active objects (activity sequence numbers are
-  // unique, so the victim is unambiguous).
-  while (options_.max_open_objects != 0 &&
-         objects_.size() > options_.max_open_objects) {
-    SITM_RETURN_IF_ERROR(EvictOne(finalized));
   }
   return Finalize(first, finalized);
 }
@@ -116,7 +114,6 @@ Status IncrementalBuilder::Drain(
     std::vector<core::SemanticTrajectory>* finalized) {
   SITM_RETURN_IF_ERROR(options_.Validate());
   const std::size_t first = finalized->size();
-  // Objects without a due key have nothing buffered and no open trace.
   for (const ObjectId object : DueObjects(Timestamp(), /*all=*/true)) {
     ObjectState& state = objects_.find(object)->second;
     SITM_RETURN_IF_ERROR(ConsumeReady(object, state, Timestamp(),
@@ -125,7 +122,7 @@ Status IncrementalBuilder::Drain(
   }
   objects_.clear();
   due_.clear();
-  by_activity_.clear();
+  retired_last_kept_.clear();
   stats_.buffered_detections = 0;
   return Finalize(first, finalized);
 }
@@ -147,21 +144,6 @@ Status IncrementalBuilder::ConsumeReady(
                       state.pending.begin() +
                           static_cast<std::ptrdiff_t>(consumed));
   stats_.buffered_detections -= consumed;
-  return Status::OK();
-}
-
-Status IncrementalBuilder::EvictOne(
-    std::vector<core::SemanticTrajectory>* out) {
-  if (by_activity_.empty()) return Status::OK();
-  const auto victim = objects_.find(by_activity_.begin()->second);
-  ++stats_.evicted_objects;
-  SITM_RETURN_IF_ERROR(ConsumeReady(victim->first, victim->second, Timestamp(),
-                                    /*consume_all=*/true, out));
-  SITM_RETURN_IF_ERROR(
-      assembler_.Flush(victim->first, victim->second.open, out));
-  SetDue(victim->first, victim->second, std::nullopt);
-  by_activity_.erase(by_activity_.begin());
-  objects_.erase(victim);
   return Status::OK();
 }
 

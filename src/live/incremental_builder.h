@@ -1,7 +1,5 @@
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <optional>
 #include <set>
 #include <unordered_map>
@@ -17,8 +15,8 @@ namespace sitm::live {
 
 /// Options for the streaming builder. The inherited core::StageOptions
 /// are the batch pipeline's own: the same build step, config checks,
-/// graph defaulting and per-trajectory stages. Only the two streaming
-/// bounds below are live-specific.
+/// graph defaulting and per-trajectory stages. Only the streaming bound
+/// below is live-specific.
 struct IncrementalOptions : core::StageOptions {
   /// How far event time may run behind the maximum start time seen
   /// before a detection counts as late. The watermark is
@@ -26,12 +24,6 @@ struct IncrementalOptions : core::StageOptions {
   /// are dropped (counted in stats().late_dropped) because the sorted
   /// prefix they belong to has already been consumed.
   Duration allowed_lateness = Duration::Minutes(30);
-
-  /// Bound on tracked moving objects (0 = unbounded). When exceeded,
-  /// the least-recently-active object is force-finalized and forgotten
-  /// — see IncrementalBuilder's eviction note for the (documented,
-  /// counted) divergence from batch semantics this can introduce.
-  std::size_t max_open_objects = 0;
 };
 
 /// Observable state of the stream (monotone counters plus the current
@@ -42,13 +34,16 @@ struct IncrementalStats {
   bool has_watermark = false;
   std::size_t records_in = 0;
   std::size_t late_dropped = 0;
-  std::size_t evicted_objects = 0;
+  /// Objects a sweep left with nothing buffered and no open trace, and
+  /// so stopped tracking (Drain not counted).
+  std::size_t retired_objects = 0;
   std::size_t finalized = 0;
   /// Objects the watermark sweeps visited (Drain not counted). Only due
   /// objects are visited, and each visit consumes a detection or
   /// flushes a trajectory, so this never exceeds records_in + finalized.
   std::size_t objects_swept = 0;
-  /// Current footprint.
+  /// Current footprint: tracked objects (each with buffered detections
+  /// or an open trace) and buffered detections.
   std::size_t open_objects = 0;
   std::size_t buffered_detections = 0;
   /// High-water marks of the two fields above.
@@ -65,7 +60,7 @@ struct IncrementalStats {
 /// detection can still arrive.
 ///
 /// Only admission, lateness, the pending buffer, the watermark sweep,
-/// eviction and the footprint stats are streaming-specific. Cleaning and
+/// retirement and the footprint stats are streaming-specific. Cleaning and
 /// assembly are the batch builders' core::Assembler, and finalized
 /// trajectories pass through core::StageOptions::Apply.
 ///
@@ -75,8 +70,7 @@ struct IncrementalStats {
 /// its smallest pending start and its open trace's end + session_gap —
 /// and is due exactly when that key is below the watermark. A sweep
 /// visits only the due prefix of the index; objects left out would
-/// consume and flush nothing. Eviction takes its victim from a second
-/// index ordered by last activity.
+/// consume and flush nothing.
 ///
 /// Equivalence contract (pinned by tests/live_equivalence_property_test
 /// through the full live stack): feed any permutation of a detection
@@ -100,13 +94,22 @@ struct IncrementalStats {
 ///    the trace is even larger (overlap clipping only moves starts
 ///    later) and the batch builder would split there too.
 ///
-/// Eviction divergence: force-finalizing an object consumes its whole
-/// buffer and drops its cleaning state, so a detection of that object
-/// arriving later is cleaned against nothing and starts a new session
-/// — batch would have seen both. This is the deliberate bounded-memory
-/// trade; it is counted (evicted_objects) and exercised by
-/// bench_s1_streaming_ingest, while the equivalence test runs with
-/// bounds the stream never hits.
+/// Retirement: a sweep visit that leaves an object with no due key —
+/// nothing buffered, no open trace — erases it, so open state holds
+/// only objects with a detection meeting the event-time window
+/// [W - session_gap, max start seen], plus one batch of new arrivals,
+/// not every object seen. What a returning object is cleaned against
+/// is its last kept detection, which ended a trace a sweep flushed
+/// because W - end exceeded session_gap >= 0; every later admission
+/// starts at or after W. So containment (`end <= last.end`) and overlap
+/// clipping (`start <= last.end`) can never fire against it again —
+/// zero-length detections start at W or later too, and inverted ones
+/// are rejected at admission when drop_zero_duration is off. Only the
+/// graph filter still reads it, for its cell: with
+/// drop_graph_inconsistent on and a graph set, each retired object's
+/// last kept detection is kept and handed back when the object
+/// returns; otherwise nothing is kept. Many objects active at once are
+/// an overload question for admission control, not for this builder.
 ///
 /// Not thread-safe: callers (live::LiveService) serialize access.
 class IncrementalBuilder {
@@ -114,17 +117,17 @@ class IncrementalBuilder {
   explicit IncrementalBuilder(IncrementalOptions options);
 
   /// Ingests one batch (any order, any objects), appending every
-  /// trajectory finalized by the resulting watermark advance — and by
-  /// any eviction it forces — to `finalized`. A batch holding an invalid
-  /// object or cell id is rejected whole: nothing of it is admitted or
-  /// counted.
+  /// trajectory finalized by the resulting watermark advance to
+  /// `finalized`. A batch holding a detection core::CheckDetection
+  /// rejects is rejected whole: nothing of it is admitted or counted.
   [[nodiscard]] Status Ingest(const std::vector<core::RawDetection>& batch,
                               std::vector<core::SemanticTrajectory>* finalized);
 
   /// End-of-stream: consumes every buffered detection and flushes every
   /// open trace as if the watermark passed infinity, then forgets all
-  /// per-object state. Counters and the watermark survive; a later
-  /// Ingest starts objects from a clean slate.
+  /// per-object state, retired objects' included. Counters and the
+  /// watermark survive; a later Ingest starts objects from a clean
+  /// slate.
   [[nodiscard]] Status Drain(std::vector<core::SemanticTrajectory>* finalized);
 
   const IncrementalStats& stats() const { return stats_; }
@@ -140,10 +143,6 @@ class IncrementalBuilder {
     std::vector<core::RawDetection> pending;
     /// The assembler's state: last kept detection and open trace.
     core::OpenObject open;
-    /// Ingest-sequence number of the last admission (eviction order);
-    /// this object's key in by_activity_. Kept only when
-    /// max_open_objects bounds the object count.
-    std::uint64_t last_activity = 0;
     /// This object's key in due_; empty when nothing is pending and no
     /// trace is open.
     std::optional<Timestamp> due;
@@ -154,8 +153,6 @@ class IncrementalBuilder {
   [[nodiscard]] Status ConsumeReady(ObjectId object, ObjectState& state,
                                     Timestamp watermark, bool consume_all,
                                     std::vector<core::SemanticTrajectory>* out);
-  /// Force-finalizes and forgets the least-recently-active object.
-  [[nodiscard]] Status EvictOne(std::vector<core::SemanticTrajectory>* out);
   /// Ids of the objects whose due key is below `watermark` (of every
   /// object with a due key when `all`), ascending.
   std::vector<ObjectId> DueObjects(Timestamp watermark, bool all) const;
@@ -172,17 +169,16 @@ class IncrementalBuilder {
 
   IncrementalOptions options_;
   core::Assembler assembler_;
-  /// Unordered: sweeps, Drain and eviction pick objects through due_
-  /// and by_activity_, and sort what they visit by id.
+  /// Tracked objects, each with a due key. Unordered: sweeps and Drain
+  /// pick objects through due_ and sort what they visit by id.
   std::unordered_map<ObjectId, ObjectState> objects_;
-  /// (due key, object) for every object whose ObjectState::due is set.
+  /// (due key, object) for every tracked object.
   std::set<std::pair<Timestamp, ObjectId>> due_;
-  /// last_activity -> object for every tracked object; begin() is the
-  /// eviction victim. Empty when max_open_objects is 0 (no eviction).
-  std::map<std::uint64_t, ObjectId> by_activity_;
+  /// The last kept detection of each retired object, for the graph
+  /// filter; empty unless it is on.
+  std::unordered_map<ObjectId, core::RawDetection> retired_last_kept_;
   bool has_max_start_ = false;
   Timestamp max_start_;
-  std::uint64_t activity_seq_ = 0;
   IncrementalStats stats_;
 };
 

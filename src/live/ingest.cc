@@ -126,8 +126,8 @@ io::JsonValue RenderStats(const IncrementalStats& builder,
   }
   MustSet(b, "records_in", static_cast<std::int64_t>(builder.records_in));
   MustSet(b, "late_dropped", static_cast<std::int64_t>(builder.late_dropped));
-  MustSet(b, "evicted_objects",
-          static_cast<std::int64_t>(builder.evicted_objects));
+  MustSet(b, "retired_objects",
+          static_cast<std::int64_t>(builder.retired_objects));
   MustSet(b, "finalized", static_cast<std::int64_t>(builder.finalized));
   MustSet(b, "objects_swept",
           static_cast<std::int64_t>(builder.objects_swept));

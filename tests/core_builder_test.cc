@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/builder.h"
+#include "core/pipeline.h"
 
 namespace sitm::core {
 namespace {
@@ -216,6 +217,41 @@ TEST(BuilderTest, RejectsInvalidInputs) {
   options.default_annotations = AnnotationSet{};
   TrajectoryBuilder bad_options(options);
   EXPECT_FALSE(bad_options.Build({Det(1, 10, 0, 100)}).ok());
+}
+
+TEST(BuilderTest, RejectsInvertedDetectionWhenZeroDurationIsKept) {
+  // With zero-duration detections kept, nothing in cleaning drops one
+  // that ends before it starts: it must be rejected, not assembled.
+  const std::vector<RawDetection> detections = {Det(1, 10, 0, 100),
+                                                Det(2, 20, 200, 150)};
+  BuilderOptions options;
+  options.drop_zero_duration = false;
+  TrajectoryBuilder builder(options);
+  EXPECT_EQ(builder.Build(detections).status().code(),
+            StatusCode::kInvalidArgument);
+  PipelineOptions pipeline_options;
+  pipeline_options.builder = options;
+  BatchPipeline pipeline(pipeline_options);
+  EXPECT_EQ(pipeline.Run(detections).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // By default it is a zero-duration detection: dropped and counted.
+  TrajectoryBuilder dropping;
+  const auto result = dropping.Build(detections);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result->size(), 1u);
+  EXPECT_EQ(dropping.report().zero_duration_dropped, 1u);
+}
+
+TEST(BuilderTest, RejectsNegativeSessionGap) {
+  BuilderOptions options;
+  options.session_gap = Duration::Seconds(-1);
+  EXPECT_EQ(options.Validate().code(), StatusCode::kInvalidArgument);
+  TrajectoryBuilder builder(options);
+  EXPECT_EQ(builder.Build({Det(1, 10, 0, 100)}).status().code(),
+            StatusCode::kInvalidArgument);
+  options.session_gap = Duration::Seconds(0);
+  EXPECT_TRUE(options.Validate().ok());
 }
 
 TEST(BuilderTest, AllZeroDurationVisitorVanishes) {

@@ -4,7 +4,9 @@
 // (IncrementalBuilder -> rolling SegmentStore segments with compaction
 // -> Snapshot -> store-set query execution), answers queries
 // byte-identically (result fingerprints) to the batch pipeline with
-// in-memory execution, at worker counts {1, 2, hw}.
+// in-memory execution, at worker counts {1, 2, hw}; once as configured
+// by default and once with the graph filter on, which reads what the
+// live builder keeps of objects it has retired.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -57,9 +59,10 @@ std::vector<core::RawDetection> LouvreDetections(int visitors,
   return dataset->ToRawDetections();
 }
 
-core::PipelineOptions BatchOptions() {
+core::PipelineOptions BatchOptions(bool drop_graph_inconsistent) {
   core::PipelineOptions options;
   options.builder.graph = &ZoneGraph();
+  options.builder.drop_graph_inconsistent = drop_graph_inconsistent;
   options.rules = {
       core::AnnotateStopsAndMoves(Duration::Minutes(5),
                                   {core::AnnotationKind::kBehavior, "stop"},
@@ -73,8 +76,9 @@ core::PipelineOptions BatchOptions() {
   return options;
 }
 
-IncrementalOptions StreamOptions(Duration lateness) {
-  const core::PipelineOptions batch = BatchOptions();
+IncrementalOptions StreamOptions(Duration lateness,
+                                 bool drop_graph_inconsistent) {
+  const core::PipelineOptions batch = BatchOptions(drop_graph_inconsistent);
   IncrementalOptions options;
   static_cast<core::StageOptions&>(options) = batch;
   options.allowed_lateness = lateness;
@@ -173,11 +177,8 @@ std::vector<core::RawDetection> ArrivalOrder(
   return detections;
 }
 
-class LiveEquivalenceSweep
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(LiveEquivalenceSweep, StreamedStoreAnswersMatchBatch) {
-  const std::uint64_t seed = GetParam();
+void ExpectStreamedStoreAnswersMatchBatch(std::uint64_t seed,
+                                          bool drop_graph_inconsistent) {
   const std::vector<core::RawDetection> detections =
       LouvreDetections(/*visitors=*/18, seed);
   ASSERT_FALSE(detections.empty());
@@ -197,7 +198,7 @@ TEST_P(LiveEquivalenceSweep, StreamedStoreAnswersMatchBatch) {
     // Batch reference over the SAME multiset (duplicates included; the
     // batch cleaning pass drops them as contained, and the stream must
     // agree), executed sequentially in memory.
-    core::BatchPipeline batch(BatchOptions());
+    core::BatchPipeline batch(BatchOptions(drop_graph_inconsistent));
     auto reference = batch.Run(arrival);
     ASSERT_TRUE(reference.ok()) << reference.status();
 
@@ -245,7 +246,8 @@ TEST_P(LiveEquivalenceSweep, StreamedStoreAnswersMatchBatch) {
             }
           };
 
-      IncrementalBuilder builder(StreamOptions(lateness));
+      IncrementalBuilder builder(
+          StreamOptions(lateness, drop_graph_inconsistent));
       std::vector<core::SemanticTrajectory> finalized;
       for (std::size_t i = 0; i < arrival.size();
            i += scenario.batch_size) {
@@ -281,7 +283,8 @@ TEST_P(LiveEquivalenceSweep, StreamedStoreAnswersMatchBatch) {
 
       // Query over the live view: sealed segments + unsealed tail.
       auto snapshot = store.Snapshot(
-          StreamOptions(lateness).builder.first_trajectory_id);
+          StreamOptions(lateness, drop_graph_inconsistent)
+              .builder.first_trajectory_id);
       ASSERT_TRUE(snapshot.ok()) << snapshot.status();
 
       query::ExecutorOptions exec_options;
@@ -303,6 +306,19 @@ TEST_P(LiveEquivalenceSweep, StreamedStoreAnswersMatchBatch) {
       EXPECT_GE(stats.written_bytes, stats.logical_bytes);
     }
   }
+}
+
+class LiveEquivalenceSweep
+    : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(LiveEquivalenceSweep, StreamedStoreAnswersMatchBatch) {
+  ExpectStreamedStoreAnswersMatchBatch(GetParam(),
+                                       /*drop_graph_inconsistent=*/false);
+}
+
+TEST_P(LiveEquivalenceSweep, GraphFilteredStreamMatchesBatch) {
+  ExpectStreamedStoreAnswersMatchBatch(GetParam(),
+                                       /*drop_graph_inconsistent=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LiveEquivalenceSweep,

@@ -1,15 +1,17 @@
 // IncrementalBuilder unit behavior: config validation, all-or-nothing
 // admission, watermark admission and finalization, arrival-order
-// insensitivity, cleaning identical to the batch builder, bounded-
-// memory eviction, Drain, footprint peaks, sweeps that visit only
-// objects with work, and a differential check of the indexed sweep
-// against a full-sweep oracle. (The full-stack batch-equivalence
+// insensitivity, cleaning identical to the batch builder, retirement
+// of finished objects (open state bounded by recent activity, the graph
+// filter across a retirement), Drain, footprint peaks, sweeps that
+// visit only objects with work, and a differential check of the
+// indexed sweep against a full-sweep oracle. (The full-stack batch-equivalence
 // contract lives in live_equivalence_property_test.)
 #include "live/incremental_builder.h"
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -80,7 +82,7 @@ std::vector<std::int64_t> StatsFields(const IncrementalStats& s) {
           s.has_watermark,
           static_cast<std::int64_t>(s.records_in),
           static_cast<std::int64_t>(s.late_dropped),
-          static_cast<std::int64_t>(s.evicted_objects),
+          static_cast<std::int64_t>(s.retired_objects),
           static_cast<std::int64_t>(s.finalized),
           static_cast<std::int64_t>(s.objects_swept),
           static_cast<std::int64_t>(s.open_objects),
@@ -108,6 +110,27 @@ TEST(IncrementalBuilderTest, RejectedBatchAdmitsNothing) {
             StatsFields(IncrementalBuilder(TightOptions()).stats()));
   ASSERT_TRUE(builder.Drain(&out).ok());
   EXPECT_TRUE(out.empty());
+}
+
+TEST(IncrementalBuilderTest, InvertedDetectionRejectedWhenZeroDurationIsKept) {
+  // Nothing in cleaning drops a detection that ends before it starts
+  // once zero-duration detections are kept, so admission rejects the
+  // batch instead of letting it reach trace assembly.
+  IncrementalOptions options = TightOptions();
+  options.builder.drop_zero_duration = false;
+  IncrementalBuilder builder(options);
+  std::vector<core::SemanticTrajectory> out;
+  EXPECT_EQ(builder.Ingest({D(1, 1, 0, 100), D(2, 1, 200, 150)}, &out).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(StatsFields(builder.stats()),
+            StatsFields(IncrementalBuilder(options).stats()));
+
+  // By default it is a zero-duration detection: dropped and counted.
+  IncrementalBuilder dropping(TightOptions());
+  ASSERT_TRUE(dropping.Ingest({D(2, 1, 200, 150)}, &out).ok());
+  ASSERT_TRUE(dropping.Drain(&out).ok());
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(dropping.stats().build.zero_duration_dropped, 1u);
 }
 
 TEST(IncrementalBuilderTest, CleaningMatchesTheBatchBuilder) {
@@ -293,20 +316,146 @@ TEST(IncrementalBuilderTest, OutOfOrderMatchesInOrder) {
   }
 }
 
-TEST(IncrementalBuilderTest, EvictionBoundsOpenObjects) {
-  IncrementalOptions options = TightOptions();
-  options.max_open_objects = 2;
+/// Sorts trajectories by (object, start): batch order, for comparing a
+/// live build against a batch one.
+void SortByObjectAndStart(std::vector<core::SemanticTrajectory>* out) {
+  std::sort(out->begin(), out->end(),
+            [](const core::SemanticTrajectory& a,
+               const core::SemanticTrajectory& b) {
+              if (a.object() != b.object()) {
+                return a.object().value() < b.object().value();
+              }
+              return a.start() < b.start();
+            });
+}
+
+TEST(IncrementalBuilderTest, GraphFilterSurvivesRetirement) {
+  // Cells 10 and 20 are adjacent; 30 is unreachable from both.
+  indoor::Nrg graph;
+  for (int id : {10, 20, 30}) {
+    ASSERT_TRUE(graph
+                    .AddCell(indoor::CellSpace(CellId(id), "c",
+                                               indoor::CellClass::kRoom))
+                    .ok());
+  }
+  ASSERT_TRUE(graph
+                  .AddSymmetricEdge(CellId(10), CellId(20),
+                                    indoor::EdgeType::kAccessibility)
+                  .ok());
+  IncrementalOptions options = TightOptions();  // 60 s lateness, 2 h gap
+  options.builder.graph = &graph;
+  options.builder.drop_graph_inconsistent = true;
+  const core::RawDetection first_visit = D(1, 10, 0, 100);
+  const core::RawDetection clock = D(2, 20, 20000, 20100);
+  // Object 1 returns in a cell its last kept one (10) cannot reach.
+  const core::RawDetection return_visit = D(1, 30, 20050, 20150);
+
+  core::TrajectoryBuilder batch(options.builder);
+  const auto reference = batch.Build({first_visit, clock, return_visit});
+  ASSERT_TRUE(reference.ok()) << reference.status();
+  ASSERT_EQ(batch.report().graph_inconsistent_dropped, 1u);
+
   IncrementalBuilder builder(options);
   std::vector<core::SemanticTrajectory> out;
-  ASSERT_TRUE(builder.Ingest({D(1, 1, 0, 100)}, &out).ok());
-  ASSERT_TRUE(builder.Ingest({D(2, 1, 10, 110)}, &out).ok());
-  ASSERT_TRUE(builder.Ingest({D(3, 1, 20, 120)}, &out).ok());
-  // Object 1 was the least recently active: force-finalized + forgotten.
-  EXPECT_EQ(builder.stats().evicted_objects, 1u);
-  EXPECT_EQ(builder.stats().open_objects, 2u);
+  ASSERT_TRUE(builder.Ingest({first_visit}, &out).ok());
+  ASSERT_TRUE(builder.Ingest({clock}, &out).ok());
+  // The watermark (19940) flushed object 1's visit and retired it.
   ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].object(), ObjectId(1));
-  EXPECT_LE(builder.stats().peak_open_objects, 3u);
+  EXPECT_EQ(builder.stats().retired_objects, 1u);
+  EXPECT_EQ(builder.stats().open_objects, 1u);
+  ASSERT_TRUE(builder.Ingest({return_visit}, &out).ok());
+  ASSERT_TRUE(builder.Drain(&out).ok());
+
+  SortByObjectAndStart(&out);
+  ASSERT_EQ(out.size(), reference->size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].object(), (*reference)[i].object()) << i;
+    EXPECT_EQ(out[i].trace().intervals(), (*reference)[i].trace().intervals())
+        << i;
+  }
+  EXPECT_EQ(builder.stats().build.graph_inconsistent_dropped,
+            batch.report().graph_inconsistent_dropped);
+}
+
+/// The most distinct objects with a detection meeting one event-time
+/// window of length `window`. Detection [s, e] meets [t, t + window]
+/// iff t lies in [s - window, max(s, e)], so this is the deepest
+/// overlap of those t-ranges, merged per object.
+std::size_t MaxObjectsInWindow(
+    const std::vector<core::RawDetection>& detections, Duration window) {
+  std::map<ObjectId, std::vector<std::pair<Timestamp, Timestamp>>> ranges;
+  for (const core::RawDetection& d : detections) {
+    ranges[d.object].emplace_back(d.start - window, std::max(d.start, d.end));
+  }
+  // (t, 0) opens a range and (t, 1) closes one; opens sort first, so
+  // ranges that touch overlap.
+  std::vector<std::pair<Timestamp, int>> events;
+  for (auto& [object, object_ranges] : ranges) {
+    std::sort(object_ranges.begin(), object_ranges.end());
+    Timestamp lo = object_ranges.front().first;
+    Timestamp hi = object_ranges.front().second;
+    for (const auto& [from, to] : object_ranges) {
+      if (hi < from) {
+        events.emplace_back(lo, 0);
+        events.emplace_back(hi, 1);
+        lo = from;
+      }
+      hi = std::max(hi, to);
+    }
+    events.emplace_back(lo, 0);
+    events.emplace_back(hi, 1);
+  }
+  std::sort(events.begin(), events.end());
+  std::size_t depth = 0, deepest = 0;
+  for (const auto& [t, kind] : events) {
+    if (kind == 0) {
+      deepest = std::max(deepest, ++depth);
+    } else {
+      --depth;
+    }
+  }
+  return deepest;
+}
+
+TEST(IncrementalBuilderTest, OpenObjectsStayWithinTheActivityWindow) {
+  // 100k visitors, one visit each, a visit starting every 10 minutes:
+  // open state must follow the visitors active around the watermark,
+  // not everyone seen.
+  constexpr std::int64_t kVisitors = 100000;
+  constexpr std::size_t kBatch = 100;
+  std::vector<core::RawDetection> stream;
+  for (std::int64_t v = 1; v <= kVisitors; ++v) {
+    const std::int64_t t = 600 * v;
+    stream.push_back(D(v, 1, t, t + 300));
+    stream.push_back(D(v, 2, t + 310, t + 500));
+  }
+  const IncrementalOptions options = TightOptions();
+  const std::size_t bound =
+      MaxObjectsInWindow(stream, options.allowed_lateness +
+                                     options.builder.session_gap) +
+      kBatch;
+
+  IncrementalBuilder builder(options);
+  std::vector<core::SemanticTrajectory> out;
+  for (std::size_t i = 0; i < stream.size(); i += kBatch) {
+    ASSERT_TRUE(builder
+                    .Ingest({stream.begin() + static_cast<std::ptrdiff_t>(i),
+                             stream.begin() +
+                                 static_cast<std::ptrdiff_t>(i + kBatch)},
+                            &out)
+                    .ok());
+    ASSERT_LE(builder.stats().open_objects, bound) << i;
+  }
+  EXPECT_LE(builder.stats().peak_open_objects, bound);
+
+  // A detection past the last visit's session gap retires everyone.
+  const std::int64_t past = 600 * kVisitors + 500 + 7200 + 60 + 1;
+  ASSERT_TRUE(builder.Ingest({D(kVisitors + 1, 1, past, past + 10)}, &out)
+                  .ok());
+  EXPECT_EQ(builder.stats().retired_objects,
+            static_cast<std::size_t>(kVisitors));
+  EXPECT_EQ(builder.stats().open_objects, 1u);
+  EXPECT_EQ(out.size(), static_cast<std::size_t>(kVisitors));
 }
 
 TEST(IncrementalBuilderTest, DrainFlushesEverythingAndResets) {
@@ -412,7 +561,8 @@ TEST(IncrementalBuilderTest, SweepVisitsOnlyObjectsWithWork) {
   EXPECT_EQ(out.size(), 10000u);
   EXPECT_EQ(builder.stats().objects_swept, 10000u);
 
-  // The idle objects stay tracked, but only the active one has work.
+  // The idle objects are retired; only the active one has work.
+  EXPECT_EQ(builder.stats().retired_objects, 10000u);
   for (std::int64_t k = 1; k <= 100; ++k) {
     const std::size_t before = builder.stats().objects_swept;
     const std::int64_t start = 10000 + 100 * k;
@@ -422,15 +572,18 @@ TEST(IncrementalBuilderTest, SweepVisitsOnlyObjectsWithWork) {
     EXPECT_LE(builder.stats().objects_swept - before, 1u) << k;
   }
   const IncrementalStats& stats = builder.stats();
-  EXPECT_EQ(stats.open_objects, 10001u);
+  EXPECT_EQ(stats.open_objects, 1u);
   EXPECT_LE(stats.objects_swept, stats.records_in + stats.finalized);
 }
 
 /// The full-sweep builder the due index replaced, kept as a brute-force
-/// oracle: every sweep visits every tracked object in id order, and
-/// eviction scans for the smallest last activity. stats().objects_swept
-/// counts only the visits that consumed or flushed something — exactly
-/// the visits the indexed builder makes.
+/// oracle: every sweep visits every tracked object in id order, then
+/// retires every object left with nothing pending and no open trace.
+/// It keeps every retired object's last kept detection, graph filter or
+/// not, so a builder that keeps it only for the graph filter is checked
+/// against one that never forgets it. stats().objects_swept counts only
+/// the visits that consumed or flushed something — exactly the visits
+/// the indexed builder makes.
 class FullSweepOracle {
  public:
   explicit FullSweepOracle(IncrementalOptions options)
@@ -451,9 +604,10 @@ class FullSweepOracle {
         ++stats_.late_dropped;
         continue;
       }
-      State& state = objects_[d.object];
+      const auto [it, tracked_anew] = objects_.try_emplace(d.object);
+      State& state = it->second;
+      if (tracked_anew) state.open.last_kept = retired_last_kept_[d.object];
       state.pending.push_back(d);
-      state.last_activity = ++activity_seq_;
       ++stats_.buffered_detections;
       if (!has_max_start_ || d.start > max_start_) {
         has_max_start_ = true;
@@ -482,22 +636,15 @@ class FullSweepOracle {
           ++stats_.objects_swept;
         }
       }
-    }
-    while (options_.max_open_objects != 0 &&
-           objects_.size() > options_.max_open_objects) {
-      auto victim = objects_.begin();
-      for (auto it = objects_.begin(); it != objects_.end(); ++it) {
-        if (it->second.last_activity < victim->second.last_activity) {
-          victim = it;
+      for (auto it = objects_.begin(); it != objects_.end();) {
+        if (it->second.pending.empty() && it->second.open.trace.empty()) {
+          retired_last_kept_[it->first] = it->second.open.last_kept;
+          it = objects_.erase(it);
+          ++stats_.retired_objects;
+        } else {
+          ++it;
         }
       }
-      ++stats_.evicted_objects;
-      SITM_RETURN_IF_ERROR(ConsumeReady(victim->first, victim->second,
-                                        Timestamp(), /*consume_all=*/true,
-                                        finalized));
-      SITM_RETURN_IF_ERROR(
-          assembler_.Flush(victim->first, victim->second.open, finalized));
-      objects_.erase(victim);
     }
     return Finalize(first, finalized);
   }
@@ -511,6 +658,7 @@ class FullSweepOracle {
       SITM_RETURN_IF_ERROR(assembler_.Flush(object, state.open, finalized));
     }
     objects_.clear();
+    retired_last_kept_.clear();
     stats_.buffered_detections = 0;
     return Finalize(first, finalized);
   }
@@ -521,7 +669,6 @@ class FullSweepOracle {
   struct State {
     std::vector<core::RawDetection> pending;
     core::OpenObject open;
-    std::uint64_t last_activity = 0;
   };
 
   Status ConsumeReady(ObjectId object, State& state, Timestamp watermark,
@@ -568,9 +715,9 @@ class FullSweepOracle {
   IncrementalOptions options_;
   core::Assembler assembler_;
   std::map<ObjectId, State> objects_;
+  std::map<ObjectId, std::optional<core::RawDetection>> retired_last_kept_;
   bool has_max_start_ = false;
   Timestamp max_start_;
-  std::uint64_t activity_seq_ = 0;
   IncrementalStats stats_;
 };
 
@@ -625,16 +772,33 @@ void ExpectSameTrajectories(const std::vector<core::SemanticTrajectory>& a,
 }
 
 TEST(IncrementalBuilderTest, IndexedSweepMatchesTheFullSweepOracle) {
-  std::size_t late = 0, evicted = 0, swept = 0;
-  for (const std::size_t max_open : {std::size_t{0}, std::size_t{3}}) {
+  // Cells 1-2-3 form a corridor; 4 is unreachable from all of them.
+  indoor::Nrg graph;
+  for (int id = 1; id <= 4; ++id) {
+    ASSERT_TRUE(graph
+                    .AddCell(indoor::CellSpace(CellId(id), "c",
+                                               indoor::CellClass::kRoom))
+                    .ok());
+  }
+  for (int id : {1, 2}) {
+    ASSERT_TRUE(graph
+                    .AddSymmetricEdge(CellId(id), CellId(id + 1),
+                                      indoor::EdgeType::kAccessibility)
+                    .ok());
+  }
+  std::size_t late = 0, retired = 0, swept = 0, graph_dropped = 0;
+  for (const bool graph_filter : {false, true}) {
     for (std::uint64_t seed = 1; seed <= 150; ++seed) {
       SCOPED_TRACE(::testing::Message()
-                   << "seed " << seed << " max_open " << max_open);
+                   << "seed " << seed << " graph filter " << graph_filter);
       Rng rng(seed);
       IncrementalOptions options;
       options.allowed_lateness = Duration::Seconds(600);
       options.builder.session_gap = Duration::Seconds(1800);
-      options.max_open_objects = max_open;
+      if (graph_filter) {
+        options.builder.graph = &graph;
+        options.builder.drop_graph_inconsistent = true;
+      }
       IncrementalBuilder builder(options);
       FullSweepOracle oracle(options);
       std::vector<core::SemanticTrajectory> got, want;
@@ -651,14 +815,16 @@ TEST(IncrementalBuilderTest, IndexedSweepMatchesTheFullSweepOracle) {
       ExpectSameTrajectories(got, want);
       ASSERT_EQ(StatsFields(builder.stats()), StatsFields(oracle.stats()));
       late += builder.stats().late_dropped;
-      evicted += builder.stats().evicted_objects;
+      retired += builder.stats().retired_objects;
       swept += builder.stats().objects_swept;
+      graph_dropped += builder.stats().build.graph_inconsistent_dropped;
     }
   }
   // The streams reach the branches they exist for.
   EXPECT_GT(late, 0u);
-  EXPECT_GT(evicted, 0u);
+  EXPECT_GT(retired, 0u);
   EXPECT_GT(swept, 0u);
+  EXPECT_GT(graph_dropped, 0u);
 }
 
 }  // namespace

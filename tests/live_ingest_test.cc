@@ -141,6 +141,7 @@ TEST(RenderStatsTest, EmitsEveryCounterAsValidJson) {
   builder.watermark = Timestamp(1234);
   builder.records_in = 10;
   builder.late_dropped = 2;
+  builder.retired_objects = 13;
   builder.finalized = 3;
   builder.objects_swept = 12;
   builder.peak_open_objects = 4;
@@ -162,6 +163,7 @@ TEST(RenderStatsTest, EmitsEveryCounterAsValidJson) {
   EXPECT_EQ(b->Get("watermark").value()->AsInt().value(), 1234);
   EXPECT_EQ(b->Get("records_in").value()->AsInt().value(), 10);
   EXPECT_EQ(b->Get("late_dropped").value()->AsInt().value(), 2);
+  EXPECT_EQ(b->Get("retired_objects").value()->AsInt().value(), 13);
   EXPECT_EQ(b->Get("objects_swept").value()->AsInt().value(), 12);
   EXPECT_EQ(b->Get("peak_open_objects").value()->AsInt().value(), 4);
   const io::JsonValue* cleaning = b->Get("cleaning").value();
