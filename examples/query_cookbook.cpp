@@ -165,11 +165,26 @@ int main() {
   tour_query.episode_filter.label = "long-stay";
   tour_query.episode_filter.allen =
       AllenConstraint{AllenMask::Intersecting(), tour};
-  const auto tour_hits = Unwrap(executor.Run(tour_query, store));
+  const auto tour_hits = Unwrap(executor.Run(tour_query, visits));
   std::printf("    %zu overlapping episodes from %llu visits\n",
               tour_hits.episodes.size(),
               static_cast<unsigned long long>(tour_hits.count));
   PrintStats(tour_hits);
+  // The store extracts the same episodes from its decoded columns: the
+  // stay condition reads the duration column, so no trajectory is built.
+  const auto tour_stored = Unwrap(executor.Run(tour_query, store));
+  if (tour_stored.Fingerprint() != tour_hits.Fingerprint()) {
+    std::cerr << "FATAL: store episodes differ from the in-memory ones\n";
+    return 1;
+  }
+  if (tour_stored.stats.trajectories_built != 0) {
+    std::cerr << "FATAL: the store built "
+              << tour_stored.stats.trajectories_built
+              << " trajectories for an episode query\n";
+    return 1;
+  }
+  std::printf("    same episodes from the store:\n");
+  PrintStats(tour_stored);
 
   // ---- 5. Top-k similarity to a probe visit.
   PrintHeader(5, "five visits most similar to visit #1 (edit similarity "
@@ -185,8 +200,8 @@ int main() {
                 hit.similarity);
   }
   PrintStats(similar);
-  // The store answers the same ranking from its decoded columns: the
-  // plan is exact, so no trajectory is built.
+  // The store answers the same ranking from its decoded columns, so no
+  // trajectory is built.
   const auto similar_stored = Unwrap(executor.Run(similar_query, store));
   if (similar_stored.Fingerprint() != similar.Fingerprint()) {
     std::cerr << "FATAL: store top-k differs from the in-memory one\n";

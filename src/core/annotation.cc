@@ -39,9 +39,16 @@ bool AnnotationSet::Remove(const SemanticAnnotation& annotation) {
   return true;
 }
 
-bool AnnotationSet::Contains(const SemanticAnnotation& annotation) const {
-  return std::binary_search(annotations_.begin(), annotations_.end(),
-                            annotation);
+bool AnnotationSet::Contains(AnnotationKind kind,
+                             std::string_view value) const {
+  // The set's own order (operator<): kind, then value.
+  const auto it = std::lower_bound(
+      annotations_.begin(), annotations_.end(), kind,
+      [value](const SemanticAnnotation& a, AnnotationKind k) {
+        if (a.kind != k) return a.kind < k;
+        return std::string_view(a.value) < value;
+      });
+  return it != annotations_.end() && it->kind == kind && it->value == value;
 }
 
 std::vector<std::string> AnnotationSet::ValuesOf(AnnotationKind kind) const {

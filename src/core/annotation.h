@@ -74,10 +74,11 @@ class AnnotationSet {
   /// Removes an annotation; returns true if it was present.
   bool Remove(const SemanticAnnotation& annotation);
 
-  bool Contains(const SemanticAnnotation& annotation) const;
-  bool Contains(AnnotationKind kind, std::string_view value) const {
-    return Contains(SemanticAnnotation(kind, std::string(value)));
+  bool Contains(const SemanticAnnotation& annotation) const {
+    return Contains(annotation.kind, annotation.value);
   }
+  /// Compares in place: builds no string.
+  bool Contains(AnnotationKind kind, std::string_view value) const;
 
   /// All values of the given kind, sorted.
   std::vector<std::string> ValuesOf(AnnotationKind kind) const;

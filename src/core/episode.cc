@@ -25,24 +25,40 @@ EpisodePredicate ForAllTuples(TupleCondition condition) {
   };
 }
 
+bool TupleCondition::operator()(const SemanticTrajectory& parent,
+                                std::size_t index) const {
+  const PresenceInterval& tuple = parent.trace().at(index);
+  return Holds(tuple.duration(), tuple.cell, tuple.annotations);
+}
+
+TupleCondition And(TupleCondition a, TupleCondition b) {
+  a.leaves_.insert(a.leaves_.end(), std::make_move_iterator(b.leaves_.begin()),
+                   std::make_move_iterator(b.leaves_.end()));
+  return a;
+}
+
 TupleCondition StayAtLeast(Duration min_stay) {
-  return [min_stay](const SemanticTrajectory& parent, std::size_t index) {
-    return parent.trace().at(index).duration() >= min_stay;
-  };
+  TupleCondition condition;
+  condition.leaves_.push_back(
+      {TupleCondition::Leaf::Kind::kStayAtLeast, min_stay, nullptr, {}});
+  return condition;
 }
 
 TupleCondition InCells(std::unordered_set<CellId> cells) {
-  return [cells = std::move(cells)](const SemanticTrajectory& parent,
-                                    std::size_t index) {
-    return cells.count(parent.trace().at(index).cell) > 0;
-  };
+  TupleCondition condition;
+  condition.leaves_.push_back(
+      {TupleCondition::Leaf::Kind::kInCells, Duration::Zero(),
+       std::make_shared<const std::unordered_set<CellId>>(std::move(cells)),
+       {}});
+  return condition;
 }
 
 TupleCondition HasAnnotation(AnnotationKind kind, std::string value) {
-  return [kind, value = std::move(value)](const SemanticTrajectory& parent,
-                                          std::size_t index) {
-    return parent.trace().at(index).annotations.Contains(kind, value);
-  };
+  TupleCondition condition;
+  condition.leaves_.push_back({TupleCondition::Leaf::Kind::kHasAnnotation,
+                               Duration::Zero(), nullptr,
+                               SemanticAnnotation(kind, std::move(value))});
+  return condition;
 }
 
 Status ValidateEpisode(const SemanticTrajectory& parent,
@@ -74,27 +90,12 @@ std::vector<Episode> ExtractMaximalEpisodes(const SemanticTrajectory& parent,
                                             const std::string& label,
                                             const AnnotationSet& annotations) {
   std::vector<Episode> out;
-  const std::size_t n = parent.trace().size();
-  std::size_t i = 0;
-  while (i < n) {
-    if (!condition(parent, i)) {
-      ++i;
-      continue;
-    }
-    std::size_t j = i + 1;
-    while (j < n && condition(parent, j)) ++j;
-    // Maximal run [i, j). An episode must be a *proper* subtrajectory:
-    // shrink a whole-trace run from the right.
-    if (i == 0 && j == n) {
-      if (n == 1) {
-        i = j;
-        continue;  // cannot make a proper part of a single tuple
-      }
-      --j;
-    }
-    out.emplace_back(label, i, j, annotations);
-    i = j + 1;
-  }
+  ForEachMaximalRun(
+      parent.trace().size(),
+      [&](std::size_t i) { return condition(parent, i); },
+      [&](std::size_t begin, std::size_t end) {
+        out.emplace_back(label, begin, end, annotations);
+      });
   return out;
 }
 

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -38,10 +39,60 @@ struct Episode {
 using EpisodePredicate = std::function<bool(
     const SemanticTrajectory& parent, std::size_t begin, std::size_t end)>;
 
-/// A per-tuple condition, lifted to ranges by requiring it on every
-/// tuple of the range (the common shape of episode predicates).
-using TupleCondition =
-    std::function<bool(const SemanticTrajectory& parent, std::size_t index)>;
+/// \brief A per-tuple condition, lifted to ranges by requiring it on
+/// every tuple of the range (the common shape of episode predicates).
+///
+/// A closed value: a conjunction of the leaves the factories below make,
+/// each reading one column of a tuple (its stay duration, its cell or
+/// its stay annotations), so a condition can be evaluated on a built
+/// trajectory and on a store block's decoded columns alike, with the
+/// same answer. The default condition is the empty conjunction and holds
+/// on every tuple. Arbitrary per-range predicates are EpisodePredicates.
+class TupleCondition {
+ public:
+  TupleCondition() = default;
+
+  /// True iff every leaf holds on one tuple given as its stay duration,
+  /// cell and stay annotation set (A_i).
+  bool Holds(Duration stay, CellId cell,
+             const AnnotationSet& stay_annotations) const;
+
+  /// Holds() on tuple `index` of `parent`'s trace.
+  bool operator()(const SemanticTrajectory& parent, std::size_t index) const;
+
+  friend TupleCondition And(TupleCondition a, TupleCondition b);
+  friend TupleCondition StayAtLeast(Duration min_stay);
+  friend TupleCondition InCells(std::unordered_set<CellId> cells);
+  friend TupleCondition HasAnnotation(AnnotationKind kind, std::string value);
+
+ private:
+  struct Leaf {
+    enum class Kind { kStayAtLeast, kInCells, kHasAnnotation } kind;
+    Duration min_stay;
+    std::shared_ptr<const std::unordered_set<CellId>> cells;
+    SemanticAnnotation annotation;
+  };
+
+  std::vector<Leaf> leaves_;
+};
+
+inline bool TupleCondition::Holds(Duration stay, CellId cell,
+                                  const AnnotationSet& stay_annotations) const {
+  for (const Leaf& leaf : leaves_) {
+    switch (leaf.kind) {
+      case Leaf::Kind::kStayAtLeast:
+        if (stay < leaf.min_stay) return false;
+        break;
+      case Leaf::Kind::kInCells:
+        if (leaf.cells->count(cell) == 0) return false;
+        break;
+      case Leaf::Kind::kHasAnnotation:
+        if (!stay_annotations.Contains(leaf.annotation)) return false;
+        break;
+    }
+  }
+  return true;
+}
 
 /// Lifts a per-tuple condition to an EpisodePredicate (true iff the
 /// condition holds on every tuple in [begin, end)).
@@ -60,6 +111,34 @@ TupleCondition InCells(std::unordered_set<CellId> cells);
 /// in the paper's Fig. 5 example).
 TupleCondition HasAnnotation(AnnotationKind kind, std::string value);
 
+/// Both conditions on every tuple.
+TupleCondition And(TupleCondition a, TupleCondition b);
+
+/// \brief Calls `emit(begin, end)` for each *maximal* run [begin, end)
+/// of rows 0..n-1 on which `holds(row)` is true, in row order. A run
+/// equal to all n rows is shrunk by dropping the last row if possible
+/// (an episode must be a proper subtrajectory); a single-row whole run
+/// is skipped. The one extraction rule for built trajectories and for
+/// a store block's columns.
+template <typename Holds, typename Emit>
+void ForEachMaximalRun(std::size_t n, const Holds& holds, const Emit& emit) {
+  std::size_t i = 0;
+  while (i < n) {
+    if (!holds(i)) {
+      ++i;
+      continue;
+    }
+    std::size_t j = i + 1;
+    while (j < n && holds(j)) ++j;
+    if (i == 0 && j == n) {
+      if (n == 1) return;  // cannot make a proper part of a single tuple
+      --j;
+    }
+    emit(i, j);
+    i = j + 1;
+  }
+}
+
 /// \brief Checks Def. 3.4 for one episode: (1) [begin, end) is a proper
 /// subtrajectory range of `parent`; (2) the episode's annotations differ
 /// from the parent's (A' != A); (3) the predicate holds on the range.
@@ -68,10 +147,8 @@ TupleCondition HasAnnotation(AnnotationKind kind, std::string value);
                        const EpisodePredicate& predicate);
 
 /// \brief Extracts all *maximal* ranges on which `condition` holds on
-/// every tuple, as episodes labeled `label` carrying `annotations`.
-/// Ranges equal to the whole trace are shrunk by dropping the last tuple
-/// if possible (an episode must be a proper subtrajectory); whole-trace
-/// single-tuple candidates are skipped.
+/// every tuple, as episodes labeled `label` carrying `annotations`
+/// (ForEachMaximalRun over the trace).
 std::vector<Episode> ExtractMaximalEpisodes(const SemanticTrajectory& parent,
                                             const TupleCondition& condition,
                                             const std::string& label,

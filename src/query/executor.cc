@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iomanip>
 #include <sstream>
+#include <type_traits>
 #include <utility>
 
 #include "mining/patterns.h"
@@ -50,6 +51,8 @@ struct Fragment {
   /// the fragment's k-th best so far.
   std::vector<ScoredTrajectory> scored;
   std::vector<CellId> cells;  // kTopK scratch: the scored cell sequence
+  /// Scratch: the episodes extracted for the trajectory at hand.
+  std::vector<EpisodeRef> extracted;
   std::uint64_t considered = 0;
   std::uint64_t matched = 0;
   std::uint64_t built = 0;
@@ -62,19 +65,13 @@ bool ScoredBefore(const ScoredTrajectory& a, const ScoredTrajectory& b) {
   return a.trajectory < b.trajectory;
 }
 
-/// Sets `cells` to a trace's cell sequence with runs collapsed, as
+/// Sets `cells` to the rows' cell sequence with runs collapsed, as
 /// mining::CellSequenceOf does.
-void SetCells(const core::SemanticTrajectory& trajectory,
-              std::vector<CellId>& cells) {
+template <typename Rows>
+void SetCells(const Rows& rows, std::vector<CellId>& cells) {
   cells.clear();
-  for (const core::PresenceInterval& p : trajectory.trace().intervals()) {
-    if (cells.empty() || cells.back() != p.cell) cells.push_back(p.cell);
-  }
-}
-void SetCells(const storage::TrajectoryView& view, std::vector<CellId>& cells) {
-  cells.clear();
-  for (std::size_t r = 0; r < view.rows; ++r) {
-    const CellId cell(view.cells[r]);
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const CellId cell = rows.cell(r);
     if (cells.empty() || cells.back() != cell) cells.push_back(cell);
   }
 }
@@ -117,102 +114,110 @@ void ScoreTopK(const BoundQuery& bound, TrajectoryId id, Fragment& fragment) {
   std::push_heap(heap.begin(), heap.end(), ScoredBefore);
 }
 
-std::vector<core::Episode> ExtractEpisodes(
-    const Query& query, const core::SemanticTrajectory& trajectory) {
-  std::vector<core::Episode> out;
+/// Sets `out` to the episodes of every spec, in spec order, each spec's
+/// maximal runs in row order.
+template <typename Rows>
+void ExtractEpisodes(const Query& query, const Rows& rows,
+                     std::vector<EpisodeRef>& out) {
+  out.clear();
   for (const EpisodeSpec& spec : query.episodes) {
-    std::vector<core::Episode> extracted = core::ExtractMaximalEpisodes(
-        trajectory, spec.condition, spec.label, spec.annotations);
-    out.insert(out.end(), std::make_move_iterator(extracted.begin()),
-               std::make_move_iterator(extracted.end()));
+    core::ForEachMaximalRun(
+        rows.size(),
+        [&](std::size_t r) {
+          return spec.condition.Holds(rows.duration(r), rows.cell(r),
+                                      rows.stay(r));
+        },
+        [&](std::size_t begin, std::size_t end) {
+          out.push_back({&spec.label, &spec.annotations, begin, end});
+        });
   }
-  return out;
 }
 
 bool EpisodePassesFilter(const EpisodeFilter& filter,
-                         const core::Episode& episode,
+                         const EpisodeRef& episode,
                          const qsr::TimeInterval& interval) {
-  if (!filter.label.empty() && episode.label != filter.label) return false;
+  if (!filter.label.empty() && *episode.label != filter.label) return false;
   if (filter.allen.has_value() && !filter.allen->Admits(interval)) {
     return false;
   }
   return true;
 }
 
-/// Evaluates one trajectory and appends its contribution to `fragment`.
-/// `movable` aliases `trajectory` when the caller owns it (a block
-/// unit's decode buffer), letting the kTrajectories projection move
-/// instead of deep-copying; null for borrowed chunks. `id_of()` yields
-/// the id the rows carry; it runs only for a match that emits rows.
-template <typename IdOf>
-void ProcessTrajectory(const Query& query, const BoundQuery& bound,
-                       const core::SemanticTrajectory& trajectory,
-                       core::SemanticTrajectory* movable, const IdOf& id_of,
-                       Fragment& fragment) {
+/// Evaluates one trajectory — built (TrajectoryRows) or a block's view
+/// of one (ViewRows) — and appends its contribution to `fragment`.
+/// Views serve every projection but kTrajectories and kTuples, which
+/// need the built trajectory. `movable` aliases the built trajectory
+/// when the caller owns it (a block unit's decode buffer), letting the
+/// kTrajectories projection move instead of deep-copying; null for
+/// borrowed chunks. `id_of()` yields the id the rows carry; it runs only
+/// for a match that emits rows.
+template <typename Rows, typename IdOf>
+void Process(const Query& query, const BoundQuery& bound, const Rows& rows,
+             core::SemanticTrajectory* movable, const IdOf& id_of,
+             Fragment& fragment) {
   fragment.considered += 1;
-  std::vector<core::Episode> episodes;
-  const std::vector<core::Episode>* episodes_ptr = nullptr;
-  if (bound.episodes_before_filter) {
-    episodes = ExtractEpisodes(query, trajectory);
-    episodes_ptr = &episodes;
-  }
-  if (!bound.where.MatchesTrajectory(trajectory, episodes_ptr)) return;
+  std::vector<EpisodeRef>& episodes = fragment.extracted;
+  episodes.clear();
+  if (bound.episodes_before_filter) ExtractEpisodes(query, rows, episodes);
+  if (!bound.where.Matches(rows, episodes)) return;
   fragment.matched += 1;
   if (query.projection == Projection::kCount) return;  // matched is the payload
   const TrajectoryId id = id_of();
-  if (bound.episodes_after_filter && episodes_ptr == nullptr) {
-    episodes = ExtractEpisodes(query, trajectory);
-    episodes_ptr = &episodes;
+  if (bound.episodes_after_filter && !bound.episodes_before_filter) {
+    ExtractEpisodes(query, rows, episodes);
   }
   switch (query.projection) {
-    case Projection::kTrajectories: {
-      core::SemanticTrajectory out =
-          movable != nullptr ? std::move(*movable) : trajectory;
-      if (out.id() != id) {
-        out = core::SemanticTrajectory(id, out.object(),
-                                       std::move(out.mutable_trace()),
-                                       out.annotations());
-      }
-      fragment.trajectories.push_back(std::move(out));
-      return;
-    }
-    case Projection::kTuples: {
-      const core::Trace& trace = trajectory.trace();
-      for (std::size_t i = 0; i < trace.size(); ++i) {
-        if (!bound.tuple_where.MatchesTuple(trajectory, i, episodes_ptr)) {
-          continue;
+    case Projection::kTrajectories:
+    case Projection::kTuples:
+      if constexpr (std::is_same_v<Rows, TrajectoryRows>) {
+        const core::SemanticTrajectory& trajectory = rows.trajectory();
+        if (query.projection == Projection::kTuples) {
+          for (std::size_t i = 0; i < rows.size(); ++i) {
+            if (!bound.tuple_where.MatchesTuple(rows, i, episodes)) continue;
+            TupleRow row;
+            row.trajectory = id;
+            row.object = trajectory.object();
+            row.index = i;
+            row.tuple = trajectory.trace().at(i);
+            fragment.tuples.push_back(std::move(row));
+          }
+          return;
         }
-        TupleRow row;
-        row.trajectory = id;
-        row.object = trajectory.object();
-        row.index = i;
-        row.tuple = trace.at(i);
-        fragment.tuples.push_back(std::move(row));
+        core::SemanticTrajectory out =
+            movable != nullptr ? std::move(*movable) : trajectory;
+        if (out.id() != id) {
+          out = core::SemanticTrajectory(id, out.object(),
+                                         std::move(out.mutable_trace()),
+                                         out.annotations());
+        }
+        fragment.trajectories.push_back(std::move(out));
       }
       return;
-    }
     case Projection::kIds:
       fragment.ids.push_back(id);
       return;
     case Projection::kCount:
       return;
     case Projection::kEpisodes:
-      for (const core::Episode& episode : episodes) {
-        const auto interval = episode.IntervalIn(trajectory);
-        if (!interval.ok()) continue;  // defensive; extraction yields valid
+      for (const EpisodeRef& episode : episodes) {
+        // Extracted ranges are valid; a forged store's inverted rows
+        // yield no interval and no row, on both sources alike.
+        const auto interval = RangeInterval(rows, episode.begin, episode.end);
+        if (!interval.has_value()) continue;
         if (!EpisodePassesFilter(query.episode_filter, episode, *interval)) {
           continue;
         }
         EpisodeRow row;
         row.trajectory = id;
-        row.object = trajectory.object();
-        row.episode = episode;
+        row.object = rows.object();
+        row.episode = core::Episode(*episode.label, episode.begin,
+                                    episode.end, *episode.annotations);
         row.interval = *interval;
         fragment.episodes.push_back(std::move(row));
       }
       return;
     case Projection::kTopK:
-      SetCells(trajectory, fragment.cells);
+      SetCells(rows, fragment.cells);
       ScoreTopK(bound, id, fragment);
       return;
   }
@@ -317,22 +322,32 @@ void AddBlocks(const storage::EventStoreReader& reader,
   }
 }
 
+/// Moves `from`'s rows to the end of `to`, taking its buffer when `to`
+/// is still empty.
+template <typename T>
+void AppendRows(std::vector<T>& to, std::vector<T>& from) {
+  if (to.empty()) {
+    to.swap(from);
+    return;
+  }
+  to.insert(to.end(), std::make_move_iterator(from.begin()),
+            std::make_move_iterator(from.end()));
+}
+
 /// The one execution loop: runs every unit into its own Fragment on
 /// `runner`, then merges the fragments in unit order — the first decode
 /// failure in unit order wins. Every block unit counts as a scanned
 /// block and every unit's rows as scanned rows; the caller fills in the
-/// totals of its source. When the scan decides the predicate and the
-/// projection reads nothing but ids, a count or cells, block units
-/// answer from the decoded columns and build no trajectory.
+/// totals of its source. Block units build trajectories only for the
+/// projections that return them (kTrajectories, kTuples); every other
+/// projection is answered from the decoded columns.
 Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
                             const QueryPlan& plan, std::vector<WorkUnit> units,
                             TaskRunner* runner) {
   if (plan.pushdown.never_matches) units.clear();  // nothing to scan
   const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
-  const bool columnar = plan.exact &&
-                        (query.projection == Projection::kCount ||
-                         query.projection == Projection::kIds ||
-                         query.projection == Projection::kTopK);
+  const bool columnar = query.projection != Projection::kTrajectories &&
+                        query.projection != Projection::kTuples;
   // Thread-safety: chunk units read borrowed trajectories; block units
   // call the const, mmap-backed EventStoreReader::ReadTrajectoryBlock,
   // which has no shared mutable state; StoreSet units also read the
@@ -344,46 +359,42 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
       [&](std::size_t u) {
         const WorkUnit& unit = units[u];
         Fragment fragment;
-        const auto process = [&](const core::SemanticTrajectory& t,
-                                 core::SemanticTrajectory* movable,
-                                 std::uint64_t position) {
-          const auto id_of = [&] {
-            return unit.IdOf(t.id(), t.object(), t.start(), position);
-          };
-          ProcessTrajectory(query, bound, t, movable, id_of, fragment);
-        };
-        // Exact plans: every trajectory the scan keeps matches.
-        const auto visit = [&](const storage::TrajectoryView& view) {
-          fragment.considered += 1;
-          fragment.matched += 1;
-          if (query.projection == Projection::kCount) return true;
-          const TrajectoryId id =
-              unit.IdOf(view.id, view.object, view.start, view.position);
-          if (query.projection == Projection::kIds) {
-            fragment.ids.push_back(id);
-          } else {
-            SetCells(view, fragment.cells);
-            ScoreTopK(bound, id, fragment);
-          }
-          return true;
-        };
         if (unit.reader == nullptr) {
           for (std::size_t i = 0; i < unit.size; ++i) {
-            process(unit.chunk[i], /*movable=*/nullptr, i);
+            const core::SemanticTrajectory& t = unit.chunk[i];
+            Process(query, bound, TrajectoryRows(t), /*movable=*/nullptr,
+                    [&] { return unit.IdOf(t.id(), t.object(), t.start(), i); },
+                    fragment);
           }
-        } else {
-          std::vector<core::SemanticTrajectory> decoded;
-          std::vector<std::size_t> positions;
-          fragment.status = unit.reader->ReadTrajectoryBlock(
-              unit.block, scan, decoded,
-              unit.set != nullptr ? &positions : nullptr,
-              columnar ? storage::TrajectoryVisitor(visit) : nullptr);
-          if (!fragment.status.ok()) return fragment;
-          fragment.built = decoded.size();
-          for (std::size_t t = 0; t < decoded.size(); ++t) {
-            process(decoded[t], /*movable=*/&decoded[t],
-                    unit.set != nullptr ? positions[t] : 0);
-          }
+          return fragment;
+        }
+        const auto visit = [&](const storage::TrajectoryView& view) {
+          Process(query, bound, ViewRows(view), /*movable=*/nullptr,
+                  [&] {
+                    return unit.IdOf(view.id, view.object, view.start,
+                                     view.position);
+                  },
+                  fragment);
+          return true;
+        };
+        std::vector<core::SemanticTrajectory> decoded;
+        std::vector<std::size_t> positions;
+        fragment.status = unit.reader->ReadTrajectoryBlock(
+            unit.block, scan, decoded,
+            unit.set != nullptr ? &positions : nullptr,
+            columnar ? storage::TrajectoryVisitor(visit) : nullptr);
+        if (!fragment.status.ok()) return fragment;
+        fragment.built = decoded.size();
+        for (std::size_t t = 0; t < decoded.size(); ++t) {
+          const core::SemanticTrajectory& trajectory = decoded[t];
+          const std::uint64_t position = unit.set != nullptr ? positions[t] : 0;
+          Process(query, bound, TrajectoryRows(trajectory),
+                  /*movable=*/&decoded[t],
+                  [&] {
+                    return unit.IdOf(trajectory.id(), trajectory.object(),
+                                     trajectory.start(), position);
+                  },
+                  fragment);
         }
         return fragment;
       },
@@ -399,16 +410,11 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
     result.stats.trajectories_considered += fragment.considered;
     result.stats.trajectories_matched += fragment.matched;
     result.stats.trajectories_built += fragment.built;
-    std::move(fragment.trajectories.begin(), fragment.trajectories.end(),
-              std::back_inserter(result.trajectories));
-    std::move(fragment.tuples.begin(), fragment.tuples.end(),
-              std::back_inserter(result.tuples));
-    std::move(fragment.ids.begin(), fragment.ids.end(),
-              std::back_inserter(result.ids));
-    std::move(fragment.episodes.begin(), fragment.episodes.end(),
-              std::back_inserter(result.episodes));
-    std::move(fragment.scored.begin(), fragment.scored.end(),
-              std::back_inserter(result.top_k));
+    AppendRows(result.trajectories, fragment.trajectories);
+    AppendRows(result.tuples, fragment.tuples);
+    AppendRows(result.ids, fragment.ids);
+    AppendRows(result.episodes, fragment.episodes);
+    AppendRows(result.top_k, fragment.scored);
   }
   result.count = result.stats.trajectories_matched;
   if (query.projection == Projection::kTopK) {

@@ -36,18 +36,24 @@ namespace sitm::query {
 
 /// How matching episodes are defined for episode predicates and the
 /// kEpisodes projection: maximal runs where `condition` holds on every
-/// tuple, labeled and annotated (core::ExtractMaximalEpisodes).
+/// tuple, labeled and annotated (core::ForEachMaximalRun, the rule of
+/// core::ExtractMaximalEpisodes). The condition is a closed value that
+/// reads a tuple's stay duration, cell and stay annotations, so store
+/// blocks extract episodes from their decoded columns.
 struct EpisodeSpec {
   std::string label;
   core::TupleCondition condition;
   core::AnnotationSet annotations;
 };
 
-/// What the query returns. kIds, kCount and kTopK read nothing of a
-/// match but its id, its existence, or its cells: when the plan is
-/// exact (QueryPlan::exact — the store scan alone decides the
-/// predicate), store blocks answer them from the decoded columns and
-/// build no trajectory (ExecutionStats::trajectories_built stays 0).
+/// What the query returns. Only kTrajectories and kTuples return
+/// built trajectories or tuples; kIds, kCount, kTopK and kEpisodes read
+/// nothing of a match but its id, its existence, its cells or its
+/// episodes' row ranges and intervals. Every bound predicate and
+/// episode condition is decidable on a block's decoded columns, so
+/// store blocks answer those four projections from the columns and
+/// build no trajectory (ExecutionStats::trajectories_built stays 0),
+/// whatever the predicate.
 enum class Projection : int {
   kTrajectories = 0,  ///< full matching trajectories
   kTuples,            ///< matching tuples of matching trajectories
@@ -135,8 +141,9 @@ struct ScoredTrajectory {
 /// the sums of single-store runs over its segments plus its tail's rows
 /// and trajectories. A plan that can never match scans nothing.
 /// trajectories_built counts the trajectories block units materialized
-/// (chunks borrow theirs and build none); it is 0 for kIds, kCount and
-/// kTopK under an exact plan, which answer from the decoded columns.
+/// (chunks borrow theirs and build none): every pushdown survivor for
+/// kTrajectories and kTuples, and 0 for kIds, kCount, kTopK and
+/// kEpisodes, which answer from the decoded columns.
 struct ExecutionStats {
   std::uint64_t blocks_total = 0;    ///< store blocks in the file / set
   std::uint64_t blocks_scanned = 0;  ///< blocks actually decoded
@@ -182,7 +189,8 @@ struct ExecutorOptions {
   /// Result cache for store-backed runs (borrowed; null = no caching).
   /// Sound because finished stores are immutable and the key pins the
   /// file contents and the bound query — see query/result_cache.h.
-  /// Queries the cache cannot key (episode specs, kTopK) run cold.
+  /// Queries with episode specs and kTopK run cold: their entries would
+  /// evict cheaper point and window results (QueryResultCache::Cacheable).
   QueryResultCache* cache = nullptr;
 };
 

@@ -177,33 +177,6 @@ PushdownSummary Summarize(const Predicate& predicate) {
   }
 }
 
-/// The TimeWindow leaves of a conjunction of true, ObjectIn and
-/// TimeWindow leaves (nested Ands included); -1 when it holds any other
-/// node. The store scan decides such a conjunction exactly when it has
-/// at most one window (see QueryPlan::exact): object sets meet exactly,
-/// but a trajectory can span two disjoint windows, meeting each and not
-/// their empty intersection.
-int ConjunctionWindows(const Predicate& predicate) {
-  switch (predicate.kind()) {
-    case PredicateKind::kTrue:
-    case PredicateKind::kObjectIn:
-      return 0;
-    case PredicateKind::kTimeWindow:
-      return 1;
-    case PredicateKind::kAnd: {
-      int windows = 0;
-      for (const Predicate& child : predicate.children()) {
-        const int child_windows = ConjunctionWindows(child);
-        if (child_windows < 0) return -1;
-        windows += child_windows;
-      }
-      return windows;
-    }
-    default:
-      return -1;
-  }
-}
-
 }  // namespace
 
 std::string PushdownSummary::ToString() const {
@@ -249,8 +222,6 @@ QueryPlan Plan(const Predicate& bound_predicate) {
   QueryPlan plan;
   plan.pushdown = Summarize(bound_predicate);
   plan.residual = bound_predicate;
-  const int windows = ConjunctionWindows(bound_predicate);
-  plan.exact = windows == 0 || windows == 1;
   return plan;
 }
 

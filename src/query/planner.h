@@ -56,14 +56,6 @@ struct PushdownSummary {
 struct QueryPlan {
   PushdownSummary pushdown;
   Predicate residual;
-  /// True when the store scan alone decides the predicate: the rows
-  /// ToScanOptions(pushdown) keeps are exactly the trajectories the
-  /// residual accepts, so a block unit can answer a count, ids or top-k
-  /// from the decoded columns. Plan sets it for Ands (or single leaves)
-  /// of `true`, ObjectIn and at most one TimeWindow — never for two
-  /// windows (a trajectory can span two disjoint ones), Or, Not, or any
-  /// other leaf.
-  bool exact = false;
 
   /// Human-readable one-liner ("pushdown: ... | residual: ...").
   std::string Explain() const;

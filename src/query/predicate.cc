@@ -104,6 +104,10 @@ Predicate MakePredicate(std::shared_ptr<const Predicate::Node> node) {
   return Predicate(std::move(node));
 }
 
+const Predicate::Node& NodeOf(const Predicate& predicate) {
+  return *predicate.node_;
+}
+
 namespace {
 
 using Node = Predicate::Node;
@@ -128,23 +132,8 @@ bool IsSpatialLeaf(PredicateKind kind) {
   }
 }
 
-/// The episode's time interval within its parent, or nullopt for a
-/// structurally invalid range (defensive: extracted episodes are valid
-/// by construction).
-std::optional<qsr::TimeInterval> EpisodeInterval(
-    const core::SemanticTrajectory& trajectory, const core::Episode& episode) {
-  const core::Trace& trace = trajectory.trace();
-  if (episode.begin >= episode.end || episode.end > trace.size()) {
-    return std::nullopt;
-  }
-  const auto interval = qsr::TimeInterval::Make(
-      trace.at(episode.begin).start(), trace.at(episode.end - 1).end());
-  if (!interval.ok()) return std::nullopt;
-  return *interval;
-}
-
-bool EpisodeLabelMatches(const Node& node, const core::Episode& episode) {
-  return node.episode_label.empty() || episode.label == node.episode_label;
+bool EpisodeLabelMatches(const Node& node, const EpisodeRef& episode) {
+  return node.episode_label.empty() || *episode.label == node.episode_label;
 }
 
 /// Closed-window intersection with the ScanOptions semantics: inverted
@@ -159,157 +148,166 @@ bool WindowIntersects(const Node& node, Timestamp start, Timestamp end) {
   return true;
 }
 
-bool AnnotationOnTrajectory(const Node& node,
-                            const core::SemanticTrajectory& trajectory) {
-  return trajectory.annotations().Contains(node.ann_kind, node.ann_value);
+template <typename Rows>
+bool AnnotationOnTrajectory(const Node& node, const Rows& rows) {
+  return rows.annotations().Contains(node.ann_kind, node.ann_value);
 }
 
-bool AnnotationOnTuple(const Node& node,
-                       const core::PresenceInterval& tuple) {
-  return tuple.annotations.Contains(node.ann_kind, node.ann_value) ||
-         tuple.transition_annotations.Contains(node.ann_kind, node.ann_value);
+template <typename Rows>
+bool AnnotationOnRow(const Node& node, const Rows& rows, std::size_t r) {
+  return rows.stay(r).Contains(node.ann_kind, node.ann_value) ||
+         rows.transition(r).Contains(node.ann_kind, node.ann_value);
 }
 
-bool EvalTrajectory(const Node& node,
-                    const core::SemanticTrajectory& trajectory,
-                    const std::vector<core::Episode>* episodes);
+/// True iff some episode the node's label admits contains row `row`
+/// (any episode when `row` is nullopt) and, for kEpisodeAllen, its
+/// interval satisfies the constraint.
+template <typename Rows>
+bool EpisodeMatches(const Node& node, const Rows& rows,
+                    const std::vector<EpisodeRef>& episodes,
+                    std::optional<std::size_t> row) {
+  for (const EpisodeRef& episode : episodes) {
+    if (!EpisodeLabelMatches(node, episode)) continue;
+    if (row.has_value() && (*row < episode.begin || *row >= episode.end)) {
+      continue;
+    }
+    if (node.kind == PredicateKind::kHasEpisode) return true;
+    const auto interval = RangeInterval(rows, episode.begin, episode.end);
+    if (interval.has_value() && node.allen->Admits(*interval)) return true;
+  }
+  return false;
+}
 
-bool EvalTuple(const Node& node, const core::SemanticTrajectory& trajectory,
-               std::size_t index, const std::vector<core::Episode>* episodes);
-
-bool EvalTrajectory(const Node& node,
-                    const core::SemanticTrajectory& trajectory,
-                    const std::vector<core::Episode>* episodes) {
-  const core::Trace& trace = trajectory.trace();
+/// Trajectory-level evaluation: spatial and tuple-scoped annotation
+/// leaves hold iff some row satisfies them, time leaves test the span
+/// [start of the first row, end of the last].
+template <typename Rows>
+bool EvalTrajectory(const Node& node, const Rows& rows,
+                    const std::vector<EpisodeRef>& episodes) {
+  const std::size_t n = rows.size();
   switch (node.kind) {
     case PredicateKind::kTrue:
       return true;
     case PredicateKind::kAnd:
       for (const Predicate& child : node.children) {
-        if (!child.MatchesTrajectory(trajectory, episodes)) return false;
+        if (!EvalTrajectory(NodeOf(child), rows, episodes)) return false;
       }
       return true;
     case PredicateKind::kOr:
       for (const Predicate& child : node.children) {
-        if (child.MatchesTrajectory(trajectory, episodes)) return true;
+        if (EvalTrajectory(NodeOf(child), rows, episodes)) return true;
       }
       return false;
     case PredicateKind::kNot:
-      return !node.children.front().MatchesTrajectory(trajectory, episodes);
+      return !EvalTrajectory(NodeOf(node.children.front()), rows, episodes);
     case PredicateKind::kObjectIn:
       return std::binary_search(node.objects.begin(), node.objects.end(),
-                                trajectory.object());
+                                rows.object());
     case PredicateKind::kTimeWindow:
-      if (trace.empty()) return false;
-      return WindowIntersects(node, trace.start(), trace.end());
+      if (n == 0) return false;
+      return WindowIntersects(node, rows.start(), rows.end());
     case PredicateKind::kAllen: {
-      if (trace.empty()) return false;
-      const auto interval =
-          qsr::TimeInterval::Make(trace.start(), trace.end());
+      if (n == 0) return false;
+      const auto interval = qsr::TimeInterval::Make(rows.start(), rows.end());
       return interval.ok() && node.allen->Admits(*interval);
     }
     case PredicateKind::kCellIn:
     case PredicateKind::kInZone:
     case PredicateKind::kInLayer:
     case PredicateKind::kAtPoint:
-    case PredicateKind::kInRegion: {
+    case PredicateKind::kInRegion:
       if (!node.cells_resolved) return false;  // unbound: match nothing
-      for (const core::PresenceInterval& tuple : trace.intervals()) {
-        if (node.cells.count(tuple.cell) > 0) return true;
+      for (std::size_t r = 0; r < n; ++r) {
+        if (node.cells.count(rows.cell(r)) > 0) return true;
       }
       return false;
-    }
     case PredicateKind::kAnnotation:
       switch (node.ann_scope) {
         case AnnotationScope::kTrajectory:
-          return AnnotationOnTrajectory(node, trajectory);
+          return AnnotationOnTrajectory(node, rows);
         case AnnotationScope::kTuple:
           break;
         case AnnotationScope::kAnywhere:
-          if (AnnotationOnTrajectory(node, trajectory)) return true;
+          if (AnnotationOnTrajectory(node, rows)) return true;
           break;
       }
-      for (const core::PresenceInterval& tuple : trace.intervals()) {
-        if (AnnotationOnTuple(node, tuple)) return true;
+      for (std::size_t r = 0; r < n; ++r) {
+        if (AnnotationOnRow(node, rows, r)) return true;
       }
       return false;
     case PredicateKind::kHasEpisode:
-    case PredicateKind::kEpisodeAllen: {
-      if (episodes == nullptr) return false;
-      for (const core::Episode& episode : *episodes) {
-        if (!EpisodeLabelMatches(node, episode)) continue;
-        if (node.kind == PredicateKind::kHasEpisode) return true;
-        const auto interval = EpisodeInterval(trajectory, episode);
-        if (interval.has_value() && node.allen->Admits(*interval)) {
-          return true;
-        }
-      }
-      return false;
-    }
+    case PredicateKind::kEpisodeAllen:
+      return EpisodeMatches(node, rows, episodes, std::nullopt);
   }
   return false;
 }
 
-bool EvalTuple(const Node& node, const core::SemanticTrajectory& trajectory,
-               std::size_t index, const std::vector<core::Episode>* episodes) {
-  const core::Trace& trace = trajectory.trace();
-  if (index >= trace.size()) return false;
-  const core::PresenceInterval& tuple = trace.at(index);
+/// Tuple-level evaluation of row `r`: spatial and annotation leaves test
+/// the row itself, time leaves its interval, object leaves the parent's
+/// object, episode leaves whether the row lies inside a matching
+/// episode.
+template <typename Rows>
+bool EvalTuple(const Node& node, const Rows& rows, std::size_t r,
+               const std::vector<EpisodeRef>& episodes) {
+  if (r >= rows.size()) return false;
   switch (node.kind) {
     case PredicateKind::kTrue:
       return true;
     case PredicateKind::kAnd:
       for (const Predicate& child : node.children) {
-        if (!child.MatchesTuple(trajectory, index, episodes)) return false;
+        if (!EvalTuple(NodeOf(child), rows, r, episodes)) return false;
       }
       return true;
     case PredicateKind::kOr:
       for (const Predicate& child : node.children) {
-        if (child.MatchesTuple(trajectory, index, episodes)) return true;
+        if (EvalTuple(NodeOf(child), rows, r, episodes)) return true;
       }
       return false;
     case PredicateKind::kNot:
-      return !node.children.front().MatchesTuple(trajectory, index, episodes);
+      return !EvalTuple(NodeOf(node.children.front()), rows, r, episodes);
     case PredicateKind::kObjectIn:
       return std::binary_search(node.objects.begin(), node.objects.end(),
-                                trajectory.object());
+                                rows.object());
     case PredicateKind::kTimeWindow:
-      return WindowIntersects(node, tuple.start(), tuple.end());
-    case PredicateKind::kAllen:
-      return node.allen->Admits(tuple.interval);
+      return WindowIntersects(node, rows.start(r), rows.end(r));
+    case PredicateKind::kAllen: {
+      const auto interval = RangeInterval(rows, r, r + 1);
+      return interval.has_value() && node.allen->Admits(*interval);
+    }
     case PredicateKind::kCellIn:
     case PredicateKind::kInZone:
     case PredicateKind::kInLayer:
     case PredicateKind::kAtPoint:
     case PredicateKind::kInRegion:
-      return node.cells_resolved && node.cells.count(tuple.cell) > 0;
+      return node.cells_resolved && node.cells.count(rows.cell(r)) > 0;
     case PredicateKind::kAnnotation:
       switch (node.ann_scope) {
         case AnnotationScope::kTrajectory:
-          return AnnotationOnTrajectory(node, trajectory);
+          return AnnotationOnTrajectory(node, rows);
         case AnnotationScope::kTuple:
-          return AnnotationOnTuple(node, tuple);
+          return AnnotationOnRow(node, rows, r);
         case AnnotationScope::kAnywhere:
-          return AnnotationOnTrajectory(node, trajectory) ||
-                 AnnotationOnTuple(node, tuple);
+          return AnnotationOnTrajectory(node, rows) ||
+                 AnnotationOnRow(node, rows, r);
       }
       return false;
     case PredicateKind::kHasEpisode:
-    case PredicateKind::kEpisodeAllen: {
-      if (episodes == nullptr) return false;
-      for (const core::Episode& episode : *episodes) {
-        if (!EpisodeLabelMatches(node, episode)) continue;
-        if (index < episode.begin || index >= episode.end) continue;
-        if (node.kind == PredicateKind::kHasEpisode) return true;
-        const auto interval = EpisodeInterval(trajectory, episode);
-        if (interval.has_value() && node.allen->Admits(*interval)) {
-          return true;
-        }
-      }
-      return false;
-    }
+    case PredicateKind::kEpisodeAllen:
+      return EpisodeMatches(node, rows, episodes, r);
   }
   return false;
+}
+
+/// The episodes by reference (they must outlive the result).
+std::vector<EpisodeRef> RefsOf(const std::vector<core::Episode>* episodes) {
+  std::vector<EpisodeRef> refs;
+  if (episodes == nullptr) return refs;
+  refs.reserve(episodes->size());
+  for (const core::Episode& episode : *episodes) {
+    refs.push_back(
+        {&episode.label, &episode.annotations, episode.begin, episode.end});
+  }
+  return refs;
 }
 
 }  // namespace
@@ -333,13 +331,28 @@ bool Predicate::bound() const {
 bool Predicate::MatchesTrajectory(
     const core::SemanticTrajectory& trajectory,
     const std::vector<core::Episode>* episodes) const {
-  return EvalTrajectory(*node_, trajectory, episodes);
+  return Matches(TrajectoryRows(trajectory), RefsOf(episodes));
 }
 
 bool Predicate::MatchesTuple(const core::SemanticTrajectory& trajectory,
                              std::size_t index,
                              const std::vector<core::Episode>* episodes) const {
-  return EvalTuple(*node_, trajectory, index, episodes);
+  return MatchesTuple(TrajectoryRows(trajectory), index, RefsOf(episodes));
+}
+
+bool Predicate::Matches(const TrajectoryRows& rows,
+                        const std::vector<EpisodeRef>& episodes) const {
+  return EvalTrajectory(*node_, rows, episodes);
+}
+
+bool Predicate::Matches(const ViewRows& rows,
+                        const std::vector<EpisodeRef>& episodes) const {
+  return EvalTrajectory(*node_, rows, episodes);
+}
+
+bool Predicate::MatchesTuple(const TrajectoryRows& rows, std::size_t index,
+                             const std::vector<EpisodeRef>& episodes) const {
+  return EvalTuple(*node_, rows, index, episodes);
 }
 
 std::vector<Predicate> Predicate::children() const { return node_->children; }

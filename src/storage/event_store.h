@@ -269,16 +269,44 @@ struct ScanOptions {
 };
 
 /// One trajectory of a trajectory block, seen through its decoded
-/// columns before it would be built (see ReadTrajectoryBlock). The cell
-/// span points into the decode buffer and lives only for the call.
+/// columns before it would be built (see ReadTrajectoryBlock). The
+/// column pointers hold one entry per row, in order; they point into
+/// the decode buffer and live only for the call. Every row is already
+/// validated: its end does not overflow and follows its start, and its
+/// dictionary indices are in range.
 struct TrajectoryView {
   std::size_t position = 0;  ///< index in an unfiltered decode of the block
   TrajectoryId id;
   ObjectId object;
   Timestamp start;  ///< its first row's start
   Timestamp end;    ///< its last row's end
-  const std::int64_t* cells = nullptr;  ///< one cell id per row, in order
   std::size_t rows = 0;
+  const std::int64_t* cells = nullptr;
+  const std::int64_t* starts = nullptr;
+  const std::uint64_t* durations = nullptr;  ///< end - start, in seconds
+  const std::uint64_t* stay_dicts = nullptr;  ///< A_i, into *dictionary
+  const std::uint64_t* transition_dicts = nullptr;  ///< into *dictionary
+  std::uint64_t dict = 0;  ///< A_traj, into *dictionary
+  const std::vector<core::AnnotationSet>* dictionary = nullptr;
+
+  CellId Cell(std::size_t r) const { return CellId(cells[r]); }
+  Timestamp RowStart(std::size_t r) const { return Timestamp(starts[r]); }
+  Timestamp RowEnd(std::size_t r) const {
+    return Timestamp(static_cast<std::int64_t>(
+        static_cast<std::uint64_t>(starts[r]) + durations[r]));
+  }
+  Duration RowDuration(std::size_t r) const {
+    return Duration(static_cast<std::int64_t>(durations[r]));
+  }
+  const core::AnnotationSet& Annotations() const {
+    return (*dictionary)[static_cast<std::size_t>(dict)];
+  }
+  const core::AnnotationSet& StayAnnotations(std::size_t r) const {
+    return (*dictionary)[static_cast<std::size_t>(stay_dicts[r])];
+  }
+  const core::AnnotationSet& TransitionAnnotations(std::size_t r) const {
+    return (*dictionary)[static_cast<std::size_t>(transition_dicts[r])];
+  }
 };
 
 /// Called for each trajectory a block scan keeps; returning true

@@ -63,6 +63,28 @@ TEST(AnnotationSetTest, RemoveAndContains) {
   EXPECT_TRUE(set.empty());
 }
 
+TEST(AnnotationSetTest, ContainsComparesLongValuesAndKindsInPlace) {
+  // Values past small-string storage, neighbours that differ only in
+  // kind or in a value prefix, and a kind the set never holds.
+  const std::string long_value = "visit the Winged Victory of Samothrace";
+  ASSERT_GT(long_value.size(), 15u);
+  const AnnotationSet set{{AnnotationKind::kActivity, long_value},
+                          {AnnotationKind::kGoal, long_value + "!"},
+                          {AnnotationKind::kGoal, "buy"},
+                          {AnnotationKind::kOther, ""}};
+  EXPECT_TRUE(set.Contains(AnnotationKind::kActivity, long_value));
+  EXPECT_TRUE(set.Contains(AnnotationKind::kGoal, long_value + "!"));
+  EXPECT_TRUE(set.Contains({AnnotationKind::kGoal, "buy"}));
+  EXPECT_TRUE(set.Contains(AnnotationKind::kOther, ""));
+  EXPECT_FALSE(set.Contains(AnnotationKind::kGoal, long_value));
+  EXPECT_FALSE(set.Contains(AnnotationKind::kActivity, long_value + "!"));
+  EXPECT_FALSE(set.Contains(AnnotationKind::kActivity,
+                            std::string_view(long_value).substr(0, 20)));
+  EXPECT_FALSE(set.Contains(AnnotationKind::kBehavior, long_value));
+  EXPECT_FALSE(set.Contains(AnnotationKind::kBehavior, ""));
+  EXPECT_FALSE(AnnotationSet().Contains(AnnotationKind::kGoal, "buy"));
+}
+
 TEST(AnnotationSetTest, ValuesOfFiltersByKind) {
   const AnnotationSet set{{AnnotationKind::kGoal, "visit"},
                           {AnnotationKind::kGoal, "buy"},

@@ -62,6 +62,150 @@ TEST(EpisodePredicateTest, InCellsAndHasAnnotation) {
   EXPECT_FALSE(buying(t, 3));
 }
 
+TEST(TupleConditionTest, EveryLeafAndAndThroughBothEntryPoints) {
+  const SemanticTrajectory t = Fig5Visit();
+  // Fig. 5 durations 600, 80, 790, 90 s; cells 87, 88, 90, 91; "buy
+  // souvenir" on tuples 0-2 only.
+  const TupleCondition long_stay = StayAtLeast(Duration::Seconds(90));
+  const TupleCondition shops = InCells({CellId(90), CellId(91)});
+  const TupleCondition buying =
+      HasAnnotation(AnnotationKind::kGoal, "buy souvenir");
+  const TupleCondition everything;
+  const struct {
+    const char* name;
+    TupleCondition condition;
+    std::vector<bool> holds;
+  } cases[] = {
+      {"stay >= 90 s", long_stay, {true, false, true, true}},
+      {"stay >= 90 s exactly at the bound", StayAtLeast(Duration::Seconds(90)),
+       {true, false, true, true}},
+      {"in shops", shops, {false, false, true, true}},
+      {"buying", buying, {true, true, true, false}},
+      {"absent kind", HasAnnotation(AnnotationKind::kBehavior, "buy souvenir"),
+       {false, false, false, false}},
+      {"empty conjunction", everything, {true, true, true, true}},
+      {"long and in shops", And(long_stay, shops), {false, false, true, true}},
+      {"long, in shops and buying", And(And(long_stay, shops), buying),
+       {false, false, true, false}},
+      {"and with the empty conjunction", And(everything, buying),
+       {true, true, true, false}},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    ASSERT_EQ(c.holds.size(), t.trace().size());
+    for (std::size_t i = 0; i < t.trace().size(); ++i) {
+      const PresenceInterval& tuple = t.trace().at(i);
+      EXPECT_EQ(c.condition(t, i), c.holds[i]) << "tuple " << i;
+      EXPECT_EQ(c.condition.Holds(tuple.duration(), tuple.cell,
+                                  tuple.annotations),
+                c.holds[i])
+          << "tuple " << i;
+    }
+  }
+  // Holds reads only the stay annotations it is given.
+  const AnnotationSet buy{{AnnotationKind::kGoal, "buy souvenir"}};
+  EXPECT_TRUE(buying.Holds(Duration::Zero(), CellId(1), buy));
+  EXPECT_FALSE(buying.Holds(Duration::Zero(), CellId(1), AnnotationSet()));
+  // A copy evaluates like its original.
+  const TupleCondition copy = And(long_stay, shops);
+  TupleCondition assigned;
+  assigned = copy;
+  EXPECT_TRUE(assigned.Holds(Duration::Seconds(90), CellId(91), {}));
+  EXPECT_FALSE(assigned.Holds(Duration::Seconds(89), CellId(91), {}));
+  EXPECT_FALSE(assigned.Holds(Duration::Seconds(90), CellId(87), {}));
+}
+
+/// The ranges ForEachMaximalRun finds over rows given as columns.
+std::vector<std::pair<std::size_t, std::size_t>> ColumnRuns(
+    const TupleCondition& condition, const std::vector<Duration>& stays,
+    const std::vector<CellId>& cells,
+    const std::vector<AnnotationSet>& annotations) {
+  std::vector<std::pair<std::size_t, std::size_t>> runs;
+  ForEachMaximalRun(
+      stays.size(),
+      [&](std::size_t r) {
+        return condition.Holds(stays[r], cells[r], annotations[r]);
+      },
+      [&](std::size_t begin, std::size_t end) {
+        runs.emplace_back(begin, end);
+      });
+  return runs;
+}
+
+TEST(ExtractMaximalEpisodesTest, TrajectoryAndColumnsGiveTheSameRuns) {
+  const AnnotationSet tag{{AnnotationKind::kGoal, "g"}};
+  const AnnotationSet none;
+  const std::vector<SemanticTrajectory> traces = {
+      Fig5Visit(),
+      // A single tuple: a whole run cannot be shrunk, so nothing.
+      SemanticTrajectory(TrajectoryId(1), ObjectId(1),
+                         Trace({Pi(5, 0, 300, tag)}), tag),
+      // Runs at both ends and a whole-trace run for the empty condition.
+      SemanticTrajectory(
+          TrajectoryId(2), ObjectId(1),
+          Trace({Pi(5, 0, 300, tag), Pi(6, 310, 320), Pi(5, 330, 900, tag),
+                 Pi(7, 910, 1500, tag)}),
+          tag),
+  };
+  const std::vector<TupleCondition> conditions = {
+      TupleCondition(),
+      StayAtLeast(Duration::Seconds(100)),
+      StayAtLeast(Duration::Hours(1)),
+      InCells({CellId(5), CellId(7), CellId(90)}),
+      HasAnnotation(AnnotationKind::kGoal, "g"),
+      HasAnnotation(AnnotationKind::kGoal, "buy souvenir"),
+      And(StayAtLeast(Duration::Seconds(100)),
+          HasAnnotation(AnnotationKind::kGoal, "g")),
+  };
+  for (std::size_t k = 0; k < traces.size(); ++k) {
+    const SemanticTrajectory& t = traces[k];
+    std::vector<Duration> stays;
+    std::vector<CellId> cells;
+    std::vector<AnnotationSet> annotations;
+    for (const PresenceInterval& p : t.trace().intervals()) {
+      stays.push_back(p.duration());
+      cells.push_back(p.cell);
+      annotations.push_back(p.annotations);
+    }
+    for (std::size_t c = 0; c < conditions.size(); ++c) {
+      SCOPED_TRACE("trace " + std::to_string(k) + " condition " +
+                   std::to_string(c));
+      std::vector<std::pair<std::size_t, std::size_t>> from_trajectory;
+      for (const Episode& e :
+           ExtractMaximalEpisodes(t, conditions[c], "e", none)) {
+        from_trajectory.emplace_back(e.begin, e.end);
+      }
+      EXPECT_EQ(ColumnRuns(conditions[c], stays, cells, annotations),
+                from_trajectory);
+      for (const auto& [begin, end] : from_trajectory) {
+        EXPECT_LT(begin, end);
+        EXPECT_FALSE(begin == 0 && end == t.trace().size());  // proper
+      }
+    }
+  }
+}
+
+TEST(ExtractMaximalEpisodesTest, RunRuleOnWholeSingleAndEmptyRanges) {
+  using Runs = std::vector<std::pair<std::size_t, std::size_t>>;
+  const auto runs = [](std::size_t n, const std::vector<bool>& holds) {
+    Runs out;
+    ForEachMaximalRun(
+        n, [&](std::size_t r) { return static_cast<bool>(holds[r]); },
+        [&](std::size_t begin, std::size_t end) {
+          out.emplace_back(begin, end);
+        });
+    return out;
+  };
+  EXPECT_EQ(runs(3, {true, true, true}), (Runs{{0, 2}}));  // shrunk
+  EXPECT_EQ(runs(1, {true}), Runs{});                      // no proper part
+  EXPECT_EQ(runs(0, {}), Runs{});                          // empty
+  EXPECT_EQ(runs(4, {false, true, true, true}), (Runs{{1, 4}}));
+  EXPECT_EQ(runs(4, {true, true, true, false}), (Runs{{0, 3}}));
+  EXPECT_EQ(runs(5, {true, false, true, true, false}),
+            (Runs{{0, 1}, {2, 4}}));
+  EXPECT_EQ(runs(2, {false, false}), Runs{});
+}
+
 TEST(ValidateEpisodeTest, ChecksAllThreeConditions) {
   const SemanticTrajectory t = Fig5Visit();
   const EpisodePredicate buying = ForAllTuples(
@@ -102,8 +246,7 @@ TEST(ExtractMaximalEpisodesTest, WholeTraceRunIsShrunk) {
   // proper subtrajectory.
   const SemanticTrajectory t = Fig5Visit();
   const std::vector<Episode> all = ExtractMaximalEpisodes(
-      t, [](const SemanticTrajectory&, std::size_t) { return true; }, "all",
-      AnnotationSet{{AnnotationKind::kGoal, "g"}});
+      t, TupleCondition(), "all", AnnotationSet{{AnnotationKind::kGoal, "g"}});
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].begin, 0u);
   EXPECT_EQ(all[0].end, t.trace().size() - 1);

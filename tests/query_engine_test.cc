@@ -339,33 +339,6 @@ TEST(PlannerTest, DisjunctionUnionsAndNotIsConservative) {
   EXPECT_FALSE(negated.pushdown.HasConstraint());
 }
 
-TEST(PlannerTest, ExactOnlyWhenTheScanDecidesThePredicate) {
-  const Predicate window = TimeWindow(Timestamp(100), Timestamp(500));
-  const Predicate objects = ObjectIn({ObjectId(3), ObjectId(9)});
-  EXPECT_TRUE(Plan(Predicate()).exact);
-  EXPECT_TRUE(Plan(objects).exact);
-  EXPECT_TRUE(Plan(window).exact);
-  EXPECT_TRUE(Plan(TimeWindow(std::nullopt, Timestamp(7))).exact);
-  EXPECT_TRUE(Plan(And(objects, window)).exact);
-  EXPECT_TRUE(Plan(And(And(objects, ObjectIs(ObjectId(3))), window)).exact);
-  EXPECT_TRUE(Plan(And(All(), window)).exact);
-
-  // A trajectory can span two disjoint windows, so two never count.
-  EXPECT_FALSE(
-      Plan(And(window, TimeWindow(Timestamp(300), Timestamp(900)))).exact);
-  EXPECT_FALSE(Plan(Or(objects, window)).exact);
-  EXPECT_FALSE(Plan(Not(objects)).exact);
-  EXPECT_FALSE(Plan(And(objects, InCell(CellId(1)))).exact);
-  EXPECT_FALSE(Plan(And(And(objects, window), window)).exact);
-  EXPECT_FALSE(Plan(And(And(objects, InCell(CellId(1))), window)).exact);
-  EXPECT_FALSE(Plan(HasAnnotation(core::AnnotationKind::kActivity, "visit",
-                                  AnnotationScope::kTrajectory))
-                   .exact);
-  const auto probe = qsr::TimeInterval::Make(Timestamp(1000), Timestamp(2000));
-  ASSERT_TRUE(probe.ok());
-  EXPECT_FALSE(Plan(AllenAgainst(AllenMask::Intersecting(), *probe)).exact);
-}
-
 TEST(PlannerTest, AllenMasksPushTimeWindows) {
   const auto probe = qsr::TimeInterval::Make(Timestamp(1000), Timestamp(2000));
   ASSERT_TRUE(probe.ok());
@@ -713,18 +686,88 @@ TEST(QueryExecutorTest, OneSegmentStoreSetReportsTheSingleStoreStats) {
       EXPECT_EQ(a.trajectories_matched, b.trajectories_matched);
       EXPECT_EQ(a.trajectories_built, b.trajectories_built);
       EXPECT_EQ(single->Fingerprint(), segmented->Fingerprint());
-      // Exact plans answer ids, counts and top-k from the columns; every
-      // other query builds each pushdown survivor, as before.
-      const bool exact = Plan(where).exact;
-      const bool columnar = exact && (projection == Projection::kIds ||
-                                      projection == Projection::kCount ||
-                                      projection == Projection::kTopK);
+      // Ids, counts, top-k and episodes come from the columns whatever
+      // the predicate; trajectories and tuples build each pushdown
+      // survivor.
+      const bool columnar = projection != Projection::kTrajectories &&
+                            projection != Projection::kTuples;
       EXPECT_EQ(a.trajectories_built,
                 columnar ? 0u : a.trajectories_considered);
       if (std::string(name) == "point") {
         // Only pushdown survivors reach the residual on either path.
         EXPECT_LT(b.trajectories_considered, trajectories.size() / 10);
       }
+    }
+  }
+  std::remove(path.c_str());
+}
+
+// Block units build trajectories only for the projections that return
+// them: every other projection is answered from the decoded columns for
+// every predicate shape, with the in-memory answer.
+TEST(QueryExecutorTest, BlockUnitsBuildOnlyForTrajectoriesAndTuples) {
+  const auto trajectories = SimulatedTrajectories(99, 120);
+  const std::string path = TempPath("columnar_every_predicate.evst");
+  storage::WriterOptions store_options;
+  store_options.rows_per_block = 40;
+  auto writer = storage::EventStoreWriter::Create(
+      path, storage::StoreKind::kTrajectories, store_options);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->Append(trajectories).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  auto reader = storage::EventStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+
+  const core::SemanticTrajectory& middle =
+      trajectories[trajectories.size() / 2];
+  const Timestamp mid = middle.start();
+  const Predicate window = TimeWindow(mid, mid + Duration::Hours(3));
+  const Predicate objects =
+      ObjectIn({trajectories.front().object(), middle.object()});
+  const auto probe = qsr::TimeInterval::Make(mid, mid + Duration::Hours(5));
+  ASSERT_TRUE(probe.ok());
+  const std::vector<Predicate> wheres = {
+      All(),
+      objects,
+      window,
+      And(objects, window),
+      And(window, TimeWindow(mid + Duration::Hours(1), std::nullopt)),
+      Or(objects, window),
+      Not(objects),
+      And(objects, InCell(CellId(louvre::kZonePassage))),
+      And(InZone(CellId(louvre::kZoneSouvenirShops)), window),
+      HasAnnotation(core::AnnotationKind::kActivity, "visit",
+                    AnnotationScope::kTrajectory),
+      AllenAgainst(AllenMask::Intersecting(), *probe),
+      HasEpisode("stay"),
+      And(window, EpisodeAllen("stay", AllenMask::Intersecting(), *probe)),
+  };
+  sched::Executor pool(2);
+  ExecutorOptions options;
+  options.executor = &pool;
+  const QueryExecutor executor(LouvreContext(), options);
+  for (const Predicate& where : wheres) {
+    for (const Projection projection :
+         {Projection::kTrajectories, Projection::kTuples, Projection::kIds,
+          Projection::kCount, Projection::kEpisodes, Projection::kTopK}) {
+      SCOPED_TRACE(where.ToString() + " / projection " +
+                   std::to_string(static_cast<int>(projection)));
+      Query query;
+      query.where = where;
+      query.projection = projection;
+      query.episodes.push_back(
+          {"stay", core::StayAtLeast(Duration::Minutes(5)), {}});
+      query.top_k.k = 4;
+      query.top_k.probe = &middle;
+      const auto stored = executor.Run(query, *reader);
+      ASSERT_TRUE(stored.ok()) << stored.status();
+      const auto in_memory = executor.Run(query, trajectories);
+      ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+      EXPECT_EQ(stored->Fingerprint(), in_memory->Fingerprint());
+      const bool builds = projection == Projection::kTrajectories ||
+                          projection == Projection::kTuples;
+      EXPECT_EQ(stored->stats.trajectories_built,
+                builds ? stored->stats.trajectories_considered : 0u);
     }
   }
   std::remove(path.c_str());

@@ -1642,11 +1642,20 @@ TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) 
                               EXPECT_EQ(view.start, t.start());
                               EXPECT_EQ(view.end, t.end());
                               EXPECT_EQ(view.rows, t.trace().size());
+                              EXPECT_EQ(view.Annotations(), t.annotations());
                               for (std::size_t r = 0;
                                    r < view.rows && r < t.trace().size();
                                    ++r) {
-                                EXPECT_EQ(view.cells[r],
-                                          t.trace().at(r).cell.value());
+                                const core::PresenceInterval& p =
+                                    t.trace().at(r);
+                                EXPECT_EQ(view.Cell(r), p.cell);
+                                EXPECT_EQ(view.RowStart(r), p.start());
+                                EXPECT_EQ(view.RowEnd(r), p.end());
+                                EXPECT_EQ(view.RowDuration(r), p.duration());
+                                EXPECT_EQ(view.StayAnnotations(r),
+                                          p.annotations);
+                                EXPECT_EQ(view.TransitionAnnotations(r),
+                                          p.transition_annotations);
                               }
                               return view.position % 2 == 1;
                             })
