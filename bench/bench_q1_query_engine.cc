@@ -335,7 +335,7 @@ BENCHMARK(BM_QueryPointLookupIndexed)->Unit(benchmark::kMicrosecond);
 
 void BM_QueryPointLookupMinMaxOnly(benchmark::State& state) {
   // Same store, index bypassed: decode every block the footer min/max
-  // stats admit, filtering rows by object.
+  // stats admit, filtering rows by object and building what is kept.
   const auto reader = OpenStore(kTimeStorePath);
   const storage::ScanOptions scan =
       storage::ScanOptions::ForObject(ProbeObject());
@@ -343,7 +343,10 @@ void BM_QueryPointLookupMinMaxOnly(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<core::SemanticTrajectory> out;
     for (const std::size_t b : blocks) {
-      Check(reader.ReadTrajectoryBlock(b, scan, out));
+      Check(reader.ReadTrajectoryBlock(
+          b, scan, [&out](const storage::TrajectoryView& view) {
+            out.push_back(view.Build());
+          }));
     }
     benchmark::DoNotOptimize(out);
   }

@@ -148,6 +148,26 @@ int main() {
                   ? "-"
                   : stops.tuples.front().tuple.ToString().c_str());
   PrintStats(stops);
+  // Asked for the whole visits, the store decides the zone on its
+  // decoded columns and builds only the visits that match.
+  Query shop_visits_query = stops_query;
+  shop_visits_query.projection = Projection::kTrajectories;
+  const auto shop_visits = Unwrap(executor.Run(shop_visits_query, visits));
+  const auto shop_stored = Unwrap(executor.Run(shop_visits_query, store));
+  if (shop_stored.Fingerprint() != shop_visits.Fingerprint()) {
+    std::cerr << "FATAL: store visits differ from the in-memory ones\n";
+    return 1;
+  }
+  if (shop_stored.stats.trajectories_built !=
+      shop_stored.stats.trajectories_matched) {
+    std::cerr << "FATAL: the store built "
+              << shop_stored.stats.trajectories_built << " trajectories for "
+              << shop_stored.stats.trajectories_matched << " matches\n";
+    return 1;
+  }
+  std::printf("    the same %llu visits whole, from the store:\n",
+              static_cast<unsigned long long>(shop_stored.count));
+  PrintStats(shop_stored);
 
   // ---- 4. Episodes: long stays overlapping the guided tour.
   PrintHeader(4, "long-stay episodes overlapping the Mar 15 guided tour "

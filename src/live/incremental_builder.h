@@ -108,8 +108,11 @@ struct IncrementalStats {
 /// graph filter still reads it, for its cell: with
 /// drop_graph_inconsistent on and a graph set, each retired object's
 /// last kept detection is kept and handed back when the object
-/// returns; otherwise nothing is kept. Many objects active at once are
-/// an overload question for admission control, not for this builder.
+/// returns; otherwise nothing is kept. So with the graph filter on, one
+/// detection per retired object stays until Drain(): that part of the
+/// open state grows with every object seen, not with the active ones.
+/// Many objects active at once are an overload question for admission
+/// control, not for this builder.
 ///
 /// Not thread-safe: callers (live::LiveService) serialize access.
 class IncrementalBuilder {

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <iomanip>
 #include <sstream>
-#include <type_traits>
 #include <utility>
 
 #include "mining/patterns.h"
@@ -55,7 +54,6 @@ struct Fragment {
   std::vector<EpisodeRef> extracted;
   std::uint64_t considered = 0;
   std::uint64_t matched = 0;
-  std::uint64_t built = 0;
   Status status;  // block units: decode failures surface in unit order
 };
 
@@ -145,16 +143,12 @@ bool EpisodePassesFilter(const EpisodeFilter& filter,
 
 /// Evaluates one trajectory — built (TrajectoryRows) or a block's view
 /// of one (ViewRows) — and appends its contribution to `fragment`.
-/// Views serve every projection but kTrajectories and kTuples, which
-/// need the built trajectory. `movable` aliases the built trajectory
-/// when the caller owns it (a block unit's decode buffer), letting the
-/// kTrajectories projection move instead of deep-copying; null for
-/// borrowed chunks. `id_of()` yields the id the rows carry; it runs only
-/// for a match that emits rows.
+/// Only a match's emitted values are built: the trajectory for
+/// kTrajectories, the emitted tuples for kTuples. `id_of()` yields the
+/// id the rows carry; it runs only for a match that emits rows.
 template <typename Rows, typename IdOf>
 void Process(const Query& query, const BoundQuery& bound, const Rows& rows,
-             core::SemanticTrajectory* movable, const IdOf& id_of,
-             Fragment& fragment) {
+             const IdOf& id_of, Fragment& fragment) {
   fragment.considered += 1;
   std::vector<EpisodeRef>& episodes = fragment.extracted;
   episodes.clear();
@@ -167,30 +161,25 @@ void Process(const Query& query, const BoundQuery& bound, const Rows& rows,
     ExtractEpisodes(query, rows, episodes);
   }
   switch (query.projection) {
-    case Projection::kTrajectories:
+    case Projection::kTrajectories: {
+      core::SemanticTrajectory out = rows.Build();
+      if (out.id() != id) {
+        out = core::SemanticTrajectory(id, out.object(),
+                                       std::move(out.mutable_trace()),
+                                       out.annotations());
+      }
+      fragment.trajectories.push_back(std::move(out));
+      return;
+    }
     case Projection::kTuples:
-      if constexpr (std::is_same_v<Rows, TrajectoryRows>) {
-        const core::SemanticTrajectory& trajectory = rows.trajectory();
-        if (query.projection == Projection::kTuples) {
-          for (std::size_t i = 0; i < rows.size(); ++i) {
-            if (!bound.tuple_where.MatchesTuple(rows, i, episodes)) continue;
-            TupleRow row;
-            row.trajectory = id;
-            row.object = trajectory.object();
-            row.index = i;
-            row.tuple = trajectory.trace().at(i);
-            fragment.tuples.push_back(std::move(row));
-          }
-          return;
-        }
-        core::SemanticTrajectory out =
-            movable != nullptr ? std::move(*movable) : trajectory;
-        if (out.id() != id) {
-          out = core::SemanticTrajectory(id, out.object(),
-                                         std::move(out.mutable_trace()),
-                                         out.annotations());
-        }
-        fragment.trajectories.push_back(std::move(out));
+      for (std::size_t i = 0; i < rows.size(); ++i) {
+        if (!bound.tuple_where.MatchesTuple(rows, i, episodes)) continue;
+        TupleRow row;
+        row.trajectory = id;
+        row.object = rows.object();
+        row.index = i;
+        row.tuple = rows.Tuple(i);
+        fragment.tuples.push_back(std::move(row));
       }
       return;
     case Projection::kIds:
@@ -338,16 +327,14 @@ void AppendRows(std::vector<T>& to, std::vector<T>& from) {
 /// `runner`, then merges the fragments in unit order — the first decode
 /// failure in unit order wins. Every block unit counts as a scanned
 /// block and every unit's rows as scanned rows; the caller fills in the
-/// totals of its source. Block units build trajectories only for the
-/// projections that return them (kTrajectories, kTuples); every other
-/// projection is answered from the decoded columns.
+/// totals of its source. Chunk units evaluate their borrowed
+/// trajectories, block units each kept trajectory's view, through the
+/// same Process.
 Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
                             const QueryPlan& plan, std::vector<WorkUnit> units,
                             TaskRunner* runner) {
   if (plan.pushdown.never_matches) units.clear();  // nothing to scan
   const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
-  const bool columnar = query.projection != Projection::kTrajectories &&
-                        query.projection != Projection::kTuples;
   // Thread-safety: chunk units read borrowed trajectories; block units
   // call the const, mmap-backed EventStoreReader::ReadTrajectoryBlock,
   // which has no shared mutable state; StoreSet units also read the
@@ -362,40 +349,21 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
         if (unit.reader == nullptr) {
           for (std::size_t i = 0; i < unit.size; ++i) {
             const core::SemanticTrajectory& t = unit.chunk[i];
-            Process(query, bound, TrajectoryRows(t), /*movable=*/nullptr,
+            Process(query, bound, TrajectoryRows(t),
                     [&] { return unit.IdOf(t.id(), t.object(), t.start(), i); },
                     fragment);
           }
           return fragment;
         }
-        const auto visit = [&](const storage::TrajectoryView& view) {
-          Process(query, bound, ViewRows(view), /*movable=*/nullptr,
-                  [&] {
-                    return unit.IdOf(view.id, view.object, view.start,
-                                     view.position);
-                  },
-                  fragment);
-          return true;
-        };
-        std::vector<core::SemanticTrajectory> decoded;
-        std::vector<std::size_t> positions;
         fragment.status = unit.reader->ReadTrajectoryBlock(
-            unit.block, scan, decoded,
-            unit.set != nullptr ? &positions : nullptr,
-            columnar ? storage::TrajectoryVisitor(visit) : nullptr);
-        if (!fragment.status.ok()) return fragment;
-        fragment.built = decoded.size();
-        for (std::size_t t = 0; t < decoded.size(); ++t) {
-          const core::SemanticTrajectory& trajectory = decoded[t];
-          const std::uint64_t position = unit.set != nullptr ? positions[t] : 0;
-          Process(query, bound, TrajectoryRows(trajectory),
-                  /*movable=*/&decoded[t],
-                  [&] {
-                    return unit.IdOf(trajectory.id(), trajectory.object(),
-                                     trajectory.start(), position);
-                  },
-                  fragment);
-        }
+            unit.block, scan, [&](const storage::TrajectoryView& view) {
+              Process(query, bound, ViewRows(view),
+                      [&] {
+                        return unit.IdOf(view.id, view.object, view.start,
+                                         view.position);
+                      },
+                      fragment);
+            });
         return fragment;
       },
       /*grain=*/0, "query/unit");
@@ -409,7 +377,10 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
     result.stats.rows_scanned += units[u].rows;
     result.stats.trajectories_considered += fragment.considered;
     result.stats.trajectories_matched += fragment.matched;
-    result.stats.trajectories_built += fragment.built;
+    // Block units build exactly the trajectories they emit.
+    if (units[u].reader != nullptr) {
+      result.stats.trajectories_built += fragment.trajectories.size();
+    }
     AppendRows(result.trajectories, fragment.trajectories);
     AppendRows(result.tuples, fragment.tuples);
     AppendRows(result.ids, fragment.ids);

@@ -46,14 +46,13 @@ struct EpisodeSpec {
   core::AnnotationSet annotations;
 };
 
-/// What the query returns. Only kTrajectories and kTuples return
-/// built trajectories or tuples; kIds, kCount, kTopK and kEpisodes read
-/// nothing of a match but its id, its existence, its cells or its
-/// episodes' row ranges and intervals. Every bound predicate and
-/// episode condition is decidable on a block's decoded columns, so
-/// store blocks answer those four projections from the columns and
-/// build no trajectory (ExecutionStats::trajectories_built stays 0),
-/// whatever the predicate.
+/// What the query returns. Every bound predicate and episode condition
+/// is decidable on a block's decoded columns, so store blocks evaluate
+/// every kept trajectory on its TrajectoryView and build only what a
+/// match emits: the whole trajectory for kTrajectories, each emitted
+/// tuple for kTuples. kIds, kCount, kTopK and kEpisodes read nothing of
+/// a match but its id, its existence, its cells or its episodes' row
+/// ranges and intervals, and build nothing, whatever the predicate.
 enum class Projection : int {
   kTrajectories = 0,  ///< full matching trajectories
   kTuples,            ///< matching tuples of matching trajectories
@@ -140,10 +139,10 @@ struct ScoredTrajectory {
 /// pushdown survivors of decoded blocks. A StoreSet therefore reports
 /// the sums of single-store runs over its segments plus its tail's rows
 /// and trajectories. A plan that can never match scans nothing.
-/// trajectories_built counts the trajectories block units materialized
-/// (chunks borrow theirs and build none): every pushdown survivor for
-/// kTrajectories and kTuples, and 0 for kIds, kCount, kTopK and
-/// kEpisodes, which answer from the decoded columns.
+/// trajectories_built counts the trajectories block units built
+/// (chunks borrow theirs and build none): the block-unit matches for
+/// kTrajectories, and 0 for every other projection — kTuples builds
+/// only the tuples it emits.
 struct ExecutionStats {
   std::uint64_t blocks_total = 0;    ///< store blocks in the file / set
   std::uint64_t blocks_scanned = 0;  ///< blocks actually decoded
@@ -151,7 +150,7 @@ struct ExecutionStats {
   std::uint64_t rows_scanned = 0;    ///< rows in decoded blocks and chunks
   std::uint64_t trajectories_considered = 0;  ///< ran the residual filter
   std::uint64_t trajectories_matched = 0;
-  std::uint64_t trajectories_built = 0;  ///< decoded into trajectories
+  std::uint64_t trajectories_built = 0;  ///< built from block columns
 
   std::string ToString() const;
 };
@@ -209,7 +208,7 @@ class QueryExecutor {
 
   /// Store-backed execution (kTrajectories stores only): the units are
   /// the blocks PlanBlocks keeps; each decodes with the pushdown as its
-  /// row filter and applies the residual to the survivors. The only
+  /// row filter and applies the residual to the survivors' views. The only
   /// overload that consults the result cache, because a finished store
   /// is one immutable file to key on.
   [[nodiscard]] Result<QueryResult> Run(const Query& query,
@@ -219,15 +218,15 @@ class QueryExecutor {
   /// SegmentStore snapshot). The units are each segment's planned
   /// blocks, then chunks of the in-memory tail. A matching trajectory
   /// emits StoreSet::CanonicalId of its (object, start) key at its
-  /// ordinal (a block's ordinal base plus the position
-  /// ReadTrajectoryBlock reports, or its tail position), so segment
-  /// blocks can answer from the columns too; kCount computes no id. The
-  /// merged rows are then stable-sorted by trajectory id, the batch
-  /// pipeline's (object, start) order, so the result (order included)
-  /// is byte-identical to an in-memory run over a batch build of the
-  /// same detections. The query is bound and planned once. The result
-  /// cache is NOT consulted: a segment set changes under ingest, so
-  /// there is no single immutable file to key on.
+  /// ordinal (a block's ordinal base plus the visited view's position,
+  /// or its tail position), so segment blocks answer from the columns
+  /// too; kCount computes no id. The merged rows are then stable-sorted
+  /// by trajectory id, the batch pipeline's (object, start) order, so
+  /// the result (order included) is byte-identical to an in-memory run
+  /// over a batch build of the same detections. The query is bound and
+  /// planned once. The result cache is NOT consulted: a segment set
+  /// changes under ingest, so there is no single immutable file to key
+  /// on.
   [[nodiscard]] Result<QueryResult> Run(const Query& query,
                           const storage::StoreSet& set) const;
 

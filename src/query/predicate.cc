@@ -355,6 +355,11 @@ bool Predicate::MatchesTuple(const TrajectoryRows& rows, std::size_t index,
   return EvalTuple(*node_, rows, index, episodes);
 }
 
+bool Predicate::MatchesTuple(const ViewRows& rows, std::size_t index,
+                             const std::vector<EpisodeRef>& episodes) const {
+  return EvalTuple(*node_, rows, index, episodes);
+}
+
 std::vector<Predicate> Predicate::children() const { return node_->children; }
 
 const std::vector<ObjectId>* Predicate::objects() const {

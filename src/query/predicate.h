@@ -153,16 +153,17 @@ struct EpisodeRef {
 /// \brief The row accessors a trajectory is evaluated through:
 /// TrajectoryRows over a built trajectory, ViewRows over a store block's
 /// decoded columns. Both answer the same questions of row `r` (start,
-/// end, stay duration, cell, stay and transition annotations) and of
-/// the whole (object, first start and last end of its non-empty trace,
-/// A_traj), so the one evaluator, episode extraction and RangeInterval
-/// give both sources the same answers. Both borrow their source.
+/// end, stay duration, cell, stay and transition annotations, the whole
+/// tuple) and of the whole (object, first start and last end of its
+/// non-empty trace, A_traj, the trajectory itself), so the one
+/// evaluator, episode extraction, RangeInterval and the projections give
+/// both sources the same answers. Both borrow their source; Tuple() and
+/// Build() copy out of a built trajectory and build out of a view.
 class TrajectoryRows {
  public:
   explicit TrajectoryRows(const core::SemanticTrajectory& trajectory)
       : trajectory_(trajectory), rows_(trajectory.trace().intervals()) {}
 
-  const core::SemanticTrajectory& trajectory() const { return trajectory_; }
   ObjectId object() const { return trajectory_.object(); }
   std::size_t size() const { return rows_.size(); }
   Timestamp start() const { return trajectory_.start(); }
@@ -180,6 +181,8 @@ class TrajectoryRows {
   const core::AnnotationSet& transition(std::size_t r) const {
     return rows_[r].transition_annotations;
   }
+  const core::PresenceInterval& Tuple(std::size_t r) const { return rows_[r]; }
+  core::SemanticTrajectory Build() const { return trajectory_; }
 
  private:
   const core::SemanticTrajectory& trajectory_;
@@ -207,6 +210,8 @@ class ViewRows {
   const core::AnnotationSet& transition(std::size_t r) const {
     return view_.TransitionAnnotations(r);
   }
+  core::PresenceInterval Tuple(std::size_t r) const { return view_.Tuple(r); }
+  core::SemanticTrajectory Build() const { return view_.Build(); }
 
  private:
   const storage::TrajectoryView& view_;
@@ -293,15 +298,17 @@ class Predicate {
                         nullptr) const;
 
   /// \brief The same evaluations over a row accessor, with the
-  /// episodes given by reference. Matches over ViewRows decides every
-  /// leaf of a bound predicate on a block's decoded columns and gives
-  /// the answer MatchesTrajectory gives on the trajectory the view would
-  /// build: one evaluator reads both accessors.
+  /// episodes given by reference. Over ViewRows they decide every leaf
+  /// of a bound predicate on a block's decoded columns and give the
+  /// answers MatchesTrajectory and MatchesTuple give on the trajectory
+  /// the view would build: one evaluator reads both accessors.
   bool Matches(const TrajectoryRows& rows,
                const std::vector<EpisodeRef>& episodes) const;
   bool Matches(const ViewRows& rows,
                const std::vector<EpisodeRef>& episodes) const;
   bool MatchesTuple(const TrajectoryRows& rows, std::size_t index,
+                    const std::vector<EpisodeRef>& episodes) const;
+  bool MatchesTuple(const ViewRows& rows, std::size_t index,
                     const std::vector<EpisodeRef>& episodes) const;
 
   /// Planner introspection (non-null/engaged only for the matching

@@ -203,7 +203,7 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
     return Status::InvalidArgument("EventStore: rows_per_block must be >= 1");
   }
   EventStoreWriter writer;
-  writer.file_ = std::fopen(path.c_str(), "wb");
+  writer.file_.reset(std::fopen(path.c_str(), "wb"));
   if (writer.file_ == nullptr) {
     return Status::IOError("EventStore: cannot open '" + path +
                            "' for writing");
@@ -217,51 +217,12 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
   return writer;
 }
 
-EventStoreWriter::~EventStoreWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-EventStoreWriter::EventStoreWriter(EventStoreWriter&& other) noexcept
-    : file_(std::exchange(other.file_, nullptr)),
-      kind_(other.kind_),
-      options_(other.options_),
-      offset_(other.offset_),
-      finished_(other.finished_),
-      blocks_(std::move(other.blocks_)),
-      dictionary_(std::move(other.dictionary_)),
-      dictionary_sets_(std::move(other.dictionary_sets_)),
-      dictionary_index_(std::move(other.dictionary_index_)),
-      last_dictionary_id_(other.last_dictionary_id_),
-      object_blocks_(std::move(other.object_blocks_)),
-      block_dictionary_ids_(std::move(other.block_dictionary_ids_)),
-      stats_(other.stats_) {}
-
-EventStoreWriter& EventStoreWriter::operator=(
-    EventStoreWriter&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    file_ = std::exchange(other.file_, nullptr);
-    kind_ = other.kind_;
-    options_ = other.options_;
-    offset_ = other.offset_;
-    finished_ = other.finished_;
-    blocks_ = std::move(other.blocks_);
-    dictionary_ = std::move(other.dictionary_);
-    dictionary_sets_ = std::move(other.dictionary_sets_);
-    dictionary_index_ = std::move(other.dictionary_index_);
-    last_dictionary_id_ = other.last_dictionary_id_;
-    object_blocks_ = std::move(other.object_blocks_);
-    block_dictionary_ids_ = std::move(other.block_dictionary_ids_);
-    stats_ = other.stats_;
-  }
-  return *this;
-}
-
 Status EventStoreWriter::WriteRaw(std::string_view bytes) {
   if (file_ == nullptr) {
     return Status::FailedPrecondition("EventStore: writer is closed");
   }
-  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_.get()) !=
+      bytes.size()) {
     return Status::IOError("EventStore: write failed at offset " +
                            std::to_string(offset_));
   }
@@ -623,8 +584,7 @@ Status EventStoreWriter::Finish() {
   SITM_RETURN_IF_ERROR(WriteRaw(trailer));
   finished_ = true;
   stats_.file_bytes = offset_;
-  const int rc = std::fclose(file_);
-  file_ = nullptr;
+  const int rc = std::fclose(file_.release());
   if (rc != 0) return Status::IOError("EventStore: close failed");
   return Status::OK();
 }
@@ -632,6 +592,24 @@ Status EventStoreWriter::Finish() {
 // ---------------------------------------------------------------------------
 // Reader.
 // ---------------------------------------------------------------------------
+
+core::PresenceInterval TrajectoryView::Tuple(std::size_t r) const {
+  // Validated at decode: the end cannot overflow and follows the start.
+  const auto interval = qsr::TimeInterval::Make(RowStart(r), RowEnd(r));
+  core::PresenceInterval tuple(BoundaryId(transitions[r]), Cell(r), *interval,
+                               StayAnnotations(r));
+  tuple.transition_annotations = TransitionAnnotations(r);
+  tuple.inferred = inferred[static_cast<std::ptrdiff_t>(r)];
+  return tuple;
+}
+
+core::SemanticTrajectory TrajectoryView::Build() const {
+  std::vector<core::PresenceInterval> intervals;
+  intervals.reserve(rows);
+  for (std::size_t r = 0; r < rows; ++r) intervals.push_back(Tuple(r));
+  return core::SemanticTrajectory(id, object, core::Trace(std::move(intervals)),
+                                  Annotations());
+}
 
 Result<EventStoreReader> EventStoreReader::Open(const std::string& path) {
   EventStoreReader reader;
@@ -990,9 +968,7 @@ Status EventStoreReader::ReadDetectionBlock(
 
 Status EventStoreReader::ReadTrajectoryBlock(
     std::size_t i, const ScanOptions& scan,
-    std::vector<core::SemanticTrajectory>& out,
-    std::vector<std::size_t>* positions,
-    const TrajectoryVisitor& visitor) const {
+    const TrajectoryVisitor& visit) const {
   if (kind_ != StoreKind::kTrajectories) {
     return Status::FailedPrecondition(
         "EventStore: not a trajectory store");
@@ -1073,10 +1049,9 @@ Status EventStoreReader::ReadTrajectoryBlock(
   };
   const std::uint64_t dictionary_size = dictionary_.size();
   // Late materialization: every row of every trajectory is validated —
-  // the same checks, order and messages as building it — but only the
+  // the same checks, order and messages whatever the scan — but only the
   // trajectories the scan keeps, judged on the decoded columns, reach
-  // the visitor, and only those it leaves are built (their intervals
-  // made and annotation sets copied).
+  // the visitor, which builds what it emits and nothing more.
   std::size_t row = 0;
   for (std::size_t t = 0; t < num_trajectories; ++t) {
     const std::size_t first = row;
@@ -1106,42 +1081,23 @@ Status EventStoreReader::ReadTrajectoryBlock(
                     Timestamp(end))) {
       continue;
     }
-    if (visitor) {
-      TrajectoryView view;
-      view.position = t;
-      view.id = TrajectoryId(traj_ids[t]);
-      view.object = ObjectId(traj_objects[t]);
-      view.start = Timestamp(starts[first]);
-      view.end = Timestamp(end);
-      view.rows = row - first;
-      view.cells = cells.data() + first;
-      view.starts = starts.data() + first;
-      view.durations = durations.data() + first;
-      view.stay_dicts = stay_dicts.data() + first;
-      view.transition_dicts = transition_dicts.data() + first;
-      view.dict = traj_dicts[t];
-      view.dictionary = &dictionary_;
-      if (visitor(view)) continue;
-    }
-    std::vector<core::PresenceInterval> intervals;
-    intervals.reserve(row - first);
-    for (std::size_t r = first; r < row; ++r) {
-      // Validated above: the end cannot overflow and follows the start.
-      std::int64_t row_end = 0;
-      (void)EndFromDuration(starts[r], durations[r], &row_end);
-      const auto interval =
-          qsr::TimeInterval::Make(Timestamp(starts[r]), Timestamp(row_end));
-      core::PresenceInterval& p = intervals.emplace_back(
-          BoundaryId(transitions[r]), CellId(cells[r]), *interval,
-          dictionary_[static_cast<std::size_t>(stay_dicts[r])]);
-      p.transition_annotations =
-          dictionary_[static_cast<std::size_t>(transition_dicts[r])];
-      p.inferred = inferred[r];
-    }
-    out.emplace_back(TrajectoryId(traj_ids[t]), ObjectId(traj_objects[t]),
-                     core::Trace(std::move(intervals)),
-                     dictionary_[static_cast<std::size_t>(traj_dicts[t])]);
-    if (positions != nullptr) positions->push_back(t);
+    TrajectoryView view;
+    view.position = t;
+    view.id = TrajectoryId(traj_ids[t]);
+    view.object = ObjectId(traj_objects[t]);
+    view.start = Timestamp(starts[first]);
+    view.end = Timestamp(end);
+    view.rows = row - first;
+    view.transitions = transitions.data() + first;
+    view.cells = cells.data() + first;
+    view.starts = starts.data() + first;
+    view.durations = durations.data() + first;
+    view.stay_dicts = stay_dicts.data() + first;
+    view.transition_dicts = transition_dicts.data() + first;
+    view.inferred = inferred.cbegin() + static_cast<std::ptrdiff_t>(first);
+    view.dict = traj_dicts[t];
+    view.dictionary = &dictionary_;
+    visit(view);
   }
   return Status::OK();
 }
@@ -1168,7 +1124,10 @@ EventStoreReader::ReadTrajectories(const ScanOptions& scan) const {
                          !scan.max_time.has_value();
   if (keeps_all) out.reserve(static_cast<std::size_t>(trajectories_));
   for (std::size_t i : CandidateBlocks(scan)) {
-    SITM_RETURN_IF_ERROR(ReadTrajectoryBlock(i, scan, out));
+    SITM_RETURN_IF_ERROR(ReadTrajectoryBlock(
+        i, scan, [&out](const TrajectoryView& view) {
+          out.push_back(view.Build());
+        }));
   }
   return out;
 }

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -171,11 +172,8 @@ class EventStoreWriter {
                                          WriterOptions options = {});
 
   EventStoreWriter() = default;
-  ~EventStoreWriter();
-  EventStoreWriter(EventStoreWriter&& other) noexcept;
-  EventStoreWriter& operator=(EventStoreWriter&& other) noexcept;
-  EventStoreWriter(const EventStoreWriter&) = delete;
-  EventStoreWriter& operator=(const EventStoreWriter&) = delete;
+  EventStoreWriter(EventStoreWriter&&) = default;
+  EventStoreWriter& operator=(EventStoreWriter&&) = default;
 
   /// Appends a detection batch (kDetections stores only). Rejects
   /// detections with end before start.
@@ -199,7 +197,13 @@ class EventStoreWriter {
   /// index (stable across the file).
   std::uint32_t DictionaryId(const core::AnnotationSet& set);
 
-  std::FILE* file_ = nullptr;
+  /// Closes the file on destruction; Finish closes it itself to check
+  /// fclose's result.
+  struct CloseFile {
+    void operator()(std::FILE* file) const { std::fclose(file); }
+  };
+
+  std::unique_ptr<std::FILE, CloseFile> file_;
   StoreKind kind_ = StoreKind::kDetections;
   WriterOptions options_;
   std::uint64_t offset_ = 0;  // current end-of-file offset
@@ -226,8 +230,8 @@ class EventStoreWriter {
 /// decoded and filtered row-wise (kDetections) or trajectory-wise
 /// (kTrajectories). Trajectory blocks filter on the decoded columns —
 /// each trajectory's object, its first row's start and its last row's
-/// end — before any trajectory is built, so only survivors are
-/// materialized. Filtering never skips validation: every row of every
+/// end — so only survivors reach the caller's visitor, and nothing is
+/// built on the way. Filtering never skips validation: every row of every
 /// trajectory in a decoded block is checked, kept or not, and a bad row
 /// is Corruption whatever the scan.
 ///
@@ -269,11 +273,12 @@ struct ScanOptions {
 };
 
 /// One trajectory of a trajectory block, seen through its decoded
-/// columns before it would be built (see ReadTrajectoryBlock). The
-/// column pointers hold one entry per row, in order; they point into
-/// the decode buffer and live only for the call. Every row is already
-/// validated: its end does not overflow and follows its start, and its
-/// dictionary indices are in range.
+/// columns (see ReadTrajectoryBlock). The columns hold one entry per
+/// row, in order; they point into the decode buffer and live only for
+/// the visit. Every row is already validated: its end does not overflow
+/// and follows its start, and its dictionary indices are in range.
+/// Tuple() and Build() are the one conversion from block columns to
+/// model values; a caller that needs less reads the columns instead.
 struct TrajectoryView {
   std::size_t position = 0;  ///< index in an unfiltered decode of the block
   TrajectoryId id;
@@ -281,11 +286,13 @@ struct TrajectoryView {
   Timestamp start;  ///< its first row's start
   Timestamp end;    ///< its last row's end
   std::size_t rows = 0;
+  const std::int64_t* transitions = nullptr;  ///< boundary ids
   const std::int64_t* cells = nullptr;
   const std::int64_t* starts = nullptr;
   const std::uint64_t* durations = nullptr;  ///< end - start, in seconds
   const std::uint64_t* stay_dicts = nullptr;  ///< A_i, into *dictionary
   const std::uint64_t* transition_dicts = nullptr;  ///< into *dictionary
+  std::vector<bool>::const_iterator inferred;  ///< inferred-tuple flags
   std::uint64_t dict = 0;  ///< A_traj, into *dictionary
   const std::vector<core::AnnotationSet>* dictionary = nullptr;
 
@@ -307,11 +314,15 @@ struct TrajectoryView {
   const core::AnnotationSet& TransitionAnnotations(std::size_t r) const {
     return (*dictionary)[static_cast<std::size_t>(transition_dicts[r])];
   }
+
+  /// Row `r` as a presence-interval tuple.
+  core::PresenceInterval Tuple(std::size_t r) const;
+  /// The whole trajectory, as a full decode of the block yields it.
+  core::SemanticTrajectory Build() const;
 };
 
-/// Called for each trajectory a block scan keeps; returning true
-/// consumes the trajectory, so the scan does not build it.
-using TrajectoryVisitor = std::function<bool(const TrajectoryView&)>;
+/// Called with each trajectory a block scan keeps, in block order.
+using TrajectoryVisitor = std::function<void(const TrajectoryView&)>;
 
 /// \brief Zero-copy reader: maps the file (plain read fallback) and
 /// decodes blocks on demand straight out of the mapping.
@@ -374,21 +385,21 @@ class EventStoreReader {
   [[nodiscard]] Result<std::vector<core::SemanticTrajectory>> ReadTrajectories(
       const ScanOptions& scan = {}) const;
 
-  /// Block-wise scans, appending matches to `out`. Callers stream block
-  /// by block without materializing the whole store. When `positions` is
-  /// set, ReadTrajectoryBlock appends each kept trajectory's position in
-  /// block `i` (its index in an unfiltered decode of the block), so
-  /// callers can line filtered results up with per-trajectory ordinals.
-  /// A `visitor` sees each kept trajectory's columns first; one it
-  /// consumes is neither built nor reported in `positions`. Every row
-  /// is validated either way, with the same checks, order and messages.
+  /// Block-wise scans, so callers stream block by block without
+  /// materializing the whole store. ReadDetectionBlock appends the
+  /// matching detections to `out`. ReadTrajectoryBlock decodes block
+  /// `i`, validates every row of every trajectory (kept or not), then
+  /// calls `visit` with each trajectory the scan keeps, in block order;
+  /// nothing is built unless the visitor calls TrajectoryView::Build or
+  /// Tuple. A visited view's `position` lines it up with per-trajectory
+  /// ordinals. A faulty row is Corruption whatever the scan keeps, with
+  /// the same message; trajectories ahead of it in the block may already
+  /// have been visited, so callers drop what a failed block produced.
   [[nodiscard]] Status ReadDetectionBlock(std::size_t i, const ScanOptions& scan,
                             std::vector<core::RawDetection>& out) const;
-  [[nodiscard]] Status ReadTrajectoryBlock(
-      std::size_t i, const ScanOptions& scan,
-      std::vector<core::SemanticTrajectory>& out,
-      std::vector<std::size_t>* positions = nullptr,
-      const TrajectoryVisitor& visitor = nullptr) const;
+  [[nodiscard]] Status ReadTrajectoryBlock(std::size_t i,
+                                           const ScanOptions& scan,
+                                           const TrajectoryVisitor& visit) const;
 
   /// Verifies every block checksum (footer integrity is already checked
   /// at Open) without decoding columns.

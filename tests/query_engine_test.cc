@@ -686,13 +686,12 @@ TEST(QueryExecutorTest, OneSegmentStoreSetReportsTheSingleStoreStats) {
       EXPECT_EQ(a.trajectories_matched, b.trajectories_matched);
       EXPECT_EQ(a.trajectories_built, b.trajectories_built);
       EXPECT_EQ(single->Fingerprint(), segmented->Fingerprint());
-      // Ids, counts, top-k and episodes come from the columns whatever
-      // the predicate; trajectories and tuples build each pushdown
-      // survivor.
-      const bool columnar = projection != Projection::kTrajectories &&
-                            projection != Projection::kTuples;
+      // Every projection reads the columns whatever the predicate;
+      // only kTrajectories builds, and only its matches.
       EXPECT_EQ(a.trajectories_built,
-                columnar ? 0u : a.trajectories_considered);
+                projection == Projection::kTrajectories
+                    ? a.trajectories_matched
+                    : 0u);
       if (std::string(name) == "point") {
         // Only pushdown survivors reach the residual on either path.
         EXPECT_LT(b.trajectories_considered, trajectories.size() / 10);
@@ -702,9 +701,10 @@ TEST(QueryExecutorTest, OneSegmentStoreSetReportsTheSingleStoreStats) {
   std::remove(path.c_str());
 }
 
-// Block units build trajectories only for the projections that return
-// them: every other projection is answered from the decoded columns for
-// every predicate shape, with the in-memory answer.
+// Block units answer every projection from the decoded columns, for
+// every predicate shape, with the in-memory answer, and build only what
+// they emit: kTrajectories builds its matches, not every survivor of
+// the pushdown, and no other projection builds a trajectory.
 TEST(QueryExecutorTest, BlockUnitsBuildOnlyForTrajectoriesAndTuples) {
   const auto trajectories = SimulatedTrajectories(99, 120);
   const std::string path = TempPath("columnar_every_predicate.evst");
@@ -736,6 +736,7 @@ TEST(QueryExecutorTest, BlockUnitsBuildOnlyForTrajectoriesAndTuples) {
       Not(objects),
       And(objects, InCell(CellId(louvre::kZonePassage))),
       And(InZone(CellId(louvre::kZoneSouvenirShops)), window),
+      InZone(CellId(louvre::kZoneSouvenirShops)),
       HasAnnotation(core::AnnotationKind::kActivity, "visit",
                     AnnotationScope::kTrajectory),
       AllenAgainst(AllenMask::Intersecting(), *probe),
@@ -746,6 +747,7 @@ TEST(QueryExecutorTest, BlockUnitsBuildOnlyForTrajectoriesAndTuples) {
   ExecutorOptions options;
   options.executor = &pool;
   const QueryExecutor executor(LouvreContext(), options);
+  std::uint64_t unbuilt_survivors = 0;
   for (const Predicate& where : wheres) {
     for (const Projection projection :
          {Projection::kTrajectories, Projection::kTuples, Projection::kIds,
@@ -764,12 +766,18 @@ TEST(QueryExecutorTest, BlockUnitsBuildOnlyForTrajectoriesAndTuples) {
       const auto in_memory = executor.Run(query, trajectories);
       ASSERT_TRUE(in_memory.ok()) << in_memory.status();
       EXPECT_EQ(stored->Fingerprint(), in_memory->Fingerprint());
-      const bool builds = projection == Projection::kTrajectories ||
-                          projection == Projection::kTuples;
       EXPECT_EQ(stored->stats.trajectories_built,
-                builds ? stored->stats.trajectories_considered : 0u);
+                projection == Projection::kTrajectories
+                    ? stored->stats.trajectories_matched
+                    : 0u);
+      if (projection == Projection::kTrajectories) {
+        unbuilt_survivors += stored->stats.trajectories_considered -
+                             stored->stats.trajectories_matched;
+      }
     }
   }
+  // The zone predicates leave survivors that do not match.
+  EXPECT_GT(unbuilt_survivors, 0u);
   std::remove(path.c_str());
 }
 

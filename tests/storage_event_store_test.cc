@@ -1106,9 +1106,13 @@ TEST(EventStoreAnnotationBitmapTest, PruningIsASoundOverApproximation) {
   std::size_t pruned = 0;
   for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
     std::vector<core::SemanticTrajectory> block_trajectories;
-    ScanOptions all;
-    ASSERT_TRUE(
-        reader->ReadTrajectoryBlock(i, all, block_trajectories).ok());
+    ASSERT_TRUE(reader
+                    ->ReadTrajectoryBlock(i, ScanOptions{},
+                                          [&](const TrajectoryView& view) {
+                                            block_trajectories.push_back(
+                                                view.Build());
+                                          })
+                    .ok());
     for (const auto& [kind, value] : terms) {
       if (reader->BlockMayContainAnnotation(i, kind, value)) continue;
       ++pruned;
@@ -1454,31 +1458,39 @@ TEST(EventStoreLateMaterializationTest, FilteredScansStillValidateEveryRow) {
     ASSERT_TRUE(reader.ok()) << reader.status();
     ASSERT_EQ(reader->num_blocks(), 1u);
 
-    std::vector<core::SemanticTrajectory> out;
-    const Status full = reader->ReadTrajectoryBlock(0, ScanOptions{}, out);
-    ASSERT_EQ(full.code(), StatusCode::kCorruption) << full;
-    EXPECT_EQ(full.message(), forgery.message);
+    const auto full = reader->ReadTrajectories();
+    ASSERT_EQ(full.status().code(), StatusCode::kCorruption) << full.status();
+    EXPECT_EQ(full.status().message(), forgery.message);
+
+    // Visitor scans that build what they keep, and one that builds
+    // nothing, fail the same way.
+    std::vector<core::SemanticTrajectory> built;
+    const auto build = [&built](const TrajectoryView& view) {
+      built.push_back(view.Build());
+    };
+    const Status unfiltered =
+        reader->ReadTrajectoryBlock(0, ScanOptions{}, build);
+    EXPECT_EQ(unfiltered.code(), full.status().code());
+    EXPECT_EQ(unfiltered.message(), full.status().message());
 
     const Status point =
-        reader->ReadTrajectoryBlock(0, ScanOptions::ForObject(kept), out);
-    EXPECT_EQ(point.code(), full.code());
-    EXPECT_EQ(point.message(), full.message());
+        reader->ReadTrajectoryBlock(0, ScanOptions::ForObject(kept), build);
+    EXPECT_EQ(point.code(), full.status().code());
+    EXPECT_EQ(point.message(), full.status().message());
 
     // A window holding only the kept trajectory fails the same way.
     const Timestamp kept_start = GoldenTrajectories()[3].start();
     ScanOptions window;
     window.min_time = kept_start;
     window.max_time = kept_start;
-    const Status windowed = reader->ReadTrajectoryBlock(0, window, out);
-    EXPECT_EQ(windowed.code(), full.code());
-    EXPECT_EQ(windowed.message(), full.message());
+    const Status windowed = reader->ReadTrajectoryBlock(0, window, build);
+    EXPECT_EQ(windowed.code(), full.status().code());
+    EXPECT_EQ(windowed.message(), full.status().message());
 
-    // So does a scan whose visitor consumes what it keeps.
-    const Status visited = reader->ReadTrajectoryBlock(
-        0, ScanOptions::ForObject(kept), out, nullptr,
-        [](const TrajectoryView&) { return true; });
-    EXPECT_EQ(visited.code(), full.code());
-    EXPECT_EQ(visited.message(), full.message());
+    const Status columns_only = reader->ReadTrajectoryBlock(
+        0, ScanOptions::ForObject(kept), [](const TrajectoryView&) {});
+    EXPECT_EQ(columns_only.code(), full.status().code());
+    EXPECT_EQ(columns_only.message(), full.status().message());
     std::remove(forged_path.c_str());
   }
 
@@ -1583,24 +1595,29 @@ TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) 
     const auto reader = EventStoreReader::Open(path);
     ASSERT_TRUE(reader.ok()) << reader.status();
 
-    // Unfiltered decodes report every position, in order.
+    // The unfiltered decode visits every position, in order, and its
+    // builds concatenate to the stored trajectories.
     std::vector<std::vector<core::SemanticTrajectory>> full(
         reader->num_blocks());
+    std::vector<core::SemanticTrajectory> concatenated;
     for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
-      std::vector<std::size_t> positions;
-      ASSERT_TRUE(
-          reader->ReadTrajectoryBlock(i, ScanOptions{}, full[i], &positions)
-              .ok());
+      ASSERT_TRUE(reader
+                      ->ReadTrajectoryBlock(i, ScanOptions{},
+                                            [&](const TrajectoryView& view) {
+                                              EXPECT_EQ(view.position,
+                                                        full[i].size());
+                                              full[i].push_back(view.Build());
+                                            })
+                      .ok());
       ASSERT_EQ(full[i].size(), reader->block(i).trajectories);
-      for (std::size_t p = 0; p < positions.size(); ++p) {
-        EXPECT_EQ(positions[p], p);
-      }
+      concatenated.insert(concatenated.end(), full[i].begin(), full[i].end());
     }
+    ExpectTrajectoriesEqual(store.trajectories, concatenated);
 
     for (const ScanOptions& scan :
          RandomScans(*reader, store.trajectories, 0x5ca9, 300)) {
+      std::vector<core::SemanticTrajectory> scanned;
       for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
-        std::vector<core::SemanticTrajectory> expected;
         std::vector<std::size_t> expected_positions;
         for (std::size_t p = 0; p < full[i].size(); ++p) {
           const core::SemanticTrajectory& t = full[i][p];
@@ -1611,30 +1628,18 @@ TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) 
           const bool time_ok = !scan.EmptyWindow() &&
                                (!scan.min_time || t.end() >= *scan.min_time) &&
                                (!scan.max_time || t.start() <= *scan.max_time);
-          if (object_ok && time_ok) {
-            expected.push_back(t);
-            expected_positions.push_back(p);
-          }
-        }
-        std::vector<core::SemanticTrajectory> kept;
-        std::vector<std::size_t> positions;
-        ASSERT_TRUE(reader->ReadTrajectoryBlock(i, scan, kept, &positions).ok());
-        ExpectTrajectoriesEqual(expected, kept);
-        EXPECT_EQ(positions, expected_positions) << "block " << i;
-        for (std::size_t k = 0; k < positions.size() && k < kept.size(); ++k) {
-          EXPECT_EQ(full[i][positions[k]].id(), kept[k].id());
+          if (object_ok && time_ok) expected_positions.push_back(p);
         }
 
-        // A visitor sees the same trajectories as columns; the ones it
-        // consumes (odd positions) are neither built nor reported.
+        // Each kept trajectory is visited once, in ascending position;
+        // its columns and its build equal the unfiltered decode there.
         std::vector<std::size_t> visited;
-        std::vector<core::SemanticTrajectory> left;
-        std::vector<std::size_t> left_positions;
         ASSERT_TRUE(reader
                         ->ReadTrajectoryBlock(
-                            i, scan, left, &left_positions,
+                            i, scan,
                             [&](const TrajectoryView& view) {
                               visited.push_back(view.position);
+                              ASSERT_LT(view.position, full[i].size());
                               const core::SemanticTrajectory& t =
                                   full[i][view.position];
                               EXPECT_EQ(view.id, t.id());
@@ -1656,21 +1661,21 @@ TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) 
                                           p.annotations);
                                 EXPECT_EQ(view.TransitionAnnotations(r),
                                           p.transition_annotations);
+                                EXPECT_EQ(view.Tuple(r), p);
                               }
-                              return view.position % 2 == 1;
+                              const core::SemanticTrajectory built =
+                                  view.Build();
+                              ExpectTrajectoriesEqual({t}, {built});
+                              scanned.push_back(built);
                             })
                         .ok());
         EXPECT_EQ(visited, expected_positions) << "block " << i;
-        std::vector<core::SemanticTrajectory> expected_left;
-        std::vector<std::size_t> expected_left_positions;
-        for (std::size_t k = 0; k < expected.size(); ++k) {
-          if (expected_positions[k] % 2 == 1) continue;
-          expected_left.push_back(expected[k]);
-          expected_left_positions.push_back(expected_positions[k]);
-        }
-        ExpectTrajectoriesEqual(expected_left, left);
-        EXPECT_EQ(left_positions, expected_left_positions) << "block " << i;
       }
+      // The full scan is the visitor scans' builds, concatenated over
+      // its candidate blocks (the others keep nothing).
+      const auto read = reader->ReadTrajectories(scan);
+      ASSERT_TRUE(read.ok()) << read.status();
+      ExpectTrajectoriesEqual(scanned, *read);
     }
     std::remove(path.c_str());
   }
