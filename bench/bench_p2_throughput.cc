@@ -1,12 +1,11 @@
-// P2 — batch-pipeline and similarity-matrix throughput: the first
-// numbers for the ROADMAP's millions-of-users north star. No direct
-// paper counterpart (§4 reports dataset shape, not wall-clock): this
-// bench fixes the workload the paper implies — millions of zone
-// detections turned into semantic trajectories, then mined pairwise —
-// and measures trajectories/sec for the batched build -> enrich ->
-// infer pipeline and matrix-cells/sec for the blocked distance-matrix
-// fill, at batch sizes from 10^2 to 10^5 visitors, plus a worker-count
-// sweep (1/2/4/hw). One traced pipeline run's span trace is dumped to
+// P2 — batch-pipeline worker sweep and similarity-matrix throughput.
+// No direct paper counterpart (§4 reports dataset shape, not wall
+// clock). perfbench's batch_build times the pipeline at scale; this
+// bench keeps what it cannot split: the pipeline across worker counts
+// (1/2/4/hw), the blocked distance-matrix fill (sequential, by size,
+// and across the worker sweep) with its self-check that the scheduled
+// matrix equals the sequential one, and simulator generation on a
+// replicated map. One traced pipeline run's span trace is dumped to
 // BENCH_p2_trace.json.
 #include <algorithm>
 #include <chrono>
@@ -19,7 +18,6 @@
 #include "louvre/simulator.h"
 #include "mining/similarity.h"
 #include "sched/executor.h"
-#include "storage/event_store.h"
 
 namespace {
 
@@ -109,28 +107,9 @@ double SecondsSince(std::chrono::steady_clock::time_point start) {
 }
 
 void Report() {
-  Banner("P2", "batch-pipeline and similarity-matrix throughput "
-               "(no paper counterpart; first numbers for the "
-               "millions-of-users north star)");
+  Banner("P2", "batch-pipeline worker sweep and similarity-matrix "
+               "throughput (no paper counterpart)");
   std::printf("  executor: %zu worker(s)\n", Exec().num_workers());
-
-  // Build -> enrich -> infer throughput across four decades of batch
-  // size (the §4.1 dataset itself sits at ~3.2k visitors).
-  for (const int visitors : {100, 1000, 10000, 100000}) {
-    std::vector<core::RawDetection> detections = Detections(visitors);
-    const std::size_t num_detections = detections.size();
-    core::BatchPipeline pipeline(FullPipeline(&Exec()));
-    const auto start = std::chrono::steady_clock::now();
-    const auto result = pipeline.Run(std::move(detections));
-    const double seconds = SecondsSince(start);
-    Check(result.status());
-    std::printf(
-        "  pipeline batch=%-7d %8zu detections -> %7zu trajectories in "
-        "%7.3f s  (%10.0f traj/s, %10.0f det/s)\n",
-        visitors, num_detections, result->size(), seconds,
-        static_cast<double>(result->size()) / seconds,
-        static_cast<double>(num_detections) / seconds);
-  }
 
   // Span-trace artifact: one batch=10000 run at >= 2 workers, scoped by
   // Clear() so the JSON shows exactly that run's chained per-shard
@@ -170,39 +149,6 @@ void Report() {
       "parallel[%zu] %.3f s (%10.0f cells/s)  speedup %.2fx\n",
       n, seq_seconds, cells / seq_seconds, Exec().num_workers(), par_seconds,
       cells / par_seconds, seq_seconds / par_seconds);
-
-  // EventStore ingest + scan at batch scale: detections written to the
-  // columnar store (scheduled column encoding), then scanned back into
-  // the pipeline — the persistent counterpart of the in-memory path
-  // above.
-  for (const int visitors : {1000, 10000}) {
-    std::vector<core::RawDetection> detections = Detections(visitors);
-    const std::string path = "BENCH_p2_scratch.evst";
-    storage::WriterOptions options;
-    options.executor = &Exec();
-    const auto write_start = std::chrono::steady_clock::now();
-    auto writer = Unwrap(storage::EventStoreWriter::Create(
-        path, storage::StoreKind::kDetections, options));
-    Check(writer.Append(detections));
-    Check(writer.Finish());
-    const double write_seconds = SecondsSince(write_start);
-    const auto reader = Unwrap(storage::EventStoreReader::Open(path));
-    const auto scan_start = std::chrono::steady_clock::now();
-    const auto scanned = Unwrap(reader.ReadDetections());
-    const double scan_seconds = SecondsSince(scan_start);
-    Check(scanned.size() == detections.size()
-              ? Status::OK()
-              : Status::Internal("store scan lost detections"));
-    const double mb = static_cast<double>(writer.stats().file_bytes) /
-                      (1024.0 * 1024.0);
-    std::printf(
-        "  store batch=%-7d %8zu detections  ingest %6.1f MB/s "
-        "(%9.0f rows/s)  scan %9.0f rows/s  %7.2f MB on disk\n",
-        visitors, detections.size(), mb / write_seconds,
-        static_cast<double>(detections.size()) / write_seconds,
-        static_cast<double>(detections.size()) / scan_seconds, mb);
-    std::remove(path.c_str());
-  }
 }
 
 // Registers one Arg per sweep worker count, so every count lands as its
@@ -212,30 +158,6 @@ void WorkerSweepArgs(benchmark::internal::Benchmark* bench) {
     bench->Arg(static_cast<std::int64_t>(workers));
   }
 }
-
-// Trajectories/sec for the full batched pipeline (items = trajectories).
-void BM_BatchPipeline(benchmark::State& state) {
-  const std::vector<core::RawDetection> detections =
-      Detections(static_cast<int>(state.range(0)));
-  std::size_t trajectories = 0;
-  for (auto _ : state) {
-    core::BatchPipeline pipeline(FullPipeline(&Exec()));
-    auto result = pipeline.Run(detections);
-    Check(result.status());
-    trajectories = result->size();
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(trajectories));
-  state.counters["detections"] =
-      benchmark::Counter(static_cast<double>(detections.size()));
-}
-BENCHMARK(BM_BatchPipeline)
-    ->Arg(100)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
 
 // The worker sweep at a fixed batch: arg = worker count (1/2/4/hw).
 void BM_BatchPipelineWorkers(benchmark::State& state) {
@@ -302,60 +224,6 @@ void BM_DistanceMatrixWorkers(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceMatrixWorkers)
     ->Apply(WorkerSweepArgs)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// EventStore ingest throughput: detections/s and MB/s for the batched
-// columnar write path (scheduled block encoding).
-void BM_EventStoreIngest(benchmark::State& state) {
-  const std::vector<core::RawDetection> detections =
-      Detections(static_cast<int>(state.range(0)));
-  const std::string path = "BENCH_p2_scratch.evst";
-  storage::WriterOptions options;
-  options.executor = &Exec();
-  std::uint64_t bytes = 0;
-  for (auto _ : state) {
-    auto writer = Unwrap(storage::EventStoreWriter::Create(
-        path, storage::StoreKind::kDetections, options));
-    Check(writer.Append(detections));
-    Check(writer.Finish());
-    bytes = writer.stats().file_bytes;
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(detections.size()));
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_EventStoreIngest)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-// EventStore scan throughput: rows/s for the mmap'd block decode.
-void BM_EventStoreScan(benchmark::State& state) {
-  const std::vector<core::RawDetection> detections =
-      Detections(static_cast<int>(state.range(0)));
-  const std::string path = "BENCH_p2_scratch.evst";
-  auto writer = Unwrap(storage::EventStoreWriter::Create(
-      path, storage::StoreKind::kDetections));
-  Check(writer.Append(detections));
-  Check(writer.Finish());
-  const auto reader = Unwrap(storage::EventStoreReader::Open(path));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(Unwrap(reader.ReadDetections()));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(detections.size()));
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(writer.stats().file_bytes));
-  std::remove(path.c_str());
-}
-BENCHMARK(BM_EventStoreScan)
-    ->Arg(1000)
-    ->Arg(10000)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -1,8 +1,13 @@
-// Q1 — the semantic trajectory query engine over a 10^4-visitor store:
-// predicate pushdown (secondary object-id index vs min/max pruning vs
-// full scan), paper-shaped queries end to end, and the determinism
-// contract (byte-identical results at every worker count and across
-// in-memory vs store-backed execution).
+// Q1 — the semantic trajectory query engine over a 10^4-visitor store.
+// A self-check gate, not a timing suite: perfbench's query_mix times
+// the query classes on a store and live_http the in-memory path.
+// Report() prints the deterministic pushdown counts (secondary
+// object-id index vs footer min/max pruning vs full scan, annotation
+// bitmaps vs footer stats) and exits 1 unless the object point lookup
+// prunes >= 10x, answers are byte-identical at every worker count in
+// memory and on the store, the bitmaps scan strictly fewer blocks with
+// the same answer, a cache hit equals cold execution, and top-k equals
+// its exhaustive oracle. The one timing left is the top-k worker sweep.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -16,7 +21,6 @@
 #include "mining/patterns.h"
 #include "mining/similarity.h"
 #include "query/executor.h"
-#include "query/planner.h"
 #include "query/result_cache.h"
 #include "query/predicate.h"
 #include "sched/executor.h"
@@ -137,6 +141,72 @@ query::Query PointLookup() {
   return q;
 }
 
+/// The exhaustive top-k answer's fingerprint: EditSimilarity on every
+/// match of `q`, ranked by (similarity desc, id asc), cut at k.
+std::string TopKOracle(const query::Query& q) {
+  const query::Predicate where = Unwrap(q.where.Bind(Context()));
+  const std::vector<CellId> probe = mining::CellSequenceOf(*q.top_k.probe);
+  query::QueryResult expected;
+  expected.projection = query::Projection::kTopK;
+  for (const core::SemanticTrajectory& t : Trajectories()) {
+    if (!where.MatchesTrajectory(t)) continue;
+    expected.count += 1;
+    expected.top_k.push_back(
+        {t.id(), mining::EditSimilarity(probe, mining::CellSequenceOf(t),
+                                        mining::UnitCellCost())});
+  }
+  std::sort(expected.top_k.begin(), expected.top_k.end(),
+            [](const query::ScoredTrajectory& a,
+               const query::ScoredTrajectory& b) {
+              if (a.similarity != b.similarity) {
+                return a.similarity > b.similarity;
+              }
+              return a.trajectory < b.trajectory;
+            });
+  if (expected.top_k.size() > q.top_k.k) expected.top_k.resize(q.top_k.k);
+  return expected.Fingerprint();
+}
+
+/// The timed top-k query.
+query::Query TopKQuery() {
+  query::Query q;
+  q.projection = query::Projection::kTopK;
+  q.top_k.k = 10;
+  q.top_k.probe = &Trajectories().front();
+  return q;
+}
+
+/// Checks the top-k query against the exhaustive oracle, in memory and
+/// on `store` (which holds the same trajectories under the same ids);
+/// exits 1 on a mismatch. The timed probe's cell sequence is common, so
+/// its top 10 all tie at similarity 1; the same query probed with the
+/// longest trace also reaches the scores the running cutoff prunes.
+void CheckTopK(const query::QueryExecutor& executor,
+               const storage::EventStoreReader& store) {
+  const core::SemanticTrajectory& longest = *std::max_element(
+      Trajectories().begin(), Trajectories().end(),
+      [](const core::SemanticTrajectory& a,
+         const core::SemanticTrajectory& b) {
+        return a.trace().size() < b.trace().size();
+      });
+  query::Query q = TopKQuery();
+  for (const core::SemanticTrajectory* probe : {q.top_k.probe, &longest}) {
+    q.top_k.probe = probe;
+    const std::string expected = TopKOracle(q);
+    const bool in_memory =
+        Unwrap(executor.Run(q, Trajectories())).Fingerprint() == expected;
+    const bool from_store =
+        Unwrap(executor.Run(q, store)).Fingerprint() == expected;
+    if (!in_memory || !from_store) {
+      std::fprintf(stderr,
+                   "BENCH Q1 FAILED: top-k answer %s differs from the "
+                   "exhaustive oracle\n",
+                   in_memory ? "from the store" : "in memory");
+      std::exit(1);
+    }
+  }
+}
+
 void Report() {
   Banner("Q1", "semantic trajectory query engine (no paper counterpart; "
                "the serving layer the model argues for)");
@@ -194,9 +264,11 @@ void Report() {
       std::to_string(scattered_indexed.stats.blocks_scanned) +
           " indexed, " + std::to_string(min_max_blocks.size()) + " min/max");
 
-  // -- Determinism: workers {1, 2, 4, hw} x {in-memory, store}. -------
+  // -- Determinism: workers {1, 2, 4, hw} x {in-memory, store}, and the
+  //    top-k answer against the exhaustive oracle at each of them. -----
   const std::string reference =
       Unwrap(executor.Run(lookup, trajectories)).Fingerprint();
+  CheckTopK(executor, indexed);
   for (const std::size_t workers : WorkerCounts()) {
     sched::Executor sweep_executor(workers);
     query::ExecutorOptions options;
@@ -213,9 +285,12 @@ void Report() {
                    workers);
       std::exit(1);
     }
+    CheckTopK(scheduled, indexed);
   }
   Row("determinism (workers 1/2/4/hw, mem vs store)", "byte-identical",
       "byte-identical");
+  Row("top-k (workers 1/2/4/hw, mem vs store)", "exhaustive oracle",
+      "identical");
 
   // -- Paper-shaped query cardinalities. ------------------------------
   const auto& wing_cells =
@@ -317,190 +392,15 @@ void Report() {
   Row("cache hit vs cold execution", "byte-identical", "byte-identical");
 }
 
-// ---------------------------------------------------------------------------
-// Timings.
-// ---------------------------------------------------------------------------
-
-void BM_QueryPointLookupIndexed(benchmark::State& state) {
-  // Time-ordered store, posting lists on: the serving-shaped case.
-  const auto reader = OpenStore(kTimeStorePath);
-  query::QueryExecutor executor(Context());
-  const query::Query q = PointLookup();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(q, reader));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_QueryPointLookupIndexed)->Unit(benchmark::kMicrosecond);
-
-void BM_QueryPointLookupMinMaxOnly(benchmark::State& state) {
-  // Same store, index bypassed: decode every block the footer min/max
-  // stats admit, filtering rows by object and building what is kept.
-  const auto reader = OpenStore(kTimeStorePath);
-  const storage::ScanOptions scan =
-      storage::ScanOptions::ForObject(ProbeObject());
-  const std::vector<std::size_t> blocks = FooterStatsBlocks(reader, scan);
-  for (auto _ : state) {
-    std::vector<core::SemanticTrajectory> out;
-    for (const std::size_t b : blocks) {
-      Check(reader.ReadTrajectoryBlock(
-          b, scan, [&out](const storage::TrajectoryView& view) {
-            out.push_back(view.Build());
-          }));
-    }
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_QueryPointLookupMinMaxOnly)->Unit(benchmark::kMicrosecond);
-
-void BM_QueryPointLookupFullResidual(benchmark::State& state) {
-  // The no-pushdown ceiling: every block decoded, object filtering done
-  // entirely by the residual predicate.
-  const auto reader = OpenStore(kIndexedStorePath);
-  query::QueryExecutor executor(Context());
-  query::Query q;
-  // Not(Not(object = x)) defeats the planner (negation is conservative)
-  // while keeping the same matches — a worst-case residual query.
-  q.where = query::Not(query::Not(query::ObjectIs(ProbeObject())));
-  q.projection = query::Projection::kTrajectories;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(q, reader));
-  }
-}
-BENCHMARK(BM_QueryPointLookupFullResidual)->Unit(benchmark::kMillisecond);
-
-void BM_QueryTimeWindowFromStore(benchmark::State& state) {
-  // Time-ordered store: a narrow window prunes almost every block.
-  const auto reader = OpenStore(kTimeStorePath);
-  query::QueryExecutor executor(Context());
-  // One afternoon across the whole collection window.
-  const Timestamp day0 = Trajectories().front().start();
-  query::Query q;
-  q.where = query::TimeWindow(day0 + Duration::Hours(24 * 30),
-                              day0 + Duration::Hours(24 * 30 + 6));
-  q.projection = query::Projection::kCount;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(q, reader));
-  }
-}
-BENCHMARK(BM_QueryTimeWindowFromStore)->Unit(benchmark::kMicrosecond);
-
-void BM_QueryZoneMembershipInMemory(benchmark::State& state) {
-  query::QueryExecutor executor(Context());
-  query::Query q;
-  q.where = query::InZone(CellId(louvre::kZoneSouvenirShops));
-  q.projection = query::Projection::kCount;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(q, Trajectories()));
-  }
-}
-BENCHMARK(BM_QueryZoneMembershipInMemory)->Unit(benchmark::kMillisecond);
-
-void BM_QueryEpisodeOverlapInMemory(benchmark::State& state) {
-  // Allen-constrained episodes: long stays overlapping a probe window
-  // (the "episodes overlap the guided tour" query shape).
-  query::QueryExecutor executor(Context());
-  const Timestamp day0 = Trajectories().front().start();
-  const auto tour = qsr::TimeInterval::Make(
-      day0 + Duration::Hours(24 * 10), day0 + Duration::Hours(24 * 10 + 2));
-  query::Query q;
-  core::AnnotationSet lingering;
-  lingering.Add(core::AnnotationKind::kBehavior, "lingering");
-  q.episodes.push_back(
-      {"long-stay", core::StayAtLeast(Duration::Minutes(10)), lingering});
-  q.where = query::EpisodeAllen("long-stay", query::AllenMask::Intersecting(),
-                                Unwrap(tour));
-  q.projection = query::Projection::kEpisodes;
-  q.episode_filter.label = "long-stay";
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(q, Trajectories()));
-  }
-}
-BENCHMARK(BM_QueryEpisodeOverlapInMemory)->Unit(benchmark::kMillisecond);
-
-/// The exhaustive top-k answer's fingerprint: EditSimilarity on every
-/// match of `q`, ranked by (similarity desc, id asc), cut at k.
-std::string TopKOracle(const query::Query& q) {
-  const query::Predicate where = Unwrap(q.where.Bind(Context()));
-  const std::vector<CellId> probe = mining::CellSequenceOf(*q.top_k.probe);
-  query::QueryResult expected;
-  expected.projection = query::Projection::kTopK;
-  for (const core::SemanticTrajectory& t : Trajectories()) {
-    if (!where.MatchesTrajectory(t)) continue;
-    expected.count += 1;
-    expected.top_k.push_back(
-        {t.id(), mining::EditSimilarity(probe, mining::CellSequenceOf(t),
-                                        mining::UnitCellCost())});
-  }
-  std::sort(expected.top_k.begin(), expected.top_k.end(),
-            [](const query::ScoredTrajectory& a,
-               const query::ScoredTrajectory& b) {
-              if (a.similarity != b.similarity) {
-                return a.similarity > b.similarity;
-              }
-              return a.trajectory < b.trajectory;
-            });
-  if (expected.top_k.size() > q.top_k.k) expected.top_k.resize(q.top_k.k);
-  return expected.Fingerprint();
-}
-
-/// Checks a top-k query against the exhaustive oracle, in memory and on
-/// the indexed store (which holds the same trajectories under the same
-/// ids), before it is timed; exits 1 on a mismatch, like the fingerprint
-/// checks in Report(). The timed probe's cell sequence is common, so its
-/// top 10 all tie at similarity 1; the same query probed with the
-/// longest trace also reaches the scores the running cutoff prunes.
-void CheckTopK(const query::QueryExecutor& executor, query::Query q) {
-  const storage::EventStoreReader store = OpenStore(kIndexedStorePath);
-  const core::SemanticTrajectory& longest = *std::max_element(
-      Trajectories().begin(), Trajectories().end(),
-      [](const core::SemanticTrajectory& a,
-         const core::SemanticTrajectory& b) {
-        return a.trace().size() < b.trace().size();
-      });
-  for (const core::SemanticTrajectory* probe : {q.top_k.probe, &longest}) {
-    q.top_k.probe = probe;
-    const std::string expected = TopKOracle(q);
-    const bool in_memory =
-        Unwrap(executor.Run(q, Trajectories())).Fingerprint() == expected;
-    const bool from_store =
-        Unwrap(executor.Run(q, store)).Fingerprint() == expected;
-    if (!in_memory || !from_store) {
-      std::fprintf(stderr,
-                   "BENCH Q1 FAILED: top-k answer %s differs from the "
-                   "exhaustive oracle\n",
-                   in_memory ? "from the store" : "in memory");
-      std::exit(1);
-    }
-  }
-}
-
-void BM_QueryTopKSimilarity(benchmark::State& state) {
-  query::QueryExecutor executor(Context());
-  query::Query q;
-  q.projection = query::Projection::kTopK;
-  q.top_k.k = 10;
-  q.top_k.probe = &Trajectories().front();
-  CheckTopK(executor, q);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(executor.Run(q, Trajectories()));
-  }
-}
-BENCHMARK(BM_QueryTopKSimilarity)->Unit(benchmark::kMillisecond);
-
-// The worker sweep: arg = worker count (1/2/4/hw), so every count gets
-// its own entry in the BENCH_q1.json the CI run uploads.
+// The top-k worker sweep: arg = worker count (1/2/4/hw), so every count
+// gets its own entry in the BENCH_q1.json the CI run uploads. Report()
+// has checked the answer against the oracle at each count.
 void BM_QueryTopKSimilarityScheduled(benchmark::State& state) {
   sched::Executor sched_executor(static_cast<std::size_t>(state.range(0)));
   query::ExecutorOptions options;
   options.executor = &sched_executor;
   query::QueryExecutor executor(Context(), options);
-  query::Query q;
-  q.projection = query::Projection::kTopK;
-  q.top_k.k = 10;
-  q.top_k.probe = &Trajectories().front();
-  CheckTopK(executor, q);
+  const query::Query q = TopKQuery();
   for (auto _ : state) {
     benchmark::DoNotOptimize(executor.Run(q, Trajectories()));
   }

@@ -1,10 +1,10 @@
 #pragma once
 
-// Shared scaffolding for the experiment benches. Every bench binary
-// regenerates one artifact of the paper (a table, a figure, or an
-// ablation the text argues for), prints the paper-reported value next
-// to the measured one, then runs google-benchmark timings for the code
-// paths involved.
+// Shared scaffolding for the experiment benches. A bench binary's
+// Report() regenerates an artifact of the paper (a table, a figure, or
+// an ablation the text argues for) next to the paper-reported value,
+// or runs self-checks that exit 1 on a fault; google-benchmark then
+// times what perfbench/ cannot split into a layer of its own.
 
 #include <benchmark/benchmark.h>
 

@@ -161,16 +161,9 @@ void Process(const Query& query, const BoundQuery& bound, const Rows& rows,
     ExtractEpisodes(query, rows, episodes);
   }
   switch (query.projection) {
-    case Projection::kTrajectories: {
-      core::SemanticTrajectory out = rows.Build();
-      if (out.id() != id) {
-        out = core::SemanticTrajectory(id, out.object(),
-                                       std::move(out.mutable_trace()),
-                                       out.annotations());
-      }
-      fragment.trajectories.push_back(std::move(out));
+    case Projection::kTrajectories:
+      fragment.trajectories.push_back(rows.Build(id));
       return;
-    }
     case Projection::kTuples:
       for (std::size_t i = 0; i < rows.size(); ++i) {
         if (!bound.tuple_where.MatchesTuple(rows, i, episodes)) continue;

@@ -158,7 +158,8 @@ struct EpisodeRef {
 /// non-empty trace, A_traj, the trajectory itself), so the one
 /// evaluator, episode extraction, RangeInterval and the projections give
 /// both sources the same answers. Both borrow their source; Tuple() and
-/// Build() copy out of a built trajectory and build out of a view.
+/// Build(id) copy out of a built trajectory and build out of a view, and
+/// Build gives the result the id it is emitted with.
 class TrajectoryRows {
  public:
   explicit TrajectoryRows(const core::SemanticTrajectory& trajectory)
@@ -182,7 +183,11 @@ class TrajectoryRows {
     return rows_[r].transition_annotations;
   }
   const core::PresenceInterval& Tuple(std::size_t r) const { return rows_[r]; }
-  core::SemanticTrajectory Build() const { return trajectory_; }
+  core::SemanticTrajectory Build(TrajectoryId as) const {
+    return core::SemanticTrajectory(as, trajectory_.object(),
+                                    trajectory_.trace(),
+                                    trajectory_.annotations());
+  }
 
  private:
   const core::SemanticTrajectory& trajectory_;
@@ -211,7 +216,9 @@ class ViewRows {
     return view_.TransitionAnnotations(r);
   }
   core::PresenceInterval Tuple(std::size_t r) const { return view_.Tuple(r); }
-  core::SemanticTrajectory Build() const { return view_.Build(); }
+  core::SemanticTrajectory Build(TrajectoryId as) const {
+    return view_.Build(as);
+  }
 
  private:
   const storage::TrajectoryView& view_;

@@ -603,11 +603,11 @@ core::PresenceInterval TrajectoryView::Tuple(std::size_t r) const {
   return tuple;
 }
 
-core::SemanticTrajectory TrajectoryView::Build() const {
+core::SemanticTrajectory TrajectoryView::Build(TrajectoryId as) const {
   std::vector<core::PresenceInterval> intervals;
   intervals.reserve(rows);
   for (std::size_t r = 0; r < rows; ++r) intervals.push_back(Tuple(r));
-  return core::SemanticTrajectory(id, object, core::Trace(std::move(intervals)),
+  return core::SemanticTrajectory(as, object, core::Trace(std::move(intervals)),
                                   Annotations());
 }
 
@@ -1126,7 +1126,7 @@ EventStoreReader::ReadTrajectories(const ScanOptions& scan) const {
   for (std::size_t i : CandidateBlocks(scan)) {
     SITM_RETURN_IF_ERROR(ReadTrajectoryBlock(
         i, scan, [&out](const TrajectoryView& view) {
-          out.push_back(view.Build());
+          out.push_back(view.Build(view.id));
         }));
   }
   return out;

@@ -317,8 +317,9 @@ struct TrajectoryView {
 
   /// Row `r` as a presence-interval tuple.
   core::PresenceInterval Tuple(std::size_t r) const;
-  /// The whole trajectory, as a full decode of the block yields it.
-  core::SemanticTrajectory Build() const;
+  /// The whole trajectory, as a full decode of the block yields it, but
+  /// under `as` (`id` in a plain read; a store set renumbers).
+  core::SemanticTrajectory Build(TrajectoryId as) const;
 };
 
 /// Called with each trajectory a block scan keeps, in block order.

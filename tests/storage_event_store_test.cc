@@ -270,24 +270,53 @@ TEST(EventStoreRoundTripTest, PipelineConsumesStraightFromStore) {
 }
 
 TEST(EventStoreRoundTripTest, ParallelEncodingIsByteIdentical) {
-  const auto trajectories = BuildTrajectories(SimulatedDetections(5));
-  const std::string seq_path = TempPath("seq.evst");
-  const std::string par_path = TempPath("par.evst");
-  WriterOptions seq_options;
-  seq_options.rows_per_block = 64;
-  ASSERT_TRUE(WriteTrajectoryStore(seq_path, trajectories, seq_options).ok());
+  // Either store kind, encoded block-parallel by a 3-worker executor,
+  // gives the sequential writer's file, and it reads back losslessly.
+  const auto detections = SimulatedDetections(5);
+  const auto trajectories = BuildTrajectories(detections);
   sched::Executor executor(3);
-  WriterOptions par_options;
-  par_options.rows_per_block = 64;
-  par_options.executor = &executor;
-  ASSERT_TRUE(WriteTrajectoryStore(par_path, trajectories, par_options).ok());
-  const auto seq_bytes = io::ReadFile(seq_path);
-  const auto par_bytes = io::ReadFile(par_path);
-  ASSERT_TRUE(seq_bytes.ok());
-  ASSERT_TRUE(par_bytes.ok());
-  EXPECT_EQ(*seq_bytes, *par_bytes);
-  std::remove(seq_path.c_str());
-  std::remove(par_path.c_str());
+  for (const StoreKind kind :
+       {StoreKind::kTrajectories, StoreKind::kDetections}) {
+    const bool raw = kind == StoreKind::kDetections;
+    SCOPED_TRACE(raw ? "detection store" : "trajectory store");
+    const auto write = [&](const std::string& path,
+                           const WriterOptions& options) {
+      return raw ? WriteDetectionStore(path, detections, options)
+                 : WriteTrajectoryStore(path, trajectories, options);
+    };
+    const std::string seq_path = TempPath("seq.evst");
+    const std::string par_path = TempPath("par.evst");
+    WriterOptions options;
+    options.rows_per_block = 64;
+    ASSERT_TRUE(write(seq_path, options).ok());
+    options.executor = &executor;
+    ASSERT_TRUE(write(par_path, options).ok());
+    const auto seq_bytes = io::ReadFile(seq_path);
+    const auto par_bytes = io::ReadFile(par_path);
+    ASSERT_TRUE(seq_bytes.ok());
+    ASSERT_TRUE(par_bytes.ok());
+    EXPECT_EQ(*seq_bytes, *par_bytes);
+    const auto reader = EventStoreReader::Open(par_path);
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    EXPECT_GT(reader->num_blocks(), 3u);
+    if (raw) {
+      const auto restored = reader->ReadDetections();
+      ASSERT_TRUE(restored.ok()) << restored.status();
+      ASSERT_EQ(restored->size(), detections.size());
+      for (std::size_t i = 0; i < detections.size(); ++i) {
+        EXPECT_EQ((*restored)[i].object, detections[i].object) << i;
+        EXPECT_EQ((*restored)[i].cell, detections[i].cell) << i;
+        EXPECT_EQ((*restored)[i].start, detections[i].start) << i;
+        EXPECT_EQ((*restored)[i].end, detections[i].end) << i;
+      }
+    } else {
+      const auto restored = reader->ReadTrajectories();
+      ASSERT_TRUE(restored.ok()) << restored.status();
+      ExpectTrajectoriesEqual(trajectories, *restored);
+    }
+    std::remove(seq_path.c_str());
+    std::remove(par_path.c_str());
+  }
 }
 
 TEST(EventStoreRoundTripTest, MultipleBatchesAccumulate) {
@@ -1110,7 +1139,7 @@ TEST(EventStoreAnnotationBitmapTest, PruningIsASoundOverApproximation) {
                     ->ReadTrajectoryBlock(i, ScanOptions{},
                                           [&](const TrajectoryView& view) {
                                             block_trajectories.push_back(
-                                                view.Build());
+                                                view.Build(view.id));
                                           })
                     .ok());
     for (const auto& [kind, value] : terms) {
@@ -1466,7 +1495,7 @@ TEST(EventStoreLateMaterializationTest, FilteredScansStillValidateEveryRow) {
     // nothing, fail the same way.
     std::vector<core::SemanticTrajectory> built;
     const auto build = [&built](const TrajectoryView& view) {
-      built.push_back(view.Build());
+      built.push_back(view.Build(view.id));
     };
     const Status unfiltered =
         reader->ReadTrajectoryBlock(0, ScanOptions{}, build);
@@ -1606,7 +1635,8 @@ TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) 
                                             [&](const TrajectoryView& view) {
                                               EXPECT_EQ(view.position,
                                                         full[i].size());
-                                              full[i].push_back(view.Build());
+                                              full[i].push_back(
+                                                  view.Build(view.id));
                                             })
                       .ok());
       ASSERT_EQ(full[i].size(), reader->block(i).trajectories);
@@ -1664,7 +1694,7 @@ TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) 
                                 EXPECT_EQ(view.Tuple(r), p);
                               }
                               const core::SemanticTrajectory built =
-                                  view.Build();
+                                  view.Build(view.id);
                               ExpectTrajectoriesEqual({t}, {built});
                               scanned.push_back(built);
                             })
