@@ -214,11 +214,10 @@ void Report() {
   const auto indexed = OpenStore(kIndexedStorePath);
   const auto time_indexed = OpenStore(kTimeStorePath);
   std::printf("  workload: %d visitors -> %zu trajectories, %llu tuples, "
-              "%zu blocks (v%u store, object index: %s)\n",
+              "%zu blocks\n",
               kVisitors, trajectories.size(),
               static_cast<unsigned long long>(indexed.rows()),
-              indexed.num_blocks(), indexed.version(),
-              indexed.has_object_index() ? "yes" : "no");
+              indexed.num_blocks());
 
   query::QueryExecutor executor(Context());
 

@@ -79,10 +79,9 @@ int main() {
   Check(writer.Finish());
   const auto store = Unwrap(storage::EventStoreReader::Open(store_path));
   std::printf("cookbook workload: %zu visits, %llu tuples, %zu store "
-              "blocks (format v%u, object index: %s)\n",
+              "blocks\n",
               visits.size(), static_cast<unsigned long long>(store.rows()),
-              store.num_blocks(), store.version(),
-              store.has_object_index() ? "on" : "off");
+              store.num_blocks());
 
   QueryContext context;
   context.hierarchy = &hierarchy;

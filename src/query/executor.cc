@@ -451,7 +451,8 @@ Result<QueryResult> QueryExecutor::Run(
   if (reader.kind() != storage::StoreKind::kTrajectories) {
     return Status::FailedPrecondition(
         "query: store-backed execution needs a trajectory store "
-        "(detection stores go through RunPipelineFromStore first)");
+        "(run a BatchPipeline over a detection store's ReadDetections "
+        "first)");
   }
   SITM_ASSIGN_OR_RETURN(const BoundQuery bound, BindQuery(query, context_));
   const QueryPlan plan = Plan(bound.where);

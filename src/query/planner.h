@@ -38,7 +38,7 @@ struct PushdownSummary {
   /// scope is irrelevant for block pruning). Conjunction unions terms
   /// (all must hold), disjunction intersects (only terms required by
   /// every branch survive) — the usual lattice, with "no terms" as top.
-  /// PlanBlocks prunes blocks whose v3 annotation bitmaps exclude any
+  /// PlanBlocks prunes blocks whose annotation bitmaps exclude any
   /// term; stores without bitmaps are unaffected.
   std::vector<AnnotationTerm> annotations;
 
@@ -71,11 +71,10 @@ struct QueryPlan {
 QueryPlan Plan(const Predicate& bound_predicate);
 
 /// Blocks of `reader` the plan must touch, ascending and unique: the
-/// union over the object set of candidate blocks (exact posting lists
-/// when the store carries the v2 object index, min/max footer pruning
-/// otherwise), intersected with time-window pruning and — on stores
-/// carrying v3 annotation bitmaps — with bitmap pruning for every
-/// summarized annotation term.
+/// union of the object set's posting lists in the store's object index
+/// (every block when the plan names no objects), intersected with
+/// footer time-window pruning and — on stores carrying annotation
+/// bitmaps — with bitmap pruning for every summarized annotation term.
 std::vector<std::size_t> PlanBlocks(const storage::EventStoreReader& reader,
                                     const PushdownSummary& pushdown);
 

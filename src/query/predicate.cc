@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "qsr/topology.h"
+#include "storage/event_store.h"
 
 namespace sitm::query {
 
@@ -136,18 +137,6 @@ bool EpisodeLabelMatches(const Node& node, const EpisodeRef& episode) {
   return node.episode_label.empty() || *episode.label == node.episode_label;
 }
 
-/// Closed-window intersection with the ScanOptions semantics: inverted
-/// windows are empty and match nothing.
-bool WindowIntersects(const Node& node, Timestamp start, Timestamp end) {
-  if (node.min_time.has_value() && node.max_time.has_value() &&
-      *node.max_time < *node.min_time) {
-    return false;
-  }
-  if (node.min_time.has_value() && end < *node.min_time) return false;
-  if (node.max_time.has_value() && start > *node.max_time) return false;
-  return true;
-}
-
 template <typename Rows>
 bool AnnotationOnTrajectory(const Node& node, const Rows& rows) {
   return rows.annotations().Contains(node.ann_kind, node.ann_value);
@@ -205,7 +194,8 @@ bool EvalTrajectory(const Node& node, const Rows& rows,
                                 rows.object());
     case PredicateKind::kTimeWindow:
       if (n == 0) return false;
-      return WindowIntersects(node, rows.start(), rows.end());
+      return storage::WindowIntersects(node.min_time, node.max_time,
+                                       rows.start(), rows.end());
     case PredicateKind::kAllen: {
       if (n == 0) return false;
       const auto interval = qsr::TimeInterval::Make(rows.start(), rows.end());
@@ -269,7 +259,8 @@ bool EvalTuple(const Node& node, const Rows& rows, std::size_t r,
       return std::binary_search(node.objects.begin(), node.objects.end(),
                                 rows.object());
     case PredicateKind::kTimeWindow:
-      return WindowIntersects(node, rows.start(r), rows.end(r));
+      return storage::WindowIntersects(node.min_time, node.max_time,
+                                       rows.start(r), rows.end(r));
     case PredicateKind::kAllen: {
       const auto interval = RangeInterval(rows, r, r + 1);
       return interval.has_value() && node.allen->Admits(*interval);

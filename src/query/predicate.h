@@ -364,9 +364,9 @@ Predicate ObjectIn(std::vector<ObjectId> objects);
 Predicate ObjectIs(ObjectId object);
 
 /// Interval intersects the closed window [min, max] (unset bound =
-/// open; inverted window matches nothing) — the same semantics
-/// storage::ScanOptions pins, which is what makes this leaf
-/// pushdownable.
+/// open; inverted window matches nothing). The leaf evaluates through
+/// storage::WindowIntersects, the rule ScanOptions filters with, which
+/// is what makes it pushdownable.
 Predicate TimeWindow(std::optional<Timestamp> min, std::optional<Timestamp> max);
 
 /// Interval stands in one of the masked Allen relations to `probe`.

@@ -49,28 +49,6 @@ Result<core::AnnotationSet> DecodeAnnotationSet(ByteReader& reader) {
   return set;
 }
 
-/// One encoded block ready to be appended to the file (offset unset).
-struct EncodedBlock {
-  std::string payload;
-  BlockMeta meta;
-  /// Distinct raw object ids in the block, ascending (feeds the
-  /// secondary object-id index).
-  std::vector<std::int64_t> objects;
-  /// Distinct dictionary ids referenced by the block, ascending (feeds
-  /// the v3 annotation bitmaps; empty for detection blocks).
-  std::vector<std::uint32_t> dictionary_ids;
-};
-
-/// Wraps column bytes into the v3 block payload: the codec id, the
-/// column byte count, then the LZ stream of the columns.
-std::string LzBlockPayload(std::string_view columns) {
-  std::string payload;
-  PutVarint64(payload, kLzCodecId);
-  PutVarint64(payload, columns.size());
-  payload += CompressBytes(columns);
-  return payload;
-}
-
 std::vector<std::int64_t> SortedUnique(std::vector<std::int64_t> values) {
   std::sort(values.begin(), values.end());
   values.erase(std::unique(values.begin(), values.end()), values.end());
@@ -113,32 +91,16 @@ Status DurationOverflow() {
   return Status::Corruption("EventStore: duration overflows the epoch");
 }
 
-/// The column bytes of one block after codec framing is stripped:
-/// the mapped payload itself (v1/v2) or an owned decompressed buffer
-/// (v3). `View` must be called on the object's final resting place —
-/// the view may borrow from `owned`.
-struct BlockColumns {
-  std::string owned;
-  bool decompressed = false;
-
-  std::string_view View(std::string_view payload) const {
-    return decompressed ? std::string_view(owned) : payload;
-  }
-};
-
-/// Strips the v3 codec framing from a block payload. `max_raw_size`
-/// caps the decompressed allocation a forged size field could demand —
-/// callers derive it from the block's row and trajectory counts — and
-/// so does kMaxBlockExpansion times the payload. Every one of the
-/// block's `rows` takes at least one byte in each raw column, so the
-/// declared size bounds them in turn.
-Result<BlockColumns> DecodeBlockPayload(std::uint32_t version,
-                                        std::string_view payload,
-                                        std::uint64_t max_raw_size,
-                                        std::uint64_t rows,
-                                        std::size_t block_index) {
-  BlockColumns out;
-  if (version < 3) return out;
+/// Strips the codec framing from a block payload and returns its column
+/// bytes. `max_raw_size` caps the decompressed allocation a forged size
+/// field could demand — the caller derives it from the block's row and
+/// trajectory counts — and so does kMaxBlockExpansion times the
+/// payload. Every one of the block's `rows` takes at least one byte in
+/// each raw column, so the declared size bounds them in turn.
+Result<std::string> DecodeBlockPayload(std::string_view payload,
+                                       std::uint64_t max_raw_size,
+                                       std::uint64_t rows,
+                                       std::size_t block_index) {
   ByteReader reader(payload);
   SITM_ASSIGN_OR_RETURN(const std::uint64_t codec_id, reader.ReadVarint64());
   if (codec_id != kLzCodecId) {
@@ -167,9 +129,7 @@ Result<BlockColumns> DecodeBlockPayload(std::uint32_t version,
     return decompressed.status().WithContext("EventStore: block " +
                                              std::to_string(block_index));
   }
-  out.owned = std::move(decompressed).value();
-  out.decompressed = true;
-  return out;
+  return decompressed;
 }
 
 bool RowMatches(const ScanOptions& scan, ObjectId object, Timestamp start,
@@ -178,13 +138,7 @@ bool RowMatches(const ScanOptions& scan, ObjectId object, Timestamp start,
       !std::binary_search(scan.objects.begin(), scan.objects.end(), object)) {
     return false;
   }
-  // The inverted (empty) window must be checked explicitly: a row whose
-  // span straddles it (end >= min and start <= max) would otherwise
-  // pass both one-sided tests despite the window containing no instant.
-  if (scan.EmptyWindow()) return false;
-  if (scan.min_time.has_value() && end < *scan.min_time) return false;
-  if (scan.max_time.has_value() && start > *scan.max_time) return false;
-  return true;
+  return WindowIntersects(scan.min_time, scan.max_time, start, end);
 }
 
 }  // namespace
@@ -192,6 +146,28 @@ bool RowMatches(const ScanOptions& scan, ObjectId object, Timestamp start,
 // ---------------------------------------------------------------------------
 // Writer.
 // ---------------------------------------------------------------------------
+
+struct EventStoreWriter::EncodedBlock {
+  std::string payload;
+  BlockMeta meta;  ///< offset is set when the block is committed
+  /// Distinct raw object ids in the block, ascending (feeds the
+  /// secondary object-id index).
+  std::vector<std::int64_t> objects;
+  /// Distinct dictionary ids referenced by the block, ascending (feeds
+  /// the annotation bitmaps; empty for detection blocks).
+  std::vector<std::uint32_t> dictionary_ids;
+
+  /// Frames `columns` as the block payload — the codec id, the column
+  /// byte count, then the LZ stream of the columns — and records its
+  /// length and checksum.
+  void SetPayload(std::string_view columns) {
+    PutVarint64(payload, kLzCodecId);
+    PutVarint64(payload, columns.size());
+    payload += CompressBytes(columns);
+    meta.length = payload.size();
+    meta.checksum = Checksum(payload);
+  }
+};
 
 Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
                                                   StoreKind kind,
@@ -248,15 +224,47 @@ std::uint32_t EventStoreWriter::DictionaryId(const core::AnnotationSet& set) {
   return last_dictionary_id_ = id;
 }
 
-Status EventStoreWriter::Append(
-    const std::vector<core::RawDetection>& detections) {
+Status EventStoreWriter::CheckAppend(StoreKind batch) const {
   if (finished_) {
     return Status::FailedPrecondition("EventStore: writer already finished");
   }
-  if (kind_ != StoreKind::kDetections) {
+  if (kind_ != batch) {
     return Status::InvalidArgument(
-        "EventStore: detection batch appended to a trajectory store");
+        batch == StoreKind::kDetections
+            ? "EventStore: detection batch appended to a trajectory store"
+            : "EventStore: trajectory batch appended to a detection store");
   }
+  return Status::OK();
+}
+
+Status EventStoreWriter::EncodeBlocks(
+    std::size_t num_blocks,
+    const std::function<EncodedBlock(std::size_t)>& encode) {
+  // Thread-safety: each task encodes one block of the (read-only) batch
+  // into its own EncodedBlock slot; the file is written sequentially
+  // afterwards, so bytes on disk are identical at every worker count.
+  std::vector<EncodedBlock> encoded = sched::ParallelMap<EncodedBlock>(
+      options_.executor, num_blocks, encode, /*grain=*/0, "store/encode");
+  for (EncodedBlock& block : encoded) {
+    block.meta.offset = offset_;
+    SITM_RETURN_IF_ERROR(WriteRaw(block.payload));
+    const auto block_index = static_cast<std::uint32_t>(blocks_.size());
+    for (std::int64_t object : block.objects) {
+      object_blocks_[object].push_back(block_index);
+    }
+    stats_.rows += block.meta.rows;
+    stats_.trajectories += block.meta.trajectories;
+    stats_.blocks += 1;
+    stats_.payload_bytes += block.meta.length;
+    blocks_.push_back(block.meta);
+    block_dictionary_ids_.push_back(std::move(block.dictionary_ids));
+  }
+  return Status::OK();
+}
+
+Status EventStoreWriter::Append(
+    const std::vector<core::RawDetection>& detections) {
+  SITM_RETURN_IF_ERROR(CheckAppend(StoreKind::kDetections));
   for (const core::RawDetection& d : detections) {
     if (d.end < d.start) {
       return Status::InvalidArgument(
@@ -268,72 +276,43 @@ Status EventStoreWriter::Append(
 
   const std::size_t per_block = options_.rows_per_block;
   const std::size_t num_blocks = (detections.size() + per_block - 1) / per_block;
-  // Thread-safety: each task encodes a disjoint row range of the
-  // (read-only) input into its own EncodedBlock slot; the file is
-  // written sequentially afterwards, so bytes on disk are identical
-  // at every worker count.
-  std::vector<EncodedBlock> encoded = sched::ParallelMap<EncodedBlock>(
-      options_.executor, num_blocks, [&](std::size_t b) {
-        const std::size_t begin = b * per_block;
-        const std::size_t end = std::min(begin + per_block, detections.size());
-        const std::size_t n = end - begin;
-        std::vector<std::int64_t> objects, cells, starts;
-        std::vector<std::uint64_t> durations;
-        objects.reserve(n);
-        cells.reserve(n);
-        starts.reserve(n);
-        durations.reserve(n);
-        EncodedBlock block;
-        for (std::size_t i = begin; i < end; ++i) {
-          const core::RawDetection& d = detections[i];
-          objects.push_back(d.object.value());
-          cells.push_back(d.cell.value());
-          starts.push_back(d.start.seconds_since_epoch());
-          durations.push_back(
-              static_cast<std::uint64_t>((d.end - d.start).seconds()));
-          FoldRowStats(block.meta, i == begin, d.object.value(),
-                       d.start.seconds_since_epoch(),
-                       d.end.seconds_since_epoch());
-        }
-        std::string columns;
-        PutDeltaColumn(columns, objects);
-        PutDeltaColumn(columns, cells);
-        PutDeltaColumn(columns, starts);
-        PutVarintColumn(columns, durations);
-        block.payload = LzBlockPayload(columns);
-        block.meta.rows = n;
-        block.meta.length = block.payload.size();
-        block.meta.checksum = Checksum(block.payload);
-        block.objects = SortedUnique(std::move(objects));
-        return block;
-      },
-      /*grain=*/0, "store/encode");
-
-  for (EncodedBlock& block : encoded) {
-    block.meta.offset = offset_;
-    SITM_RETURN_IF_ERROR(WriteRaw(block.payload));
-    const auto block_index = static_cast<std::uint32_t>(blocks_.size());
-    for (std::int64_t object : block.objects) {
-      object_blocks_[object].push_back(block_index);
+  return EncodeBlocks(num_blocks, [&](std::size_t b) {
+    const std::size_t begin = b * per_block;
+    const std::size_t end = std::min(begin + per_block, detections.size());
+    const std::size_t n = end - begin;
+    std::vector<std::int64_t> objects, cells, starts;
+    std::vector<std::uint64_t> durations;
+    objects.reserve(n);
+    cells.reserve(n);
+    starts.reserve(n);
+    durations.reserve(n);
+    EncodedBlock block;
+    for (std::size_t i = begin; i < end; ++i) {
+      const core::RawDetection& d = detections[i];
+      objects.push_back(d.object.value());
+      cells.push_back(d.cell.value());
+      starts.push_back(d.start.seconds_since_epoch());
+      durations.push_back(
+          static_cast<std::uint64_t>((d.end - d.start).seconds()));
+      FoldRowStats(block.meta, i == begin, d.object.value(),
+                   d.start.seconds_since_epoch(),
+                   d.end.seconds_since_epoch());
     }
-    stats_.rows += block.meta.rows;
-    stats_.blocks += 1;
-    stats_.payload_bytes += block.meta.length;
-    blocks_.push_back(block.meta);
-    block_dictionary_ids_.push_back(std::move(block.dictionary_ids));
-  }
-  return Status::OK();
+    std::string columns;
+    PutDeltaColumn(columns, objects);
+    PutDeltaColumn(columns, cells);
+    PutDeltaColumn(columns, starts);
+    PutVarintColumn(columns, durations);
+    block.SetPayload(columns);
+    block.meta.rows = n;
+    block.objects = SortedUnique(std::move(objects));
+    return block;
+  });
 }
 
 Status EventStoreWriter::Append(
     const std::vector<core::SemanticTrajectory>& trajectories) {
-  if (finished_) {
-    return Status::FailedPrecondition("EventStore: writer already finished");
-  }
-  if (kind_ != StoreKind::kTrajectories) {
-    return Status::InvalidArgument(
-        "EventStore: trajectory batch appended to a detection store");
-  }
+  SITM_RETURN_IF_ERROR(CheckAppend(StoreKind::kTrajectories));
   if (trajectories.empty()) return Status::OK();
 
   // Flatten the batch into column vectors (and assign dictionary ids —
@@ -407,78 +386,56 @@ Status EventStoreWriter::Append(
     row_cursor = range.row_end;
   }
 
-  // Thread-safety: same slot discipline as the detection path — one
-  // BlockRange in, one EncodedBlock slot out, no shared writes.
-  std::vector<EncodedBlock> encoded = sched::ParallelMap<EncodedBlock>(
-      options_.executor, ranges.size(), [&](std::size_t b) {
-        const BlockRange& range = ranges[b];
-        EncodedBlock block;
-        const std::size_t t0 = range.traj_begin, nt = range.traj_end - t0;
-        const std::size_t r0 = range.row_begin, nr = range.row_end - r0;
-        std::string columns;
-        PutDeltaColumn(columns, traj_ids.data() + t0, nt);
-        PutDeltaColumn(columns, traj_objects.data() + t0, nt);
-        PutVarintColumn(columns, traj_dicts.data() + t0, nt);
-        PutVarintColumn(columns, traj_rows.data() + t0, nt);
-        PutDeltaColumn(columns, cells.data() + r0, nr);
-        for (std::size_t i = range.row_begin; i < range.row_end; ++i) {
-          PutSVarint64(columns, transitions[i]);
-        }
-        PutDeltaColumn(columns, starts.data() + r0, nr);
-        PutVarintColumn(columns, durations.data() + r0, nr);
-        PutVarintColumn(columns, stay_dicts.data() + r0, nr);
-        PutVarintColumn(columns, transition_dicts.data() + r0, nr);
-        PutBitColumn(columns, inferred, range.row_begin, range.row_end);
-        block.payload = LzBlockPayload(columns);
-        {
-          std::vector<std::uint32_t> ids;
-          for (std::size_t t = range.traj_begin; t < range.traj_end; ++t) {
-            ids.push_back(static_cast<std::uint32_t>(traj_dicts[t]));
-          }
-          for (std::size_t r = range.row_begin; r < range.row_end; ++r) {
-            ids.push_back(static_cast<std::uint32_t>(stay_dicts[r]));
-            ids.push_back(static_cast<std::uint32_t>(transition_dicts[r]));
-          }
-          std::sort(ids.begin(), ids.end());
-          ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-          block.dictionary_ids = std::move(ids);
-        }
-        bool first = true;
-        for (std::size_t t = range.traj_begin; t < range.traj_end; ++t) {
-          const core::Trace& trace = trajectories[t].trace();
-          for (const core::PresenceInterval& p : trace.intervals()) {
-            FoldRowStats(block.meta, first, traj_objects[t],
-                         p.start().seconds_since_epoch(),
-                         p.end().seconds_since_epoch());
-            first = false;
-          }
-        }
-        block.meta.rows = range.row_end - range.row_begin;
-        block.meta.trajectories = range.traj_end - range.traj_begin;
-        block.meta.length = block.payload.size();
-        block.meta.checksum = Checksum(block.payload);
-        block.objects = SortedUnique(std::vector<std::int64_t>(
-            traj_objects.begin() + static_cast<std::ptrdiff_t>(t0),
-            traj_objects.begin() + static_cast<std::ptrdiff_t>(t0 + nt)));
-        return block;
-      },
-      /*grain=*/0, "store/encode");
-
-  for (EncodedBlock& block : encoded) {
-    block.meta.offset = offset_;
-    SITM_RETURN_IF_ERROR(WriteRaw(block.payload));
-    const auto block_index = static_cast<std::uint32_t>(blocks_.size());
-    for (std::int64_t object : block.objects) {
-      object_blocks_[object].push_back(block_index);
+  return EncodeBlocks(ranges.size(), [&](std::size_t b) {
+    const BlockRange& range = ranges[b];
+    EncodedBlock block;
+    const std::size_t t0 = range.traj_begin, nt = range.traj_end - t0;
+    const std::size_t r0 = range.row_begin, nr = range.row_end - r0;
+    std::string columns;
+    PutDeltaColumn(columns, traj_ids.data() + t0, nt);
+    PutDeltaColumn(columns, traj_objects.data() + t0, nt);
+    PutVarintColumn(columns, traj_dicts.data() + t0, nt);
+    PutVarintColumn(columns, traj_rows.data() + t0, nt);
+    PutDeltaColumn(columns, cells.data() + r0, nr);
+    for (std::size_t i = range.row_begin; i < range.row_end; ++i) {
+      PutSVarint64(columns, transitions[i]);
     }
-    stats_.rows += block.meta.rows;
-    stats_.trajectories += block.meta.trajectories;
-    stats_.blocks += 1;
-    stats_.payload_bytes += block.meta.length;
-    blocks_.push_back(block.meta);
-    block_dictionary_ids_.push_back(std::move(block.dictionary_ids));
-  }
-  return Status::OK();
+    PutDeltaColumn(columns, starts.data() + r0, nr);
+    PutVarintColumn(columns, durations.data() + r0, nr);
+    PutVarintColumn(columns, stay_dicts.data() + r0, nr);
+    PutVarintColumn(columns, transition_dicts.data() + r0, nr);
+    PutBitColumn(columns, inferred, range.row_begin, range.row_end);
+    block.SetPayload(columns);
+    {
+      std::vector<std::uint32_t> ids;
+      for (std::size_t t = range.traj_begin; t < range.traj_end; ++t) {
+        ids.push_back(static_cast<std::uint32_t>(traj_dicts[t]));
+      }
+      for (std::size_t r = range.row_begin; r < range.row_end; ++r) {
+        ids.push_back(static_cast<std::uint32_t>(stay_dicts[r]));
+        ids.push_back(static_cast<std::uint32_t>(transition_dicts[r]));
+      }
+      std::sort(ids.begin(), ids.end());
+      ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+      block.dictionary_ids = std::move(ids);
+    }
+    bool first = true;
+    for (std::size_t t = range.traj_begin; t < range.traj_end; ++t) {
+      const core::Trace& trace = trajectories[t].trace();
+      for (const core::PresenceInterval& p : trace.intervals()) {
+        FoldRowStats(block.meta, first, traj_objects[t],
+                     p.start().seconds_since_epoch(),
+                     p.end().seconds_since_epoch());
+        first = false;
+      }
+    }
+    block.meta.rows = range.row_end - range.row_begin;
+    block.meta.trajectories = range.traj_end - range.traj_begin;
+    block.objects = SortedUnique(std::vector<std::int64_t>(
+        traj_objects.begin() + static_cast<std::ptrdiff_t>(t0),
+        traj_objects.begin() + static_cast<std::ptrdiff_t>(t0 + nt)));
+    return block;
+  });
 }
 
 Status EventStoreWriter::Finish() {
@@ -625,11 +582,10 @@ Result<EventStoreReader> EventStoreReader::Open(const std::string& path) {
   ByteReader header(file.data() + sizeof(kStoreMagic),
                     kStoreHeaderSize - sizeof(kStoreMagic));
   SITM_ASSIGN_OR_RETURN(const std::uint32_t version, header.ReadU32());
-  if (version < kMinStoreVersion || version > kStoreVersion) {
+  if (version != kStoreVersion) {
     return Status::Corruption("EventStore: unsupported format version " +
                               std::to_string(version));
   }
-  reader.version_ = version;
   SITM_ASSIGN_OR_RETURN(const std::uint32_t kind, header.ReadU32());
   if (kind != static_cast<std::uint32_t>(StoreKind::kDetections) &&
       kind != static_cast<std::uint32_t>(StoreKind::kTrajectories)) {
@@ -699,14 +655,12 @@ Result<EventStoreReader> EventStoreReader::Open(const std::string& path) {
       return Status::Corruption("EventStore: block " + std::to_string(i) +
                                 " bounds out of range");
     }
-    // Every row occupies at least one byte in each of its raw columns:
-    // the payload itself in v1/v2, at most kMaxBlockExpansion times it
-    // behind v3's LZ (decode checks the declared size exactly). A forged
+    // Every row occupies at least one byte in each of its raw columns,
+    // which take at most kMaxBlockExpansion bytes per payload byte
+    // behind the LZ (decode checks the declared size exactly). A forged
     // row count beyond that cannot be honest — reject it here rather
     // than letting decode attempt a giant allocation.
-    const std::uint64_t max_rows =
-        version >= 3 ? meta.length * kMaxBlockExpansion : meta.length;
-    if (meta.rows > max_rows) {
+    if (meta.rows > meta.length * kMaxBlockExpansion) {
       return Status::Corruption("EventStore: block " + std::to_string(i) +
                                 " row count exceeds payload size");
     }
@@ -718,136 +672,136 @@ Result<EventStoreReader> EventStoreReader::Open(const std::string& path) {
     reader.trajectories_ += meta.trajectories;
     reader.blocks_.push_back(meta);
   }
-  // v2+: optional length-framed sections. Unknown kinds are skipped so
-  // files written by future minor revisions stay readable.
-  if (version >= 2) {
-    SITM_ASSIGN_OR_RETURN(const std::uint64_t num_sections,
+  // Length-framed sections. Unknown kinds are skipped so files written
+  // by future minor revisions stay readable; the object index must be
+  // there exactly once, since every writer emits it.
+  bool seen_object_index = false;
+  SITM_ASSIGN_OR_RETURN(const std::uint64_t num_sections,
+                        footer.ReadVarint64());
+  if (num_sections > footer.remaining()) {
+    return Status::Corruption("EventStore: section count out of range");
+  }
+  for (std::uint64_t s = 0; s < num_sections; ++s) {
+    SITM_ASSIGN_OR_RETURN(const std::uint64_t section_kind,
                           footer.ReadVarint64());
-    if (num_sections > footer.remaining()) {
-      return Status::Corruption("EventStore: section count out of range");
-    }
-    for (std::uint64_t s = 0; s < num_sections; ++s) {
-      SITM_ASSIGN_OR_RETURN(const std::uint64_t section_kind,
-                            footer.ReadVarint64());
-      SITM_ASSIGN_OR_RETURN(const std::uint64_t section_length,
-                            footer.ReadVarint64());
-      SITM_ASSIGN_OR_RETURN(const std::string_view section_bytes,
-                            footer.ReadBytes(section_length));
-      if (section_kind == kSectionAnnotationBitmaps) {
-        if (!reader.annotation_terms_.empty()) {
-          return Status::Corruption(
-              "EventStore: duplicate annotation bitmap section");
-        }
-        ByteReader section(section_bytes);
-        SITM_ASSIGN_OR_RETURN(const std::uint64_t num_terms,
-                              section.ReadVarint64());
-        // Every term occupies at least two bytes (kind + length), so a
-        // count beyond the remaining bytes is forged.
-        if (num_terms == 0 || num_terms > section.remaining()) {
-          return Status::Corruption(
-              "EventStore: annotation term count out of range");
-        }
-        std::vector<std::pair<core::AnnotationKind, std::string>> terms;
-        terms.reserve(num_terms);
-        for (std::uint64_t t = 0; t < num_terms; ++t) {
-          SITM_ASSIGN_OR_RETURN(const std::uint64_t term_kind,
-                                section.ReadVarint64());
-          if (term_kind >
-              static_cast<std::uint64_t>(core::AnnotationKind::kOther)) {
-            return Status::Corruption(
-                "EventStore: unknown annotation kind in term table");
-          }
-          SITM_ASSIGN_OR_RETURN(const std::uint64_t value_length,
-                                section.ReadVarint64());
-          SITM_ASSIGN_OR_RETURN(const std::string_view value,
-                                section.ReadBytes(value_length));
-          std::pair<core::AnnotationKind, std::string> term(
-              static_cast<core::AnnotationKind>(term_kind),
-              std::string(value));
-          if (!terms.empty() && terms.back() >= term) {
-            return Status::Corruption(
-                "EventStore: annotation terms not strictly ascending");
-          }
-          terms.push_back(std::move(term));
-        }
-        SITM_ASSIGN_OR_RETURN(const std::uint64_t bitmap_blocks,
-                              section.ReadVarint64());
-        if (bitmap_blocks != reader.blocks_.size()) {
-          return Status::Corruption(
-              "EventStore: annotation bitmap block count mismatch");
-        }
-        const std::size_t bytes_per_bitmap = (terms.size() + 7) / 8;
-        if (section.remaining() != bitmap_blocks * bytes_per_bitmap) {
-          return Status::Corruption(
-              "EventStore: annotation bitmap section size mismatch");
-        }
-        SITM_ASSIGN_OR_RETURN(const std::string_view bitmap_bytes,
-                              section.ReadBytes(section.remaining()));
-        reader.annotation_terms_ = std::move(terms);
-        reader.annotation_bitmaps_.assign(bitmap_bytes.begin(),
-                                          bitmap_bytes.end());
-        continue;
-      }
-      if (section_kind != kSectionObjectIndex) continue;
-      if (reader.has_object_index_) {
-        return Status::Corruption("EventStore: duplicate object index");
+    SITM_ASSIGN_OR_RETURN(const std::uint64_t section_length,
+                          footer.ReadVarint64());
+    SITM_ASSIGN_OR_RETURN(const std::string_view section_bytes,
+                          footer.ReadBytes(section_length));
+    if (section_kind == kSectionAnnotationBitmaps) {
+      if (!reader.annotation_terms_.empty()) {
+        return Status::Corruption(
+            "EventStore: duplicate annotation bitmap section");
       }
       ByteReader section(section_bytes);
-      SITM_ASSIGN_OR_RETURN(const std::uint64_t num_objects,
+      SITM_ASSIGN_OR_RETURN(const std::uint64_t num_terms,
                             section.ReadVarint64());
-      // Every object entry occupies at least two bytes (id delta +
-      // posting count), so a count beyond the remaining bytes is forged.
-      if (num_objects > section.remaining()) {
+      // Every term occupies at least two bytes (kind + length), so a
+      // count beyond the remaining bytes is forged.
+      if (num_terms == 0 || num_terms > section.remaining()) {
         return Status::Corruption(
-            "EventStore: object index count out of range");
+            "EventStore: annotation term count out of range");
       }
-      std::int64_t object = 0;
-      bool first_object = true;
-      for (std::uint64_t o = 0; o < num_objects; ++o) {
-        SITM_ASSIGN_OR_RETURN(const std::int64_t delta,
-                              section.ReadSVarint64());
-        if (!first_object && delta <= 0) {
-          return Status::Corruption(
-              "EventStore: object index ids not strictly ascending");
-        }
-        object += delta;
-        first_object = false;
-        SITM_ASSIGN_OR_RETURN(const std::uint64_t num_postings,
+      std::vector<std::pair<core::AnnotationKind, std::string>> terms;
+      terms.reserve(num_terms);
+      for (std::uint64_t t = 0; t < num_terms; ++t) {
+        SITM_ASSIGN_OR_RETURN(const std::uint64_t term_kind,
                               section.ReadVarint64());
-        if (num_postings == 0 || num_postings > reader.blocks_.size()) {
+        if (term_kind >
+            static_cast<std::uint64_t>(core::AnnotationKind::kOther)) {
           return Status::Corruption(
-              "EventStore: object posting list size out of range");
+              "EventStore: unknown annotation kind in term table");
         }
-        std::vector<std::uint32_t> postings;
-        postings.reserve(num_postings);
-        std::uint64_t block = 0;
-        for (std::uint64_t p = 0; p < num_postings; ++p) {
-          SITM_ASSIGN_OR_RETURN(const std::uint64_t block_delta,
-                                section.ReadVarint64());
-          if (p > 0 && block_delta == 0) {
-            return Status::Corruption(
-                "EventStore: object postings not strictly ascending");
-          }
-          block += block_delta;
-          if (block >= reader.blocks_.size()) {
-            return Status::Corruption(
-                "EventStore: object posting names block " +
-                std::to_string(block) + " of " +
-                std::to_string(reader.blocks_.size()));
-          }
-          postings.push_back(static_cast<std::uint32_t>(block));
+        SITM_ASSIGN_OR_RETURN(const std::uint64_t value_length,
+                              section.ReadVarint64());
+        SITM_ASSIGN_OR_RETURN(const std::string_view value,
+                              section.ReadBytes(value_length));
+        std::pair<core::AnnotationKind, std::string> term(
+            static_cast<core::AnnotationKind>(term_kind), std::string(value));
+        if (!terms.empty() && terms.back() >= term) {
+          return Status::Corruption(
+              "EventStore: annotation terms not strictly ascending");
         }
-        reader.object_index_.emplace(object, std::move(postings));
+        terms.push_back(std::move(term));
       }
-      if (!section.empty()) {
+      SITM_ASSIGN_OR_RETURN(const std::uint64_t bitmap_blocks,
+                            section.ReadVarint64());
+      if (bitmap_blocks != reader.blocks_.size()) {
         return Status::Corruption(
-            "EventStore: trailing bytes in object index section");
+            "EventStore: annotation bitmap block count mismatch");
       }
-      reader.has_object_index_ = true;
+      const std::size_t bytes_per_bitmap = (terms.size() + 7) / 8;
+      if (section.remaining() != bitmap_blocks * bytes_per_bitmap) {
+        return Status::Corruption(
+            "EventStore: annotation bitmap section size mismatch");
+      }
+      SITM_ASSIGN_OR_RETURN(const std::string_view bitmap_bytes,
+                            section.ReadBytes(section.remaining()));
+      reader.annotation_terms_ = std::move(terms);
+      reader.annotation_bitmaps_.assign(bitmap_bytes.begin(),
+                                        bitmap_bytes.end());
+      continue;
     }
+    if (section_kind != kSectionObjectIndex) continue;
+    if (seen_object_index) {
+      return Status::Corruption("EventStore: duplicate object index");
+    }
+    ByteReader section(section_bytes);
+    SITM_ASSIGN_OR_RETURN(const std::uint64_t num_objects,
+                          section.ReadVarint64());
+    // Every object entry occupies at least two bytes (id delta +
+    // posting count), so a count beyond the remaining bytes is forged.
+    if (num_objects > section.remaining()) {
+      return Status::Corruption("EventStore: object index count out of range");
+    }
+    std::int64_t object = 0;
+    bool first_object = true;
+    for (std::uint64_t o = 0; o < num_objects; ++o) {
+      SITM_ASSIGN_OR_RETURN(const std::int64_t delta, section.ReadSVarint64());
+      if (!first_object && delta <= 0) {
+        return Status::Corruption(
+            "EventStore: object index ids not strictly ascending");
+      }
+      object += delta;
+      first_object = false;
+      SITM_ASSIGN_OR_RETURN(const std::uint64_t num_postings,
+                            section.ReadVarint64());
+      if (num_postings == 0 || num_postings > reader.blocks_.size()) {
+        return Status::Corruption(
+            "EventStore: object posting list size out of range");
+      }
+      std::vector<std::uint32_t> postings;
+      postings.reserve(num_postings);
+      std::uint64_t block = 0;
+      for (std::uint64_t p = 0; p < num_postings; ++p) {
+        SITM_ASSIGN_OR_RETURN(const std::uint64_t block_delta,
+                              section.ReadVarint64());
+        if (p > 0 && block_delta == 0) {
+          return Status::Corruption(
+              "EventStore: object postings not strictly ascending");
+        }
+        block += block_delta;
+        if (block >= reader.blocks_.size()) {
+          return Status::Corruption(
+              "EventStore: object posting names block " +
+              std::to_string(block) + " of " +
+              std::to_string(reader.blocks_.size()));
+        }
+        postings.push_back(static_cast<std::uint32_t>(block));
+      }
+      reader.object_index_.emplace(object, std::move(postings));
+    }
+    if (!section.empty()) {
+      return Status::Corruption(
+          "EventStore: trailing bytes in object index section");
+    }
+    seen_object_index = true;
   }
   if (!footer.empty()) {
     return Status::Corruption("EventStore: trailing bytes in footer");
+  }
+  if (!seen_object_index) {
+    return Status::Corruption("EventStore: missing object index");
   }
   return reader;
 }
@@ -856,7 +810,7 @@ std::vector<std::size_t> EventStoreReader::CandidateBlocks(
     const ScanOptions& scan) const {
   std::vector<std::size_t> out;
   if (scan.EmptyWindow()) return out;
-  if (!scan.objects.empty() && has_object_index_) {
+  if (!scan.objects.empty()) {
     // Union of the per-object posting lists. Each list is strictly
     // ascending, so sort + unique over the concatenation restores scan
     // order; every surviving block is then re-checked against the full
@@ -896,7 +850,6 @@ Result<std::string_view> EventStoreReader::BlockPayload(std::size_t i) const {
 bool EventStoreReader::BlockMatches(std::size_t i,
                                     const ScanOptions& scan) const {
   const BlockMeta& meta = blocks_[i];
-  if (scan.EmptyWindow()) return false;
   if (!scan.objects.empty()) {
     // scan.objects is sorted: the block survives iff some requested id
     // falls inside its [min_object, max_object] envelope.
@@ -906,40 +859,42 @@ bool EventStoreReader::BlockMatches(std::size_t i,
       return false;
     }
   }
-  if (scan.min_time.has_value() &&
-      meta.max_time < scan.min_time->seconds_since_epoch()) {
-    return false;
-  }
-  if (scan.max_time.has_value() &&
-      meta.min_time > scan.max_time->seconds_since_epoch()) {
-    return false;
-  }
-  return true;
+  return WindowIntersects(scan.min_time, scan.max_time,
+                          Timestamp(meta.min_time), Timestamp(meta.max_time));
 }
 
-Status EventStoreReader::ReadDetectionBlock(
-    std::size_t i, const ScanOptions& scan,
-    std::vector<core::RawDetection>& out) const {
-  if (kind_ != StoreKind::kDetections) {
+Result<std::optional<std::string>> EventStoreReader::DecodeBlock(
+    std::size_t i, StoreKind kind, const ScanOptions& scan) const {
+  if (kind_ != kind) {
     return Status::FailedPrecondition(
-        "EventStore: not a detection store");
+        kind == StoreKind::kDetections ? "EventStore: not a detection store"
+                                       : "EventStore: not a trajectory store");
   }
   if (i >= blocks_.size()) {
     return Status::InvalidArgument("EventStore: block index " +
                                    std::to_string(i) + " out of range");
   }
-  if (!BlockMatches(i, scan)) return Status::OK();
+  if (!BlockMatches(i, scan)) return std::optional<std::string>();
   SITM_ASSIGN_OR_RETURN(const std::string_view payload, BlockPayload(i));
-  const auto n = static_cast<std::size_t>(blocks_[i].rows);
+  const BlockMeta& meta = blocks_[i];
   // Honest raw columns never exceed ~10 varint bytes per value; the cap
   // bounds what a forged decompressed-size field can allocate.
   SITM_ASSIGN_OR_RETURN(
-      const BlockColumns columns,
-      DecodeBlockPayload(version_, payload,
-                         blocks_[i].rows * 80 + blocks_[i].trajectories * 48 +
-                             64,
-                         blocks_[i].rows, i));
-  ByteReader reader(columns.View(payload));
+      std::string columns,
+      DecodeBlockPayload(payload,
+                         meta.rows * 80 + meta.trajectories * 48 + 64,
+                         meta.rows, i));
+  return std::optional<std::string>(std::move(columns));
+}
+
+Status EventStoreReader::ReadDetectionBlock(
+    std::size_t i, const ScanOptions& scan,
+    std::vector<core::RawDetection>& out) const {
+  SITM_ASSIGN_OR_RETURN(const std::optional<std::string> columns,
+                        DecodeBlock(i, StoreKind::kDetections, scan));
+  if (!columns.has_value()) return Status::OK();
+  const auto n = static_cast<std::size_t>(blocks_[i].rows);
+  ByteReader reader(*columns);
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> objects,
                         ReadDeltaColumn(reader, n));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> cells,
@@ -969,26 +924,13 @@ Status EventStoreReader::ReadDetectionBlock(
 Status EventStoreReader::ReadTrajectoryBlock(
     std::size_t i, const ScanOptions& scan,
     const TrajectoryVisitor& visit) const {
-  if (kind_ != StoreKind::kTrajectories) {
-    return Status::FailedPrecondition(
-        "EventStore: not a trajectory store");
-  }
-  if (i >= blocks_.size()) {
-    return Status::InvalidArgument("EventStore: block index " +
-                                   std::to_string(i) + " out of range");
-  }
-  if (!BlockMatches(i, scan)) return Status::OK();
-  SITM_ASSIGN_OR_RETURN(const std::string_view payload, BlockPayload(i));
+  SITM_ASSIGN_OR_RETURN(const std::optional<std::string> columns,
+                        DecodeBlock(i, StoreKind::kTrajectories, scan));
+  if (!columns.has_value()) return Status::OK();
   const auto rows = static_cast<std::size_t>(blocks_[i].rows);
   const auto num_trajectories =
       static_cast<std::size_t>(blocks_[i].trajectories);
-  SITM_ASSIGN_OR_RETURN(
-      const BlockColumns columns,
-      DecodeBlockPayload(version_, payload,
-                         blocks_[i].rows * 80 + blocks_[i].trajectories * 48 +
-                             64,
-                         blocks_[i].rows, i));
-  ByteReader reader(columns.View(payload));
+  ByteReader reader(*columns);
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> traj_ids,
                         ReadDeltaColumn(reader, num_trajectories));
   SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> traj_objects,
@@ -1135,14 +1077,16 @@ EventStoreReader::ReadTrajectories(const ScanOptions& scan) const {
 bool EventStoreReader::BlockMayContainAnnotation(std::size_t i,
                                                  core::AnnotationKind kind,
                                                  std::string_view value) const {
-  // No bitmap section (pre-v3 file, or no annotations at all): every
-  // block may match — the conservative answer.
+  // No bitmap section (no annotations at all): every block may match —
+  // the conservative answer.
   if (annotation_terms_.empty() || i >= blocks_.size()) return true;
+  // The table's own order: kind, then value, compared in place.
   const auto it = std::lower_bound(
-      annotation_terms_.begin(), annotation_terms_.end(),
-      std::make_pair(kind, std::string(value)),
-      [](const auto& a, const auto& b) {
-        return a.first != b.first ? a.first < b.first : a.second < b.second;
+      annotation_terms_.begin(), annotation_terms_.end(), kind,
+      [value](const std::pair<core::AnnotationKind, std::string>& term,
+              core::AnnotationKind k) {
+        if (term.first != k) return term.first < k;
+        return std::string_view(term.second) < value;
       });
   if (it == annotation_terms_.end() || it->first != kind ||
       it->second != value) {
@@ -1164,14 +1108,6 @@ Status EventStoreReader::VerifyChecksums() const {
     SITM_RETURN_IF_ERROR(BlockPayload(i).status());
   }
   return Status::OK();
-}
-
-Result<std::vector<core::SemanticTrajectory>> RunPipelineFromStore(
-    const EventStoreReader& reader, core::BatchPipeline& pipeline,
-    const ScanOptions& scan) {
-  SITM_ASSIGN_OR_RETURN(std::vector<core::RawDetection> detections,
-                        reader.ReadDetections(scan));
-  return pipeline.Run(std::move(detections));
 }
 
 }  // namespace sitm::storage

@@ -13,7 +13,6 @@
 #include "base/result.h"
 #include "base/task_runner.h"
 #include "core/builder.h"
-#include "core/pipeline.h"
 #include "core/trajectory.h"
 #include "storage/mapped_file.h"
 
@@ -40,7 +39,7 @@ namespace sitm::storage {
 ///   blocks   : column payloads, back to back (per-kind layout below)
 ///   footer   : annotation dictionary + block index (offset, length,
 ///              rows, trajectories, min/max object, min/max time,
-///              checksum per block) + optional sections (v2+)
+///              checksum per block) + length-framed sections
 ///   trailer  : footer offset u64, footer length u64, footer checksum
 ///              u64, trailing magic u64
 ///
@@ -69,27 +68,26 @@ namespace sitm::storage {
 ///       a sound over-approximation annotation predicates prune with.
 ///       Writers always emit the object index and, when the file has
 ///       any annotation, the bitmaps.
-/// Writers emit version 3 only; readers accept versions 1 through 3.
+/// Writers emit version 3 only, and readers accept version 3 only (with
+/// exactly one object-index section): no code writes v1 or v2 any more,
+/// so refusing them breaks no stored data, as with the retired codec ids.
 ///
 /// Corruption safety: every decode path is bounds-checked (Corruption,
 /// never UB, on truncated or bit-flipped files), footer and blocks are
 /// checksummed, and unknown versions/kinds/codecs are rejected. Forged
 /// counts cannot drive a huge decode allocation: every row takes at
 /// least one byte in each raw column, so a block's rows are bounded by
-/// its raw column bytes — the payload itself in v1/v2, the declared
-/// decompressed size in v3 — and that size by kMaxBlockExpansion times
-/// the payload.
+/// its declared decompressed size, and that size by kMaxBlockExpansion
+/// times the payload.
 
 /// Leading and trailing file magic ("SITMEVST" / "SITMTRLR" as bytes).
 inline constexpr char kStoreMagic[8] = {'S', 'I', 'T', 'M',
                                         'E', 'V', 'S', 'T'};
 inline constexpr char kTrailerMagic[8] = {'S', 'I', 'T', 'M',
                                           'T', 'R', 'L', 'R'};
-/// Current on-disk format version.
+/// The on-disk format version, the one writers emit and readers accept.
 inline constexpr std::uint32_t kStoreVersion = 3;
-/// Oldest format version readers still accept.
-inline constexpr std::uint32_t kMinStoreVersion = 1;
-/// Footer section kinds (v2+).
+/// Footer section kinds.
 inline constexpr std::uint64_t kSectionObjectIndex = 1;
 inline constexpr std::uint64_t kSectionAnnotationBitmaps = 2;
 /// Byte size of the fixed file header (magic + version + kind).
@@ -196,6 +194,18 @@ class EventStoreWriter {
   /// Registers an annotation set in the file dictionary, returning its
   /// index (stable across the file).
   std::uint32_t DictionaryId(const core::AnnotationSet& set);
+  /// The checks both Append overloads start with: the writer is not
+  /// finished, and the batch's kind is the store's.
+  [[nodiscard]] Status CheckAppend(StoreKind batch) const;
+  /// One encoded block, ready to be written (defined with the writer).
+  struct EncodedBlock;
+  /// The encode-and-commit step both Append overloads share: encodes
+  /// blocks 0..num_blocks-1 with `encode` (in parallel on the
+  /// executor), then writes them in index order, recording each block's
+  /// object postings, stats and dictionary ids.
+  [[nodiscard]] Status EncodeBlocks(
+      std::size_t num_blocks,
+      const std::function<EncodedBlock(std::size_t)>& encode);
 
   /// Closes the file on destruction; Finish closes it itself to check
   /// fclose's result.
@@ -225,6 +235,19 @@ class EventStoreWriter {
   StoreStats stats_;
 };
 
+/// The closed-window rule every scan, footer and predicate shares: true
+/// iff [start, end] intersects [min, max]. An unset bound is open, and
+/// an inverted window (max < min) is empty, so it matches nothing, not
+/// even a span that straddles it.
+inline bool WindowIntersects(const std::optional<Timestamp>& min,
+                             const std::optional<Timestamp>& max,
+                             Timestamp start, Timestamp end) {
+  if (min.has_value() && max.has_value() && *max < *min) return false;
+  if (min.has_value() && end < *min) return false;
+  if (max.has_value() && start > *max) return false;
+  return true;
+}
+
 /// Predicate pushed down into a scan. Blocks whose footer stats cannot
 /// match are skipped without reading their bytes; surviving blocks are
 /// decoded and filtered row-wise (kDetections) or trajectory-wise
@@ -235,7 +258,8 @@ class EventStoreWriter {
 /// trajectory in a decoded block is checked, kept or not, and a bad row
 /// is Corruption whatever the scan.
 ///
-/// Time-window semantics (pinned by tests at block boundaries):
+/// Time-window semantics (WindowIntersects; pinned by tests at block
+/// boundaries):
 ///  - the window [min_time, max_time] is CLOSED and both bounds are
 ///    INCLUSIVE: a row matches iff row.end >= min_time and
 ///    row.start <= max_time, so a tuple ending exactly at min_time or
@@ -330,8 +354,8 @@ using TrajectoryVisitor = std::function<void(const TrajectoryView&)>;
 class EventStoreReader {
  public:
   /// Opens and validates header, trailer, and footer (checksum, version,
-  /// kind, block bounds). Block payloads are only touched — and their
-  /// checksums verified — when read.
+  /// kind, block bounds, the one object index). Block payloads are only
+  /// touched — and their checksums verified — when read.
   [[nodiscard]] static Result<EventStoreReader> Open(const std::string& path);
 
   StoreKind kind() const { return kind_; }
@@ -350,11 +374,8 @@ class EventStoreReader {
     return dictionary_;
   }
 
-  /// On-disk format version of the opened file (1, 2, or 3).
-  std::uint32_t version() const { return version_; }
-  /// True when the file carries the v2 secondary object-id index.
-  bool has_object_index() const { return has_object_index_; }
-  /// True when the file carries the v3 annotation-bitmap section.
+  /// True when the file carries the annotation-bitmap section (it holds
+  /// some annotation).
   bool has_annotation_bitmaps() const { return !annotation_terms_.empty(); }
   /// Footer checksum from the trailer. Finished stores are immutable,
   /// so this (with file_bytes) identifies the file's entire contents —
@@ -362,22 +383,21 @@ class EventStoreReader {
   std::uint64_t trailer_checksum() const { return trailer_checksum_; }
 
   /// \brief Bitmap pruning for annotation predicates: false only when
-  /// the v3 annotation bitmaps prove no annotation set referenced by
-  /// block `i` contains `kind:value` — in particular false for every
-  /// block when the term appears nowhere in the file. True whenever the
-  /// file carries no bitmaps (sound: absence of evidence prunes
-  /// nothing).
+  /// the annotation bitmaps prove no annotation set referenced by block
+  /// `i` contains `kind:value` — in particular false for every block
+  /// when the term appears nowhere in the file. True whenever the file
+  /// carries no bitmaps (sound: absence of evidence prunes nothing).
   bool BlockMayContainAnnotation(std::size_t i, core::AnnotationKind kind,
                                  std::string_view value) const;
 
   /// Footer-stats pruning: false when block `i` cannot contain a match.
   bool BlockMatches(std::size_t i, const ScanOptions& scan) const;
 
-  /// Blocks a scan must touch, ascending: when the scan names an object
-  /// and the store carries the object index, exactly that object's
-  /// posting list; otherwise every block — in both cases filtered by
-  /// BlockMatches footer stats. This is the block set the full scans
-  /// below iterate, exposed so external executors can stream it.
+  /// Blocks a scan must touch, ascending: when the scan names objects,
+  /// exactly the union of their posting lists in the object index;
+  /// otherwise every block — in both cases filtered by BlockMatches
+  /// footer stats. This is the block set the full scans below iterate,
+  /// exposed so external executors can stream it.
   std::vector<std::size_t> CandidateBlocks(const ScanOptions& scan) const;
 
   /// Full scans (all blocks, with pushdown).
@@ -408,17 +428,22 @@ class EventStoreReader {
 
  private:
   [[nodiscard]] Result<std::string_view> BlockPayload(std::size_t i) const;
+  /// The one step from block index to checked column bytes, shared by
+  /// both block reads: checks the store kind (`kind` names the caller's)
+  /// and the index, answers nullopt for a block the scan's footer stats
+  /// rule out, then verifies the checksum and decompresses under the
+  /// block's allocation cap.
+  [[nodiscard]] Result<std::optional<std::string>> DecodeBlock(
+      std::size_t i, StoreKind kind, const ScanOptions& scan) const;
 
   MappedFile file_;
   StoreKind kind_ = StoreKind::kDetections;
-  std::uint32_t version_ = kStoreVersion;
-  bool has_object_index_ = false;
   std::uint64_t trailer_checksum_ = 0;
   std::vector<BlockMeta> blocks_;
   std::vector<core::AnnotationSet> dictionary_;
-  /// v2 secondary index: object id -> ascending block indices.
+  /// Secondary index: object id -> ascending block indices.
   std::unordered_map<std::int64_t, std::vector<std::uint32_t>> object_index_;
-  /// v3 annotation bitmaps: the term table, ascending by (kind, value),
+  /// Annotation bitmaps: the term table, ascending by (kind, value),
   /// and one bitmap of annotation_terms_.size() bits per block (flat,
   /// bytes_per_bitmap bytes each, LSB first).
   std::vector<std::pair<core::AnnotationKind, std::string>> annotation_terms_;
@@ -426,14 +451,6 @@ class EventStoreReader {
   std::uint64_t rows_ = 0;
   std::uint64_t trajectories_ = 0;
 };
-
-/// \brief Runs a BatchPipeline straight off a detection store: streams
-/// matching blocks (footer pushdown applied), then executes build ->
-/// enrich -> infer on the surviving detections. The store replaces the
-/// in-memory detection vector as the pipeline source.
-[[nodiscard]] Result<std::vector<core::SemanticTrajectory>> RunPipelineFromStore(
-    const EventStoreReader& reader, core::BatchPipeline& pipeline,
-    const ScanOptions& scan = {});
 
 }  // namespace sitm::storage
 

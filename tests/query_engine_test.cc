@@ -371,7 +371,6 @@ TEST(PlannerTest, PlanBlocksUsesObjectIndex) {
   ASSERT_TRUE(writer->Finish().ok());
   const auto reader = storage::EventStoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  ASSERT_TRUE(reader->has_object_index());
 
   const ObjectId target = trajectories[trajectories.size() / 2].object();
   const QueryPlan plan = Plan(ObjectIs(target));

@@ -262,8 +262,10 @@ TEST(EventStoreRoundTripTest, PipelineConsumesStraightFromStore) {
   ASSERT_TRUE(WriteDetectionStore(path, detections).ok());
   const auto reader = EventStoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
+  auto stored = reader->ReadDetections();
+  ASSERT_TRUE(stored.ok()) << stored.status();
   core::BatchPipeline pipeline(FullPipelineOptions());
-  const auto from_store = RunPipelineFromStore(*reader, pipeline);
+  const auto from_store = pipeline.Run(std::move(stored).value());
   ASSERT_TRUE(from_store.ok()) << from_store.status();
   ExpectTrajectoriesEqual(expected, *from_store);
   std::remove(path.c_str());
@@ -559,8 +561,6 @@ TEST(EventStoreObjectIndexTest, PostingListsPruneBlocksExactly) {
   ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
   const auto reader = EventStoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->version(), kStoreVersion);
-  ASSERT_TRUE(reader->has_object_index());
   ASSERT_GT(reader->num_blocks(), 4u);
 
   for (std::size_t pick : {std::size_t{0}, trajectories.size() / 2,
@@ -632,6 +632,59 @@ TEST(EventStoreObjectIndexTest, ForgedPostingBlockIsCorruption) {
   EXPECT_EQ(reader.status().code(), StatusCode::kCorruption);
   std::remove(path.c_str());
   std::remove(forged_path.c_str());
+}
+
+TEST(EventStoreObjectIndexTest, MissingObjectIndexIsCorruption) {
+  // Every writer emits the object index, so a v3 file without one is
+  // forged, even with its footer checksum repaired. One object, one
+  // block, no annotations: the footer ends in the section count and the
+  // index section (kind, length, then its four payload bytes).
+  const ObjectId object(5);
+  const CellId cell(1);
+  const std::vector<core::RawDetection> detections = {
+      {object, cell, Timestamp(100), Timestamp(110)},
+      {object, cell, Timestamp(120), Timestamp(130)},
+  };
+  const std::string path = TempPath("missing_index.evst");
+  ASSERT_TRUE(WriteDetectionStore(path, detections).ok());
+  auto bytes_result = io::ReadFile(path);
+  ASSERT_TRUE(bytes_result.ok());
+  const std::string bytes = *bytes_result;
+  const std::size_t trailer_at = bytes.size() - kStoreTrailerSize;
+  ByteReader trailer(bytes.data() + trailer_at, kStoreTrailerSize);
+  const std::uint64_t footer_offset = *trailer.ReadU64();
+  const std::uint64_t footer_length = *trailer.ReadU64();
+  const std::string footer = bytes.substr(footer_offset, footer_length);
+  ASSERT_EQ(footer.substr(footer.size() - 7),
+            std::string("\x01\x01\x04\x01\x0a\x01\x00", 7))
+      << "test assumes the footer ends in the lone index section";
+
+  // Re-frames `forged_footer` behind the blocks with a repaired trailer.
+  auto open = [&](const std::string& forged_footer) {
+    std::string forged = bytes.substr(0, footer_offset) + forged_footer;
+    PutU64(forged, footer_offset);
+    PutU64(forged, forged_footer.size());
+    PutU64(forged, Checksum(forged_footer));
+    forged.append(kTrailerMagic, sizeof(kTrailerMagic));
+    const std::string forged_path = TempPath("missing_index_variant.evst");
+    EXPECT_TRUE(io::WriteFile(forged_path, forged).ok());
+    const Status status = EventStoreReader::Open(forged_path).status();
+    std::remove(forged_path.c_str());
+    return status;
+  };
+  // The harness itself: the unforged footer reopens.
+  EXPECT_TRUE(open(footer).ok());
+  // No sections at all.
+  const Status dropped =
+      open(footer.substr(0, footer.size() - 7) + std::string(1, '\0'));
+  EXPECT_EQ(dropped.code(), StatusCode::kCorruption) << dropped;
+  EXPECT_NE(dropped.message().find("missing object index"), std::string::npos)
+      << dropped;
+  // The index relabelled as an unknown section kind, which readers skip.
+  std::string relabelled = footer;
+  relabelled[footer.size() - 6] = 9;
+  EXPECT_EQ(open(relabelled).code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -799,7 +852,7 @@ TEST(EventStoreWriterTest, StatsCountRowsBlocksAndBytes) {
 
 TEST(EventStoreCodecTest, LzBlocksRoundTripRandomDatasets) {
   // Property: LZ blocks are lossless at every block size, for both
-  // store kinds, and the reader reports version 3.
+  // store kinds.
   for (const std::uint64_t seed : {4u, 77u}) {
     const auto detections = SimulatedDetections(seed, 80);
     const auto trajectories = BuildTrajectories(detections);
@@ -812,7 +865,6 @@ TEST(EventStoreCodecTest, LzBlocksRoundTripRandomDatasets) {
       ASSERT_TRUE(WriteTrajectoryStore(traj_path, trajectories, options).ok());
       const auto traj_reader = EventStoreReader::Open(traj_path);
       ASSERT_TRUE(traj_reader.ok()) << traj_reader.status();
-      EXPECT_EQ(traj_reader->version(), 3u);
       EXPECT_TRUE(traj_reader->VerifyChecksums().ok());
       const auto restored = traj_reader->ReadTrajectories();
       ASSERT_TRUE(restored.ok()) << restored.status();
@@ -832,8 +884,8 @@ TEST(EventStoreCodecTest, LzBlocksRoundTripRandomDatasets) {
 }
 
 // ---------------------------------------------------------------------------
-// Version compatibility: the writer's v3 bytes are pinned, and v3
-// readers accept the checked-in v1/v2 files.
+// Version compatibility: the writer's v3 bytes are pinned, and readers
+// refuse the checked-in v1/v2 files.
 // ---------------------------------------------------------------------------
 
 /// A fixed dataset for the byte-identity goldens: 7 trajectories over 5
@@ -922,11 +974,12 @@ TEST(EventStoreCompatTest, V3EmissionIsByteIdenticalToPinnedGoldens) {
   }
 }
 
-TEST(EventStoreCompatTest, V2EmissionIsByteIdenticalToPinnedGoldens) {
+TEST(EventStoreCompatTest, PreV3FilesAreRefused) {
   // Files written by the v1/v2 writers over GoldenTrajectories(), checked
   // in under tests/data. The checksums were pinned when those writers
   // still existed, so they prove each fixture is the old writer's exact
-  // output; the v3 reader must still consume them losslessly.
+  // output; readers accept v3 only and must refuse each one, naming its
+  // version.
   struct Golden {
     const char* file;
     std::uint32_t version;
@@ -938,7 +991,6 @@ TEST(EventStoreCompatTest, V2EmissionIsByteIdenticalToPinnedGoldens) {
       {"golden_v2_rpb4096.evst", 2, 0xc24024e8c4324573ull},
       {"golden_v1_rpb4096.evst", 1, 0x6bf1f71ef7d37ad1ull},
   };
-  const auto trajectories = GoldenTrajectories();
   for (const Golden& golden : goldens) {
     SCOPED_TRACE(golden.file);
     const std::string path =
@@ -947,31 +999,12 @@ TEST(EventStoreCompatTest, V2EmissionIsByteIdenticalToPinnedGoldens) {
     ASSERT_TRUE(bytes.ok()) << bytes.status();
     EXPECT_EQ(Checksum(*bytes), golden.checksum);
 
-    const auto reader = EventStoreReader::Open(path);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    EXPECT_EQ(reader->version(), golden.version);
-    EXPECT_EQ(reader->has_object_index(), golden.version == 2);
-    // No bitmap section before v3: every block answers "maybe".
-    EXPECT_FALSE(reader->has_annotation_bitmaps());
-    for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
-      EXPECT_TRUE(reader->BlockMayContainAnnotation(
-          i, core::AnnotationKind::kGoal, "no-such-term"));
-    }
-    const auto restored = reader->ReadTrajectories();
-    ASSERT_TRUE(restored.ok()) << restored.status();
-    ExpectTrajectoriesEqual(trajectories, *restored);
-
-    // Point lookup: v2 answers from its posting lists, v1 falls back to
-    // per-block min/max pruning; both find exactly the object's rows.
-    const ObjectId target = trajectories[2].object();
-    const auto point = reader->ReadTrajectories(ScanOptions::ForObject(target));
-    ASSERT_TRUE(point.ok()) << point.status();
-    std::vector<core::SemanticTrajectory> expected;
-    for (const auto& t : trajectories) {
-      if (t.object() == target) expected.push_back(t);
-    }
-    ASSERT_FALSE(expected.empty());
-    ExpectTrajectoriesEqual(expected, *point);
+    const Status status = EventStoreReader::Open(path).status();
+    EXPECT_EQ(status.code(), StatusCode::kCorruption);
+    EXPECT_NE(status.message().find("unsupported format version " +
+                                    std::to_string(golden.version)),
+              std::string::npos)
+        << status;
   }
 }
 
@@ -1166,6 +1199,24 @@ TEST(EventStoreAnnotationBitmapTest, PruningIsASoundOverApproximation) {
         i, core::AnnotationKind::kGoal, "no-such-term"));
   }
   std::remove(path.c_str());
+
+  // A file without any annotation carries no bitmaps, and then every
+  // block answers "maybe": absence of evidence prunes nothing.
+  const std::string plain_path = TempPath("bitmap_absent.evst");
+  WriterOptions small_blocks;
+  small_blocks.rows_per_block = 16;
+  ASSERT_TRUE(WriteDetectionStore(plain_path, SimulatedDetections(13, 20),
+                                  small_blocks)
+                  .ok());
+  const auto plain = EventStoreReader::Open(plain_path);
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  EXPECT_FALSE(plain->has_annotation_bitmaps());
+  ASSERT_GT(plain->num_blocks(), 1u);
+  for (std::size_t i = 0; i < plain->num_blocks(); ++i) {
+    EXPECT_TRUE(plain->BlockMayContainAnnotation(
+        i, core::AnnotationKind::kGoal, "no-such-term"));
+  }
+  std::remove(plain_path.c_str());
 }
 
 TEST(EventStoreAnnotationBitmapTest, ForgedBitmapSectionIsCorruption) {
