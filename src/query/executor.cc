@@ -448,12 +448,6 @@ Result<QueryResult> QueryExecutor::Run(
 
 Result<QueryResult> QueryExecutor::Run(
     const Query& query, const storage::EventStoreReader& reader) const {
-  if (reader.kind() != storage::StoreKind::kTrajectories) {
-    return Status::FailedPrecondition(
-        "query: store-backed execution needs a trajectory store "
-        "(run a BatchPipeline over a detection store's ReadDetections "
-        "first)");
-  }
   SITM_ASSIGN_OR_RETURN(const BoundQuery bound, BindQuery(query, context_));
   const QueryPlan plan = Plan(bound.where);
 

@@ -141,20 +141,15 @@ bool RowMatches(const ScanOptions& scan, ObjectId object, Timestamp start,
   return WindowIntersects(scan.min_time, scan.max_time, start, end);
 }
 
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Writer.
-// ---------------------------------------------------------------------------
-
-struct EventStoreWriter::EncodedBlock {
+/// One encoded block, ready to be written.
+struct EncodedBlock {
   std::string payload;
   BlockMeta meta;  ///< offset is set when the block is committed
   /// Distinct raw object ids in the block, ascending (feeds the
   /// secondary object-id index).
   std::vector<std::int64_t> objects;
   /// Distinct dictionary ids referenced by the block, ascending (feeds
-  /// the annotation bitmaps; empty for detection blocks).
+  /// the annotation bitmaps).
   std::vector<std::uint32_t> dictionary_ids;
 
   /// Frames `columns` as the block payload — the codec id, the column
@@ -169,10 +164,16 @@ struct EventStoreWriter::EncodedBlock {
   }
 };
 
+}  // namespace
+
+// ---------------------------------------------------------------------------
+// Writer.
+// ---------------------------------------------------------------------------
+
 Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
                                                   StoreKind kind,
                                                   WriterOptions options) {
-  if (kind != StoreKind::kDetections && kind != StoreKind::kTrajectories) {
+  if (kind != StoreKind::kTrajectories) {
     return Status::InvalidArgument("EventStore: unknown store kind");
   }
   if (options.rows_per_block == 0) {
@@ -184,7 +185,6 @@ Result<EventStoreWriter> EventStoreWriter::Create(const std::string& path,
     return Status::IOError("EventStore: cannot open '" + path +
                            "' for writing");
   }
-  writer.kind_ = kind;
   writer.options_ = options;
   std::string header(kStoreMagic, sizeof(kStoreMagic));
   PutU32(header, kStoreVersion);
@@ -224,95 +224,11 @@ std::uint32_t EventStoreWriter::DictionaryId(const core::AnnotationSet& set) {
   return last_dictionary_id_ = id;
 }
 
-Status EventStoreWriter::CheckAppend(StoreKind batch) const {
+Status EventStoreWriter::Append(
+    const std::vector<core::SemanticTrajectory>& trajectories) {
   if (finished_) {
     return Status::FailedPrecondition("EventStore: writer already finished");
   }
-  if (kind_ != batch) {
-    return Status::InvalidArgument(
-        batch == StoreKind::kDetections
-            ? "EventStore: detection batch appended to a trajectory store"
-            : "EventStore: trajectory batch appended to a detection store");
-  }
-  return Status::OK();
-}
-
-Status EventStoreWriter::EncodeBlocks(
-    std::size_t num_blocks,
-    const std::function<EncodedBlock(std::size_t)>& encode) {
-  // Thread-safety: each task encodes one block of the (read-only) batch
-  // into its own EncodedBlock slot; the file is written sequentially
-  // afterwards, so bytes on disk are identical at every worker count.
-  std::vector<EncodedBlock> encoded = sched::ParallelMap<EncodedBlock>(
-      options_.executor, num_blocks, encode, /*grain=*/0, "store/encode");
-  for (EncodedBlock& block : encoded) {
-    block.meta.offset = offset_;
-    SITM_RETURN_IF_ERROR(WriteRaw(block.payload));
-    const auto block_index = static_cast<std::uint32_t>(blocks_.size());
-    for (std::int64_t object : block.objects) {
-      object_blocks_[object].push_back(block_index);
-    }
-    stats_.rows += block.meta.rows;
-    stats_.trajectories += block.meta.trajectories;
-    stats_.blocks += 1;
-    stats_.payload_bytes += block.meta.length;
-    blocks_.push_back(block.meta);
-    block_dictionary_ids_.push_back(std::move(block.dictionary_ids));
-  }
-  return Status::OK();
-}
-
-Status EventStoreWriter::Append(
-    const std::vector<core::RawDetection>& detections) {
-  SITM_RETURN_IF_ERROR(CheckAppend(StoreKind::kDetections));
-  for (const core::RawDetection& d : detections) {
-    if (d.end < d.start) {
-      return Status::InvalidArgument(
-          "EventStore: detection with end before start (object #" +
-          std::to_string(d.object.value()) + ")");
-    }
-  }
-  if (detections.empty()) return Status::OK();
-
-  const std::size_t per_block = options_.rows_per_block;
-  const std::size_t num_blocks = (detections.size() + per_block - 1) / per_block;
-  return EncodeBlocks(num_blocks, [&](std::size_t b) {
-    const std::size_t begin = b * per_block;
-    const std::size_t end = std::min(begin + per_block, detections.size());
-    const std::size_t n = end - begin;
-    std::vector<std::int64_t> objects, cells, starts;
-    std::vector<std::uint64_t> durations;
-    objects.reserve(n);
-    cells.reserve(n);
-    starts.reserve(n);
-    durations.reserve(n);
-    EncodedBlock block;
-    for (std::size_t i = begin; i < end; ++i) {
-      const core::RawDetection& d = detections[i];
-      objects.push_back(d.object.value());
-      cells.push_back(d.cell.value());
-      starts.push_back(d.start.seconds_since_epoch());
-      durations.push_back(
-          static_cast<std::uint64_t>((d.end - d.start).seconds()));
-      FoldRowStats(block.meta, i == begin, d.object.value(),
-                   d.start.seconds_since_epoch(),
-                   d.end.seconds_since_epoch());
-    }
-    std::string columns;
-    PutDeltaColumn(columns, objects);
-    PutDeltaColumn(columns, cells);
-    PutDeltaColumn(columns, starts);
-    PutVarintColumn(columns, durations);
-    block.SetPayload(columns);
-    block.meta.rows = n;
-    block.objects = SortedUnique(std::move(objects));
-    return block;
-  });
-}
-
-Status EventStoreWriter::Append(
-    const std::vector<core::SemanticTrajectory>& trajectories) {
-  SITM_RETURN_IF_ERROR(CheckAppend(StoreKind::kTrajectories));
   if (trajectories.empty()) return Status::OK();
 
   // Flatten the batch into column vectors (and assign dictionary ids —
@@ -386,7 +302,10 @@ Status EventStoreWriter::Append(
     row_cursor = range.row_end;
   }
 
-  return EncodeBlocks(ranges.size(), [&](std::size_t b) {
+  // Thread-safety: each task encodes one block of the (read-only) batch
+  // into its own EncodedBlock slot; the file is written sequentially
+  // afterwards, so bytes on disk are identical at every worker count.
+  auto encode = [&](std::size_t b) {
     const BlockRange& range = ranges[b];
     EncodedBlock block;
     const std::size_t t0 = range.traj_begin, nt = range.traj_end - t0;
@@ -435,7 +354,24 @@ Status EventStoreWriter::Append(
         traj_objects.begin() + static_cast<std::ptrdiff_t>(t0),
         traj_objects.begin() + static_cast<std::ptrdiff_t>(t0 + nt)));
     return block;
-  });
+  };
+  std::vector<EncodedBlock> encoded = sched::ParallelMap<EncodedBlock>(
+      options_.executor, ranges.size(), encode, /*grain=*/0, "store/encode");
+  for (EncodedBlock& block : encoded) {
+    block.meta.offset = offset_;
+    SITM_RETURN_IF_ERROR(WriteRaw(block.payload));
+    const auto block_index = static_cast<std::uint32_t>(blocks_.size());
+    for (std::int64_t object : block.objects) {
+      object_blocks_[object].push_back(block_index);
+    }
+    stats_.rows += block.meta.rows;
+    stats_.trajectories += block.meta.trajectories;
+    stats_.blocks += 1;
+    stats_.payload_bytes += block.meta.length;
+    blocks_.push_back(block.meta);
+    block_dictionary_ids_.push_back(std::move(block.dictionary_ids));
+  }
+  return Status::OK();
 }
 
 Status EventStoreWriter::Finish() {
@@ -587,12 +523,10 @@ Result<EventStoreReader> EventStoreReader::Open(const std::string& path) {
                               std::to_string(version));
   }
   SITM_ASSIGN_OR_RETURN(const std::uint32_t kind, header.ReadU32());
-  if (kind != static_cast<std::uint32_t>(StoreKind::kDetections) &&
-      kind != static_cast<std::uint32_t>(StoreKind::kTrajectories)) {
+  if (kind != static_cast<std::uint32_t>(StoreKind::kTrajectories)) {
     return Status::Corruption("EventStore: unknown store kind " +
                               std::to_string(kind));
   }
-  reader.kind_ = static_cast<StoreKind>(kind);
 
   ByteReader trailer(file.data() + file.size() - kStoreTrailerSize,
                      kStoreTrailerSize);
@@ -803,6 +737,14 @@ Result<EventStoreReader> EventStoreReader::Open(const std::string& path) {
   if (!seen_object_index) {
     return Status::Corruption("EventStore: missing object index");
   }
+  // Writers emit the bitmaps whenever some dictionary set is non-empty,
+  // so a file with annotations and no bitmaps is forged; without any,
+  // the empty term table then rightly prunes every annotation term.
+  if (reader.annotation_terms_.empty() &&
+      std::any_of(reader.dictionary_.begin(), reader.dictionary_.end(),
+                  [](const core::AnnotationSet& set) { return !set.empty(); })) {
+    return Status::Corruption("EventStore: missing annotation bitmaps");
+  }
   return reader;
 }
 
@@ -864,12 +806,7 @@ bool EventStoreReader::BlockMatches(std::size_t i,
 }
 
 Result<std::optional<std::string>> EventStoreReader::DecodeBlock(
-    std::size_t i, StoreKind kind, const ScanOptions& scan) const {
-  if (kind_ != kind) {
-    return Status::FailedPrecondition(
-        kind == StoreKind::kDetections ? "EventStore: not a detection store"
-                                       : "EventStore: not a trajectory store");
-  }
+    std::size_t i, const ScanOptions& scan) const {
   if (i >= blocks_.size()) {
     return Status::InvalidArgument("EventStore: block index " +
                                    std::to_string(i) + " out of range");
@@ -887,45 +824,11 @@ Result<std::optional<std::string>> EventStoreReader::DecodeBlock(
   return std::optional<std::string>(std::move(columns));
 }
 
-Status EventStoreReader::ReadDetectionBlock(
-    std::size_t i, const ScanOptions& scan,
-    std::vector<core::RawDetection>& out) const {
-  SITM_ASSIGN_OR_RETURN(const std::optional<std::string> columns,
-                        DecodeBlock(i, StoreKind::kDetections, scan));
-  if (!columns.has_value()) return Status::OK();
-  const auto n = static_cast<std::size_t>(blocks_[i].rows);
-  ByteReader reader(*columns);
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> objects,
-                        ReadDeltaColumn(reader, n));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> cells,
-                        ReadDeltaColumn(reader, n));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> starts,
-                        ReadDeltaColumn(reader, n));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> durations,
-                        ReadVarintColumn(reader, n));
-  if (!reader.empty()) {
-    return Status::Corruption("EventStore: trailing bytes in block " +
-                              std::to_string(i));
-  }
-  for (std::size_t r = 0; r < n; ++r) {
-    std::int64_t end = 0;
-    if (!EndFromDuration(starts[r], durations[r], &end)) {
-      return DurationOverflow();
-    }
-    const core::RawDetection detection(ObjectId(objects[r]), CellId(cells[r]),
-                                       Timestamp(starts[r]), Timestamp(end));
-    if (RowMatches(scan, detection.object, detection.start, detection.end)) {
-      out.push_back(detection);
-    }
-  }
-  return Status::OK();
-}
-
 Status EventStoreReader::ReadTrajectoryBlock(
     std::size_t i, const ScanOptions& scan,
     const TrajectoryVisitor& visit) const {
   SITM_ASSIGN_OR_RETURN(const std::optional<std::string> columns,
-                        DecodeBlock(i, StoreKind::kTrajectories, scan));
+                        DecodeBlock(i, scan));
   if (!columns.has_value()) return Status::OK();
   const auto rows = static_cast<std::size_t>(blocks_[i].rows);
   const auto num_trajectories =
@@ -1044,23 +947,8 @@ Status EventStoreReader::ReadTrajectoryBlock(
   return Status::OK();
 }
 
-Result<std::vector<core::RawDetection>> EventStoreReader::ReadDetections(
-    const ScanOptions& scan) const {
-  if (kind_ != StoreKind::kDetections) {
-    return Status::FailedPrecondition("EventStore: not a detection store");
-  }
-  std::vector<core::RawDetection> out;
-  for (std::size_t i : CandidateBlocks(scan)) {
-    SITM_RETURN_IF_ERROR(ReadDetectionBlock(i, scan, out));
-  }
-  return out;
-}
-
 Result<std::vector<core::SemanticTrajectory>>
 EventStoreReader::ReadTrajectories(const ScanOptions& scan) const {
-  if (kind_ != StoreKind::kTrajectories) {
-    return Status::FailedPrecondition("EventStore: not a trajectory store");
-  }
   std::vector<core::SemanticTrajectory> out;
   const bool keeps_all = scan.objects.empty() && !scan.min_time.has_value() &&
                          !scan.max_time.has_value();
@@ -1077,9 +965,7 @@ EventStoreReader::ReadTrajectories(const ScanOptions& scan) const {
 bool EventStoreReader::BlockMayContainAnnotation(std::size_t i,
                                                  core::AnnotationKind kind,
                                                  std::string_view value) const {
-  // No bitmap section (no annotations at all): every block may match —
-  // the conservative answer.
-  if (annotation_terms_.empty() || i >= blocks_.size()) return true;
+  if (i >= blocks_.size()) return true;
   // The table's own order: kind, then value, compared in place.
   const auto it = std::lower_bound(
       annotation_terms_.begin(), annotation_terms_.end(), kind,
@@ -1090,8 +976,9 @@ bool EventStoreReader::BlockMayContainAnnotation(std::size_t i,
       });
   if (it == annotation_terms_.end() || it->first != kind ||
       it->second != value) {
-    // The term table covers every annotation in the file: a term absent
-    // from it appears in no block at all.
+    // The term table covers every annotation in the file (it is empty
+    // only when the file has none): a term absent from it appears in no
+    // block at all.
     return false;
   }
   const auto term =

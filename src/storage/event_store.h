@@ -12,7 +12,6 @@
 
 #include "base/result.h"
 #include "base/task_runner.h"
-#include "core/builder.h"
 #include "core/trajectory.h"
 #include "storage/mapped_file.h"
 
@@ -30,13 +29,17 @@ namespace sitm::storage {
 /// min/max time, so readers prune whole blocks before touching their
 /// bytes (predicate pushdown). The file ends in a checksummed footer
 /// (annotation dictionary + block index) and a fixed trailer locating
-/// it; the header pins magic, format version, and store kind.
+/// it; the header pins magic, format version, and store kind (always
+/// kTrajectories).
 ///
 /// Layout (all integers little-endian; varints are LEB128, signed ones
 /// zigzag-mapped — see storage/columnar.h):
 ///
 ///   header   : magic u64, version u32, kind u32
-///   blocks   : column payloads, back to back (per-kind layout below)
+///   blocks   : column payloads, back to back: per trajectory its id,
+///              object, A_traj and row count, then per row its cell,
+///              transition, start, duration, A_i, transition
+///              annotations and inferred flag
 ///   footer   : annotation dictionary + block index (offset, length,
 ///              rows, trajectories, min/max object, min/max time,
 ///              checksum per block) + length-framed sections
@@ -69,8 +72,11 @@ namespace sitm::storage {
 ///       Writers always emit the object index and, when the file has
 ///       any annotation, the bitmaps.
 /// Writers emit version 3 only, and readers accept version 3 only (with
-/// exactly one object-index section): no code writes v1 or v2 any more,
+/// exactly one object-index section, and the bitmap section whenever the
+/// dictionary holds an annotation): no code writes v1 or v2 any more,
 /// so refusing them breaks no stored data, as with the retired codec ids.
+/// The same holds for store kind 1, the retired per-detection layout:
+/// every store holds trajectories, and Open refuses any other kind.
 ///
 /// Corruption safety: every decode path is bounds-checked (Corruption,
 /// never UB, on truncated or bit-flipped files), footer and blocks are
@@ -107,10 +113,9 @@ inline constexpr std::uint64_t kLzCodecId = 2;
 /// forged block can claim at most 8 KiB per payload byte.
 inline constexpr std::uint64_t kMaxBlockExpansion = 8192;
 
-/// What a store file holds.
+/// What a store file holds, as the header records it. Only trajectory
+/// stores remain; kind 1 (per-detection rows) is retired and refused.
 enum class StoreKind : std::uint32_t {
-  /// Rows are core::RawDetection records (object, cell, start, end).
-  kDetections = 1,
   /// Rows are presence-interval tuples grouped into
   /// core::SemanticTrajectory values (id, object, A_traj + per-tuple
   /// transition, cell, interval, annotation sets, inferred flag).
@@ -138,7 +143,7 @@ struct BlockMeta {
   std::uint64_t offset = 0;  ///< payload start, absolute file offset
   std::uint64_t length = 0;  ///< payload bytes
   std::uint64_t rows = 0;    ///< tuple rows in the block
-  std::uint64_t trajectories = 0;  ///< kTrajectories only (else 0)
+  std::uint64_t trajectories = 0;  ///< trajectories in the block
   std::int64_t min_object = 0;     ///< min/max raw object id in block
   std::int64_t max_object = 0;
   std::int64_t min_time = 0;  ///< earliest tuple start (epoch seconds)
@@ -157,14 +162,16 @@ struct StoreStats {
   std::uint64_t file_bytes = 0;
 };
 
-/// \brief Append-only columnar writer with batched, parallel ingest.
+/// \brief Append-only columnar writer of trajectory stores, with
+/// batched, parallel ingest.
 ///
-/// Usage: Create -> Append (any number of batches, each split into
-/// blocks and column-encoded — in parallel when an executor is set) ->
-/// Finish (writes footer + trailer; the file is unreadable before
-/// this). Append calls must match the store kind.
+/// Usage: Create -> Append (any number of trajectory batches, each split
+/// into blocks and column-encoded — in parallel when an executor is
+/// set) -> Finish (writes footer + trailer; the file is unreadable
+/// before this).
 class EventStoreWriter {
  public:
+  /// `kind` must be StoreKind::kTrajectories (InvalidArgument otherwise).
   [[nodiscard]] static Result<EventStoreWriter> Create(const std::string& path,
                                          StoreKind kind,
                                          WriterOptions options = {});
@@ -173,13 +180,9 @@ class EventStoreWriter {
   EventStoreWriter(EventStoreWriter&&) = default;
   EventStoreWriter& operator=(EventStoreWriter&&) = default;
 
-  /// Appends a detection batch (kDetections stores only). Rejects
-  /// detections with end before start.
-  [[nodiscard]] Status Append(const std::vector<core::RawDetection>& detections);
-
-  /// Appends built trajectories (kTrajectories stores only). Rejects
-  /// trajectories with empty traces — untrusted readers must never
-  /// produce them, so writers must never persist them.
+  /// Appends built trajectories. Rejects trajectories with empty traces
+  /// — untrusted readers must never produce them, so writers must never
+  /// persist them.
   [[nodiscard]] Status Append(const std::vector<core::SemanticTrajectory>& trajectories);
 
   /// Writes footer + trailer and closes the file. Idempotent failure:
@@ -187,25 +190,12 @@ class EventStoreWriter {
   [[nodiscard]] Status Finish();
 
   const StoreStats& stats() const { return stats_; }
-  StoreKind kind() const { return kind_; }
 
  private:
   [[nodiscard]] Status WriteRaw(std::string_view bytes);
   /// Registers an annotation set in the file dictionary, returning its
   /// index (stable across the file).
   std::uint32_t DictionaryId(const core::AnnotationSet& set);
-  /// The checks both Append overloads start with: the writer is not
-  /// finished, and the batch's kind is the store's.
-  [[nodiscard]] Status CheckAppend(StoreKind batch) const;
-  /// One encoded block, ready to be written (defined with the writer).
-  struct EncodedBlock;
-  /// The encode-and-commit step both Append overloads share: encodes
-  /// blocks 0..num_blocks-1 with `encode` (in parallel on the
-  /// executor), then writes them in index order, recording each block's
-  /// object postings, stats and dictionary ids.
-  [[nodiscard]] Status EncodeBlocks(
-      std::size_t num_blocks,
-      const std::function<EncodedBlock(std::size_t)>& encode);
 
   /// Closes the file on destruction; Finish closes it itself to check
   /// fclose's result.
@@ -214,7 +204,6 @@ class EventStoreWriter {
   };
 
   std::unique_ptr<std::FILE, CloseFile> file_;
-  StoreKind kind_ = StoreKind::kDetections;
   WriterOptions options_;
   std::uint64_t offset_ = 0;  // current end-of-file offset
   bool finished_ = false;
@@ -250,11 +239,10 @@ inline bool WindowIntersects(const std::optional<Timestamp>& min,
 
 /// Predicate pushed down into a scan. Blocks whose footer stats cannot
 /// match are skipped without reading their bytes; surviving blocks are
-/// decoded and filtered row-wise (kDetections) or trajectory-wise
-/// (kTrajectories). Trajectory blocks filter on the decoded columns —
-/// each trajectory's object, its first row's start and its last row's
-/// end — so only survivors reach the caller's visitor, and nothing is
-/// built on the way. Filtering never skips validation: every row of every
+/// decoded and filtered trajectory-wise on the decoded columns — each
+/// trajectory's object, its first row's start and its last row's end —
+/// so only survivors reach the caller's visitor, and nothing is built on
+/// the way. Filtering never skips validation: every row of every
 /// trajectory in a decoded block is checked, kept or not, and a bad row
 /// is Corruption whatever the scan.
 ///
@@ -277,8 +265,8 @@ struct ScanOptions {
   /// names them all here, so the store filters rows exactly instead of
   /// leaving a residual per-row object check to the caller.
   std::vector<ObjectId> objects;
-  /// Keep only rows/trajectories whose [start, end] intersects the
-  /// closed window [min_time, max_time]; an unset bound is open.
+  /// Keep only trajectories whose [start, end] intersects the closed
+  /// window [min_time, max_time]; an unset bound is open.
   std::optional<Timestamp> min_time;
   std::optional<Timestamp> max_time;
 
@@ -354,17 +342,17 @@ using TrajectoryVisitor = std::function<void(const TrajectoryView&)>;
 class EventStoreReader {
  public:
   /// Opens and validates header, trailer, and footer (checksum, version,
-  /// kind, block bounds, the one object index). Block payloads are only
-  /// touched — and their checksums verified — when read.
+  /// kind, block bounds, the one object index, the annotation bitmaps).
+  /// Block payloads are only touched — and their checksums verified —
+  /// when read.
   [[nodiscard]] static Result<EventStoreReader> Open(const std::string& path);
 
-  StoreKind kind() const { return kind_; }
   std::size_t num_blocks() const { return blocks_.size(); }
   const BlockMeta& block(std::size_t i) const { return blocks_[i]; }
   const std::vector<BlockMeta>& blocks() const { return blocks_; }
   /// Total tuple rows across blocks.
   std::uint64_t rows() const { return rows_; }
-  /// Total trajectories across blocks (0 for kDetections).
+  /// Total trajectories across blocks.
   std::uint64_t trajectories() const { return trajectories_; }
   std::uint64_t file_bytes() const { return file_.size(); }
   /// True when the file is actually mmap'd (false on the read fallback).
@@ -374,8 +362,9 @@ class EventStoreReader {
     return dictionary_;
   }
 
-  /// True when the file carries the annotation-bitmap section (it holds
-  /// some annotation).
+  /// True when the file carries the annotation-bitmap section, which it
+  /// does exactly when its dictionary holds some annotation (Open
+  /// refuses a file with annotations and no bitmaps).
   bool has_annotation_bitmaps() const { return !annotation_terms_.empty(); }
   /// Footer checksum from the trailer. Finished stores are immutable,
   /// so this (with file_bytes) identifies the file's entire contents —
@@ -385,8 +374,9 @@ class EventStoreReader {
   /// \brief Bitmap pruning for annotation predicates: false only when
   /// the annotation bitmaps prove no annotation set referenced by block
   /// `i` contains `kind:value` — in particular false for every block
-  /// when the term appears nowhere in the file. True whenever the file
-  /// carries no bitmaps (sound: absence of evidence prunes nothing).
+  /// when the term appears nowhere in the file, and so for every term
+  /// of a file without annotations (it has no bitmaps, and Open
+  /// guarantees it has none to have). True for an out-of-range `i`.
   bool BlockMayContainAnnotation(std::size_t i, core::AnnotationKind kind,
                                  std::string_view value) const;
 
@@ -400,15 +390,12 @@ class EventStoreReader {
   /// exposed so external executors can stream it.
   std::vector<std::size_t> CandidateBlocks(const ScanOptions& scan) const;
 
-  /// Full scans (all blocks, with pushdown).
-  [[nodiscard]] Result<std::vector<core::RawDetection>> ReadDetections(
-      const ScanOptions& scan = {}) const;
+  /// Full scan (all blocks, with pushdown).
   [[nodiscard]] Result<std::vector<core::SemanticTrajectory>> ReadTrajectories(
       const ScanOptions& scan = {}) const;
 
-  /// Block-wise scans, so callers stream block by block without
-  /// materializing the whole store. ReadDetectionBlock appends the
-  /// matching detections to `out`. ReadTrajectoryBlock decodes block
+  /// Block-wise scan, so callers stream block by block without
+  /// materializing the whole store. ReadTrajectoryBlock decodes block
   /// `i`, validates every row of every trajectory (kept or not), then
   /// calls `visit` with each trajectory the scan keeps, in block order;
   /// nothing is built unless the visitor calls TrajectoryView::Build or
@@ -416,8 +403,6 @@ class EventStoreReader {
   /// ordinals. A faulty row is Corruption whatever the scan keeps, with
   /// the same message; trajectories ahead of it in the block may already
   /// have been visited, so callers drop what a failed block produced.
-  [[nodiscard]] Status ReadDetectionBlock(std::size_t i, const ScanOptions& scan,
-                            std::vector<core::RawDetection>& out) const;
   [[nodiscard]] Status ReadTrajectoryBlock(std::size_t i,
                                            const ScanOptions& scan,
                                            const TrajectoryVisitor& visit) const;
@@ -428,16 +413,14 @@ class EventStoreReader {
 
  private:
   [[nodiscard]] Result<std::string_view> BlockPayload(std::size_t i) const;
-  /// The one step from block index to checked column bytes, shared by
-  /// both block reads: checks the store kind (`kind` names the caller's)
-  /// and the index, answers nullopt for a block the scan's footer stats
-  /// rule out, then verifies the checksum and decompresses under the
-  /// block's allocation cap.
+  /// The step from block index to checked column bytes: checks the
+  /// index, answers nullopt for a block the scan's footer stats rule
+  /// out, then verifies the checksum and decompresses under the block's
+  /// allocation cap.
   [[nodiscard]] Result<std::optional<std::string>> DecodeBlock(
-      std::size_t i, StoreKind kind, const ScanOptions& scan) const;
+      std::size_t i, const ScanOptions& scan) const;
 
   MappedFile file_;
-  StoreKind kind_ = StoreKind::kDetections;
   std::uint64_t trailer_checksum_ = 0;
   std::vector<BlockMeta> blocks_;
   std::vector<core::AnnotationSet> dictionary_;

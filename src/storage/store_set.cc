@@ -124,11 +124,6 @@ Status StoreSet::Validate() const {
       return Status::InvalidArgument("StoreSet: segment " + std::to_string(i) +
                                      " has no reader");
     }
-    if (segment.reader->kind() != StoreKind::kTrajectories) {
-      return Status::InvalidArgument(
-          "StoreSet: segment " + std::to_string(i) +
-          " is not a trajectory store");
-    }
     const std::uint64_t ranked = ranks->offsets[i + 1] - ranks->offsets[i];
     if (ranked != segment.reader->trajectories()) {
       return Status::InvalidArgument(

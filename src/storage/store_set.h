@@ -107,8 +107,8 @@ struct StoreSet {
   /// Block count across segments.
   std::uint64_t TotalBlocks() const;
 
-  /// Structural invariants: every segment has an open kTrajectories
-  /// reader, and the ranks cover exactly its stored trajectories.
+  /// Structural invariants: every segment has an open reader, and the
+  /// ranks cover exactly its stored trajectories.
   [[nodiscard]] Status Validate() const;
 };
 

@@ -1043,6 +1043,45 @@ TEST(PlannerTest, AnnotationPredicatesPruneBlocksViaBitmaps) {
   std::remove(path.c_str());
 }
 
+TEST(PlannerTest, AnnotationPredicateOnAnnotationFreeStorePlansNoBlocks) {
+  // A store without a single annotation carries no bitmaps, and its empty
+  // term table proves every term absent: an annotation query decodes no
+  // block and still answers what the in-memory run answers.
+  std::vector<core::SemanticTrajectory> trajectories;
+  for (std::int64_t i = 0; i < 24; ++i) {
+    trajectories.push_back(MakeTrajectory(
+        i, i % 5, {{1 + i % 3, 100 * i, 100 * i + 40}, {4, 100 * i + 50, 100 * i + 90}},
+        core::AnnotationSet{}));
+  }
+  const std::string path = TempPath("bitmap_free_plan.evst");
+  storage::WriterOptions options;
+  options.rows_per_block = 8;
+  auto writer = storage::EventStoreWriter::Create(
+      path, storage::StoreKind::kTrajectories, options);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->Append(trajectories).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  const auto reader = storage::EventStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_FALSE(reader->has_annotation_bitmaps());
+  ASSERT_GT(reader->num_blocks(), 1u);
+
+  Query query;
+  query.where = HasAnnotation(core::AnnotationKind::kActivity, "visit",
+                              AnnotationScope::kAnywhere);
+  query.projection = Projection::kTrajectories;
+  EXPECT_TRUE(PlanBlocks(*reader, Plan(query.where).pushdown).empty());
+  QueryExecutor executor(LouvreContext());
+  const auto from_store = executor.Run(query, *reader);
+  const auto in_memory = executor.Run(query, trajectories);
+  ASSERT_TRUE(from_store.ok()) << from_store.status();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status();
+  EXPECT_EQ(from_store->Fingerprint(), in_memory->Fingerprint());
+  EXPECT_EQ(from_store->stats.blocks_scanned, 0u);
+  EXPECT_EQ(from_store->stats.blocks_total, reader->num_blocks());
+  std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Query-result cache.
 // ---------------------------------------------------------------------------

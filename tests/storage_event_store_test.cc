@@ -193,14 +193,36 @@ Status WriteTrajectoryStore(const std::string& path,
   return writer->Finish();
 }
 
-Status WriteDetectionStore(const std::string& path,
-                           const std::vector<core::RawDetection>& ds,
-                           WriterOptions options = {}) {
-  auto writer =
-      EventStoreWriter::Create(path, StoreKind::kDetections, options);
-  SITM_RETURN_IF_ERROR(writer.status());
-  SITM_RETURN_IF_ERROR(writer->Append(ds));
-  return writer->Finish();
+/// One single-row trajectory of `object` in `cell` per [start, end]
+/// span, with ids 0, 1, ... and no annotation anywhere. With
+/// rows_per_block = k, each block holds k of them, in order.
+std::vector<core::SemanticTrajectory> OneRowTrajectories(
+    ObjectId object, CellId cell,
+    const std::vector<std::pair<std::int64_t, std::int64_t>>& spans) {
+  std::vector<core::SemanticTrajectory> out;
+  for (const auto& [start, end] : spans) {
+    std::vector<core::PresenceInterval> intervals;
+    intervals.emplace_back(
+        BoundaryId::Invalid(), cell,
+        *qsr::TimeInterval::Make(Timestamp(start), Timestamp(end)));
+    out.emplace_back(TrajectoryId(static_cast<std::int64_t>(out.size())),
+                     object, core::Trace(std::move(intervals)),
+                     core::AnnotationSet{});
+  }
+  return out;
+}
+
+/// Skips the annotation dictionary at the start of a footer, leaving
+/// `footer` at the block count.
+void SkipDictionary(ByteReader& footer) {
+  const std::uint64_t dict_count = *footer.ReadVarint64();
+  for (std::uint64_t d = 0; d < dict_count; ++d) {
+    const std::uint64_t entries = *footer.ReadVarint64();
+    for (std::uint64_t e = 0; e < entries; ++e) {
+      (void)*footer.ReadVarint64();  // kind
+      (void)*footer.ReadBytes(*footer.ReadVarint64());
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -220,7 +242,6 @@ TEST(EventStoreRoundTripTest, RandomDatasetsRoundTripLosslessly) {
       ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
       const auto reader = EventStoreReader::Open(path);
       ASSERT_TRUE(reader.ok()) << reader.status();
-      EXPECT_EQ(reader->kind(), StoreKind::kTrajectories);
       EXPECT_EQ(reader->trajectories(), trajectories.size());
       const auto restored = reader->ReadTrajectories();
       ASSERT_TRUE(restored.ok()) << restored.status();
@@ -230,95 +251,31 @@ TEST(EventStoreRoundTripTest, RandomDatasetsRoundTripLosslessly) {
   }
 }
 
-TEST(EventStoreRoundTripTest, DetectionsRoundTripLosslessly) {
-  const auto detections = SimulatedDetections(42);
-  const std::string path = TempPath("detections.evst");
-  WriterOptions options;
-  options.rows_per_block = 128;
-  ASSERT_TRUE(WriteDetectionStore(path, detections, options).ok());
-  const auto reader = EventStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  EXPECT_EQ(reader->kind(), StoreKind::kDetections);
-  EXPECT_EQ(reader->rows(), detections.size());
-  EXPECT_GT(reader->num_blocks(), 1u);
-  const auto restored = reader->ReadDetections();
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  ASSERT_EQ(restored->size(), detections.size());
-  for (std::size_t i = 0; i < detections.size(); ++i) {
-    EXPECT_EQ((*restored)[i].object, detections[i].object) << i;
-    EXPECT_EQ((*restored)[i].cell, detections[i].cell) << i;
-    EXPECT_EQ((*restored)[i].start, detections[i].start) << i;
-    EXPECT_EQ((*restored)[i].end, detections[i].end) << i;
-  }
-  std::remove(path.c_str());
-}
-
-TEST(EventStoreRoundTripTest, PipelineConsumesStraightFromStore) {
-  // Store raw detections, run the pipeline off the store, and compare
-  // with the pipeline over the in-memory batch: byte-identical.
-  const auto detections = SimulatedDetections(99);
-  const auto expected = BuildTrajectories(detections);
-  const std::string path = TempPath("pipeline_source.evst");
-  ASSERT_TRUE(WriteDetectionStore(path, detections).ok());
-  const auto reader = EventStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  auto stored = reader->ReadDetections();
-  ASSERT_TRUE(stored.ok()) << stored.status();
-  core::BatchPipeline pipeline(FullPipelineOptions());
-  const auto from_store = pipeline.Run(std::move(stored).value());
-  ASSERT_TRUE(from_store.ok()) << from_store.status();
-  ExpectTrajectoriesEqual(expected, *from_store);
-  std::remove(path.c_str());
-}
-
 TEST(EventStoreRoundTripTest, ParallelEncodingIsByteIdentical) {
-  // Either store kind, encoded block-parallel by a 3-worker executor,
-  // gives the sequential writer's file, and it reads back losslessly.
-  const auto detections = SimulatedDetections(5);
-  const auto trajectories = BuildTrajectories(detections);
+  // A store encoded block-parallel by a 3-worker executor is the
+  // sequential writer's file, and it reads back losslessly.
+  const auto trajectories = BuildTrajectories(SimulatedDetections(5));
   sched::Executor executor(3);
-  for (const StoreKind kind :
-       {StoreKind::kTrajectories, StoreKind::kDetections}) {
-    const bool raw = kind == StoreKind::kDetections;
-    SCOPED_TRACE(raw ? "detection store" : "trajectory store");
-    const auto write = [&](const std::string& path,
-                           const WriterOptions& options) {
-      return raw ? WriteDetectionStore(path, detections, options)
-                 : WriteTrajectoryStore(path, trajectories, options);
-    };
-    const std::string seq_path = TempPath("seq.evst");
-    const std::string par_path = TempPath("par.evst");
-    WriterOptions options;
-    options.rows_per_block = 64;
-    ASSERT_TRUE(write(seq_path, options).ok());
-    options.executor = &executor;
-    ASSERT_TRUE(write(par_path, options).ok());
-    const auto seq_bytes = io::ReadFile(seq_path);
-    const auto par_bytes = io::ReadFile(par_path);
-    ASSERT_TRUE(seq_bytes.ok());
-    ASSERT_TRUE(par_bytes.ok());
-    EXPECT_EQ(*seq_bytes, *par_bytes);
-    const auto reader = EventStoreReader::Open(par_path);
-    ASSERT_TRUE(reader.ok()) << reader.status();
-    EXPECT_GT(reader->num_blocks(), 3u);
-    if (raw) {
-      const auto restored = reader->ReadDetections();
-      ASSERT_TRUE(restored.ok()) << restored.status();
-      ASSERT_EQ(restored->size(), detections.size());
-      for (std::size_t i = 0; i < detections.size(); ++i) {
-        EXPECT_EQ((*restored)[i].object, detections[i].object) << i;
-        EXPECT_EQ((*restored)[i].cell, detections[i].cell) << i;
-        EXPECT_EQ((*restored)[i].start, detections[i].start) << i;
-        EXPECT_EQ((*restored)[i].end, detections[i].end) << i;
-      }
-    } else {
-      const auto restored = reader->ReadTrajectories();
-      ASSERT_TRUE(restored.ok()) << restored.status();
-      ExpectTrajectoriesEqual(trajectories, *restored);
-    }
-    std::remove(seq_path.c_str());
-    std::remove(par_path.c_str());
-  }
+  const std::string seq_path = TempPath("seq.evst");
+  const std::string par_path = TempPath("par.evst");
+  WriterOptions options;
+  options.rows_per_block = 64;
+  ASSERT_TRUE(WriteTrajectoryStore(seq_path, trajectories, options).ok());
+  options.executor = &executor;
+  ASSERT_TRUE(WriteTrajectoryStore(par_path, trajectories, options).ok());
+  const auto seq_bytes = io::ReadFile(seq_path);
+  const auto par_bytes = io::ReadFile(par_path);
+  ASSERT_TRUE(seq_bytes.ok());
+  ASSERT_TRUE(par_bytes.ok());
+  EXPECT_EQ(*seq_bytes, *par_bytes);
+  const auto reader = EventStoreReader::Open(par_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  EXPECT_GT(reader->num_blocks(), 3u);
+  const auto restored = reader->ReadTrajectories();
+  ASSERT_TRUE(restored.ok()) << restored.status();
+  ExpectTrajectoriesEqual(trajectories, *restored);
+  std::remove(seq_path.c_str());
+  std::remove(par_path.c_str());
 }
 
 TEST(EventStoreRoundTripTest, MultipleBatchesAccumulate) {
@@ -446,44 +403,19 @@ TEST(EventStoreScanTest, TimeRangePushdownMatchesPostFilter) {
   std::remove(path.c_str());
 }
 
-TEST(EventStoreScanTest, DetectionScanFiltersRowWise) {
-  const auto detections = SimulatedDetections(17);
-  const std::string path = TempPath("scan_rows.evst");
-  WriterOptions options;
-  options.rows_per_block = 64;
-  ASSERT_TRUE(WriteDetectionStore(path, detections, options).ok());
-  const auto reader = EventStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  ScanOptions scan;
-  const ObjectId scan_object = detections[detections.size() / 2].object;
-  scan.objects = {scan_object};
-  const auto scanned = reader->ReadDetections(scan);
-  ASSERT_TRUE(scanned.ok()) << scanned.status();
-  std::size_t expected = 0;
-  for (const auto& d : detections) expected += d.object == scan_object;
-  EXPECT_EQ(scanned->size(), expected);
-  for (const auto& d : *scanned) EXPECT_EQ(d.object, scan_object);
-  std::remove(path.c_str());
-}
-
 TEST(EventStoreScanTest, TimeRangeInclusiveAtBlockBoundaries) {
-  // Two-row blocks with known timestamps: block 0 = [100,110],[120,130],
-  // block 1 = [130,140],[150,160], block 2 = [200,210]. Tuples exactly
-  // at a block's min/max timestamp must match a window touching them at
-  // a single instant (closed-interval, inclusive-bound semantics).
-  const ObjectId object(7);
-  const CellId cell(1);
-  const std::vector<core::RawDetection> detections = {
-      {object, cell, Timestamp(100), Timestamp(110)},
-      {object, cell, Timestamp(120), Timestamp(130)},
-      {object, cell, Timestamp(130), Timestamp(140)},
-      {object, cell, Timestamp(150), Timestamp(160)},
-      {object, cell, Timestamp(200), Timestamp(210)},
-  };
+  // Two-row blocks of one-row trajectories with known timestamps:
+  // block 0 = [100,110],[120,130], block 1 = [130,140],[150,160],
+  // block 2 = [200,210]. Tuples exactly at a block's min/max timestamp
+  // must match a window touching them at a single instant
+  // (closed-interval, inclusive-bound semantics).
+  const auto trajectories = OneRowTrajectories(
+      ObjectId(7), CellId(1),
+      {{100, 110}, {120, 130}, {130, 140}, {150, 160}, {200, 210}});
   const std::string path = TempPath("scan_boundaries.evst");
   WriterOptions options;
   options.rows_per_block = 2;
-  ASSERT_TRUE(WriteDetectionStore(path, detections, options).ok());
+  ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
   const auto reader = EventStoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
   ASSERT_EQ(reader->num_blocks(), 3u);
@@ -498,24 +430,24 @@ TEST(EventStoreScanTest, TimeRangeInclusiveAtBlockBoundaries) {
   EXPECT_TRUE(reader->BlockMatches(0, scan));
   EXPECT_TRUE(reader->BlockMatches(1, scan));
   EXPECT_FALSE(reader->BlockMatches(2, scan));
-  auto scanned = reader->ReadDetections(scan);
+  auto scanned = reader->ReadTrajectories(scan);
   ASSERT_TRUE(scanned.ok()) << scanned.status();
   ASSERT_EQ(scanned->size(), 2u);
-  EXPECT_EQ((*scanned)[0].start, Timestamp(120));
-  EXPECT_EQ((*scanned)[1].start, Timestamp(130));
+  EXPECT_EQ((*scanned)[0].start(), Timestamp(120));
+  EXPECT_EQ((*scanned)[1].start(), Timestamp(130));
 
   // Window ending exactly at the last block's min: inclusive there too.
   scan.min_time = Timestamp(161);
   scan.max_time = Timestamp(200);
-  scanned = reader->ReadDetections(scan);
+  scanned = reader->ReadTrajectories(scan);
   ASSERT_TRUE(scanned.ok());
   ASSERT_EQ(scanned->size(), 1u);
-  EXPECT_EQ((*scanned)[0].start, Timestamp(200));
+  EXPECT_EQ((*scanned)[0].start(), Timestamp(200));
 
   // A window in the gap between blocks matches nothing.
   scan.min_time = Timestamp(161);
   scan.max_time = Timestamp(199);
-  scanned = reader->ReadDetections(scan);
+  scanned = reader->ReadTrajectories(scan);
   ASSERT_TRUE(scanned.ok());
   EXPECT_TRUE(scanned->empty());
   std::remove(path.c_str());
@@ -525,14 +457,10 @@ TEST(EventStoreScanTest, InvertedWindowMatchesNothing) {
   // Regression: a row spanning the inversion gap (end >= min_time and
   // start <= max_time despite max < min) used to pass both one-sided
   // tests. The empty window must match no row and no block.
-  const ObjectId object(3);
-  const CellId cell(2);
-  const std::vector<core::RawDetection> detections = {
-      {object, cell, Timestamp(100), Timestamp(300)},  // spans [150, 200]
-      {object, cell, Timestamp(120), Timestamp(130)},
-  };
+  const auto trajectories = OneRowTrajectories(
+      ObjectId(3), CellId(2), {{100, 300} /* spans [150, 200] */, {120, 130}});
   const std::string path = TempPath("scan_inverted.evst");
-  ASSERT_TRUE(WriteDetectionStore(path, detections).ok());
+  ASSERT_TRUE(WriteTrajectoryStore(path, trajectories).ok());
   const auto reader = EventStoreReader::Open(path);
   ASSERT_TRUE(reader.ok()) << reader.status();
   ScanOptions scan;
@@ -543,7 +471,7 @@ TEST(EventStoreScanTest, InvertedWindowMatchesNothing) {
     EXPECT_FALSE(reader->BlockMatches(i, scan));
   }
   EXPECT_TRUE(reader->CandidateBlocks(scan).empty());
-  const auto scanned = reader->ReadDetections(scan);
+  const auto scanned = reader->ReadTrajectories(scan);
   ASSERT_TRUE(scanned.ok());
   EXPECT_TRUE(scanned->empty());
   std::remove(path.c_str());
@@ -599,15 +527,13 @@ TEST(EventStoreObjectIndexTest, PostingListsPruneBlocksExactly) {
 TEST(EventStoreObjectIndexTest, ForgedPostingBlockIsCorruption) {
   // A forged index that names a nonexistent block must be rejected even
   // when the footer checksum is made consistent again. One object, one
-  // block: the final footer byte is that object's single posting delta.
-  const ObjectId object(5);
-  const CellId cell(1);
-  const std::vector<core::RawDetection> detections = {
-      {object, cell, Timestamp(100), Timestamp(110)},
-      {object, cell, Timestamp(120), Timestamp(130)},
-  };
+  // block, no annotations: the final footer byte is that object's single
+  // posting delta.
   const std::string path = TempPath("forged_index.evst");
-  ASSERT_TRUE(WriteDetectionStore(path, detections).ok());
+  ASSERT_TRUE(WriteTrajectoryStore(
+                  path, OneRowTrajectories(ObjectId(5), CellId(1),
+                                           {{100, 110}, {120, 130}}))
+                  .ok());
   auto bytes_result = io::ReadFile(path);
   ASSERT_TRUE(bytes_result.ok());
   std::string bytes = *bytes_result;
@@ -639,14 +565,11 @@ TEST(EventStoreObjectIndexTest, MissingObjectIndexIsCorruption) {
   // forged, even with its footer checksum repaired. One object, one
   // block, no annotations: the footer ends in the section count and the
   // index section (kind, length, then its four payload bytes).
-  const ObjectId object(5);
-  const CellId cell(1);
-  const std::vector<core::RawDetection> detections = {
-      {object, cell, Timestamp(100), Timestamp(110)},
-      {object, cell, Timestamp(120), Timestamp(130)},
-  };
   const std::string path = TempPath("missing_index.evst");
-  ASSERT_TRUE(WriteDetectionStore(path, detections).ok());
+  ASSERT_TRUE(WriteTrajectoryStore(
+                  path, OneRowTrajectories(ObjectId(5), CellId(1),
+                                           {{100, 110}, {120, 130}}))
+                  .ok());
   auto bytes_result = io::ReadFile(path);
   ASSERT_TRUE(bytes_result.ok());
   const std::string bytes = *bytes_result;
@@ -786,18 +709,34 @@ TEST_F(EventStoreCorruptionTest, MissingFileIsIOError) {
 // Writer misuse and stats.
 // ---------------------------------------------------------------------------
 
-TEST(EventStoreWriterTest, KindMismatchIsInvalidArgument) {
+TEST(EventStoreWriterTest, UnknownStoreKindIsRefused) {
+  // Every store holds trajectories: the writer refuses any other kind,
+  // the retired detection kind 1 included.
   const std::string path = TempPath("kind.evst");
-  auto writer = EventStoreWriter::Create(path, StoreKind::kDetections);
-  ASSERT_TRUE(writer.ok());
-  EXPECT_EQ(writer->Append(std::vector<core::SemanticTrajectory>{}).code(),
-            StatusCode::kInvalidArgument);
-  ASSERT_TRUE(writer->Finish().ok());
-  // And the matching reader-side check.
-  const auto reader = EventStoreReader::Open(path);
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(reader->ReadTrajectories().status().code(),
-            StatusCode::kFailedPrecondition);
+  for (const std::uint32_t kind : {0u, 1u, 3u}) {
+    EXPECT_EQ(EventStoreWriter::Create(path, static_cast<StoreKind>(kind))
+                  .status()
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "kind " << kind;
+  }
+  // And the reader refuses a header that names kind 1, whatever follows
+  // it (the header is not under any checksum).
+  ASSERT_TRUE(WriteTrajectoryStore(
+                  path, OneRowTrajectories(ObjectId(5), CellId(1),
+                                           {{100, 110}}))
+                  .ok());
+  ASSERT_TRUE(EventStoreReader::Open(path).ok());
+  auto bytes = io::ReadFile(path);
+  ASSERT_TRUE(bytes.ok());
+  ASSERT_EQ((*bytes)[12], static_cast<char>(StoreKind::kTrajectories))
+      << "the kind is the u32 after the magic and the version";
+  (*bytes)[12] = 1;
+  ASSERT_TRUE(io::WriteFile(path, *bytes).ok());
+  const Status status = EventStoreReader::Open(path).status();
+  EXPECT_EQ(status.code(), StatusCode::kCorruption);
+  EXPECT_NE(status.message().find("unknown store kind 1"), std::string::npos)
+      << status;
   std::remove(path.c_str());
 }
 
@@ -814,10 +753,10 @@ TEST(EventStoreWriterTest, EmptyTraceIsRejected) {
 
 TEST(EventStoreWriterTest, AppendAfterFinishFails) {
   const std::string path = TempPath("finished.evst");
-  auto writer = EventStoreWriter::Create(path, StoreKind::kDetections);
+  auto writer = EventStoreWriter::Create(path, StoreKind::kTrajectories);
   ASSERT_TRUE(writer.ok());
   ASSERT_TRUE(writer->Finish().ok());
-  EXPECT_EQ(writer->Append(std::vector<core::RawDetection>{}).code(),
+  EXPECT_EQ(writer->Append(std::vector<core::SemanticTrajectory>{}).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(writer->Finish().code(), StatusCode::kFailedPrecondition);
   std::remove(path.c_str());
@@ -851,11 +790,9 @@ TEST(EventStoreWriterTest, StatsCountRowsBlocksAndBytes) {
 // ---------------------------------------------------------------------------
 
 TEST(EventStoreCodecTest, LzBlocksRoundTripRandomDatasets) {
-  // Property: LZ blocks are lossless at every block size, for both
-  // store kinds.
+  // Property: LZ blocks are lossless at every block size.
   for (const std::uint64_t seed : {4u, 77u}) {
-    const auto detections = SimulatedDetections(seed, 80);
-    const auto trajectories = BuildTrajectories(detections);
+    const auto trajectories = BuildTrajectories(SimulatedDetections(seed, 80));
     for (const std::size_t rows_per_block : {16ul, 512ul, 8192ul}) {
       WriterOptions options;
       options.rows_per_block = rows_per_block;
@@ -870,15 +807,6 @@ TEST(EventStoreCodecTest, LzBlocksRoundTripRandomDatasets) {
       ASSERT_TRUE(restored.ok()) << restored.status();
       ExpectTrajectoriesEqual(trajectories, *restored);
       std::remove(traj_path.c_str());
-
-      const std::string det_path = TempPath("codec_det.evst");
-      ASSERT_TRUE(WriteDetectionStore(det_path, detections, options).ok());
-      const auto det_reader = EventStoreReader::Open(det_path);
-      ASSERT_TRUE(det_reader.ok()) << det_reader.status();
-      const auto det_restored = det_reader->ReadDetections();
-      ASSERT_TRUE(det_restored.ok()) << det_restored.status();
-      ASSERT_EQ(det_restored->size(), detections.size());
-      std::remove(det_path.c_str());
     }
   }
 }
@@ -928,23 +856,9 @@ std::vector<core::SemanticTrajectory> GoldenTrajectories() {
   return out;
 }
 
-/// A fixed detection batch for the v3 detection-store golden: 40 rows
-/// over 6 objects and 13 cells with irregular starts and durations.
-/// Changing it invalidates the pinned checksum below.
-std::vector<core::RawDetection> GoldenDetections() {
-  std::vector<core::RawDetection> out;
-  for (int i = 0; i < 40; ++i) {
-    const std::int64_t start = 2000000 + i * 45 + (i % 7) * 3;
-    out.emplace_back(ObjectId(i % 6), CellId((i * 7) % 13), Timestamp(start),
-                     Timestamp(start + 20 + i % 9));
-  }
-  return out;
-}
-
 TEST(EventStoreCompatTest, V3EmissionIsByteIdenticalToPinnedGoldens) {
   // The default writer's output, pinned: v3, LZ blocks, object index,
-  // and annotation bitmaps (absent from the detection store, whose
-  // dictionary is empty). Any change to the emitted bytes breaks these.
+  // and annotation bitmaps. Any change to the emitted bytes breaks these.
   struct Golden {
     StoreKind kind;
     std::size_t rows_per_block;
@@ -953,18 +867,12 @@ TEST(EventStoreCompatTest, V3EmissionIsByteIdenticalToPinnedGoldens) {
   const Golden goldens[] = {
       {StoreKind::kTrajectories, 3, 0xec1bf504d77067fbull},
       {StoreKind::kTrajectories, 4096, 0x072c23b292f7add2ull},
-      {StoreKind::kDetections, 16, 0xe6825a831a5de3e3ull},
   };
   for (const Golden& golden : goldens) {
     WriterOptions options;
     options.rows_per_block = golden.rows_per_block;
     const std::string path = TempPath("golden_v3.evst");
-    if (golden.kind == StoreKind::kTrajectories) {
-      ASSERT_TRUE(
-          WriteTrajectoryStore(path, GoldenTrajectories(), options).ok());
-    } else {
-      ASSERT_TRUE(WriteDetectionStore(path, GoldenDetections(), options).ok());
-    }
+    ASSERT_TRUE(WriteTrajectoryStore(path, GoldenTrajectories(), options).ok());
     const auto bytes = io::ReadFile(path);
     ASSERT_TRUE(bytes.ok());
     EXPECT_EQ(Checksum(*bytes), golden.checksum)
@@ -1016,11 +924,10 @@ TEST(EventStoreCompatTest, PreV3FilesAreRefused) {
 class EventStoreCodecCorruptionTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    // A detection store keeps the footer trivially parseable (empty
-    // annotation dictionary), which the byte surgery below relies on.
     path_ = TempPath("codec_corrupt.evst");
-    ASSERT_TRUE(
-        WriteDetectionStore(path_, SimulatedDetections(17, 60)).ok());
+    ASSERT_TRUE(WriteTrajectoryStore(
+                    path_, BuildTrajectories(SimulatedDetections(17, 60)))
+                    .ok());
     const auto bytes = io::ReadFile(path_);
     ASSERT_TRUE(bytes.ok());
     bytes_ = *bytes;
@@ -1031,8 +938,7 @@ class EventStoreCodecCorruptionTest : public ::testing::Test {
     footer_offset_ = *trailer.ReadU64();
     footer_length_ = *trailer.ReadU64();
     ByteReader footer(bytes_.data() + footer_offset_, footer_length_);
-    ASSERT_EQ(*footer.ReadVarint64(), 0u) << "detection stores have an "
-                                             "empty annotation dictionary";
+    SkipDictionary(footer);
     ASSERT_GT(*footer.ReadVarint64(), 0u);  // block count
     block_offset_ = *footer.ReadVarint64();
     block_length_ = *footer.ReadVarint64();
@@ -1070,7 +976,7 @@ class EventStoreCodecCorruptionTest : public ::testing::Test {
     Status status = io::WriteFile(path, bytes);
     if (!status.ok()) return status;
     auto reader = EventStoreReader::Open(path);
-    if (reader.ok()) status = reader->ReadDetections().status();
+    if (reader.ok()) status = reader->ReadTrajectories().status();
     else status = reader.status();
     std::remove(path.c_str());
     return status;
@@ -1200,22 +1106,29 @@ TEST(EventStoreAnnotationBitmapTest, PruningIsASoundOverApproximation) {
   }
   std::remove(path.c_str());
 
-  // A file without any annotation carries no bitmaps, and then every
-  // block answers "maybe": absence of evidence prunes nothing.
+  // A file without any annotation carries no bitmaps (Open requires them
+  // of annotated files only), and every block is pruned. An index past
+  // the last block still answers "maybe".
   const std::string plain_path = TempPath("bitmap_absent.evst");
+  std::vector<std::pair<std::int64_t, std::int64_t>> spans;
+  for (std::int64_t s = 0; s < 40; ++s) spans.emplace_back(100 * s, 100 * s + 60);
   WriterOptions small_blocks;
   small_blocks.rows_per_block = 16;
-  ASSERT_TRUE(WriteDetectionStore(plain_path, SimulatedDetections(13, 20),
-                                  small_blocks)
+  ASSERT_TRUE(WriteTrajectoryStore(plain_path,
+                                   OneRowTrajectories(ObjectId(4), CellId(2),
+                                                      spans),
+                                   small_blocks)
                   .ok());
   const auto plain = EventStoreReader::Open(plain_path);
   ASSERT_TRUE(plain.ok()) << plain.status();
   EXPECT_FALSE(plain->has_annotation_bitmaps());
   ASSERT_GT(plain->num_blocks(), 1u);
   for (std::size_t i = 0; i < plain->num_blocks(); ++i) {
-    EXPECT_TRUE(plain->BlockMayContainAnnotation(
+    EXPECT_FALSE(plain->BlockMayContainAnnotation(
         i, core::AnnotationKind::kGoal, "no-such-term"));
   }
+  EXPECT_TRUE(plain->BlockMayContainAnnotation(
+      plain->num_blocks(), core::AnnotationKind::kGoal, "no-such-term"));
   std::remove(plain_path.c_str());
 }
 
@@ -1272,6 +1185,71 @@ TEST(EventStoreAnnotationBitmapTest, ForgedBitmapSectionIsCorruption) {
   EXPECT_EQ(forge(5, 99).code(), StatusCode::kCorruption);
   // Value length overrunning the section.
   EXPECT_EQ(forge(4, 120).code(), StatusCode::kCorruption);
+  std::remove(path.c_str());
+}
+
+TEST(EventStoreAnnotationBitmapTest, MissingBitmapSectionIsCorruption) {
+  // Writers emit the bitmaps whenever the dictionary holds an annotation,
+  // so an annotated file without them is forged, even with its footer
+  // checksum repaired. One trajectory, one term, one block: the footer
+  // ends in the section count 2, the object index (kind, length, four
+  // payload bytes) and the bitmap section (kind, length, six bytes).
+  core::Trace trace;
+  core::PresenceInterval p;
+  p.cell = CellId(1);
+  p.interval = qsr::TimeInterval::Make(Timestamp(10), Timestamp(20)).value();
+  trace.Append(p);
+  const std::vector<core::SemanticTrajectory> one = {core::SemanticTrajectory(
+      TrajectoryId(1), ObjectId(1), std::move(trace),
+      core::AnnotationSet{{core::AnnotationKind::kGoal, "z"}})};
+  const std::string path = TempPath("bitmap_missing.evst");
+  ASSERT_TRUE(WriteTrajectoryStore(path, one).ok());
+  auto bytes_result = io::ReadFile(path);
+  ASSERT_TRUE(bytes_result.ok());
+  const std::string bytes = *bytes_result;
+  const std::size_t trailer_at = bytes.size() - kStoreTrailerSize;
+  ByteReader trailer(bytes.data() + trailer_at, kStoreTrailerSize);
+  const std::uint64_t footer_offset = *trailer.ReadU64();
+  const std::uint64_t footer_length = *trailer.ReadU64();
+  const std::string footer = bytes.substr(footer_offset, footer_length);
+  const std::string sections = std::string("\x02\x01\x04\x01\x02\x01\x00", 7) +
+                               "\x02\x06\x01" +
+                               static_cast<char>(core::AnnotationKind::kGoal) +
+                               "\x01z\x01\x01";
+  ASSERT_EQ(footer.substr(footer.size() - sections.size()), sections)
+      << "test assumes the footer ends in the index and bitmap sections";
+
+  // Re-frames `forged_footer` behind the blocks with a repaired trailer.
+  auto open = [&](const std::string& forged_footer) {
+    std::string forged = bytes.substr(0, footer_offset) + forged_footer;
+    PutU64(forged, footer_offset);
+    PutU64(forged, forged_footer.size());
+    PutU64(forged, Checksum(forged_footer));
+    forged.append(kTrailerMagic, sizeof(kTrailerMagic));
+    const std::string forged_path = TempPath("bitmap_missing_variant.evst");
+    EXPECT_TRUE(io::WriteFile(forged_path, forged).ok());
+    const Status status = EventStoreReader::Open(forged_path).status();
+    std::remove(forged_path.c_str());
+    return status;
+  };
+  // The harness itself: the unforged footer reopens.
+  EXPECT_TRUE(open(footer).ok());
+  // The bitmap section dropped: one section left, the object index.
+  const std::size_t count_at = footer.size() - sections.size();
+  const Status dropped = open(footer.substr(0, count_at) + "\x01" +
+                              footer.substr(count_at + 1, 6));
+  EXPECT_EQ(dropped.code(), StatusCode::kCorruption) << dropped;
+  EXPECT_NE(dropped.message().find("missing annotation bitmaps"),
+            std::string::npos)
+      << dropped;
+  // The bitmaps relabelled as an unknown section kind, which readers skip.
+  std::string relabelled = footer;
+  relabelled[count_at + 7] = 9;
+  const Status skipped = open(relabelled);
+  EXPECT_EQ(skipped.code(), StatusCode::kCorruption) << skipped;
+  EXPECT_NE(skipped.message().find("missing annotation bitmaps"),
+            std::string::npos)
+      << skipped;
   std::remove(path.c_str());
 }
 
@@ -1341,7 +1319,9 @@ TEST(EventStoreScanTest, EmptyObjectListScansEverything) {
 
 TEST(EventStoreReaderTest, MappedOnPosix) {
   const std::string path = TempPath("mapped.evst");
-  ASSERT_TRUE(WriteDetectionStore(path, SimulatedDetections(2)).ok());
+  ASSERT_TRUE(
+      WriteTrajectoryStore(path, BuildTrajectories(SimulatedDetections(2)))
+          .ok());
   const auto reader = EventStoreReader::Open(path);
   ASSERT_TRUE(reader.ok());
 #if defined(__unix__) || defined(__APPLE__)
