@@ -5,8 +5,8 @@
 // (1/2/4/hw), the blocked distance-matrix fill (sequential, by size,
 // and across the worker sweep) with its self-check that the scheduled
 // matrix equals the sequential one, and simulator generation on a
-// replicated map. One traced pipeline run's span trace is dumped to
-// BENCH_p2_trace.json.
+// replicated map. One traced pipeline run's span trace — one
+// `pipeline/shard` span per shard — is dumped to BENCH_p2_trace.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -112,8 +112,8 @@ void Report() {
   std::printf("  executor: %zu worker(s)\n", Exec().num_workers());
 
   // Span-trace artifact: one batch=10000 run at >= 2 workers, scoped by
-  // Clear() so the JSON shows exactly that run's chained per-shard
-  // build -> enrich tasks overlapping across shards.
+  // Clear() so the JSON shows exactly that run's per-shard
+  // build+enrich tasks overlapping across the workers.
   {
     std::vector<core::RawDetection> detections = Detections(10000);
     sched::Executor traced(

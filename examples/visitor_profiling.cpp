@@ -111,7 +111,7 @@ int main() {
   const std::vector<double> matrix =
       mining::DistanceMatrix(sample, blended, matrix_options);
   // Every run is traced: dump the matrix fill's spans (per-lane task
-  // begin/end plus steal events) for offline inspection — see the
+  // begin/end) for offline inspection — see the
   // "tracing a run" section of the README.
   const Status trace_status =
       executor.trace().WriteJson("visitor_profiling_trace.json");

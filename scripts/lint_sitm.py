@@ -40,11 +40,9 @@ not know this repo's conventions):
                        flush inside a critical section stalls every
                        thread behind that mutex.
   lock-scope-executor  Submitting parallel work (ParallelFor /
-                       ParallelMap / RunGraph / RunGraphInline /
-                       Executor::Run) while holding a lock: the workers
-                       may need the very mutex the submitter holds —
-                       the classic self-deadlock the task-graph
-                       adapters exist to prevent.
+                       ParallelMap / Executor::Run) while holding a
+                       lock: the workers may need the very mutex the
+                       submitter holds — the classic self-deadlock.
   lock-wait-no-predicate  CondVar::Wait call sites must sit in a
                        while/do/for predicate loop re-checking the
                        condition (spurious wakeups; see base/mutex.h).
@@ -466,7 +464,7 @@ LOCK_STORE_RE = re.compile(
     r"\b(?:\w*(?:[Ww]riter|[Ss]tore)\w*\s*(?:\.|->)\s*"
     r"(?:Append|Finish)|EventStoreWriter)\s*\(")
 LOCK_EXEC_RE = re.compile(
-    r"\b(?:ParallelFor|ParallelMap|RunGraph|RunGraphInline)\s*[<(]|"
+    r"\b(?:ParallelFor|ParallelMap)\s*[<(]|"
     r"\b\w*(?:[Ee]xecutor|[Rr]unner)\w*\s*(?:\.|->)\s*Run\s*\(")
 WAIT_RE = re.compile(r"(?:[A-Za-z_]\w*(?:\.|->))+Wait\s*\(")
 WAIT_SAME_STMT_LOOP_RE = re.compile(r"\b(?:while|for)\b.*\bWait\s*\(")

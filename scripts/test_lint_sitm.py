@@ -288,8 +288,8 @@ def test_lock_scope_store_and_executor_rules():
         "src/query/q.cc": ("void G() {\n"
                            "  MutexLock lock(mu_);\n"
                            "  ParallelFor(executor_, n, fn);\n"
-                           "  RunGraph(executor_, std::move(graph));\n"
-                           "  executor_->Run(std::move(graph2));\n"
+                           "  executor_->Run(std::move(tasks));\n"
+                           "  runner_->Run(std::move(more));\n"
                            "}\n"),
     })
     store = [f for f in findings if f.rule == "lock-scope-store"]

@@ -2,61 +2,93 @@
 
 #include <cstddef>
 #include <functional>
-#include <utility>
+#include <string>
+#include <vector>
 
 #include "base/status.h"
-#include "base/task_graph.h"
 
 namespace sitm {
 
-/// \brief Abstract executor of TaskGraphs — the seam between the layers
-/// that *describe* parallel work (core's pipeline, storage's block
-/// encoding, mining's matrix fill) and the scheduler that runs it.
+/// \brief One unit of parallel work: a named `void()` body.
 ///
-/// The concrete implementation is sched::Executor (work-stealing,
-/// span-traced); layers below sched/ in the module DAG hold only this
-/// interface, so the `core -> sched` include edge the layering manifest
-/// forbids never comes back (scripts/analyze_deps.py gates it).
+/// `name` feeds the scheduler's trace (truncated to the span name
+/// width). Bodies follow the repo-wide slot discipline: each writes
+/// caller-owned state that no other task of the same run touches, so the
+/// tasks of a run are independent and need no ordering between them.
+/// Bodies should not throw; a throw is captured by the runner and
+/// surfaced as an Internal Status.
+struct Task {
+  std::string name;
+  std::function<void()> fn;
+};
+
+/// \brief Abstract runner of flat task lists — the seam between the
+/// layers that *describe* parallel work (core's pipeline, storage's
+/// block encoding, mining's matrix fill, query fragments) and the
+/// scheduler that runs it.
+///
+/// The concrete implementation is sched::Executor (span-traced); layers
+/// below sched/ in the module DAG hold only this interface, so the
+/// `core -> sched` include edge the layering manifest forbids never
+/// comes back (scripts/analyze_deps.py gates it).
 class TaskRunner {
  public:
   virtual ~TaskRunner() = default;
 
-  /// Executes `graph` to completion (validating it first) and returns
-  /// the lowest-id task failure, if any. Implementations must be safe to
-  /// call concurrently from any thread, including from inside a task of
-  /// the same runner (nested runs must not deadlock).
-  [[nodiscard]] virtual Status Run(TaskGraph graph) = 0;
+  /// Runs every task of `tasks` to completion and returns the
+  /// lowest-index task failure, if any (every task still runs after a
+  /// failure, so slot state stays deterministic). Implementations must be
+  /// safe to call concurrently from any thread, including from inside a
+  /// task of the same runner (nested runs must not deadlock).
+  [[nodiscard]] virtual Status Run(std::vector<Task> tasks) = 0;
 
-  /// Submits `graph` for execution without waiting for it: the call
-  /// returns once the graph is scheduled, and `done` (if set) is invoked
-  /// exactly once with the Run status when the last task finishes —
-  /// possibly on another thread, possibly before Submit returns. This is
-  /// the seam background maintenance work (live segment compaction)
-  /// hangs off: describing layers hold only this interface, and the
-  /// concrete sched::Executor overrides it with a truly detached run.
-  ///
-  /// The default implementation is the degenerate synchronous form —
-  /// Run(graph) on the calling thread, then `done` — so every existing
-  /// TaskRunner keeps working unchanged, and a null runner path can fall
-  /// back to it. `done` must not block indefinitely, must not throw, and
-  /// must not destroy or Shutdown() the runner it was submitted to (the
-  /// runner's shutdown drains submitted graphs, so either would
-  /// self-deadlock).
-  virtual void Submit(TaskGraph graph, std::function<void(Status)> done) {
-    Status status = Run(std::move(graph));
-    if (done) done(std::move(status));
-  }
+  /// Schedules `task` without waiting for it: the call returns once the
+  /// task is queued. This is the seam background work (live segment
+  /// compaction, HTTP connections) hangs off. A throw from the task is
+  /// captured and dropped, so the task reports its own errors.
+  virtual void Submit(Task task) = 0;
 
-  /// Number of threads that can make progress on a graph concurrently
-  /// (>= 1). Chunking heuristics (sched::ParallelFor's grain formula)
-  /// read this; it never affects results, only schedule shape.
+  /// Number of threads that can make progress on a run concurrently
+  /// (>= 1). ParallelFor's grain formula reads this; it never affects
+  /// results, only schedule shape.
   virtual std::size_t concurrency() const = 0;
 };
 
-/// Runs `graph` on `runner`; a null runner executes it inline via
-/// RunGraphInline. The null form is what option structs' default
-/// `executor = nullptr` flows through, so sequential callers need no
-/// special casing.
-[[nodiscard]] Status RunGraph(TaskRunner* runner, TaskGraph graph);
+/// \brief Runs `body(begin, end)` over chunks partitioning [0, n), one
+/// task per chunk, on `runner`.
+///
+/// The calling thread participates (via TaskRunner::Run), and the loop
+/// runs inline when `runner` is null or there is only one chunk. Chunk
+/// boundaries are a function of (n, grain) only — never of the worker
+/// count — so per-chunk initialization (e.g. seeding) stays reproducible
+/// across worker counts.
+///
+/// `grain` is the chunk length; 0 picks one yielding ~4 chunks per
+/// participant. `name` labels the chunk tasks in the trace. The body
+/// must not throw: an escaping exception aborts the process.
+void ParallelFor(TaskRunner* runner, std::size_t n,
+                 const std::function<void(std::size_t, std::size_t)>& body,
+                 std::size_t grain = 0, const char* name = "for");
+
+/// \brief Maps `fn(i)` over [0, n) on the runner, returning results in
+/// index order regardless of execution order. T must be
+/// default-constructible and movable.
+///
+/// Thread-safety: each index writes exactly one pre-sized slot of `out`
+/// and no two chunks overlap, so the fill is race-free without locking —
+/// the slot discipline every parallel caller (core/pipeline, mining
+/// DistanceMatrix, storage block encoding, query/executor) relies on.
+template <typename T, typename Fn>
+std::vector<T> ParallelMap(TaskRunner* runner, std::size_t n, Fn&& fn,
+                           std::size_t grain = 0, const char* name = "map") {
+  std::vector<T> out(n);
+  ParallelFor(
+      runner, n,
+      [&out, &fn](std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) out[i] = fn(i);
+      },
+      grain, name);
+  return out;
+}
 
 }  // namespace sitm

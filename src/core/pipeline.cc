@@ -3,12 +3,10 @@
 #include <algorithm>
 #include <utility>
 
-#include "base/task_graph.h"
-
 namespace sitm::core {
 namespace {
 
-/// What one build shard produced, then what its enrich+infer task
+/// What one shard's build produced, then what its enrich+infer step
 /// added. Default state is an empty OK outcome so the slot vector can be
 /// preallocated.
 struct ShardOutcome {
@@ -107,8 +105,8 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
   std::vector<std::vector<RawDetection>> groups = std::move(grouped).value();
   report_.build.objects_seen = groups.size();
 
-  // --- Stages 2+3 as one task graph: each shard is a build task chained
-  // to an enrich+infer task, so enrichment of an early shard overlaps
+  // --- Stages 2+3, one task per shard: the task builds its shard and
+  // then enriches+infers it, so enrichment of an early shard overlaps
   // the builds of later shards instead of waiting behind a global
   // barrier.
   const std::size_t per_shard = std::max<std::size_t>(
@@ -116,51 +114,36 @@ Result<std::vector<SemanticTrajectory>> BatchPipeline::Run(
   const std::size_t num_shards = (groups.size() + per_shard - 1) / per_shard;
   report_.shards = num_shards;
 
-  // Thread-safety: tasks share the graphs read-only and write only
-  // their own shard's slots — groups[g] and shards[s] for build task s,
-  // and shards[s] for enrich task s, which the build->enrich edge orders
-  // after the build's writes. No locks — TSan (ctest -L parallel)
-  // enforces this stays true.
-  std::vector<ShardOutcome> shards(num_shards);
-
-  TaskGraph graph;
-  std::vector<TaskId> build_tasks(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    build_tasks[s] = graph.AddTask(
-        "pipeline/build", [this, &groups, &shards, per_shard, s] {
-          const std::size_t begin = s * per_shard;
-          const std::size_t end = std::min(groups.size(), begin + per_shard);
-          // Shard-local ids; the merge below renumbers them.
-          Assembler assembler(options_.builder);
-          ShardOutcome outcome;
-          for (std::size_t g = begin; g < end; ++g) {
-            // By value: each group is freed as soon as it is assembled.
-            outcome.status = assembler.BuildObject(std::move(groups[g]),
-                                                   &outcome.trajectories);
-            if (!outcome.status.ok()) break;
-          }
-          outcome.report = assembler.report();
-          shards[s] = std::move(outcome);
-        });
-  }
-  if (!options_.rules.empty() || options_.infer_hidden_passages) {
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      const TaskId enrich_task = graph.AddTask(
-          "pipeline/enrich", [this, &shards, s] {
-            ShardOutcome& shard = shards[s];
-            // A failed build leaves nothing meaningful to enrich; the
-            // caller reports the build failure first anyway.
-            if (!shard.status.ok()) return;
-            for (SemanticTrajectory& trajectory : shard.trajectories) {
-              shard.stage_status = options_.Apply(
-                  &trajectory, &shard.enrichment, &shard.inference);
-              if (!shard.stage_status.ok()) return;
-            }
-          });
-      SITM_RETURN_IF_ERROR(graph.AddEdge(build_tasks[s], enrich_task));
-    }
-  }
-  SITM_RETURN_IF_ERROR(RunGraph(options_.executor, std::move(graph)));
+  // Thread-safety: tasks share the graphs read-only and write only their
+  // own shard's slots — groups[g] for the shard's objects g, and the
+  // returned shard outcome. No locks — TSan (ctest -L parallel) enforces
+  // this stays true.
+  std::vector<ShardOutcome> shards = ParallelMap<ShardOutcome>(
+      options_.executor, num_shards,
+      [this, &groups, per_shard](std::size_t s) {
+        const std::size_t begin = s * per_shard;
+        const std::size_t end = std::min(groups.size(), begin + per_shard);
+        // Shard-local ids; the merge below renumbers them.
+        Assembler assembler(options_.builder);
+        ShardOutcome shard;
+        for (std::size_t g = begin; g < end; ++g) {
+          // By value: each group is freed as soon as it is assembled.
+          shard.status = assembler.BuildObject(std::move(groups[g]),
+                                               &shard.trajectories);
+          if (!shard.status.ok()) break;
+        }
+        shard.report = assembler.report();
+        // A failed build leaves nothing meaningful to enrich; the merge
+        // reports the build failure first anyway.
+        if (!shard.status.ok()) return shard;
+        for (SemanticTrajectory& trajectory : shard.trajectories) {
+          shard.stage_status = options_.Apply(&trajectory, &shard.enrichment,
+                                              &shard.inference);
+          if (!shard.stage_status.ok()) break;
+        }
+        return shard;
+      },
+      /*grain=*/1, "pipeline/shard");
 
   // --- Merge: statuses and reports in deterministic (shard, then
   // trajectory) order, then renumber to the sequential builder's ids.

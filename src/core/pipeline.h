@@ -53,7 +53,7 @@ struct StageOptions {
 /// sequential from it in (object, start time) order, exactly as the
 /// sequential TrajectoryBuilder would assign them.
 struct PipelineOptions : StageOptions {
-  /// Runner to execute the shard task graph on (borrowed; not owned).
+  /// Runner to execute the shard tasks on (borrowed; not owned).
   /// Entry points pass a sched::Executor; core itself holds only the
   /// base interface — the layering manifest keeps core below sched.
   /// Null runs every stage on the calling thread — the sequential
@@ -80,9 +80,9 @@ struct PipelineReport {
 /// The Louvre study's workload shape (§4): millions of zone detections
 /// turned into semantic trajectories before any mining can start. Raw
 /// detections are grouped by moving object and objects are sharded;
-/// each shard is a build task chained to an enrich+infer task in one
-/// task graph, so a shard that finishes building is enriched while
-/// later shards are still building — no global stage barrier. The merged
+/// each shard is one task that builds the shard and then enriches and
+/// infers it, so a shard that finishes building is enriched while later
+/// shards are still building — no global stage barrier. The merged
 /// trajectories are renumbered to the exact ids the sequential builder
 /// would have assigned.
 ///

@@ -11,8 +11,6 @@
 #include <cstring>
 #include <utility>
 
-#include "base/task_graph.h"
-
 namespace sitm::live {
 
 namespace {
@@ -215,9 +213,8 @@ Status HttpServer::Serve() {
     if (runner_ == nullptr) {
       HandleConnection(fd);
     } else {
-      TaskGraph graph;
-      graph.AddTask("live/http-connection", [this, fd] { HandleConnection(fd); });
-      runner_->Submit(std::move(graph), {});
+      runner_->Submit(
+          Task{"live/http-connection", [this, fd] { HandleConnection(fd); }});
     }
   }
   MutexLock lock(mutex_);

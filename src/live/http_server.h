@@ -43,9 +43,9 @@ struct HttpResponse {
 /// body interpretation belongs to the handlers.
 ///
 /// Concurrency: Serve() blocks in the accept loop on the calling
-/// thread; each accepted connection is handled as a one-task graph
-/// submitted *detached* to the runner (inline on the accept thread when
-/// the runner is null). Stop() — callable from any thread — wakes the
+/// thread; each accepted connection is handled as one task submitted
+/// *detached* to the runner (inline on the accept thread when the
+/// runner is null). Stop() — callable from any thread — wakes the
 /// accept loop via ::shutdown on the listening socket; Serve() then
 /// waits for in-flight connections to drain before returning, so after
 /// Serve() returns no handler is running.

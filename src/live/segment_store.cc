@@ -9,7 +9,6 @@
 #include <map>
 #include <utility>
 
-#include "base/task_graph.h"
 #include "storage/store_set.h"
 
 namespace sitm::live {
@@ -150,10 +149,9 @@ void SegmentStore::DispatchCompaction(CompactionJob job) {
     CompactLoop(std::move(job));
     return;
   }
-  TaskGraph graph;
-  graph.AddTask("live/compact", [this, job] { CompactLoop(job); });
   // Detached: the worker owns the merge; Close() joins via in_flight_.
-  options_.runner->Submit(std::move(graph), {});
+  options_.runner->Submit(
+      Task{"live/compact", [this, job] { CompactLoop(job); }});
 }
 
 void SegmentStore::CompactLoop(CompactionJob job) {

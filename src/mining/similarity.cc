@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "sched/parallel.h"
 #include "mining/patterns.h"
 
 namespace sitm::mining {
@@ -239,7 +238,7 @@ std::vector<double> DistanceMatrix(
   // Thread-safety: each block owns a disjoint (i, j) rectangle of
   // `cells` (j > i, blocks partition the upper triangle), so raw
   // pointer writes need no lock; `distance` must be re-entrant.
-  sched::ParallelFor(
+  ParallelFor(
       options.executor, blocks.size(),
       [&blocks, &trajectories, &distance, cells, n,
        block](std::size_t begin, std::size_t end) {

@@ -8,7 +8,6 @@
 
 #include "mining/patterns.h"
 #include "query/result_cache.h"
-#include "sched/parallel.h"
 
 namespace sitm::query {
 
@@ -334,7 +333,7 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
   // set's immutable ranks. Each unit writes only its own
   // Fragment slot, and slots merge in unit order, so the result (order
   // and stats included) is independent of the schedule.
-  std::vector<Fragment> fragments = sched::ParallelMap<Fragment>(
+  std::vector<Fragment> fragments = ParallelMap<Fragment>(
       runner, units.size(),
       [&](std::size_t u) {
         const WorkUnit& unit = units[u];

@@ -68,17 +68,6 @@ void TraceSink::RecordTask(std::size_t lane, const std::string& name,
   Record(lane, span);
 }
 
-void TraceSink::RecordSteal(std::size_t lane, const std::string& name,
-                            std::int64_t at_ns) {
-  TraceSpan span;
-  span.kind = TraceSpan::Kind::kSteal;
-  span.lane = static_cast<std::uint32_t>(lane);
-  CopyName(name, span.name);
-  span.begin_ns = at_ns;
-  span.end_ns = at_ns;
-  Record(lane, span);
-}
-
 std::vector<TraceSpan> TraceSink::Spans() const {
   std::vector<TraceSpan> out;
   for (const auto& lane : lanes_) {

@@ -18,8 +18,11 @@ namespace sitm::sched {
 /// so the name is a fixed-width truncated buffer rather than a string.
 struct TraceSpan {
   enum class Kind : std::uint8_t {
-    kTask,   ///< A task body ran from begin_ns to end_ns.
-    kSteal,  ///< Instant event (begin == end): this lane stole a task.
+    kTask,  ///< A task body ran from begin_ns to end_ns.
+    /// Never recorded: the executor has one shared queue and no stealing.
+    /// Kept because perfbench's SchedWindow still counts it (its
+    /// `sched.steals` metric, which reads 0).
+    kSteal,
   };
 
   /// Truncating width of `name` (including the terminating NUL).
@@ -59,11 +62,6 @@ class TraceSink {
   /// TraceSpan::kNameWidth - 1 characters.
   void RecordTask(std::size_t lane, const std::string& name,
                   std::int64_t begin_ns, std::int64_t end_ns);
-
-  /// Records an instant steal event on the thief's lane. `name` is the
-  /// stolen task's name.
-  void RecordSteal(std::size_t lane, const std::string& name,
-                   std::int64_t at_ns);
 
   /// Copies out every retained span, sorted by begin_ns (ties by lane).
   std::vector<TraceSpan> Spans() const;

@@ -5,7 +5,6 @@
 #include <limits>
 #include <utility>
 
-#include "sched/parallel.h"
 #include "storage/columnar.h"
 
 namespace sitm::storage {
@@ -355,7 +354,7 @@ Status EventStoreWriter::Append(
         traj_objects.begin() + static_cast<std::ptrdiff_t>(t0 + nt)));
     return block;
   };
-  std::vector<EncodedBlock> encoded = sched::ParallelMap<EncodedBlock>(
+  std::vector<EncodedBlock> encoded = ParallelMap<EncodedBlock>(
       options_.executor, ranges.size(), encode, /*grain=*/0, "store/encode");
   for (EncodedBlock& block : encoded) {
     block.meta.offset = offset_;

@@ -1,12 +1,11 @@
-// Stress harness for the parallel substrate — the sched task-graph
-// executor — written to run under TSan (ctest label: parallel): every
-// scenario here is about *schedule* coverage, not output checking
-// alone — task-graph shapes (diamonds, fan-out/fan-in) under steal
-// pressure, exceptions thrown inside nodes, executor teardown racing
-// unfinished graphs, and ParallelFor hammered from many callers at once.
-// The determinism contract ("byte-identical at every worker count") is
-// only credible if a race detector stays silent on exactly these
-// shapes.
+// Stress harness for the parallel substrate — the sched executor —
+// written to run under TSan (ctest label: parallel): every scenario here
+// is about *schedule* coverage, not output checking alone — flat task
+// lists run by several callers at once, exceptions thrown inside tasks,
+// executor teardown racing unfinished runs, and ParallelFor hammered
+// from many callers at once. The determinism contract ("byte-identical
+// at every worker count") is only credible if a race detector stays
+// silent on exactly these shapes.
 
 #include <algorithm>
 #include <atomic>
@@ -28,9 +27,7 @@
 #include "query/executor.h"
 #include "query/predicate.h"
 #include "query/result_cache.h"
-#include "base/task_graph.h"
 #include "sched/executor.h"
-#include "sched/parallel.h"
 #include "storage/event_store.h"
 
 namespace sitm {
@@ -47,97 +44,75 @@ std::vector<std::size_t> StressPoolSizes() {
 }
 
 // ---------------------------------------------------------------------------
-// sched::Executor shapes under steal pressure. The graphs are small;
-// the stress comes from running many of them at once on few workers, so
-// ready queues drain cross-deque and every dependency edge's release /
-// acquire pairing gets exercised by actual thieves.
+// sched::Executor shapes under contention. The task lists are small;
+// the stress comes from several callers running them at once on few
+// workers, so every queue handoff between threads gets exercised.
 // ---------------------------------------------------------------------------
 
-TEST(ExecutorStressTest, DiamondDagsUnderStealPressure) {
-  // A -> {B, C} -> D, many diamonds per run: D must observe both B's
-  // and C's writes, which in turn must observe A's. Any missing edge in
-  // the release chain shows up as a torn read here (and under TSan, as
-  // a report).
+TEST(ExecutorStressTest, ConcurrentCallersRunFlatListsIntoPlainSlots) {
+  // Several external threads each run flat task lists on one executor,
+  // every task writing its own plain (non-atomic) int slot. Each caller
+  // reads its slots once its Run returns, so any missing
+  // happens-before between a task's write and its caller's read is a
+  // torn read here — and, under TSan, a report.
   for (const std::size_t workers : StressPoolSizes()) {
     sched::Executor executor(workers);
-    constexpr std::size_t kDiamonds = 128;
-    std::vector<int> a(kDiamonds, 0);
-    std::vector<int> b(kDiamonds, 0);
-    std::vector<int> c(kDiamonds, 0);
-    std::vector<int> d(kDiamonds, 0);
-    sitm::TaskGraph graph;
-    for (std::size_t i = 0; i < kDiamonds; ++i) {
-      const sitm::TaskId ta = graph.AddTask("a", [&a, i] { a[i] = 1; });
-      const sitm::TaskId tb =
-          graph.AddTask("b", [&a, &b, i] { b[i] = a[i] + 1; });
-      const sitm::TaskId tc =
-          graph.AddTask("c", [&a, &c, i] { c[i] = a[i] + 2; });
-      const sitm::TaskId td =
-          graph.AddTask("d", [&b, &c, &d, i] { d[i] = b[i] * 10 + c[i]; });
-      ASSERT_TRUE(graph.AddEdge(ta, tb).ok());
-      ASSERT_TRUE(graph.AddEdge(ta, tc).ok());
-      ASSERT_TRUE(graph.AddEdge(tb, td).ok());
-      ASSERT_TRUE(graph.AddEdge(tc, td).ok());
+    constexpr int kCallers = 4;
+    constexpr int kRounds = 16;
+    constexpr std::size_t kTasks = 64;
+    std::atomic<int> wrong{0};
+    // Raw threads model independent library callers.
+    // sitm-lint: allow(naked-thread)
+    std::vector<std::thread> callers;
+    callers.reserve(kCallers);
+    for (int c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&executor, &wrong, c] {
+        for (int round = 0; round < kRounds; ++round) {
+          std::vector<int> slots(kTasks, 0);
+          std::vector<Task> tasks;
+          tasks.reserve(kTasks);
+          for (std::size_t i = 0; i < kTasks; ++i) {
+            tasks.push_back({"slot", [&slots, i, c, round] {
+                               slots[i] = static_cast<int>(i) + c + round;
+                             }});
+          }
+          if (!executor.Run(std::move(tasks)).ok()) wrong.fetch_add(1);
+          for (std::size_t i = 0; i < kTasks; ++i) {
+            if (slots[i] != static_cast<int>(i) + c + round) {
+              wrong.fetch_add(1);
+            }
+          }
+        }
+      });
     }
-    ASSERT_TRUE(executor.Run(std::move(graph)).ok());
-    for (std::size_t i = 0; i < kDiamonds; ++i) {
-      ASSERT_EQ(d[i], 23) << "diamond " << i << " at " << workers
-                          << " workers";
-    }
-  }
-}
-
-TEST(ExecutorStressTest, FanOutFanInUnderStealPressure) {
-  // 1 -> 256 -> 1: the seed task's pushes flood one deque, so nearly
-  // every leaf a thief runs was stolen; the join task must still see
-  // all 256 increments.
-  for (const std::size_t workers : StressPoolSizes()) {
-    sched::Executor executor(workers);
-    constexpr std::size_t kLeaves = 256;
-    std::vector<std::uint64_t> leaves(kLeaves, 0);
-    std::uint64_t total = 0;
-    bool seeded = false;
-    sitm::TaskGraph graph;
-    const sitm::TaskId seed =
-        graph.AddTask("seed", [&seeded] { seeded = true; });
-    const sitm::TaskId join = graph.AddTask("join", [&leaves, &total] {
-      total = std::accumulate(leaves.begin(), leaves.end(),
-                              std::uint64_t{0});
-    });
-    for (std::size_t i = 0; i < kLeaves; ++i) {
-      const sitm::TaskId leaf = graph.AddTask(
-          "leaf", [&leaves, &seeded, i] { leaves[i] = seeded ? i + 1 : 0; });
-      ASSERT_TRUE(graph.AddEdge(seed, leaf).ok());
-      ASSERT_TRUE(graph.AddEdge(leaf, join).ok());
-    }
-    ASSERT_TRUE(executor.Run(std::move(graph)).ok());
-    EXPECT_EQ(total, kLeaves * (kLeaves + 1) / 2);
+    for (std::thread& t : callers) t.join();  // sitm-lint: allow(naked-thread)
+    EXPECT_EQ(wrong.load(), 0) << workers << " workers";
   }
 }
 
 TEST(ExecutorStressTest, ExceptionInNodeStillRunsTheRestOfTheGraph) {
-  // A throwing node is captured per-task: its successors and every
-  // unrelated task still execute (slot state stays deterministic), Run
-  // reports the failure, and the executor keeps working afterwards.
+  // A throwing task is captured per-task: every other task of the run
+  // still executes (slot state stays deterministic), Run reports the
+  // failure, and the executor keeps working afterwards.
   for (const std::size_t workers : StressPoolSizes()) {
     sched::Executor executor(workers);
     constexpr std::size_t kTasks = 256;
     std::atomic<std::size_t> ran{0};
-    sitm::TaskGraph graph;
+    std::vector<Task> tasks;
     for (std::size_t i = 0; i < kTasks; ++i) {
-      graph.AddTask("work", [&ran, i]() {
-        if (i == kTasks / 2) throw std::runtime_error("boom");
-        ran.fetch_add(1);
-      });
+      tasks.push_back({"work", [&ran, i]() {
+                         if (i == kTasks / 2) throw std::runtime_error("boom");
+                         ran.fetch_add(1);
+                       }});
     }
-    const Status status = executor.Run(std::move(graph));
+    const Status status = executor.Run(std::move(tasks));
     EXPECT_FALSE(status.ok());
     EXPECT_EQ(ran.load(), kTasks - 1);
 
-    sitm::TaskGraph again;
+    std::vector<Task> again;
     std::atomic<std::size_t> after{0};
     for (std::size_t i = 0; i < kTasks; ++i) {
-      again.AddTask("work", [&after] { after.fetch_add(1); });
+      again.push_back({"work", [&after] { after.fetch_add(1); }});
     }
     EXPECT_TRUE(executor.Run(std::move(again)).ok());
     EXPECT_EQ(after.load(), kTasks);
@@ -147,7 +122,7 @@ TEST(ExecutorStressTest, ExceptionInNodeStillRunsTheRestOfTheGraph) {
 TEST(ExecutorStressTest, DestructionRacesUnfinishedGraphs) {
   // Destroying the executor while external threads are mid-Run races
   // Shutdown's drain against live runs; the destructor must block until
-  // every graph has finished, never strand a queued task.
+  // every run has finished, never strand a queued task.
   for (const std::size_t workers : StressPoolSizes()) {
     for (int round = 0; round < 8; ++round) {
       auto counter = std::make_shared<std::atomic<int>>(0);
@@ -163,18 +138,18 @@ TEST(ExecutorStressTest, DestructionRacesUnfinishedGraphs) {
       runners.reserve(kRunners);
       for (int r = 0; r < kRunners; ++r) {
         runners.emplace_back([raw, counter, &entered] {
-          sitm::TaskGraph graph;
+          std::vector<Task> tasks;
           // The first task proves this run is in flight before the
           // destructor starts; the rest race against the drain.
-          graph.AddTask("enter", [&entered] { entered.fetch_add(1); });
+          tasks.push_back({"enter", [&entered] { entered.fetch_add(1); }});
           for (int i = 0; i < kTasksEach; ++i) {
-            graph.AddTask("tick", [counter] { counter->fetch_add(1); });
+            tasks.push_back({"tick", [counter] { counter->fetch_add(1); }});
           }
-          ASSERT_TRUE(raw->Run(std::move(graph)).ok());
+          ASSERT_TRUE(raw->Run(std::move(tasks)).ok());
         });
       }
       while (entered.load() < kRunners) std::this_thread::yield();
-      executor.reset();  // races the runners' unfinished graphs
+      executor.reset();  // races the runners' unfinished runs
       for (std::thread& t : runners) t.join();  // sitm-lint: allow(naked-thread)
       EXPECT_EQ(counter->load(), kRunners * kTasksEach);
     }
@@ -199,14 +174,14 @@ TEST(ExecutorStressTest, ConcurrentNestedParallelForCallersShareOneExecutor) {
     for (int c = 0; c < kCallers; ++c) {
       callers.emplace_back([&executor, &outputs, c] {
         std::vector<std::uint64_t>& out = outputs[c];
-        sched::ParallelFor(
+        ParallelFor(
             &executor, kN,
             [&executor, &out, c](std::size_t begin, std::size_t end) {
               for (std::size_t i = begin; i < end; ++i) {
                 std::uint64_t inner_sum = 0;
                 if (i % 512 == 0) {
                   std::vector<std::uint64_t> inner(64, 0);
-                  sched::ParallelFor(
+                  ParallelFor(
                       &executor, inner.size(),
                       [&inner](std::size_t ib, std::size_t ie) {
                         for (std::size_t k = ib; k < ie; ++k) inner[k] = k;
@@ -414,27 +389,32 @@ TEST(DeadlockDetectorTest, ConsistentOrdersAndNonLifoReleaseStayQuiet) {
   EXPECT_EQ(deadlock_internal::HeldCount(), 0u);
 }
 
-// Stress shape: the executor's own locking (worker deques, injection
-// queue, per-run state, trace rings) under steal pressure must record
-// no order cycles — every MutexLock scope in sched/ is flat by
-// design, and this pins that staying true with the detector watching.
+// Stress shape: the executor's own locking (the shared queue, per-run
+// state, trace rings) under flat runs, nested ParallelFor and detached
+// Submit must record no order cycles — every MutexLock scope in sched/
+// is flat by design, and this pins that staying true with the detector
+// watching.
 TEST(DeadlockDetectorTest, ExecutorStressRecordsNoOrderCycles) {
   for (const std::size_t workers : StressPoolSizes()) {
     sched::Executor executor(workers);
     std::atomic<int> ran{0};
     for (int round = 0; round < 8; ++round) {
-      TaskGraph graph;
-      std::vector<TaskId> layer;
+      std::vector<Task> tasks;
       for (int i = 0; i < 16; ++i) {
-        layer.push_back(graph.AddTask("work", [&ran] { ran.fetch_add(1); }));
+        tasks.push_back({"work", [&executor, &ran] {
+                           ParallelFor(
+                               &executor, 4,
+                               [&ran](std::size_t begin, std::size_t end) {
+                                 ran.fetch_add(static_cast<int>(end - begin));
+                               },
+                               /*grain=*/1);
+                         }});
       }
-      const TaskId join = graph.AddTask("join", nullptr);
-      for (const TaskId id : layer) {
-        ASSERT_TRUE(graph.AddEdge(id, join).ok());
-      }
-      ASSERT_TRUE(executor.Run(std::move(graph)).ok());
+      executor.Submit({"detached", [&ran] { ran.fetch_add(1); }});
+      ASSERT_TRUE(executor.Run(std::move(tasks)).ok());
     }
-    EXPECT_EQ(ran.load(), 8 * 16);
+    executor.Shutdown();  // drains the submitted tasks
+    EXPECT_EQ(ran.load(), 8 * (16 * 4 + 1));
   }
 }
 

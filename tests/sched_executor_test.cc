@@ -1,7 +1,7 @@
-// The work-stealing executor's contracts: dependency ordering, the
-// determinism discipline across worker counts, the ParallelFor /
-// ParallelMap graph adapters and their edge cases, exception surfacing,
-// run-after-shutdown semantics, nesting, and span tracing.
+// The executor's contracts: the determinism discipline across worker
+// counts, ParallelFor / ParallelMap and their edge cases, exception
+// surfacing, run-after-shutdown semantics, nesting, detached Submit, and
+// span tracing.
 
 #include <atomic>
 #include <cstddef>
@@ -14,10 +14,8 @@
 
 #include <gtest/gtest.h>
 
-#include "base/task_graph.h"
 #include "base/task_runner.h"
 #include "sched/executor.h"
-#include "sched/parallel.h"
 
 namespace sitm::sched {
 namespace {
@@ -42,58 +40,7 @@ TEST(ExecutorTest, DefaultConcurrencyIsAtLeastOne) {
 
 TEST(ExecutorTest, EmptyGraphRunsToCompletion) {
   Executor executor(2);
-  EXPECT_TRUE(executor.Run(TaskGraph{}).ok());
-}
-
-TEST(ExecutorTest, EdgesAreHappensBeforeAtEveryWorkerCount) {
-  // A chain a -> b -> c -> d: each link's write must be visible to the
-  // next. Plain (non-atomic) ints make any ordering bug a real race.
-  for (const std::size_t workers : WorkerCounts()) {
-    Executor executor(workers);
-    int value = 0;
-    TaskGraph graph;
-    const TaskId a = graph.AddTask("a", [&] { value = 1; });
-    const TaskId b = graph.AddTask("b", [&] { value = value * 10 + 2; });
-    const TaskId c = graph.AddTask("c", [&] { value = value * 10 + 3; });
-    const TaskId d = graph.AddTask("d", [&] { value = value * 10 + 4; });
-    ASSERT_TRUE(graph.AddEdge(a, b).ok());
-    ASSERT_TRUE(graph.AddEdge(b, c).ok());
-    ASSERT_TRUE(graph.AddEdge(c, d).ok());
-    ASSERT_TRUE(executor.Run(std::move(graph)).ok());
-    EXPECT_EQ(value, 1234) << workers << " workers";
-  }
-}
-
-TEST(ExecutorTest, DiamondJoinSeesBothBranches) {
-  for (const std::size_t workers : WorkerCounts()) {
-    Executor executor(workers);
-    int left = 0;
-    int right = 0;
-    int joined = 0;
-    TaskGraph graph;
-    const TaskId a = graph.AddTask("a", [&] { left = 1; right = 2; });
-    const TaskId b = graph.AddTask("b", [&] { left += 10; });
-    const TaskId c = graph.AddTask("c", [&] { right += 20; });
-    const TaskId d = graph.AddTask("d", [&] { joined = left + right; });
-    ASSERT_TRUE(graph.AddEdge(a, b).ok());
-    ASSERT_TRUE(graph.AddEdge(a, c).ok());
-    ASSERT_TRUE(graph.AddEdge(b, d).ok());
-    ASSERT_TRUE(graph.AddEdge(c, d).ok());
-    ASSERT_TRUE(executor.Run(std::move(graph)).ok());
-    EXPECT_EQ(joined, 33) << workers << " workers";
-  }
-}
-
-TEST(ExecutorTest, RunRejectsCyclicGraphsWithoutRunningAnything) {
-  Executor executor(2);
-  std::atomic<int> ran{0};
-  TaskGraph graph;
-  const TaskId a = graph.AddTask("a", [&] { ran.fetch_add(1); });
-  const TaskId b = graph.AddTask("b", [&] { ran.fetch_add(1); });
-  ASSERT_TRUE(graph.AddEdge(a, b).ok());
-  ASSERT_TRUE(graph.AddEdge(b, a).ok());
-  EXPECT_FALSE(executor.Run(std::move(graph)).ok());
-  EXPECT_EQ(ran.load(), 0);
+  EXPECT_TRUE(executor.Run({}).ok());
 }
 
 TEST(ExecutorTest, ParallelMapByteIdenticalAcrossWorkerCounts) {
@@ -237,14 +184,18 @@ TEST(ExecutorTest, ThrowingTaskSurfacesAsInternalAndRestStillRuns) {
   for (const std::size_t workers : WorkerCounts()) {
     Executor executor(workers);
     std::atomic<int> ran{0};
-    TaskGraph graph;
-    graph.AddTask("healthy", [&] { ran.fetch_add(1); });
-    graph.AddTask("exploding-task", [] {
-      throw std::runtime_error("kaboom");
-    });
-    graph.AddTask("bystander", [&] { ran.fetch_add(1); });
-    const Status status = executor.Run(std::move(graph));
+    std::vector<Task> tasks;
+    tasks.push_back({"healthy", [&] { ran.fetch_add(1); }});
+    tasks.push_back({"exploding-task", [] {
+                       throw std::runtime_error("kaboom");
+                     }});
+    tasks.push_back({"bystander", [&] { ran.fetch_add(1); }});
+    tasks.push_back({"later-failure", [] {
+                       throw std::runtime_error("second");
+                     }});
+    const Status status = executor.Run(std::move(tasks));
     ASSERT_FALSE(status.ok());
+    // The lowest-index failure wins, whatever order the tasks ran in.
     EXPECT_NE(status.message().find("exploding-task"), std::string::npos)
         << status.message();
     EXPECT_NE(status.message().find("kaboom"), std::string::npos)
@@ -252,10 +203,8 @@ TEST(ExecutorTest, ThrowingTaskSurfacesAsInternalAndRestStillRuns) {
     EXPECT_EQ(ran.load(), 2);
 
     // The executor survives a failed run.
-    TaskGraph again;
     std::atomic<int> after{0};
-    again.AddTask("recovery", [&] { after.fetch_add(1); });
-    EXPECT_TRUE(executor.Run(std::move(again)).ok());
+    EXPECT_TRUE(executor.Run({{"recovery", [&] { after.fetch_add(1); }}}).ok());
     EXPECT_EQ(after.load(), 1);
   }
 }
@@ -267,28 +216,28 @@ TEST(ExecutorTest, RunAfterShutdownExecutesInlineOnTheCallingThread) {
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id observed;
   int value = 0;
-  TaskGraph graph;
-  const TaskId a = graph.AddTask("a", [&] {
-    observed = std::this_thread::get_id();
-    value = 41;
-  });
-  const TaskId b = graph.AddTask("b", [&] { ++value; });
-  ASSERT_TRUE(graph.AddEdge(a, b).ok());
-  ASSERT_TRUE(executor.Run(std::move(graph)).ok());
+  // Inline runs go in index order: b sees a's write.
+  std::vector<Task> tasks;
+  tasks.push_back({"a", [&] {
+                     observed = std::this_thread::get_id();
+                     value = 41;
+                   }});
+  tasks.push_back({"b", [&] { ++value; }});
+  ASSERT_TRUE(executor.Run(std::move(tasks)).ok());
   EXPECT_EQ(observed, caller);
   EXPECT_EQ(value, 42);
 }
 
 TEST(ExecutorTest, NestedParallelForInsideATaskDoesNotDeadlock) {
-  // A node of a running graph issues its own ParallelFor on the same
+  // A task of a running list issues its own ParallelFor on the same
   // executor — the pipeline's shape (shard task -> inner loop). Caller
   // participation keeps this live even at one worker.
   for (const std::size_t workers : WorkerCounts()) {
     Executor executor(workers);
     constexpr std::size_t kInner = 512;
     std::uint64_t sum = 0;
-    TaskGraph graph;
-    graph.AddTask("outer", [&executor, &sum] {
+    std::vector<Task> tasks;
+    tasks.push_back({"outer", [&executor, &sum] {
       std::vector<std::uint64_t> values(kInner, 0);
       ParallelFor(
           &executor, kInner,
@@ -297,19 +246,18 @@ TEST(ExecutorTest, NestedParallelForInsideATaskDoesNotDeadlock) {
           },
           /*grain=*/32);
       sum = std::accumulate(values.begin(), values.end(), std::uint64_t{0});
-    });
-    ASSERT_TRUE(executor.Run(std::move(graph)).ok());
+    }});
+    ASSERT_TRUE(executor.Run(std::move(tasks)).ok());
     EXPECT_EQ(sum, kInner * (kInner - 1) / 2) << workers << " workers";
   }
 }
 
 TEST(ExecutorTest, TraceRecordsNamedTaskSpans) {
   Executor executor(2);
-  TaskGraph graph;
-  const TaskId a = graph.AddTask("alpha-task", [] {});
-  const TaskId b = graph.AddTask("beta-task", [] {});
-  ASSERT_TRUE(graph.AddEdge(a, b).ok());
-  ASSERT_TRUE(executor.Run(std::move(graph)).ok());
+  std::vector<Task> tasks;
+  tasks.push_back({"alpha-task", [] {}});
+  tasks.push_back({"beta-task", [] {}});
+  ASSERT_TRUE(executor.Run(std::move(tasks)).ok());
   const std::vector<TraceSpan> spans = executor.trace().Spans();
   bool saw_alpha = false;
   bool saw_beta = false;
@@ -325,97 +273,66 @@ TEST(ExecutorTest, TraceRecordsNamedTaskSpans) {
   EXPECT_TRUE(saw_beta);
 }
 
-TEST(ExecutorTest, RunGraphNullExecutorRunsInline) {
-  const std::thread::id caller = std::this_thread::get_id();
-  std::thread::id observed;
-  TaskGraph graph;
-  graph.AddTask("inline", [&] { observed = std::this_thread::get_id(); });
-  ASSERT_TRUE(RunGraph(nullptr, std::move(graph)).ok());
-  EXPECT_EQ(observed, caller);
-}
-
 // ---------------------------------------------------------------------------
 // Detached Submit — the live ingest subsystem's dispatch primitive
 // (segment compaction, HTTP connection handling).
 // ---------------------------------------------------------------------------
 
-/// Blocks until `flag` is true (callbacks run on worker threads, so the
-/// test must wait without owning a joinable handle).
+/// Blocks until `flag` is true (detached tasks run on worker threads, so
+/// the test must wait without owning a joinable handle).
 void AwaitFlag(const std::atomic<bool>& flag) {
   while (!flag.load(std::memory_order_acquire)) std::this_thread::yield();
 }
 
-TEST(ExecutorTest, SubmitRunsDetachedAndInvokesCallback) {
+TEST(ExecutorTest, SubmitRunsDetachedOnAWorker) {
   for (const std::size_t workers : WorkerCounts()) {
     Executor executor(workers);
-    std::atomic<int> ran{0};
-    std::atomic<bool> called{false};
-    Status observed = Status::Internal("callback never ran");
-    TaskGraph graph;
-    const TaskId a = graph.AddTask("first", [&] { ran.fetch_add(1); });
-    const TaskId b = graph.AddTask("second", [&] { ran.fetch_add(1); });
-    ASSERT_TRUE(graph.AddEdge(a, b).ok());
-    executor.Submit(std::move(graph), [&](Status status) {
-      observed = std::move(status);
-      called.store(true, std::memory_order_release);
-    });
-    AwaitFlag(called);
-    EXPECT_TRUE(observed.ok()) << observed;
-    EXPECT_EQ(ran.load(), 2) << workers << " workers";
+    const std::thread::id caller = std::this_thread::get_id();
+    std::thread::id observed;
+    std::atomic<bool> ran{false};
+    executor.Submit({"detached", [&] {
+                       observed = std::this_thread::get_id();
+                       ran.store(true, std::memory_order_release);
+                     }});
+    AwaitFlag(ran);
+    EXPECT_NE(observed, caller) << workers << " workers";
   }
 }
 
-TEST(ExecutorTest, SubmitWithNullCallbackIsDrainedByShutdown) {
+TEST(ExecutorTest, SubmitIsDrainedByShutdown) {
   Executor executor(2);
   std::atomic<int> ran{0};
   for (int i = 0; i < 8; ++i) {
-    TaskGraph graph;
-    graph.AddTask("fire-and-forget", [&] { ran.fetch_add(1); });
-    executor.Submit(std::move(graph), {});
+    executor.Submit({"fire-and-forget", [&] { ran.fetch_add(1); }});
   }
-  // Shutdown's contract: every submitted graph finishes before it
+  // Shutdown's contract: every submitted task finishes before it
   // returns — no sleep, no flag needed.
   executor.Shutdown();
   EXPECT_EQ(ran.load(), 8);
 }
 
-TEST(ExecutorTest, SubmitFailurePropagatesToTheCallback) {
-  Executor executor(2);
-  std::atomic<bool> called{false};
-  Status observed;
-  TaskGraph graph;
-  graph.AddTask("doomed-task", [] {
-    throw std::runtime_error("submit-boom");
-  });
-  executor.Submit(std::move(graph), [&](Status status) {
-    observed = std::move(status);
-    called.store(true, std::memory_order_release);
-  });
-  AwaitFlag(called);
-  ASSERT_FALSE(observed.ok());
-  EXPECT_NE(observed.message().find("doomed-task"), std::string::npos)
-      << observed.message();
-  EXPECT_NE(observed.message().find("submit-boom"), std::string::npos)
-      << observed.message();
-}
-
-TEST(ExecutorTest, SubmitValidationErrorDegradesToInline) {
-  Executor executor(2);
-  bool called = false;
-  Status observed;
-  TaskGraph cyclic;
-  const TaskId a = cyclic.AddTask("a", [] {});
-  const TaskId b = cyclic.AddTask("b", [] {});
-  ASSERT_TRUE(cyclic.AddEdge(a, b).ok());
-  ASSERT_TRUE(cyclic.AddEdge(b, a).ok());
-  // Degenerate submissions run synchronously: the callback fires before
-  // Submit returns, so plain (non-atomic) locals are safe.
-  executor.Submit(std::move(cyclic), [&](Status status) {
-    observed = std::move(status);
-    called = true;
-  });
-  ASSERT_TRUE(called);
-  EXPECT_FALSE(observed.ok());
+TEST(ExecutorTest, SubmitThrowingTaskLeavesTheWorkerUsable) {
+  for (const std::size_t workers : WorkerCounts()) {
+    Executor executor(workers);
+    std::atomic<bool> thrown{false};
+    executor.Submit({"doomed-task", [&] {
+                       thrown.store(true, std::memory_order_release);
+                       throw std::runtime_error("submit-boom");
+                     }});
+    AwaitFlag(thrown);
+    // The throw is captured on the worker: later runs and submits on
+    // every worker still complete.
+    std::atomic<int> ran{0};
+    std::vector<Task> tasks;
+    for (std::size_t i = 0; i < 4 * workers; ++i) {
+      tasks.push_back({"after", [&] { ran.fetch_add(1); }});
+    }
+    EXPECT_TRUE(executor.Run(std::move(tasks)).ok());
+    executor.Submit({"after-submit", [&] { ran.fetch_add(1); }});
+    executor.Shutdown();
+    EXPECT_EQ(ran.load(), static_cast<int>(4 * workers + 1))
+        << workers << " workers";
+  }
 }
 
 TEST(ExecutorTest, SubmitAfterShutdownRunsInline) {
@@ -423,37 +340,31 @@ TEST(ExecutorTest, SubmitAfterShutdownRunsInline) {
   executor.Shutdown();
   const std::thread::id caller = std::this_thread::get_id();
   std::thread::id observed_thread;
-  bool called = false;
-  TaskGraph graph;
-  graph.AddTask("post-shutdown", [&] {
-    observed_thread = std::this_thread::get_id();
-  });
-  executor.Submit(std::move(graph), [&](Status status) {
-    EXPECT_TRUE(status.ok()) << status;
-    called = true;
-  });
-  EXPECT_TRUE(called);
+  executor.Submit({"post-shutdown", [&] {
+                     observed_thread = std::this_thread::get_id();
+                   }});
   EXPECT_EQ(observed_thread, caller);
 }
 
 TEST(ExecutorTest, ManyConcurrentSubmitsAllComplete) {
-  constexpr int kGraphs = 64;
+  // Several threads submit at once; Shutdown drains every task.
+  constexpr int kThreads = 4;
+  constexpr int kSubmitsEach = 32;
   Executor executor(4);
   std::atomic<int> ran{0};
-  std::atomic<int> callbacks{0};
-  for (int i = 0; i < kGraphs; ++i) {
-    TaskGraph graph;
-    const TaskId a = graph.AddTask("work-a", [&] { ran.fetch_add(1); });
-    const TaskId b = graph.AddTask("work-b", [&] { ran.fetch_add(1); });
-    ASSERT_TRUE(graph.AddEdge(a, b).ok());
-    executor.Submit(std::move(graph), [&](Status status) {
-      EXPECT_TRUE(status.ok()) << status;
-      callbacks.fetch_add(1, std::memory_order_release);
+  // Raw threads model independent submitters.
+  // sitm-lint: allow(naked-thread)
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&] {
+      for (int i = 0; i < kSubmitsEach; ++i) {
+        executor.Submit({"work", [&] { ran.fetch_add(1); }});
+      }
     });
   }
+  for (std::thread& t : submitters) t.join();  // sitm-lint: allow(naked-thread)
   executor.Shutdown();
-  EXPECT_EQ(ran.load(), kGraphs * 2);
-  EXPECT_EQ(callbacks.load(), kGraphs);
+  EXPECT_EQ(ran.load(), kThreads * kSubmitsEach);
 }
 
 }  // namespace

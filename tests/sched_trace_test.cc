@@ -29,16 +29,6 @@ TEST(TraceSinkTest, RecordsSpansSortedByBeginTime) {
   EXPECT_EQ(spans[2].lane, 1u);
 }
 
-TEST(TraceSinkTest, StealEventsAreInstant) {
-  TraceSink sink(/*lanes=*/1);
-  sink.RecordSteal(0, "victim-task", 123);
-  const std::vector<TraceSpan> spans = sink.Spans();
-  ASSERT_EQ(spans.size(), 1u);
-  EXPECT_EQ(spans[0].kind, TraceSpan::Kind::kSteal);
-  EXPECT_EQ(spans[0].begin_ns, 123);
-  EXPECT_EQ(spans[0].end_ns, 123);
-}
-
 TEST(TraceSinkTest, NamesTruncateAtTheFixedWidth) {
   TraceSink sink(/*lanes=*/1);
   const std::string long_name(64, 'x');
@@ -71,14 +61,15 @@ TEST(TraceSinkTest, OutOfRangeLanesAreIgnored) {
 TEST(TraceSinkTest, ToJsonIsSelfDescribing) {
   TraceSink sink(/*lanes=*/2, /*capacity=*/8);
   sink.RecordTask(0, "build", 10, 20);
-  sink.RecordSteal(1, "build", 15);
+  sink.RecordTask(1, "enrich", 15, 30);
   const std::string json = sink.ToJson();
   EXPECT_NE(json.find("\"lanes\": 2"), std::string::npos) << json;
   EXPECT_NE(json.find("\"capacity\": 8"), std::string::npos) << json;
   EXPECT_NE(json.find("\"dropped\": 0"), std::string::npos) << json;
   EXPECT_NE(json.find("\"kind\": \"task\""), std::string::npos) << json;
-  EXPECT_NE(json.find("\"kind\": \"steal\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"lane\": 1"), std::string::npos) << json;
   EXPECT_NE(json.find("\"name\": \"build\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"name\": \"enrich\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"begin_ns\": 10"), std::string::npos) << json;
   EXPECT_NE(json.find("\"end_ns\": 20"), std::string::npos) << json;
 }
