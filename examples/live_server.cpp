@@ -92,40 +92,39 @@ Result<query::Query> QueryFromParams(
 }
 
 io::JsonValue RenderResult(const query::QueryResult& result) {
-  io::JsonValue doc{io::JsonValue::Object{}};
+  io::JsonValue::Object doc;
   switch (result.projection) {
     case query::Projection::kCount:
-      Check(doc.Set("projection", "count"));
-      Check(doc.Set("count", static_cast<std::int64_t>(result.count)));
+      doc.emplace_back("projection", "count");
+      doc.emplace_back("count", static_cast<std::int64_t>(result.count));
       break;
     case query::Projection::kIds: {
-      Check(doc.Set("projection", "ids"));
-      io::JsonValue ids{io::JsonValue::Array{}};
+      doc.emplace_back("projection", "ids");
+      io::JsonValue::Array ids;
       for (const TrajectoryId id : result.ids) {
-        Check(ids.Append(static_cast<std::int64_t>(id.value())));
+        ids.push_back(static_cast<std::int64_t>(id.value()));
       }
-      Check(doc.Set("ids", std::move(ids)));
+      doc.emplace_back("ids", std::move(ids));
       break;
     }
     default: {
-      Check(doc.Set("projection", "trajectories"));
-      io::JsonValue rows{io::JsonValue::Array{}};
+      doc.emplace_back("projection", "trajectories");
+      io::JsonValue::Array rows;
       for (const core::SemanticTrajectory& t : result.trajectories) {
-        io::JsonValue row{io::JsonValue::Object{}};
-        Check(row.Set("id", static_cast<std::int64_t>(t.id().value())));
-        Check(row.Set("object", static_cast<std::int64_t>(t.object().value())));
-        Check(row.Set("tuples", static_cast<std::int64_t>(t.trace().size())));
-        Check(row.Set("start", t.start().ToString()));
-        Check(row.Set("end", t.end().ToString()));
-        Check(rows.Append(std::move(row)));
+        rows.push_back(io::JsonValue::Object{
+            {"id", static_cast<std::int64_t>(t.id().value())},
+            {"object", static_cast<std::int64_t>(t.object().value())},
+            {"tuples", static_cast<std::int64_t>(t.trace().size())},
+            {"start", t.start().ToString()},
+            {"end", t.end().ToString()}});
       }
-      Check(doc.Set("trajectories", std::move(rows)));
+      doc.emplace_back("trajectories", std::move(rows));
       break;
     }
   }
   // The full-payload determinism check: byte-identical across the
   // live/batch paths whenever the results truly match.
-  Check(doc.Set("fingerprint", result.Fingerprint()));
+  doc.emplace_back("fingerprint", result.Fingerprint());
   return doc;
 }
 
@@ -194,9 +193,9 @@ int RunServe(int argc, char** argv) {
     // segment).
     const auto fail = [&response](int code, const Status& status) {
       response.status = code;
-      io::JsonValue error{io::JsonValue::Object{}};
-      Check(error.Set("error", status.ToString()));
-      response.body = error.Dump();
+      response.body =
+          io::JsonValue(io::JsonValue::Object{{"error", status.ToString()}})
+              .Dump();
       return response;
     };
     auto q = QueryFromParams(request.query_params);

@@ -87,7 +87,7 @@ DECL_RE = re.compile(
     r"(?:Status|Result<[^;{}()]+>)\s+(\w+)\s*\(")
 
 # Declarations of the same names with non-Status return types (e.g.
-# `void Append(...)` on Trace vs `Status Append(...)` on JsonValue).
+# `void Append(...)` on Trace vs `Status Append(...)` on EventStoreWriter).
 # The lint matches call sites by name only, so such names are
 # *ambiguous*: bare-statement checking would false-positive on the
 # void-returning overloads and is left to the classes' [[nodiscard]]

@@ -43,30 +43,15 @@ void MergeInferenceReports(InferenceReport* into, const InferenceReport& from) {
   into->disconnected += from.disconnected;
 }
 
-/// Graph defaulting: enrichment falls back to builder.graph, inference
-/// to the enrichment graph.
-const indoor::Nrg* EnrichmentGraph(const StageOptions& options) {
-  return options.enrichment_graph != nullptr ? options.enrichment_graph
-                                             : options.builder.graph;
-}
-
-const indoor::Nrg* InferenceGraph(const StageOptions& options) {
-  return options.inference_graph != nullptr ? options.inference_graph
-                                            : EnrichmentGraph(options);
-}
-
 }  // namespace
 
 Status StageOptions::Validate() const {
   SITM_RETURN_IF_ERROR(builder.Validate());
-  if (!rules.empty() && EnrichmentGraph(*this) == nullptr) {
-    return Status::InvalidArgument(
-        "enrichment rules need enrichment_graph (or builder.graph)");
+  if (!rules.empty() && builder.graph == nullptr) {
+    return Status::InvalidArgument("enrichment rules need builder.graph");
   }
-  if (infer_hidden_passages && InferenceGraph(*this) == nullptr) {
-    return Status::InvalidArgument(
-        "infer_hidden_passages needs inference_graph (or enrichment_graph / "
-        "builder.graph)");
+  if (infer_hidden_passages && builder.graph == nullptr) {
+    return Status::InvalidArgument("infer_hidden_passages needs builder.graph");
   }
   return Status::OK();
 }
@@ -76,13 +61,13 @@ Status StageOptions::Apply(SemanticTrajectory* trajectory,
                            InferenceReport* inference_report) const {
   if (!rules.empty()) {
     Result<EnrichmentReport> enriched =
-        EnrichTrajectory(trajectory, *EnrichmentGraph(*this), rules);
+        EnrichTrajectory(trajectory, *builder.graph, rules);
     if (!enriched.ok()) return enriched.status();
     MergeEnrichmentReports(enrichment_report, *enriched);
   }
   if (infer_hidden_passages) {
     Result<std::pair<SemanticTrajectory, InferenceReport>> inferred =
-        InferHiddenPassages(*trajectory, *InferenceGraph(*this), inference);
+        InferHiddenPassages(*trajectory, *builder.graph, inference);
     if (!inferred.ok()) return inferred.status();
     *trajectory = std::move(inferred->first);
     MergeInferenceReports(inference_report, inferred->second);

@@ -21,22 +21,18 @@ struct StageOptions {
   BuilderOptions builder;
 
   /// Enrichment rules applied to every built trajectory; empty = skip
-  /// the enrichment stage.
+  /// the enrichment stage. The rules resolve cell metadata through
+  /// `builder.graph`, which they require.
   std::vector<EnrichmentRule> rules;
-  /// Graph resolving cell metadata for the rules; defaults to
-  /// `builder.graph` when null. Required when `rules` is non-empty.
-  const indoor::Nrg* enrichment_graph = nullptr;
 
   /// When true, runs topology-based hidden-passage inference on every
-  /// trajectory after enrichment (Fig. 6 completion).
+  /// trajectory after enrichment (Fig. 6 completion), over the
+  /// accessibility graph `builder.graph`, which it requires.
   bool infer_hidden_passages = false;
   InferenceOptions inference;
-  /// Accessibility graph for inference; defaults to `enrichment_graph`,
-  /// then `builder.graph`. Required when `infer_hidden_passages`.
-  const indoor::Nrg* inference_graph = nullptr;
 
   /// InvalidArgument on empty builder.default_annotations, or on an
-  /// enabled stage that has no graph after defaulting.
+  /// enabled stage without `builder.graph`.
   [[nodiscard]] Status Validate() const;
 
   /// Runs the enabled stages on one built trajectory: enrichment, then

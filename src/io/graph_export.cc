@@ -1,7 +1,5 @@
 #include "io/graph_export.h"
 
-#include <cassert>
-
 namespace sitm::io {
 namespace {
 
@@ -41,30 +39,12 @@ core::AnnotationKind KindFromName(const std::string& name) {
   return core::AnnotationKind::kOther;
 }
 
-// Set/Append on a JsonValue this file just created as an Object/Array
-// can only fail on a kind mismatch — a local programming error, not a
-// runtime condition. Consume the Status by asserting on it instead of
-// (void)-silencing it (scripts/lint_sitm.py forbids the latter: a
-// silenced Status is indistinguishable from a forgotten one).
-void MustSet(JsonValue& object, std::string key, JsonValue value) {
-  const Status status = object.Set(std::move(key), std::move(value));
-  assert(status.ok());
-  static_cast<void>(status);
-}
-
-void MustAppend(JsonValue& array, JsonValue value) {
-  const Status status = array.Append(std::move(value));
-  assert(status.ok());
-  static_cast<void>(status);
-}
-
 JsonValue AnnotationsToJson(const core::AnnotationSet& set) {
-  JsonValue arr{JsonValue::Array{}};
+  JsonValue::Array arr;
   for (const core::SemanticAnnotation& a : set.annotations()) {
-    JsonValue obj{JsonValue::Object{}};
-    MustSet(obj, "kind", std::string(core::AnnotationKindName(a.kind)));
-    MustSet(obj, "value", a.value);
-    MustAppend(arr, std::move(obj));
+    arr.push_back(JsonValue::Object{
+        {"kind", std::string(core::AnnotationKindName(a.kind))},
+        {"value", a.value}});
   }
   return arr;
 }
@@ -117,61 +97,54 @@ std::string MultiLayerGraphToDot(const indoor::MultiLayerGraph& graph) {
 }
 
 JsonValue MultiLayerGraphToJson(const indoor::MultiLayerGraph& graph) {
-  JsonValue root{JsonValue::Object{}};
-  JsonValue layers{JsonValue::Array{}};
+  JsonValue::Array layers;
   for (const indoor::SpaceLayer& layer : graph.layers()) {
-    JsonValue layer_obj{JsonValue::Object{}};
-    MustSet(layer_obj, "id", layer.id().value());
-    MustSet(layer_obj, "name", layer.name());
-    MustSet(layer_obj, "kind",
-                        std::string(indoor::LayerKindName(layer.kind())));
-    JsonValue cells{JsonValue::Array{}};
+    JsonValue::Array cells;
     for (const indoor::CellSpace& cell : layer.graph().cells()) {
-      JsonValue cell_obj{JsonValue::Object{}};
-      MustSet(cell_obj, "id", cell.id().value());
-      MustSet(cell_obj, "name", cell.name());
-      MustSet(cell_obj, 
-          "class", std::string(indoor::CellClassName(cell.cell_class())));
+      JsonValue::Object cell_obj{
+          {"id", cell.id().value()},
+          {"name", cell.name()},
+          {"class", std::string(indoor::CellClassName(cell.cell_class()))}};
       if (cell.floor_level()) {
-        MustSet(cell_obj, "floor", *cell.floor_level());
+        cell_obj.emplace_back("floor", *cell.floor_level());
       }
       if (!cell.attributes().empty()) {
-        JsonValue attrs{JsonValue::Object{}};
+        JsonValue::Object attrs;
         for (const auto& [k, v] : cell.attributes()) {
-          MustSet(attrs, k, v);
+          attrs.emplace_back(k, v);
         }
-        MustSet(cell_obj, "attributes", std::move(attrs));
+        cell_obj.emplace_back("attributes", std::move(attrs));
       }
-      MustAppend(cells, std::move(cell_obj));
+      cells.push_back(std::move(cell_obj));
     }
-    MustSet(layer_obj, "cells", std::move(cells));
-    JsonValue edges{JsonValue::Array{}};
+    JsonValue::Array edges;
     for (const indoor::NrgEdge& e : layer.graph().edges()) {
-      JsonValue edge_obj{JsonValue::Object{}};
-      MustSet(edge_obj, "from", e.from.value());
-      MustSet(edge_obj, "to", e.to.value());
-      MustSet(edge_obj, "type",
-                         std::string(indoor::EdgeTypeName(e.type)));
+      JsonValue::Object edge_obj{
+          {"from", e.from.value()},
+          {"to", e.to.value()},
+          {"type", std::string(indoor::EdgeTypeName(e.type))}};
       if (e.boundary.valid()) {
-        MustSet(edge_obj, "boundary", e.boundary.value());
+        edge_obj.emplace_back("boundary", e.boundary.value());
       }
-      MustAppend(edges, std::move(edge_obj));
+      edges.push_back(std::move(edge_obj));
     }
-    MustSet(layer_obj, "edges", std::move(edges));
-    MustAppend(layers, std::move(layer_obj));
+    layers.push_back(JsonValue::Object{
+        {"id", layer.id().value()},
+        {"name", layer.name()},
+        {"kind", std::string(indoor::LayerKindName(layer.kind()))},
+        {"cells", std::move(cells)},
+        {"edges", std::move(edges)}});
   }
-  MustSet(root, "layers", std::move(layers));
-  JsonValue joints{JsonValue::Array{}};
+  JsonValue::Array joints;
   for (const indoor::JointEdge& e : graph.joint_edges()) {
-    JsonValue joint_obj{JsonValue::Object{}};
-    MustSet(joint_obj, "from", e.from.value());
-    MustSet(joint_obj, "to", e.to.value());
-    MustSet(joint_obj, 
-        "relation", std::string(qsr::TopologicalRelationName(e.relation)));
-    MustAppend(joints, std::move(joint_obj));
+    joints.push_back(JsonValue::Object{
+        {"from", e.from.value()},
+        {"to", e.to.value()},
+        {"relation",
+         std::string(qsr::TopologicalRelationName(e.relation))}});
   }
-  MustSet(root, "jointEdges", std::move(joints));
-  return root;
+  return JsonValue::Object{{"layers", std::move(layers)},
+                           {"jointEdges", std::move(joints)}};
 }
 
 namespace {
@@ -312,27 +285,26 @@ Result<indoor::MultiLayerGraph> MultiLayerGraphFromJson(
 }
 
 JsonValue TrajectoryToJson(const core::SemanticTrajectory& trajectory) {
-  JsonValue root{JsonValue::Object{}};
-  MustSet(root, "id", trajectory.id().value());
-  MustSet(root, "object", trajectory.object().value());
-  MustSet(root, "annotations", AnnotationsToJson(trajectory.annotations()));
-  JsonValue trace{JsonValue::Array{}};
+  JsonValue::Array trace;
   for (const core::PresenceInterval& p : trajectory.trace().intervals()) {
-    JsonValue tuple{JsonValue::Object{}};
+    JsonValue::Object tuple;
     if (p.transition.valid()) {
-      MustSet(tuple, "transition", p.transition.value());
+      tuple.emplace_back("transition", p.transition.value());
     }
-    MustSet(tuple, "cell", p.cell.value());
-    MustSet(tuple, "start", p.start().ToString());
-    MustSet(tuple, "end", p.end().ToString());
+    tuple.emplace_back("cell", p.cell.value());
+    tuple.emplace_back("start", p.start().ToString());
+    tuple.emplace_back("end", p.end().ToString());
     if (!p.annotations.empty()) {
-      MustSet(tuple, "annotations", AnnotationsToJson(p.annotations));
+      tuple.emplace_back("annotations", AnnotationsToJson(p.annotations));
     }
-    if (p.inferred) MustSet(tuple, "inferred", true);
-    MustAppend(trace, std::move(tuple));
+    if (p.inferred) tuple.emplace_back("inferred", true);
+    trace.push_back(std::move(tuple));
   }
-  MustSet(root, "trace", std::move(trace));
-  return root;
+  return JsonValue::Object{
+      {"id", trajectory.id().value()},
+      {"object", trajectory.object().value()},
+      {"annotations", AnnotationsToJson(trajectory.annotations())},
+      {"trace", std::move(trace)}};
 }
 
 Result<core::SemanticTrajectory> TrajectoryFromJson(const JsonValue& json) {

@@ -50,22 +50,6 @@ Result<const JsonValue*> JsonValue::Get(std::string_view key) const {
   return Status::NotFound("JSON object has no key '" + std::string(key) + "'");
 }
 
-Status JsonValue::Set(std::string key, JsonValue value) {
-  if (!is_object()) {
-    return Status::FailedPrecondition("JsonValue::Set on a non-object");
-  }
-  std::get<Object>(value_).emplace_back(std::move(key), std::move(value));
-  return Status::OK();
-}
-
-Status JsonValue::Append(JsonValue value) {
-  if (!is_array()) {
-    return Status::FailedPrecondition("JsonValue::Append on a non-array");
-  }
-  std::get<Array>(value_).push_back(std::move(value));
-  return Status::OK();
-}
-
 std::string JsonEscape(std::string_view s) {
   std::string out = "\"";
   for (char c : s) {

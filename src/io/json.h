@@ -53,12 +53,6 @@ class JsonValue {
   /// Object field lookup (first match), or NotFound.
   [[nodiscard]] Result<const JsonValue*> Get(std::string_view key) const;
 
-  /// Appends a field to an object value (no-op error if not an object).
-  [[nodiscard]] Status Set(std::string key, JsonValue value);
-
-  /// Appends an element to an array value.
-  [[nodiscard]] Status Append(JsonValue value);
-
   /// Serializes compactly ({"a":1,...}).
   std::string Dump() const;
 

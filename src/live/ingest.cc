@@ -1,6 +1,5 @@
 #include "live/ingest.h"
 
-#include <cassert>
 #include <string>
 #include <utility>
 
@@ -10,15 +9,6 @@ namespace {
 
 Status BadBatch(const std::string& message) {
   return Status::InvalidArgument("detection batch: " + message);
-}
-
-// Set on an object this file just built can only fail on a kind
-// mismatch — a local programming error. Assert-consume the Status
-// (same idiom as io/graph_export.cc; the lint forbids (void)-silencing).
-void MustSet(io::JsonValue& object, std::string key, io::JsonValue value) {
-  const Status status = object.Set(std::move(key), std::move(value));
-  assert(status.ok());
-  static_cast<void>(status);
 }
 
 /// A timestamp field: integer epoch seconds or a civil date-time
@@ -117,61 +107,54 @@ Result<std::vector<core::RawDetection>> ParseDetectionBatch(
 
 io::JsonValue RenderStats(const IncrementalStats& builder,
                           const SegmentStoreStats& store) {
-  io::JsonValue doc{io::JsonValue::Object{}};
-  io::JsonValue b{io::JsonValue::Object{}};
-  if (builder.has_watermark) {
-    MustSet(b, "watermark", builder.watermark.seconds_since_epoch());
-  } else {
-    MustSet(b, "watermark", nullptr);
+  const auto count = [](std::uint64_t n) {
+    return io::JsonValue(static_cast<std::int64_t>(n));
+  };
+  io::JsonValue::Array levels;
+  for (const std::size_t n : store.segments_per_level) {
+    levels.push_back(count(n));
   }
-  MustSet(b, "records_in", static_cast<std::int64_t>(builder.records_in));
-  MustSet(b, "late_dropped", static_cast<std::int64_t>(builder.late_dropped));
-  MustSet(b, "retired_objects",
-          static_cast<std::int64_t>(builder.retired_objects));
-  MustSet(b, "finalized", static_cast<std::int64_t>(builder.finalized));
-  MustSet(b, "objects_swept",
-          static_cast<std::int64_t>(builder.objects_swept));
-  MustSet(b, "open_objects", static_cast<std::int64_t>(builder.open_objects));
-  MustSet(b, "buffered_detections",
-          static_cast<std::int64_t>(builder.buffered_detections));
-  MustSet(b, "peak_open_objects",
-          static_cast<std::int64_t>(builder.peak_open_objects));
-  MustSet(b, "peak_buffered_detections",
-          static_cast<std::int64_t>(builder.peak_buffered_detections));
-  io::JsonValue cleaning{io::JsonValue::Object{}};
-  MustSet(cleaning, "zero_duration_dropped",
-          static_cast<std::int64_t>(builder.build.zero_duration_dropped));
-  MustSet(cleaning, "contained_dropped",
-          static_cast<std::int64_t>(builder.build.contained_dropped));
-  MustSet(cleaning, "overlaps_clipped",
-          static_cast<std::int64_t>(builder.build.overlaps_clipped));
-  MustSet(cleaning, "graph_inconsistent_dropped",
-          static_cast<std::int64_t>(builder.build.graph_inconsistent_dropped));
-  MustSet(cleaning, "merged_same_cell",
-          static_cast<std::int64_t>(builder.build.merged_same_cell));
-  MustSet(b, "cleaning", std::move(cleaning));
-  MustSet(doc, "builder", std::move(b));
-
-  io::JsonValue s{io::JsonValue::Object{}};
-  MustSet(s, "segments", static_cast<std::int64_t>(store.segments));
-  MustSet(s, "pending_trajectories",
-          static_cast<std::int64_t>(store.pending_trajectories));
-  MustSet(s, "sealed_trajectories",
-          static_cast<std::int64_t>(store.sealed_trajectories));
-  MustSet(s, "compactions", static_cast<std::int64_t>(store.compactions));
-  MustSet(s, "segment_bytes", static_cast<std::int64_t>(store.segment_bytes));
-  MustSet(s, "logical_bytes", static_cast<std::int64_t>(store.logical_bytes));
-  MustSet(s, "written_bytes", static_cast<std::int64_t>(store.written_bytes));
-  MustSet(s, "max_level", store.max_level);
-  io::JsonValue levels{io::JsonValue::Array{}};
-  for (const std::size_t count : store.segments_per_level) {
-    const Status status = levels.Append(static_cast<std::int64_t>(count));
-    assert(status.ok());
-    static_cast<void>(status);
-  }
-  MustSet(s, "segments_per_level", std::move(levels));
-  MustSet(doc, "store", std::move(s));
-  return doc;
+  return io::JsonValue::Object{
+      {"builder",
+       io::JsonValue::Object{
+           {"watermark",
+            builder.has_watermark
+                ? io::JsonValue(builder.watermark.seconds_since_epoch())
+                : io::JsonValue(nullptr)},
+           {"records_in", count(builder.records_in)},
+           {"late_dropped", count(builder.late_dropped)},
+           {"retired_objects", count(builder.retired_objects)},
+           {"finalized", count(builder.finalized)},
+           {"objects_swept", count(builder.objects_swept)},
+           {"open_objects", count(builder.open_objects)},
+           {"buffered_detections", count(builder.buffered_detections)},
+           {"peak_open_objects", count(builder.peak_open_objects)},
+           {"peak_buffered_detections",
+            count(builder.peak_buffered_detections)},
+           {"cleaning",
+            io::JsonValue::Object{
+                {"zero_duration_dropped",
+                 count(builder.build.zero_duration_dropped)},
+                {"contained_dropped", count(builder.build.contained_dropped)},
+                {"overlaps_clipped", count(builder.build.overlaps_clipped)},
+                {"graph_inconsistent_dropped",
+                 count(builder.build.graph_inconsistent_dropped)},
+                {"merged_same_cell", count(builder.build.merged_same_cell)},
+            }},
+       }},
+      {"store",
+       io::JsonValue::Object{
+           {"segments", count(store.segments)},
+           {"pending_trajectories", count(store.pending_trajectories)},
+           {"sealed_trajectories", count(store.sealed_trajectories)},
+           {"compactions", count(store.compactions)},
+           {"segment_bytes", count(store.segment_bytes)},
+           {"logical_bytes", count(store.logical_bytes)},
+           {"written_bytes", count(store.written_bytes)},
+           {"max_level", store.max_level},
+           {"segments_per_level", std::move(levels)},
+       }},
+  };
 }
 
 }  // namespace sitm::live

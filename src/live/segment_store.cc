@@ -40,56 +40,56 @@ Status SegmentStore::Append(
         std::make_shared<const std::vector<core::SemanticTrajectory>>(
             std::move(trajectories)));
     if (options_.seal_trajectories == 0 ||
-        pending_trajectories_ < options_.seal_trajectories) {
+        pending_trajectories_ - claimed_trajectories_ <
+            options_.seal_trajectories) {
       return Status::OK();
     }
   }
-  return Flush();
+  return Seal(options_.seal_trajectories);
 }
 
-Status SegmentStore::Flush() {
-  std::vector<storage::TrajectoryBatch> batches;
+Status SegmentStore::Flush() { return Seal(1); }
+
+Status SegmentStore::Seal(std::size_t at_least) {
+  std::vector<storage::TrajectoryBatch> claimed;
   std::uint64_t sequence = 0;
   {
     MutexLock lock(mutex_);
-    if (pending_.empty()) return Status::OK();
-    batches = std::move(pending_);
-    pending_.clear();
-    pending_trajectories_ = 0;
-    sealing_ = batches;
+    while (claimed_batches_ != 0) idle_.Wait(lock);
+    if (pending_trajectories_ < at_least) return Status::OK();
+    claimed = pending_;
+    claimed_batches_ = pending_.size();
+    claimed_trajectories_ = pending_trajectories_;
     sequence = next_sequence_++;
   }
-  // IO strictly outside the lock; the batches stay Snapshot-visible via
-  // the sealing_ holding list the whole time. One writer Append for the
+  // IO strictly outside the lock; the claimed batches stay in pending_,
+  // Snapshot-visible, until the install. One writer Append for the
   // whole seal: each Append closes its own last block.
   std::vector<core::SemanticTrajectory> sealed;
-  for (const storage::TrajectoryBatch& batch : batches) {
+  for (const storage::TrajectoryBatch& batch : claimed) {
     sealed.insert(sealed.end(), batch->begin(), batch->end());
   }
   Result<std::shared_ptr<Segment>> segment = WriteSegment(sealed, 0, sequence);
 
-  bool claimed = false;
+  bool compact = false;
   CompactionJob job;
   {
     MutexLock lock(mutex_);
-    sealing_.clear();
-    if (!segment.ok()) {
-      // Put the data back so a failed seal loses nothing; the next seal
-      // retries it.
-      pending_.insert(pending_.begin(), batches.begin(), batches.end());
-      pending_trajectories_ += sealed.size();
-    } else {
-      const std::shared_ptr<Segment>& seg = segment.value();
-      logical_bytes_ += seg->bytes;
-      written_bytes_ += seg->bytes;
-      segments_.push_back(seg);
-      ranks_.reset();
-      claimed = MaybeClaimCompactionLocked(&job);
-      idle_.NotifyAll();
+    if (segment.ok()) {
+      // Appends only push to the back, so the claim is still the front.
+      pending_.erase(pending_.begin(),
+                     pending_.begin() +
+                         static_cast<std::ptrdiff_t>(claimed_batches_));
+      pending_trajectories_ -= claimed_trajectories_;
+      compact = InstallLocked({}, segment.value(), &job);
     }
+    // Pass the baton on. A failed seal moved nothing; the next retries it.
+    claimed_batches_ = 0;
+    claimed_trajectories_ = 0;
+    idle_.NotifyAll();
   }
   if (!segment.ok()) return segment.status();
-  if (claimed) DispatchCompaction(std::move(job));
+  if (compact) DispatchCompaction(std::move(job));
   return Status::OK();
 }
 
@@ -121,6 +121,29 @@ Result<std::shared_ptr<SegmentStore::Segment>> SegmentStore::WriteSegment(
       std::make_shared<const storage::EventStoreReader>(std::move(reader));
   segment->keys = storage::SortedKeys(batch);
   return segment;
+}
+
+bool SegmentStore::InstallLocked(
+    const std::vector<std::shared_ptr<Segment>>& inputs,
+    std::shared_ptr<Segment> output, CompactionJob* next) {
+  if (inputs.empty()) {
+    logical_bytes_ += output->bytes;
+  } else {
+    ++compactions_;
+    segments_.erase(
+        std::remove_if(segments_.begin(), segments_.end(),
+                       [&](const std::shared_ptr<Segment>& s) {
+                         return std::find(inputs.begin(), inputs.end(), s) !=
+                                inputs.end();
+                       }),
+        segments_.end());
+  }
+  written_bytes_ += output->bytes;
+  segments_.push_back(std::move(output));
+  ranks_.reset();
+  const bool claimed = MaybeClaimCompactionLocked(next);
+  idle_.NotifyAll();
+  return claimed;
 }
 
 bool SegmentStore::MaybeClaimCompactionLocked(CompactionJob* job) {
@@ -155,32 +178,40 @@ void SegmentStore::DispatchCompaction(CompactionJob job) {
 }
 
 void SegmentStore::CompactLoop(CompactionJob job) {
-  CompactionJob current = std::move(job);
-  while (true) {
-    bool has_next = false;
-    CompactionJob next;
-    const Status status = CompactOnce(current, &has_next, &next);
+  bool more = true;
+  while (more) {
+    Result<std::shared_ptr<Segment>> output = Merge(job);
+    const bool merged = output.ok();
+    const std::vector<std::shared_ptr<Segment>> inputs = std::move(job.inputs);
     {
       MutexLock lock(mutex_);
-      if (!status.ok()) {
-        if (background_error_.ok()) background_error_ = status;
+      if (merged) {
+        more = InstallLocked(inputs, std::move(output).value(), &job);
+      } else {
+        if (background_error_.ok()) background_error_ = output.status();
         // Release the claim so the inputs stay usable (the merge failed
-        // before the manifest swap — they are all still listed).
-        for (const std::shared_ptr<Segment>& seg : current.inputs) {
+        // before the install — they are all still listed).
+        for (const std::shared_ptr<Segment>& seg : inputs) {
           seg->compacting = false;
         }
-        has_next = false;
+        more = false;
       }
-      --in_flight_;
-      idle_.NotifyAll();
     }
-    if (!has_next) return;
-    current = std::move(next);
+    // Unlink off-lock. Open readers (snapshots) keep the unlinked files
+    // readable until released — POSIX semantics the snapshot relies on.
+    if (merged) {
+      for (const std::shared_ptr<Segment>& seg : inputs) {
+        std::remove(seg->path.c_str());
+      }
+    }
+    MutexLock lock(mutex_);
+    --in_flight_;
+    idle_.NotifyAll();
   }
 }
 
-Status SegmentStore::CompactOnce(CompactionJob job, bool* has_next,
-                                 CompactionJob* next) {
+Result<std::shared_ptr<SegmentStore::Segment>> SegmentStore::Merge(
+    const CompactionJob& job) {
   // Read every input in manifest order (IO off-lock; claimed inputs are
   // immutable and cannot be unlinked under us).
   std::vector<core::SemanticTrajectory> merged;
@@ -199,42 +230,12 @@ Status SegmentStore::CompactOnce(CompactionJob job, bool* has_next,
               if (a.start() != b.start()) return a.start() < b.start();
               return a.object().value() < b.object().value();
             });
-
   std::uint64_t sequence = 0;
   {
     MutexLock lock(mutex_);
     sequence = next_sequence_++;
   }
-  SITM_ASSIGN_OR_RETURN(
-      std::shared_ptr<Segment> output,
-      WriteSegment(merged, job.output_level, sequence));
-
-  std::vector<std::string> obsolete;
-  obsolete.reserve(job.inputs.size());
-  {
-    MutexLock lock(mutex_);
-    for (const std::shared_ptr<Segment>& input : job.inputs) {
-      obsolete.push_back(input->path);
-      segments_.erase(
-          std::remove_if(segments_.begin(), segments_.end(),
-                         [&](const std::shared_ptr<Segment>& s) {
-                           return s == input;
-                         }),
-          segments_.end());
-    }
-    segments_.push_back(output);
-    ranks_.reset();
-    ++compactions_;
-    written_bytes_ += output->bytes;
-    *has_next = MaybeClaimCompactionLocked(next);
-    idle_.NotifyAll();
-  }
-  // Unlink off-lock. Open readers (snapshots) keep the unlinked files
-  // readable until released — POSIX semantics the snapshot relies on.
-  for (const std::string& path : obsolete) {
-    std::remove(path.c_str());
-  }
-  return Status::OK();
+  return WriteSegment(merged, job.output_level, sequence);
 }
 
 Status SegmentStore::CompactAll() {
@@ -265,8 +266,7 @@ Result<storage::StoreSet> SegmentStore::Snapshot(TrajectoryId first_id) const {
   {
     MutexLock lock(mutex_);
     segs = segments_;
-    tail = sealing_;
-    tail.insert(tail.end(), pending_.begin(), pending_.end());
+    tail = pending_;
     ranks = ranks_;
   }
   if (!ranks) {
@@ -296,7 +296,6 @@ SegmentStoreStats SegmentStore::stats() const {
   SegmentStoreStats out;
   out.segments = segments_.size();
   out.pending_trajectories = pending_trajectories_;
-  for (const auto& batch : sealing_) out.pending_trajectories += batch->size();
   for (const std::shared_ptr<Segment>& seg : segments_) {
     out.sealed_trajectories += seg->keys.size();
     out.segment_bytes += seg->bytes;
@@ -315,7 +314,7 @@ SegmentStoreStats SegmentStore::stats() const {
 
 Status SegmentStore::Close() {
   MutexLock lock(mutex_);
-  while (in_flight_ != 0) idle_.Wait(lock);
+  while (in_flight_ != 0 || claimed_batches_ != 0) idle_.Wait(lock);
   return background_error_;
 }
 

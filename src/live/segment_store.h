@@ -56,9 +56,9 @@ struct SegmentStoreStats {
 /// persistence half of the live ingest subsystem.
 ///
 /// Finalized trajectories append into an in-memory pending buffer;
-/// once it reaches `seal_trajectories` it is sealed into a small L0
-/// EventStore file (v3 writer — same format and pushdown
-/// metadata as batch stores). When a level accumulates
+/// once its unclaimed part reaches `seal_trajectories` it is sealed
+/// into a small L0 EventStore file (v3 writer — same format and
+/// pushdown metadata as batch stores). When a level accumulates
 /// `compaction_fanin` segments, a background task (on `runner`, via
 /// detached TaskRunner::Submit) merges them — sorted by (start time,
 /// object) so compacted segments are time-clustered and block pruning
@@ -67,15 +67,22 @@ struct SegmentStoreStats {
 /// the replaced readers, and POSIX keeps an unlinked mapped file
 /// readable until the last reader closes.
 ///
+/// Seals are ordered here: a seal claims the front batches of the
+/// pending buffer in place, writes them with no lock held, and one
+/// install step (shared with compaction merges) then drops exactly
+/// those batches and lists the new segment. At most one seal writes at
+/// a time — the claim is the baton — and a failed write leaves the
+/// buffer as it was, so the next seal retries it. Until its install,
+/// a sealing batch stays in the buffer and every Snapshot() sees it.
+///
 /// Segments persist the builder's *provisional* trajectory ids. Each
 /// keeps its keys sorted from when it was written, and the pending tail
 /// is a list of immutable shared batches, so Snapshot() copies pointers;
-/// queries derive canonical ids per emitted row (storage::StoreSet).
+/// queries derive canonical ids per emitted row (storage::StoreSet),
+/// so answers do not depend on which of two writers appended first.
 ///
-/// Threading: Append/Flush/CompactAll/Close are writer-side calls and
-/// must be externally serialized with each other (live::LiveService
-/// does); Snapshot() and stats() are safe concurrently with everything,
-/// including in-flight sealing and compaction.
+/// Threading: every method is safe to call from any thread,
+/// concurrently with every other.
 class SegmentStore {
  public:
   explicit SegmentStore(SegmentStoreOptions options);
@@ -87,12 +94,15 @@ class SegmentStore {
   SegmentStore& operator=(const SegmentStore&) = delete;
 
   /// Appends finalized trajectories; seals a segment (and possibly
-  /// schedules compaction) when the pending buffer fills. A trajectory
-  /// with an empty trace fails the call with InvalidArgument, and
-  /// nothing from the call is buffered.
+  /// schedules compaction) when the unclaimed part of the pending
+  /// buffer fills, first waiting out a seal already in flight. A
+  /// trajectory with an empty trace fails the call with
+  /// InvalidArgument, and nothing from the call is buffered.
   [[nodiscard]] Status Append(std::vector<core::SemanticTrajectory> trajectories);
 
   /// Seals the pending buffer regardless of size (no-op when empty).
+  /// Waits out a seal in flight first, so everything appended before
+  /// the call is sealed when it returns OK.
   [[nodiscard]] Status Flush();
 
   /// Synchronously merges EVERYTHING (after waiting out in-flight
@@ -109,8 +119,8 @@ class SegmentStore {
 
   SegmentStoreStats stats() const;
 
-  /// Waits for in-flight background compactions and reports the first
-  /// background error, if any. Does not seal the pending buffer.
+  /// Waits for the seal and the compactions in flight and reports the
+  /// first background error, if any. Does not seal the pending buffer.
   /// Idempotent.
   [[nodiscard]] Status Close();
 
@@ -134,36 +144,46 @@ class SegmentStore {
     int output_level = 0;
   };
 
+  /// Waits out the seal in flight, then seals the whole pending buffer
+  /// if it holds at least `at_least` (>= 1) trajectories.
+  [[nodiscard]] Status Seal(std::size_t at_least);
   /// Writes `batch` as a new segment file and opens it. Pure IO — no
   /// locks held (the project lint forbids store writes under a lock).
   [[nodiscard]] Result<std::shared_ptr<Segment>> WriteSegment(
       const std::vector<core::SemanticTrajectory>& batch, int level,
       std::uint64_t sequence);
+  /// Reads, time-sorts and writes the inputs of `job` as one segment.
+  [[nodiscard]] Result<std::shared_ptr<Segment>> Merge(
+      const CompactionJob& job);
+  /// The one install step of seals and merges: lists `output` in place
+  /// of `inputs` (none for a seal), resets the ranks, counts the bytes,
+  /// claims the next ready merge into `*next` (returning whether it
+  /// did) and wakes every waiter. A seal's caller drops the sealed
+  /// batches from pending_ in the same critical section.
+  bool InstallLocked(const std::vector<std::shared_ptr<Segment>>& inputs,
+                     std::shared_ptr<Segment> output, CompactionJob* next)
+      SITM_REQUIRES(mutex_);
   /// Claims a ready level merge, if any. Bumps in_flight_.
   bool MaybeClaimCompactionLocked(CompactionJob* job)
       SITM_REQUIRES(mutex_);
   /// Dispatches `job` to the runner (detached) or runs it inline.
   void DispatchCompaction(CompactionJob job);
-  /// Runs `job` and any cascading merges it unlocks, then retires the
-  /// in-flight claim. Errors land in background_error_.
+  /// Merges and installs `job`, then each merge that install claims,
+  /// unlinking the inputs. Errors land in background_error_.
   void CompactLoop(CompactionJob job);
-  /// One merge: read inputs, write the merged segment, swap the
-  /// manifest, unlink inputs. Outputs the cascading job, if any.
-  [[nodiscard]] Status CompactOnce(CompactionJob job, bool* has_next,
-                                   CompactionJob* next);
 
   SegmentStoreOptions options_;
   mutable Mutex mutex_;
-  /// Signaled when in_flight_ drops or segments change.
+  /// Signaled when in_flight_ drops, a seal ends or segments change.
   mutable CondVar idle_;
   std::vector<std::shared_ptr<Segment>> segments_ SITM_GUARDED_BY(mutex_);
   /// Finalized, not yet sealed (the snapshot tail), one batch per Append.
   std::vector<storage::TrajectoryBatch> pending_ SITM_GUARDED_BY(mutex_);
   std::size_t pending_trajectories_ SITM_GUARDED_BY(mutex_) = 0;
-  /// The batches of the one seal being written to disk right now (seals
-  /// are writer-side, so serialized): still visible to Snapshot so a
-  /// concurrent query never misses sealing data.
-  std::vector<storage::TrajectoryBatch> sealing_ SITM_GUARDED_BY(mutex_);
+  /// The seal baton: how many front batches of pending_, holding how
+  /// many trajectories, the one seal in flight is writing (0 = none).
+  std::size_t claimed_batches_ SITM_GUARDED_BY(mutex_) = 0;
+  std::size_t claimed_trajectories_ SITM_GUARDED_BY(mutex_) = 0;
   /// Ranks of segments_, built by the first Snapshot() after each
   /// manifest change (which resets it) and shared by later ones.
   mutable std::shared_ptr<const storage::SealedRanks> ranks_

@@ -1,6 +1,5 @@
 #include "live/service.h"
 
-#include <cassert>
 #include <utility>
 
 #include "live/ingest.h"
@@ -9,12 +8,21 @@ namespace sitm::live {
 
 namespace {
 
-// Same assert-consume idiom as io/graph_export.cc: Set on a
-// freshly-built object only fails on a local programming error.
-void MustSet(io::JsonValue& object, std::string key, io::JsonValue value) {
-  const Status status = object.Set(std::move(key), std::move(value));
-  assert(status.ok());
-  static_cast<void>(status);
+HttpResponse ErrorResponse(int code, const Status& status) {
+  HttpResponse response;
+  response.status = code;
+  response.body = "{\"error\": " + io::JsonEscape(status.message()) + "}\n";
+  return response;
+}
+
+HttpResponse CountResponse(const char* key, std::size_t count) {
+  HttpResponse response;
+  response.body =
+      io::JsonValue(io::JsonValue::Object{
+                        {key, static_cast<std::int64_t>(count)}})
+          .Dump() +
+      "\n";
+  return response;
 }
 
 }  // namespace
@@ -24,56 +32,26 @@ LiveService::LiveService(LiveServiceOptions options)
       builder_(options_.builder),
       store_(options_.store) {}
 
-void LiveService::AcquireWriter() {
-  MutexLock lock(mutex_);
-  while (writer_busy_) {
-    writer_free_.Wait(lock);
-  }
-  writer_busy_ = true;
-}
-
-void LiveService::ReleaseWriter() {
-  MutexLock lock(mutex_);
-  writer_busy_ = false;
-  writer_free_.NotifyAll();
-}
-
 Status LiveService::IngestBody(std::string_view body, std::size_t* accepted) {
   SITM_ASSIGN_OR_RETURN(const std::vector<core::RawDetection> detections,
                         ParseDetectionBatch(body));
   if (accepted != nullptr) *accepted = detections.size();
-  AcquireWriter();
   std::vector<core::SemanticTrajectory> finalized;
-  Status status;
   {
     MutexLock lock(mutex_);
-    status = builder_.Ingest(detections, &finalized);
+    SITM_RETURN_IF_ERROR(builder_.Ingest(detections, &finalized));
   }
-  // Store write with mutex_ released — the baton alone serializes it
-  // against other writers, and /stats readers never stall on file IO.
-  if (status.ok() && !finalized.empty()) {
-    status = store_.Append(std::move(finalized));
-  }
-  ReleaseWriter();
-  return status;
+  return store_.Append(std::move(finalized));
 }
 
 Status LiveService::FlushAll() {
-  AcquireWriter();
   std::vector<core::SemanticTrajectory> finalized;
-  Status status;
   {
     MutexLock lock(mutex_);
-    status = builder_.Drain(&finalized);
+    SITM_RETURN_IF_ERROR(builder_.Drain(&finalized));
   }
-  if (status.ok() && !finalized.empty()) {
-    status = store_.Append(std::move(finalized));
-  }
-  if (status.ok()) {
-    status = store_.Flush();
-  }
-  ReleaseWriter();
-  return status;
+  SITM_RETURN_IF_ERROR(store_.Append(std::move(finalized)));
+  return store_.Flush();
 }
 
 io::JsonValue LiveService::StatsJson() const {
@@ -100,31 +78,13 @@ void LiveService::RegisterRoutes(HttpServer* server) {
   server->Handle("POST", "/detections", [this](const HttpRequest& request) {
     std::size_t accepted = 0;
     const Status status = IngestBody(request.body, &accepted);
-    HttpResponse response;
-    if (!status.ok()) {
-      response.status = 400;
-      response.body = "{\"error\": " +
-                      io::JsonEscape(status.message()) + "}\n";
-      return response;
-    }
-    io::JsonValue doc{io::JsonValue::Object{}};
-    MustSet(doc, "accepted", static_cast<std::int64_t>(accepted));
-    response.body = doc.Dump() + "\n";
-    return response;
+    if (!status.ok()) return ErrorResponse(400, status);
+    return CountResponse("accepted", accepted);
   });
   server->Handle("POST", "/flush", [this](const HttpRequest&) {
     const Status status = FlushAll();
-    HttpResponse response;
-    if (!status.ok()) {
-      response.status = 500;
-      response.body = "{\"error\": " +
-                      io::JsonEscape(status.message()) + "}\n";
-      return response;
-    }
-    io::JsonValue doc{io::JsonValue::Object{}};
-    MustSet(doc, "finalized", static_cast<std::int64_t>(finalized_count()));
-    response.body = doc.Dump() + "\n";
-    return response;
+    if (!status.ok()) return ErrorResponse(500, status);
+    return CountResponse("finalized", finalized_count());
   });
   server->Handle("GET", "/stats", [this](const HttpRequest&) {
     HttpResponse response;

@@ -24,15 +24,13 @@ struct LiveServiceOptions {
 /// the SegmentStore: the live ingest subsystem's service object.
 ///
 /// Concurrency: HTTP handlers run on executor workers, so every entry
-/// point here is thread-safe. The builder (not thread-safe) and the
-/// store's writer side (Append/Flush must be externally serialized)
-/// are both covered by a writer baton: an ingest takes the baton,
-/// advances the builder under the service mutex, then performs the
-/// store write with the mutex RELEASED (file IO under a lock is
-/// forbidden by the project lint and would stall /stats), and finally
-/// returns the baton. Snapshot() and StatsJson() never take the baton
-/// — they only need the mutex for a consistent builder read plus the
-/// store's internally-synchronized readers.
+/// point here is thread-safe. The one service mutex guards only the
+/// builder (not thread-safe): an ingest advances the builder under it,
+/// then appends what finalized to the store with it RELEASED (file IO
+/// under a lock is forbidden by the project lint and would stall
+/// /stats). The store orders its own seals, so two ingests may append
+/// in either order; answers do not change, because canonical ids rank
+/// trajectories by (object, start).
 ///
 /// Layering: live/ must not depend on query/, so /query is NOT routed
 /// here. The glue binary (examples/live_server.cpp) registers it,
@@ -76,18 +74,10 @@ class LiveService {
   void RegisterRoutes(HttpServer* server);
 
  private:
-  /// Blocks until the writer baton is free and takes it.
-  void AcquireWriter();
-  void ReleaseWriter();
-
   LiveServiceOptions options_;
   mutable Mutex mutex_;
-  mutable CondVar writer_free_;
-  /// The writer baton: held across builder-advance + store-write so
-  /// concurrent ingests serialize without holding mutex_ during IO.
-  bool writer_busy_ SITM_GUARDED_BY(mutex_) = false;
   IncrementalBuilder builder_ SITM_GUARDED_BY(mutex_);
-  /// Internally synchronized; writer-side calls serialized by the baton.
+  /// Internally synchronized; called with mutex_ released.
   SegmentStore store_;
 };
 

@@ -228,7 +228,7 @@ TEST(BatchPipelineTest, RejectsEmptyDefaultAnnotations) {
 
 TEST(BatchPipelineTest, RejectsRulesWithoutGraph) {
   PipelineOptions options;
-  options.rules = Rules();  // but neither builder.graph nor enrichment_graph
+  options.rules = Rules();  // but no builder.graph
   BatchPipeline pipeline(options);
   auto result = pipeline.Run(LouvreDetections(10, 2));
   EXPECT_FALSE(result.ok());

@@ -262,8 +262,7 @@ TEST(TrajectoryJsonTest, RoundTripPreservesEverything) {
 
 TEST(TrajectoryJsonTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(TrajectoryFromJson(JsonValue(1)).ok());
-  JsonValue missing{JsonValue::Object{}};
-  ASSERT_TRUE(missing.Set("id", 1).ok());
+  const JsonValue missing{JsonValue::Object{{"id", 1}}};
   EXPECT_FALSE(TrajectoryFromJson(missing).ok());
 }
 

@@ -32,33 +32,23 @@ TEST(JsonValueTest, CheckedAccessors) {
 }
 
 TEST(JsonValueTest, ObjectGetSet) {
-  JsonValue obj{JsonValue::Object{}};
-  ASSERT_TRUE(obj.Set("a", 1).ok());
-  ASSERT_TRUE(obj.Set("b", "two").ok());
+  const JsonValue obj{JsonValue::Object{{"a", 1}, {"b", "two"}}};
   EXPECT_EQ(obj.Get("a").value()->AsInt().value(), 1);
   EXPECT_FALSE(obj.Get("zzz").ok());
-  EXPECT_FALSE(JsonValue(1).Set("a", 2).ok());
   EXPECT_FALSE(JsonValue(1).Get("a").ok());
 }
 
 TEST(JsonValueTest, ArrayAppend) {
-  JsonValue arr{JsonValue::Array{}};
-  ASSERT_TRUE(arr.Append(1).ok());
-  ASSERT_TRUE(arr.Append("x").ok());
+  const JsonValue arr{JsonValue::Array{1, "x"}};
   EXPECT_EQ(arr.AsArray().value()->size(), 2u);
-  EXPECT_FALSE(JsonValue("s").Append(1).ok());
 }
 
 TEST(JsonDumpTest, CompactFormat) {
-  JsonValue obj{JsonValue::Object{}};
-  ASSERT_TRUE(obj.Set("n", nullptr).ok());
-  ASSERT_TRUE(obj.Set("b", false).ok());
-  ASSERT_TRUE(obj.Set("i", 42).ok());
-  ASSERT_TRUE(obj.Set("s", "hi").ok());
-  JsonValue arr{JsonValue::Array{}};
-  ASSERT_TRUE(arr.Append(1).ok());
-  ASSERT_TRUE(arr.Append(2).ok());
-  ASSERT_TRUE(obj.Set("a", std::move(arr)).ok());
+  const JsonValue obj{JsonValue::Object{{"n", nullptr},
+                                        {"b", false},
+                                        {"i", 42},
+                                        {"s", "hi"},
+                                        {"a", JsonValue::Array{1, 2}}}};
   EXPECT_EQ(obj.Dump(),
             R"({"n":null,"b":false,"i":42,"s":"hi","a":[1,2]})");
 }
@@ -76,8 +66,7 @@ TEST(JsonDumpTest, EmptyContainers) {
 }
 
 TEST(JsonDumpTest, PrettyIndents) {
-  JsonValue obj{JsonValue::Object{}};
-  ASSERT_TRUE(obj.Set("a", 1).ok());
+  const JsonValue obj{JsonValue::Object{{"a", 1}}};
   EXPECT_EQ(obj.Pretty(), "{\n  \"a\": 1\n}");
 }
 

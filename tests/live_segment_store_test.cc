@@ -10,6 +10,7 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "base/rng.h"
+#include "base/task_runner.h"
 #include "query/executor.h"
 #include "query/predicate.h"
 #include "sched/executor.h"
@@ -283,6 +285,169 @@ TEST(SegmentStoreTest, EmptyTraceIsRejectedAndNothingIsBuffered) {
   EXPECT_EQ(files, store.stats().segments);
   ExpectSnapshotMatches(store, TrajectoryId(1), CanonicalSet(1));
   ASSERT_TRUE(store.Close().ok());
+}
+
+std::size_t FilesIn(const std::string& directory) {
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(directory)) {
+    static_cast<void>(entry);
+    ++files;
+  }
+  return files;
+}
+
+auto StatsFields(const SegmentStoreStats& s) {
+  return std::make_tuple(s.segments, s.pending_trajectories,
+                         s.sealed_trajectories, s.compactions,
+                         s.segment_bytes, s.logical_bytes, s.written_bytes,
+                         s.max_level, s.segments_per_level);
+}
+
+// A seal whose write fails moves nothing: its batches stay in the tail,
+// visible exactly once, and the next Flush seals them into one segment.
+TEST(SegmentStoreTest, FailedSealLeavesTheTailInPlace) {
+  SegmentStoreOptions options;
+  options.directory = UniqueDir("a");
+  std::filesystem::remove_all(options.directory);
+  options.seal_trajectories = 0;
+  SegmentStore store(options);
+  std::vector<core::SemanticTrajectory> working = WorkingSet();
+  ASSERT_TRUE(store.Append({working.begin(), working.begin() + 2}).ok());
+  ASSERT_TRUE(store.Append({working.begin() + 2, working.end()}).ok());
+  const SegmentStoreStats before = store.stats();
+  ASSERT_EQ(before.pending_trajectories, 5u);
+
+  // A regular file where the segment directory belongs: no segment can
+  // be created under it.
+  { std::ofstream(options.directory) << "not a directory"; }
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    EXPECT_FALSE(store.Flush().ok());
+    EXPECT_EQ(StatsFields(store.stats()), StatsFields(before));
+    ExpectSnapshotMatches(store, TrajectoryId(1), CanonicalSet(1));
+  }
+
+  std::filesystem::remove(options.directory);
+  ASSERT_TRUE(store.Flush().ok());
+  const SegmentStoreStats after = store.stats();
+  EXPECT_EQ(after.segments, 1u);
+  EXPECT_EQ(after.pending_trajectories, 0u);
+  EXPECT_EQ(after.sealed_trajectories, 5u);
+  EXPECT_EQ(after.logical_bytes, after.written_bytes);
+  EXPECT_EQ(FilesIn(options.directory), 1u);
+  ExpectSnapshotMatches(store, TrajectoryId(1), CanonicalSet(1));
+  // Nothing is left to seal twice.
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_EQ(StatsFields(store.stats()), StatsFields(after));
+  ASSERT_TRUE(store.Close().ok());
+}
+
+// Three writers append disjoint objects, one to three trajectories at a
+// time, with tiny seals, while two readers snapshot: the store orders
+// the seals itself. Every snapshot is one contiguous id range, no
+// reader sees its count fall, and the end state is the canonical union.
+TEST(SegmentStoreTest, ConcurrentWritersAndReaders) {
+  constexpr int kWriters = 3;
+  constexpr int kReaders = 2;
+  constexpr int kPerWriter = 120;
+  constexpr std::int64_t kFirst = 7;
+  std::vector<std::vector<core::SemanticTrajectory>> streams(kWriters);
+  std::vector<core::SemanticTrajectory> all;
+  for (int w = 0; w < kWriters; ++w) {
+    for (int i = 0; i < kPerWriter; ++i) {
+      const std::int64_t start = 1000 + i * 10 + w;
+      streams[w].push_back(
+          MakeTrajectory(w * kPerWriter + i, w * 100 + 1 + i % 30,
+                         {{1 + i % 7, start, start + 5 + i % 11}}));
+      all.push_back(streams[w].back());
+    }
+  }
+  std::sort(all.begin(), all.end(),
+            [](const core::SemanticTrajectory& a,
+               const core::SemanticTrajectory& b) {
+              return std::make_pair(a.object().value(), a.start()) <
+                     std::make_pair(b.object().value(), b.start());
+            });
+  std::vector<core::SemanticTrajectory> expected;
+  for (core::SemanticTrajectory& t : all) {
+    expected.emplace_back(
+        TrajectoryId(kFirst + static_cast<std::int64_t>(expected.size())),
+        t.object(), std::move(t.mutable_trace()), t.annotations());
+  }
+
+  sched::Executor pool(2);
+  // Writers and readers run as tasks: the readers hold at most kReaders
+  // of the kWriters + kReaders + 1 threads, so every writer gets one.
+  sched::Executor threads(kWriters + kReaders);
+  for (const std::size_t fanin : {2, 3, 4}) {
+    SCOPED_TRACE("fanin " + std::to_string(fanin));
+    SegmentStoreOptions options;
+    options.directory = UniqueDir("w") + std::to_string(fanin);
+    std::filesystem::remove_all(options.directory);
+    options.seal_trajectories = 3;
+    options.compaction_fanin = fanin;
+    options.runner = &pool;
+    SegmentStore store(options);
+
+    std::atomic<int> writing{kWriters};
+    std::atomic<int> append_failures{0};
+    std::atomic<int> split_snapshots{0};
+    std::atomic<int> shrinking_snapshots{0};
+    const auto write = [&](const std::vector<core::SemanticTrajectory>& mine) {
+      for (std::size_t i = 0; i < mine.size();) {
+        const std::size_t end = std::min(mine.size(), i + 1 + i % 3);
+        if (!store.Append({mine.begin() + static_cast<long>(i),
+                           mine.begin() + static_cast<long>(end)})
+                 .ok()) {
+          append_failures.fetch_add(1);
+        }
+        i = end;
+      }
+      writing.fetch_sub(1);
+    };
+    const auto read = [&] {
+      query::Query q;
+      q.where = query::All();
+      q.projection = query::Projection::kIds;
+      const query::QueryExecutor executor{query::QueryContext{}};
+      std::uint64_t seen = 0;
+      do {
+        auto snapshot = store.Snapshot(TrajectoryId(kFirst));
+        auto ids = snapshot.ok() ? executor.Run(q, *snapshot)
+                                 : Result<query::QueryResult>(snapshot.status());
+        bool contiguous =
+            ids.ok() && ids->ids.size() == snapshot->TotalTrajectories();
+        for (std::size_t i = 0; contiguous && i < ids->ids.size(); ++i) {
+          contiguous = ids->ids[i] ==
+                       TrajectoryId(kFirst + static_cast<std::int64_t>(i));
+        }
+        if (!contiguous) {
+          split_snapshots.fetch_add(1);
+          continue;
+        }
+        if (snapshot->TotalTrajectories() < seen) {
+          shrinking_snapshots.fetch_add(1);
+        }
+        seen = snapshot->TotalTrajectories();
+      } while (writing.load() > 0);
+    };
+    std::vector<Task> tasks;
+    for (const auto& mine : streams) {
+      tasks.push_back({"test/writer", [&write, &mine] { write(mine); }});
+    }
+    for (int r = 0; r < kReaders; ++r) tasks.push_back({"test/reader", read});
+    ASSERT_TRUE(threads.Run(std::move(tasks)).ok());
+    EXPECT_EQ(append_failures.load(), 0);
+    EXPECT_EQ(split_snapshots.load(), 0);
+    EXPECT_EQ(shrinking_snapshots.load(), 0);
+
+    ASSERT_TRUE(store.Flush().ok());
+    ASSERT_TRUE(store.Close().ok());
+    const SegmentStoreStats stats = store.stats();
+    EXPECT_EQ(stats.pending_trajectories, 0u);
+    EXPECT_EQ(stats.sealed_trajectories, expected.size());
+    EXPECT_EQ(FilesIn(options.directory), stats.segments);
+    ExpectSnapshotMatches(store, TrajectoryId(kFirst), expected);
+  }
 }
 
 /// The eager ranking rule, kept as the reference: decode every segment
