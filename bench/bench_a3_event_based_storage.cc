@@ -214,10 +214,9 @@ void ReportStorage(const std::vector<core::SemanticTrajectory>& visits,
   const double scan_seconds = SecondsSince(scan_start);
   std::printf(
       "    ingest %.1f MB/s (%zu tuples in %.3f s), scan %.0f rows/s "
-      "(%s, %zu blocks)\n",
+      "(%zu blocks)\n",
       Mb(stats.file_bytes) / ingest_seconds, event_tuples, ingest_seconds,
-      static_cast<double>(event_tuples) / scan_seconds,
-      reader.is_mapped() ? "mmap" : "read fallback", reader.num_blocks());
+      static_cast<double>(event_tuples) / scan_seconds, reader.num_blocks());
   Check(scanned.size() == visits.size()
             ? Status::OK()
             : Status::Internal("store roundtrip lost trajectories"));

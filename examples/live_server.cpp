@@ -16,18 +16,17 @@
 //
 // Query string: projection=count|ids|trajectories (default count),
 // object=<id>, cell=<id> (filters AND together).
-#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "base/strings.h"
 #include "core/pipeline.h"
 #include "io/json.h"
 #include "live/http_server.h"
@@ -74,16 +73,15 @@ Result<query::Query> QueryFromParams(
         return Status::InvalidArgument("unknown projection: " + value);
       }
     } else if (key == "object" || key == "cell") {
-      char* end = nullptr;
-      errno = 0;  // strtoll clamps out-of-range ids and flags only errno
-      const long long id = std::strtoll(value.c_str(), &end, 10);
-      if (end == value.c_str() || *end != '\0' || errno == ERANGE || id < 0) {
+      // Every failure, out of range included, is the client's: 400.
+      const Result<std::int64_t> id = ParseInt64(value);
+      if (!id.ok() || *id < 0) {
         return Status::InvalidArgument("bad " + key + " id: " + value);
       }
       q.where = query::And(std::move(q.where),
                            key == "object"
-                               ? query::ObjectIs(ObjectId(id))
-                               : query::InCell(CellId(id)));
+                               ? query::ObjectIs(ObjectId(*id))
+                               : query::InCell(CellId(*id)));
     } else {
       return Status::InvalidArgument("unknown query parameter: " + key);
     }
@@ -128,23 +126,6 @@ io::JsonValue RenderResult(const query::QueryResult& result) {
   return doc;
 }
 
-// "a=1&b=2" -> ordered pairs (no percent-decoding: the batch oracle
-// takes the already-decoded string the CLI passes).
-std::vector<std::pair<std::string, std::string>> ParseQueryString(
-    const std::string& text) {
-  std::vector<std::pair<std::string, std::string>> params;
-  std::stringstream stream(text);
-  std::string piece;
-  while (std::getline(stream, piece, '&')) {
-    if (piece.empty()) continue;
-    const std::size_t eq = piece.find('=');
-    params.emplace_back(piece.substr(0, eq == std::string::npos ? piece.size()
-                                                                : eq),
-                        eq == std::string::npos ? "" : piece.substr(eq + 1));
-  }
-  return params;
-}
-
 int RunServe(int argc, char** argv) {
   int port = 0;
   std::int64_t lateness_seconds = 600;
@@ -187,26 +168,16 @@ int RunServe(int argc, char** argv) {
   service.RegisterRoutes(&server);
   server.Handle("GET", "/query", [&service, &executor](
                                      const live::HttpRequest& request) {
-    live::HttpResponse response;
-    // 400 for bad parameters; 500 when the server fails to answer a
-    // well-formed query (a snapshot or execution error, e.g. a corrupt
-    // segment).
-    const auto fail = [&response](int code, const Status& status) {
-      response.status = code;
-      response.body =
-          io::JsonValue(io::JsonValue::Object{{"error", status.ToString()}})
-              .Dump();
-      return response;
-    };
     auto q = QueryFromParams(request.query_params);
-    if (!q.ok()) return fail(400, q.status());
+    if (!q.ok()) return live::ErrorResponse(q.status());
     auto snapshot = service.Snapshot();
-    if (!snapshot.ok()) return fail(500, snapshot.status());
+    if (!snapshot.ok()) return live::ErrorResponse(snapshot.status());
     query::ExecutorOptions exec_options;
     exec_options.executor = &executor;
     query::QueryExecutor query_executor{query::QueryContext{}, exec_options};
     auto result = query_executor.Run(*q, *snapshot);
-    if (!result.ok()) return fail(500, result.status());
+    if (!result.ok()) return live::ErrorResponse(result.status());
+    live::HttpResponse response;
     response.body = RenderResult(*result).Dump();
     return response;
   });
@@ -241,7 +212,7 @@ int RunBatch(int argc, char** argv) {
       Unwrap(pipeline.Run(detections));
 
   const query::Query q = Unwrap(
-      QueryFromParams(ParseQueryString(argc > 3 ? argv[3] : "")));
+      QueryFromParams(live::ParseQueryString(argc > 3 ? argv[3] : "")));
   query::QueryExecutor query_executor{query::QueryContext{}};
   const query::QueryResult result = Unwrap(query_executor.Run(q, trajectories));
   std::printf("%s\n", RenderResult(result).Dump().c_str());

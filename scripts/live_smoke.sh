@@ -7,8 +7,11 @@
 # the live segments, and diffs every
 # answer byte-for-byte against `live_server batch` — the batch pipeline
 # run over the same detection multiset — and checks that malformed
-# queries answer 400 with a JSON error body. Also saves the /stats document
-# (live_smoke_stats.json in the work dir) for CI to archive.
+# queries and a truncated detection batch answer 400 and an unknown path
+# 404, each with a JSON error body. The truncated batch is posted before
+# the flush, so the clean diffs also prove it ingested nothing. Also
+# saves the /stats document (live_smoke_stats.json in the work dir) for
+# CI to archive.
 #
 # Usage:
 #   scripts/live_smoke.sh [build_dir] [work_dir]
@@ -61,6 +64,9 @@ EOF
 cat > "$work_dir/batch4.json" <<'EOF'
 [{"object": 4, "cell": 11, "start": 20000, "end": 20100}]
 EOF
+# Cut off mid-detection: refused whole, and never fed to the oracle.
+printf '%s' '[{"object": 5, "cell": 10, "start": 20050, "end": 20200},
+ {"object": 5, "cell": 1' > "$work_dir/truncated.json"
 
 # The batch oracle consumes the union of everything POSTed.
 python3 - "$work_dir" <<'EOF'
@@ -129,6 +135,27 @@ EOF
   fi
 }
 
+# Expects the request (the curl arguments after $1 and $2) to answer
+# status $1 with a JSON {"error": "..."} body; $2 labels it.
+failed=0
+expect_error() {
+  local want="$1" label="$2" code
+  shift 2
+  # curl -f would hide the body on 4xx; check the status code by hand.
+  code="$(curl -s -o "$work_dir/error_answer.json" -w '%{http_code}' "$@")"
+  if [ "$code" = "$want" ] && python3 -c '
+import json, sys
+with open(sys.argv[1]) as fh:
+    doc = json.load(fh)
+sys.exit(0 if isinstance(doc, dict) and isinstance(doc.get("error"), str) else 1)
+' "$work_dir/error_answer.json" 2> /dev/null; then
+    echo "live_smoke: $want    $label"
+  else
+    echo "live_smoke: WRONG ERROR $label ($code): $(cat "$work_dir/error_answer.json")" >&2
+    failed=1
+  fi
+}
+
 post "$work_dir/batch1.json" /detections
 post "$work_dir/batch2.json" /detections
 check_mid_stream_ids
@@ -150,6 +177,9 @@ then
   echo "live_smoke: expected open_objects 1 and retired_objects 3 before the flush" >&2
   exit 1
 fi
+expect_error 400 "POST /detections <- truncated.json" \
+  -X POST --data-binary @"$work_dir/truncated.json" "$base/detections"
+expect_error 404 "GET /nowhere" "$base/nowhere"
 curl -s -X POST "$base/flush" > /dev/null
 curl -s "$base/stats" > "$work_dir/live_smoke_stats.json"
 echo "live_smoke: /stats ->"
@@ -207,7 +237,6 @@ queries=(
   "projection=ids&cell=10"
   "projection=count&object=2&cell=11"
 )
-failed=0
 for q in "${queries[@]}"; do
   curl -s "$base/query?$q" > "$work_dir/live_answer.json"
   "$server_bin" batch "$work_dir/all.json" "$q" > "$work_dir/batch_answer.json"
@@ -230,20 +259,7 @@ bad_queries=(
   "object=99999999999999999999"
 )
 for q in "${bad_queries[@]}"; do
-  # curl -f would hide the body on 4xx; check the status code by hand.
-  code="$(curl -s -o "$work_dir/error_answer.json" -w '%{http_code}' \
-               "$base/query?$q")"
-  if [ "$code" = "400" ] && python3 -c '
-import json, sys
-with open(sys.argv[1]) as fh:
-    doc = json.load(fh)
-sys.exit(0 if isinstance(doc, dict) and isinstance(doc.get("error"), str) else 1)
-' "$work_dir/error_answer.json" 2> /dev/null; then
-    echo "live_smoke: 400    ?$q"
-  else
-    echo "live_smoke: WRONG ERROR ?$q ($code): $(cat "$work_dir/error_answer.json")" >&2
-    failed=1
-  fi
+  expect_error 400 "?$q" "$base/query?$q"
 done
 
 curl -s -X POST "$base/shutdown" > /dev/null
@@ -255,7 +271,7 @@ if [ "$server_status" -ne 0 ]; then
   exit 1
 fi
 if [ "$failed" -ne 0 ]; then
-  echo "live_smoke: FAILED — live answers diverge from batch, or a bad query was not rejected" >&2
+  echo "live_smoke: FAILED — live answers diverge from batch, or a bad request was not rejected" >&2
   exit 1
 fi
-echo "live_smoke: OK — ${#queries[@]} live answers byte-identical to batch, ${#bad_queries[@]} bad queries rejected with 400"
+echo "live_smoke: OK — ${#queries[@]} live answers byte-identical to batch, ${#bad_queries[@]} bad queries and a truncated batch rejected with 400, an unknown path with 404"

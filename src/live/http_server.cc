@@ -6,10 +6,15 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cstring>
 #include <utility>
+#include <variant>
+
+#include "base/strings.h"
+#include "io/json.h"
 
 namespace sitm::live {
 
@@ -73,16 +78,6 @@ bool EqualsIgnoreCase(std::string_view a, std::string_view b) {
   return true;
 }
 
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 /// All-or-nothing send; MSG_NOSIGNAL keeps a dead peer from raising
 /// SIGPIPE at the process.
 bool SendAll(int fd, std::string_view data) {
@@ -110,33 +105,137 @@ void WriteResponse(int fd, const HttpResponse& response) {
   (void)sent;  // the peer hanging up mid-response is its problem
 }
 
-HttpResponse ErrorResponse(int status, std::string message) {
+/// Appends one recv() to `out`; false on timeout or peer hangup.
+bool Receive(int fd, std::string* out) {
+  char chunk[4096];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n > 0) {
+      out->append(chunk, static_cast<std::size_t>(n));
+      return true;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return false;
+  }
+}
+
+/// What reading a connection yields: the request, the refusal to send
+/// instead, or nothing (monostate) when the peer hung up or timed out
+/// before a whole request arrived.
+using ReadOutcome = std::variant<std::monostate, HttpRequest, HttpResponse>;
+
+ReadOutcome ReadRequest(int fd) {
+  // Read until the blank line terminating the headers (the buffer may
+  // already contain the start of the body). A fast client can deliver
+  // oversized headers AND the blank line in one burst, so a found
+  // header block is held to the cap as well as a missing one.
+  std::string buffer;
+  std::size_t header_end;
+  while (true) {
+    header_end = buffer.find("\r\n\r\n");
+    if (std::min(header_end, buffer.size()) > kMaxHeaderBytes) {
+      return ErrorResponse(431, "request headers too large");
+    }
+    if (header_end != std::string::npos) break;
+    if (!Receive(fd, &buffer)) return {};
+  }
+
+  HttpRequest request;
+  std::size_t content_length = 0;
+  bool bad = false;
+  const std::string_view head = std::string_view(buffer).substr(0, header_end);
+  const std::size_t line_end = head.find("\r\n");
+  const std::string_view request_line = head.substr(0, line_end);
+  const std::size_t sp1 = request_line.find(' ');
+  const std::size_t sp2 = sp1 == std::string_view::npos
+                              ? std::string_view::npos
+                              : request_line.find(' ', sp1 + 1);
+  if (sp2 == std::string_view::npos) {
+    bad = true;
+  } else {
+    request.method = std::string(request_line.substr(0, sp1));
+    const std::string_view target =
+        request_line.substr(sp1 + 1, sp2 - sp1 - 1);
+    const std::size_t qmark = target.find('?');
+    request.path =
+        UrlDecode(target.substr(0, qmark), /*plus_is_space=*/false);
+    if (qmark != std::string_view::npos) {
+      request.query_params = ParseQueryString(target.substr(qmark + 1));
+    }
+  }
+  std::string_view rest = line_end == std::string_view::npos
+                              ? std::string_view()
+                              : head.substr(line_end + 2);
+  while (!rest.empty()) {
+    const std::size_t eol = rest.find("\r\n");
+    const std::string_view line = rest.substr(0, eol);
+    rest = eol == std::string_view::npos ? std::string_view()
+                                         : rest.substr(eol + 2);
+    const std::size_t colon = line.find(':');
+    if (colon == std::string_view::npos ||
+        !EqualsIgnoreCase(StrTrim(line.substr(0, colon)), "content-length")) {
+      continue;
+    }
+    const std::string_view value = StrTrim(line.substr(colon + 1));
+    if (value.empty()) bad = true;
+    content_length = 0;
+    for (const char c : value) {
+      if (c < '0' || c > '9') {
+        bad = true;
+        break;
+      }
+      // Once past the cap the exact value no longer matters (the 413
+      // path fires); stopping keeps the accumulation overflow-free on
+      // adversarial lengths.
+      if (content_length > kMaxBodyBytes) break;
+      content_length = content_length * 10 + static_cast<std::size_t>(c - '0');
+    }
+  }
+  if (bad) return ErrorResponse(400, "malformed request");
+  if (content_length > kMaxBodyBytes) {
+    return ErrorResponse(413, "body too large");
+  }
+
+  request.body = buffer.substr(header_end + 4);
+  while (request.body.size() < content_length) {
+    if (!Receive(fd, &request.body)) return {};  // truncated body
+  }
+  request.body.resize(content_length);  // drop pipelined trailing bytes
+  return request;
+}
+
+}  // namespace
+
+HttpResponse ErrorResponse(int status, std::string_view message) {
   HttpResponse response;
   response.status = status;
-  response.body = "{\"error\": \"" + std::move(message) + "\"}\n";
+  response.body = "{\"error\": " + io::JsonEscape(message) + "}\n";
   return response;
 }
 
-void ParseQuery(std::string_view query,
-                std::vector<std::pair<std::string, std::string>>* out) {
+HttpResponse ErrorResponse(const Status& status) {
+  return ErrorResponse(status.Is(StatusCode::kInvalidArgument) ? 400 : 500,
+                       status.message());
+}
+
+std::vector<std::pair<std::string, std::string>> ParseQueryString(
+    std::string_view query) {
+  std::vector<std::pair<std::string, std::string>> params;
   while (!query.empty()) {
     const std::size_t amp = query.find('&');
-    const std::string_view pair =
-        amp == std::string_view::npos ? query : query.substr(0, amp);
+    const std::string_view pair = query.substr(0, amp);
     query = amp == std::string_view::npos ? std::string_view()
                                           : query.substr(amp + 1);
     if (pair.empty()) continue;
     const std::size_t eq = pair.find('=');
-    if (eq == std::string_view::npos) {
-      out->emplace_back(UrlDecode(pair, /*plus_is_space=*/true), "");
-    } else {
-      out->emplace_back(UrlDecode(pair.substr(0, eq), /*plus_is_space=*/true),
-                        UrlDecode(pair.substr(eq + 1), /*plus_is_space=*/true));
-    }
+    params.emplace_back(
+        UrlDecode(pair.substr(0, eq), /*plus_is_space=*/true),
+        eq == std::string_view::npos
+            ? std::string()
+            : UrlDecode(pair.substr(eq + 1), /*plus_is_space=*/true));
   }
+  return params;
 }
-
-}  // namespace
 
 const std::string* HttpRequest::QueryParam(std::string_view key) const {
   for (const auto& [k, v] : query_params) {
@@ -237,144 +336,41 @@ void HttpServer::Stop() {
 }
 
 void HttpServer::HandleConnection(int fd) {
+  // The connection's one exit, taken on every path — an answer, a
+  // hangup, or a handler that throws: close the socket and count the
+  // connection done, so the drain in Serve() always finishes.
+  struct Exit {
+    HttpServer* server;
+    int fd;
+    ~Exit() {
+      ::close(fd);
+      server->FinishConnection();
+    }
+  } exit{this, fd};
+
   timeval timeout{};
   timeout.tv_sec = kSocketTimeoutSeconds;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof(timeout));
 
-  // Read until the blank line terminating the headers (the buffer may
-  // already contain the start of the body).
-  std::string buffer;
-  std::size_t header_end = std::string::npos;
-  char chunk[4096];
-  while (header_end == std::string::npos) {
-    if (buffer.size() > kMaxHeaderBytes) {
-      WriteResponse(fd, ErrorResponse(431, "request headers too large"));
-      ::close(fd);
-      FinishConnection();
-      return;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);  // timeout or peer hangup before a full request
-      FinishConnection();
-      return;
-    }
-    buffer.append(chunk, static_cast<std::size_t>(n));
-    header_end = buffer.find("\r\n\r\n");
+  ReadOutcome read = ReadRequest(fd);
+  if (const HttpRequest* request = std::get_if<HttpRequest>(&read)) {
+    read = Dispatch(*request);
   }
-  // The in-loop check only catches a terminator that never arrives; a
-  // fast client can deliver oversized headers AND the blank line in one
-  // burst, so the found header block must be re-checked against the cap.
-  if (header_end > kMaxHeaderBytes) {
-    WriteResponse(fd, ErrorResponse(431, "request headers too large"));
-    ::close(fd);
-    FinishConnection();
-    return;
+  if (const HttpResponse* response = std::get_if<HttpResponse>(&read)) {
+    WriteResponse(fd, *response);
   }
+}
 
-  HttpRequest request;
-  std::size_t content_length = 0;
-  bool bad = false;
-  {
-    std::string_view head = std::string_view(buffer).substr(0, header_end);
-    const std::size_t line_end = head.find("\r\n");
-    const std::string_view request_line =
-        line_end == std::string_view::npos ? head : head.substr(0, line_end);
-    const std::size_t sp1 = request_line.find(' ');
-    const std::size_t sp2 =
-        sp1 == std::string_view::npos ? std::string_view::npos
-                                      : request_line.find(' ', sp1 + 1);
-    if (sp1 == std::string_view::npos || sp2 == std::string_view::npos) {
-      bad = true;
-    } else {
-      request.method = std::string(request_line.substr(0, sp1));
-      std::string_view target = request_line.substr(sp1 + 1, sp2 - sp1 - 1);
-      const std::size_t qmark = target.find('?');
-      if (qmark == std::string_view::npos) {
-        request.path = UrlDecode(target, /*plus_is_space=*/false);
-      } else {
-        request.path =
-            UrlDecode(target.substr(0, qmark), /*plus_is_space=*/false);
-        ParseQuery(target.substr(qmark + 1), &request.query_params);
-      }
-    }
-    std::string_view rest =
-        line_end == std::string_view::npos ? std::string_view()
-                                           : head.substr(line_end + 2);
-    while (!rest.empty()) {
-      const std::size_t eol = rest.find("\r\n");
-      const std::string_view line =
-          eol == std::string_view::npos ? rest : rest.substr(0, eol);
-      rest = eol == std::string_view::npos ? std::string_view()
-                                           : rest.substr(eol + 2);
-      const std::size_t colon = line.find(':');
-      if (colon == std::string_view::npos) continue;
-      if (EqualsIgnoreCase(Trim(line.substr(0, colon)), "content-length")) {
-        const std::string_view value = Trim(line.substr(colon + 1));
-        if (value.empty()) bad = true;
-        content_length = 0;
-        for (const char c : value) {
-          if (c < '0' || c > '9') {
-            bad = true;
-            break;
-          }
-          // Once past the cap the exact value no longer matters (the
-          // 413 path fires); stopping keeps the accumulation
-          // overflow-free on adversarial lengths.
-          if (content_length > kMaxBodyBytes) break;
-          content_length = content_length * 10 +
-                           static_cast<std::size_t>(c - '0');
-        }
-      }
-    }
-  }
-  if (bad) {
-    WriteResponse(fd, ErrorResponse(400, "malformed request"));
-    ::close(fd);
-    FinishConnection();
-    return;
-  }
-  if (content_length > kMaxBodyBytes) {
-    WriteResponse(fd, ErrorResponse(413, "body too large"));
-    ::close(fd);
-    FinishConnection();
-    return;
-  }
-
-  request.body = buffer.substr(header_end + 4);
-  while (request.body.size() < content_length) {
-    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) {
-      ::close(fd);  // truncated body
-      FinishConnection();
-      return;
-    }
-    request.body.append(chunk, static_cast<std::size_t>(n));
-  }
-  request.body.resize(content_length);  // drop pipelined trailing bytes
-
-  const Route* match = nullptr;
+HttpResponse HttpServer::Dispatch(const HttpRequest& request) const {
   bool path_seen = false;
   for (const Route& route : routes_) {
     if (route.path != request.path) continue;
+    if (route.method == request.method) return route.handler(request);
     path_seen = true;
-    if (route.method == request.method) {
-      match = &route;
-      break;
-    }
   }
-  if (match == nullptr) {
-    WriteResponse(fd, path_seen
-                          ? ErrorResponse(405, "method not allowed")
-                          : ErrorResponse(404, "no such endpoint"));
-  } else {
-    WriteResponse(fd, match->handler(request));
-  }
-  ::close(fd);
-  FinishConnection();
+  return path_seen ? ErrorResponse(405, "method not allowed")
+                   : ErrorResponse(404, "no such endpoint");
 }
 
 void HttpServer::FinishConnection() {

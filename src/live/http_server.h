@@ -32,14 +32,28 @@ struct HttpResponse {
   std::string body;
 };
 
+/// The one error answer: `status` with the body `{"error": "<message>"}`.
+HttpResponse ErrorResponse(int status, std::string_view message);
+
+/// The one Status→HTTP rule, shared by every route: InvalidArgument
+/// (the request was malformed and nothing of it was applied) answers
+/// 400; every other code means the server failed and answers 500.
+HttpResponse ErrorResponse(const Status& status);
+
+/// "a=1&b=2" -> ordered pairs, keys and values percent-decoded with
+/// '+' as space; repeated keys are kept.
+std::vector<std::pair<std::string, std::string>> ParseQueryString(
+    std::string_view query);
+
 /// \brief Minimal blocking-socket HTTP/1.1 server for the live ingest
 /// endpoint — loopback tooling, not an internet-facing server.
 ///
 /// Protocol subset: one request per connection (`Connection: close` is
 /// always answered), `Content-Length` bodies only (no chunked
 /// encoding), headers capped at 16 KiB and bodies at 8 MiB. Oversized
-/// or malformed requests get 400/413/431; unrouted paths get 404. The
-/// cap plus percent-decoding are the only parsing the server does —
+/// or malformed requests get 400/413/431, unrouted paths 404 and a
+/// routed path with another method 405, each as an ErrorResponse. The
+/// caps plus percent-decoding are the only parsing the server does —
 /// body interpretation belongs to the handlers.
 ///
 /// Concurrency: Serve() blocks in the accept loop on the calling
@@ -64,7 +78,8 @@ class HttpServer {
   HttpServer(const HttpServer&) = delete;
   HttpServer& operator=(const HttpServer&) = delete;
 
-  /// Registers `handler` for exact (method, path) matches.
+  /// Registers `handler` for exact (method, path) matches; the first
+  /// registration of a (method, path) wins.
   void Handle(std::string method, std::string path, Handler handler);
 
   /// Binds and listens on loopback. `port` 0 picks an ephemeral port,
@@ -88,9 +103,12 @@ class HttpServer {
     Handler handler;
   };
 
-  /// Reads, routes, answers, and closes one connection. Never fails the
-  /// task: protocol errors become 4xx responses or a dropped socket.
+  /// Reads, routes, answers, and closes one connection. Protocol
+  /// errors become 4xx responses or a dropped socket; a handler that
+  /// throws gets the socket closed with no reply.
   void HandleConnection(int fd);
+  /// The handler of the first route matching (method, path), or 404/405.
+  HttpResponse Dispatch(const HttpRequest& request) const;
   void FinishConnection();
 
   TaskRunner* runner_;

@@ -8,13 +8,6 @@ namespace sitm::live {
 
 namespace {
 
-HttpResponse ErrorResponse(int code, const Status& status) {
-  HttpResponse response;
-  response.status = code;
-  response.body = "{\"error\": " + io::JsonEscape(status.message()) + "}\n";
-  return response;
-}
-
 HttpResponse CountResponse(const char* key, std::size_t count) {
   HttpResponse response;
   response.body =
@@ -78,12 +71,12 @@ void LiveService::RegisterRoutes(HttpServer* server) {
   server->Handle("POST", "/detections", [this](const HttpRequest& request) {
     std::size_t accepted = 0;
     const Status status = IngestBody(request.body, &accepted);
-    if (!status.ok()) return ErrorResponse(400, status);
+    if (!status.ok()) return ErrorResponse(status);
     return CountResponse("accepted", accepted);
   });
   server->Handle("POST", "/flush", [this](const HttpRequest&) {
     const Status status = FlushAll();
-    if (!status.ok()) return ErrorResponse(500, status);
+    if (!status.ok()) return ErrorResponse(status);
     return CountResponse("finalized", finalized_count());
   });
   server->Handle("GET", "/stats", [this](const HttpRequest&) {

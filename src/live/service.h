@@ -46,7 +46,9 @@ class LiveService {
   /// Parses and ingests one detection-batch body. On success `*accepted`
   /// is the parsed detection count (late drops still count as accepted —
   /// they are valid protocol, visible in stats). Malformed bodies are
-  /// InvalidArgument with nothing ingested.
+  /// InvalidArgument with nothing ingested. A store failure comes after
+  /// the body was ingested; what it finalized stays pending for a later
+  /// FlushAll to seal.
   [[nodiscard]] Status IngestBody(std::string_view body,
                                   std::size_t* accepted);
 
@@ -69,8 +71,8 @@ class LiveService {
   [[nodiscard]] Status Close();
 
   /// Registers POST /detections, POST /flush, GET /stats and
-  /// POST /shutdown (which Stop()s `server`) on `server`. Call before
-  /// Serve().
+  /// POST /shutdown (which Stop()s `server`) on `server`; errors answer
+  /// ErrorResponse(status). Call before Serve().
   void RegisterRoutes(HttpServer* server);
 
  private:

@@ -337,8 +337,8 @@ struct TrajectoryView {
 /// Called with each trajectory a block scan keeps, in block order.
 using TrajectoryVisitor = std::function<void(const TrajectoryView&)>;
 
-/// \brief Zero-copy reader: maps the file (plain read fallback) and
-/// decodes blocks on demand straight out of the mapping.
+/// \brief Zero-copy reader: maps the file and decodes blocks on demand
+/// straight out of the mapping.
 class EventStoreReader {
  public:
   /// Opens and validates header, trailer, and footer (checksum, version,
@@ -355,8 +355,6 @@ class EventStoreReader {
   /// Total trajectories across blocks.
   std::uint64_t trajectories() const { return trajectories_; }
   std::uint64_t file_bytes() const { return file_.size(); }
-  /// True when the file is actually mmap'd (false on the read fallback).
-  bool is_mapped() const { return file_.is_mapped(); }
   /// Decoded annotation dictionary.
   const std::vector<core::AnnotationSet>& dictionary() const {
     return dictionary_;

@@ -1,46 +1,37 @@
 #include "storage/mapped_file.h"
 
-#include <utility>
-
-#include "io/csv.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SITM_STORAGE_HAS_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
+#include <cstring>
+#include <utility>
 
 namespace sitm::storage {
 
 Result<MappedFile> MappedFile::Open(const std::string& path) {
-  MappedFile file;
-#if SITM_STORAGE_HAS_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st;
-    if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
-      const auto size = static_cast<std::size_t>(st.st_size);
-      if (size == 0) {
-        ::close(fd);
-        return file;  // empty view; mmap of length 0 is invalid
-      }
-      void* addr = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (addr != MAP_FAILED) {
-        file.mapped_ = static_cast<const char*>(addr);
-        file.size_ = size;
-        return file;
-      }
+  if (fd < 0) return Status::IOError("cannot open '" + path + "' for reading");
+  MappedFile file;
+  struct stat st;
+  Status status;
+  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode)) {
+    status = Status::IOError("'" + path + "' is not a regular file");
+  } else if (st.st_size > 0) {  // mmap of length 0 is invalid
+    void* addr = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
+                        PROT_READ, MAP_PRIVATE, fd, 0);
+    if (addr == MAP_FAILED) {
+      status = Status::IOError("cannot map '" + path +
+                               "': " + std::strerror(errno));
     } else {
-      ::close(fd);
+      file.mapped_ = static_cast<const char*>(addr);
+      file.size_ = static_cast<std::size_t>(st.st_size);
     }
   }
-  // Fall through to the plain read below: open/fstat/mmap failed (or the
-  // path is not a regular file), and ReadFile produces the real error.
-#endif
-  SITM_ASSIGN_OR_RETURN(file.fallback_, io::ReadFile(path));
+  ::close(fd);
+  if (!status.ok()) return status;
   return file;
 }
 
@@ -48,28 +39,21 @@ MappedFile::~MappedFile() { Reset(); }
 
 MappedFile::MappedFile(MappedFile&& other) noexcept
     : mapped_(std::exchange(other.mapped_, nullptr)),
-      size_(std::exchange(other.size_, 0)),
-      fallback_(std::move(other.fallback_)) {}
+      size_(std::exchange(other.size_, 0)) {}
 
 MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
   if (this != &other) {
     Reset();
     mapped_ = std::exchange(other.mapped_, nullptr);
     size_ = std::exchange(other.size_, 0);
-    fallback_ = std::move(other.fallback_);
   }
   return *this;
 }
 
 void MappedFile::Reset() {
-#if SITM_STORAGE_HAS_MMAP
-  if (mapped_ != nullptr) {
-    ::munmap(const_cast<char*>(mapped_), size_);
-  }
-#endif
+  if (mapped_ != nullptr) ::munmap(const_cast<char*>(mapped_), size_);
   mapped_ = nullptr;
   size_ = 0;
-  fallback_.clear();
 }
 
 }  // namespace sitm::storage

@@ -7,18 +7,14 @@
 
 namespace sitm::storage {
 
-/// \brief A read-only view of a whole file, memory-mapped when the
-/// platform supports it.
-///
-/// On POSIX the file is mmap'd (zero copy: the EventStore reader decodes
-/// straight out of the page cache); elsewhere — or when mmap fails, e.g.
-/// on a zero-length file or a filesystem without mapping support — the
-/// content is read into an owned heap buffer instead. Either way `view()`
-/// stays valid for the lifetime of the object. Move-only.
+/// \brief A read-only, memory-mapped view of a whole file (zero copy:
+/// the EventStore reader decodes straight out of the page cache).
+/// `view()` stays valid for the lifetime of the object. Move-only.
 class MappedFile {
  public:
-  /// Opens and maps `path`. IOError when the file cannot be opened or
-  /// read; an empty file yields an empty view.
+  /// Opens and maps `path`. IOError when the file cannot be opened, is
+  /// not a regular file, or cannot be mapped; an empty file yields an
+  /// empty view.
   [[nodiscard]] static Result<MappedFile> Open(const std::string& path);
 
   MappedFile() = default;
@@ -29,22 +25,14 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
 
   /// The file content. Valid until destruction.
-  std::string_view view() const {
-    return mapped_ != nullptr ? std::string_view(mapped_, size_)
-                              : std::string_view(fallback_);
-  }
-  std::size_t size() const { return view().size(); }
-
-  /// True when the view is an actual mmap (false on the read fallback).
-  bool is_mapped() const { return mapped_ != nullptr; }
+  std::string_view view() const { return {mapped_, size_}; }
+  std::size_t size() const { return size_; }
 
  private:
   void Reset();
 
-  const char* mapped_ = nullptr;  // non-null iff mmap succeeded
+  const char* mapped_ = nullptr;  // null for an empty file
   std::size_t size_ = 0;
-  std::string fallback_;
 };
 
 }  // namespace sitm::storage
-

@@ -1,14 +1,20 @@
 // HttpServer protocol behavior over real loopback sockets: routing,
 // status codes for malformed/oversized input, query-string decoding,
-// Content-Length bodies, and the Stop/drain contract — with handlers
-// running both inline and detached on the executor.
+// Content-Length bodies, the Stop/drain contract, and a handler that
+// throws — with handlers running both inline and detached on the
+// executor.
 #include "live/http_server.h"
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstring>
+#include <future>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -20,9 +26,8 @@
 namespace sitm::live {
 namespace {
 
-/// Sends `raw` to 127.0.0.1:port and returns everything the server
-/// writes back until it closes the connection.
-std::string RawRoundTrip(int port, const std::string& raw) {
+/// A client socket connected to 127.0.0.1:port.
+int Connect(int port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
   sockaddr_in addr{};
@@ -31,6 +36,13 @@ std::string RawRoundTrip(int port, const std::string& raw) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
+  return fd;
+}
+
+/// Sends `raw` to 127.0.0.1:port and returns everything the server
+/// writes back until it closes the connection.
+std::string RawRoundTrip(int port, const std::string& raw) {
+  const int fd = Connect(port);
   std::size_t sent = 0;
   while (sent < raw.size()) {
     const ssize_t n = ::send(fd, raw.data() + sent, raw.size() - sent, 0);
@@ -219,6 +231,54 @@ TEST(HttpServerTest, StopIsIdempotentAndServeReturnsClean) {
   fixture.server().Stop();
   fixture.server().Stop();  // idempotent
   EXPECT_TRUE(fixture.StopAndJoin().ok());
+}
+
+// A handler that throws still takes the connection's one exit: the
+// client sees its connection close with no reply, other routes keep
+// answering, and Stop() still drains. Every wait is bounded, so a
+// server that leaks the connection fails here rather than hangs.
+TEST(HttpServerTest, ThrowingHandlerClosesItsConnection) {
+  sched::Executor executor(2);
+  // Leaked, with the serve thread detached, if Serve() never returns:
+  // the blocked thread must not outlive the server it waits in. No
+  // ASSERT may return between the thread's start and its join.
+  auto* server = new HttpServer(&executor);
+  RegisterEchoRoutes(*server);
+  server->Handle("GET", "/throw", [](const HttpRequest&) -> HttpResponse {
+    throw std::runtime_error("handler failed");
+  });
+  ASSERT_TRUE(server->Bind(0).ok());
+  const int port = server->port();
+  auto served = std::make_shared<std::promise<Status>>();
+  std::future<Status> serve_status = served->get_future();
+  std::thread serve_thread(  // sitm-lint: allow(naked-thread)
+      [server, served] { served->set_value(server->Serve()); });
+
+  const int fd = Connect(port);
+  timeval timeout{};
+  timeout.tv_sec = 5;
+  EXPECT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout,
+                         sizeof(timeout)),
+            0);
+  const std::string request = "GET /throw HTTP/1.1\r\n\r\n";
+  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  char byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "no close within 5 s";
+  ::close(fd);
+
+  EXPECT_EQ(StatusOf(RawRoundTrip(port, "GET /ping HTTP/1.1\r\n\r\n")), 200);
+
+  server->Stop();
+  if (serve_status.wait_for(std::chrono::seconds(5)) !=
+      std::future_status::ready) {
+    ADD_FAILURE() << "Serve() did not return within 5 s of Stop()";
+    serve_thread.detach();
+    return;
+  }
+  serve_thread.join();
+  EXPECT_TRUE(serve_status.get().ok());
+  delete server;
 }
 
 }  // namespace

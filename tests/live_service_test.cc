@@ -3,12 +3,20 @@
 // consecutive slices of one time-sorted detection stream while a reader
 // polls /stats and snapshots; the store orders its own seals, so the
 // final answers must match the batch pipeline over the same detections.
+// Over a real HttpServer, POST /detections answers a store failure 500
+// and a malformed body 400.
 #include "live/service.h"
+
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
+#include <set>
 #include <string>
 #include <tuple>
 #include <utility>
@@ -219,6 +227,121 @@ TEST(LiveServiceTest, ConcurrentIngestMatchesTheBatchPipeline) {
   auto expected = executor.Run(q, *reference);
   ASSERT_TRUE(expected.ok()) << expected.status();
   EXPECT_EQ(live->Fingerprint(), expected->Fingerprint());
+}
+
+struct HttpAnswer {
+  int status = -1;  // -1: the server closed without answering
+  std::string body;
+};
+
+/// One POST over loopback, read until the server closes.
+HttpAnswer Post(int port, const std::string& path, const std::string& body) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+            0);
+  const std::string request = "POST " + path + " HTTP/1.1\r\nContent-Length: " +
+                              std::to_string(body.size()) + "\r\n\r\n" +
+                              body;
+  EXPECT_EQ(::send(fd, request.data(), request.size(), 0),
+            static_cast<ssize_t>(request.size()));
+  std::string response;
+  char buffer[4096];
+  for (ssize_t n; (n = ::recv(fd, buffer, sizeof(buffer), 0)) > 0;) {
+    response.append(buffer, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  HttpAnswer answer;
+  const std::size_t split = response.find("\r\n\r\n");
+  if (response.size() < 12 || split == std::string::npos) return answer;
+  answer.status = std::stoi(response.substr(9, 3));  // "HTTP/1.1 NNN"
+  answer.body = response.substr(split + 4);
+  return answer;
+}
+
+bool IsJsonError(const std::string& body) {
+  const Result<io::JsonValue> doc = io::JsonValue::Parse(body);
+  if (!doc.ok()) return false;
+  const Result<const io::JsonValue*> error = doc->Get("error");
+  return error.ok() && (*error)->is_string();
+}
+
+// The one Status->HTTP rule on POST /detections: a store that cannot
+// seal is the server's failure (500), after the body was applied; a
+// malformed body is the client's (400), with nothing applied. What the
+// 500 request finalized stays pending, and a /flush once the fault is
+// gone seals it.
+TEST(LiveServiceTest, StoreFailureAnswers500AndMalformedBody400) {
+  LiveServiceOptions options;
+  options.store.directory = ::testing::TempDir() + "live_service_http_" +
+                            std::to_string(::getpid());
+  std::filesystem::remove_all(options.store.directory);
+  options.store.seal_trajectories = 1;
+  LiveService service(options);
+  sched::Executor executor(2);  // one worker serves, one answers
+  HttpServer server(&executor);
+  service.RegisterRoutes(&server);
+  ASSERT_TRUE(server.Bind(0).ok());
+  const int port = server.port();
+  Status served;
+  // Serve() holds a worker until Stop(); no ASSERT may return before
+  // Shutdown() has waited it out.
+  executor.Submit(Task{"test/serve", [&] { served = server.Serve(); }});
+
+  // Nothing finalizes yet, so nothing needs the store.
+  EXPECT_EQ(Post(port, "/detections",
+                 R"([{"object": 1, "cell": 10, "start": 1000, "end": 1100},
+                     {"object": 2, "cell": 11, "start": 1000, "end": 1200}])")
+                .status,
+            200);
+  EXPECT_EQ(service.finalized_count(), 0u);
+
+  // A regular file where the segment directory belongs: no seal can
+  // succeed. Object 3 moves the watermark past objects 1 and 2, so
+  // their trajectories finalize and the seal they trigger fails.
+  { std::ofstream(options.store.directory) << "not a directory"; }
+  const HttpAnswer failed = Post(
+      port, "/detections",
+      R"([{"object": 3, "cell": 10, "start": 100000, "end": 100100}])");
+  EXPECT_EQ(failed.status, 500);
+  EXPECT_TRUE(IsJsonError(failed.body)) << failed.body;
+  EXPECT_EQ(service.finalized_count(), 2u);
+
+  const std::int64_t records_in =
+      StatsField(service.StatsJson(), "builder", "records_in");
+  const HttpAnswer truncated =
+      Post(port, "/detections", R"([{"object": 4, "cell": 1)");
+  EXPECT_EQ(truncated.status, 400);
+  EXPECT_TRUE(IsJsonError(truncated.body)) << truncated.body;
+  EXPECT_EQ(StatsField(service.StatsJson(), "builder", "records_in"),
+            records_in);
+
+  std::filesystem::remove(options.store.directory);
+  EXPECT_EQ(Post(port, "/flush", "").status, 200);
+  server.Stop();
+  executor.Shutdown();
+  EXPECT_TRUE(served.ok()) << served;
+  ASSERT_TRUE(service.Close().ok());
+
+  EXPECT_EQ(StatsField(service.StatsJson(), "store", "pending_trajectories"),
+            0);
+  auto snapshot = service.Snapshot();
+  ASSERT_TRUE(snapshot.ok()) << snapshot.status();
+  query::Query q;
+  q.where = query::All();
+  q.projection = query::Projection::kTrajectories;
+  auto all = query::QueryExecutor{query::QueryContext{}}.Run(q, *snapshot);
+  ASSERT_TRUE(all.ok()) << all.status();
+  std::set<std::int64_t> objects;
+  for (const core::SemanticTrajectory& t : all->trajectories) {
+    objects.insert(t.object().value());
+  }
+  EXPECT_EQ(objects, (std::set<std::int64_t>{1, 2, 3}));
+  std::filesystem::remove_all(options.store.directory);
 }
 
 }  // namespace

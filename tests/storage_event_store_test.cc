@@ -1324,11 +1324,28 @@ TEST(EventStoreReaderTest, MappedOnPosix) {
           .ok());
   const auto reader = EventStoreReader::Open(path);
   ASSERT_TRUE(reader.ok());
-#if defined(__unix__) || defined(__APPLE__)
-  EXPECT_TRUE(reader->is_mapped());
-#endif
   EXPECT_TRUE(reader->VerifyChecksums().ok());
   std::remove(path.c_str());
+}
+
+// A file maps or fails; there is no plain-read fallback. An empty file
+// is an empty view, and a path that is missing or not a regular file
+// is IOError.
+TEST(MappedFileTest, MapsOrFails) {
+  const std::string empty = TempPath("empty.bin");
+  ASSERT_TRUE(io::WriteFile(empty, "").ok());
+  const auto mapped = MappedFile::Open(empty);
+  ASSERT_TRUE(mapped.ok()) << mapped.status();
+  EXPECT_TRUE(mapped->view().empty());
+  std::remove(empty.c_str());
+
+  const auto missing = MappedFile::Open(empty);
+  EXPECT_EQ(missing.status().code(), StatusCode::kIOError);
+  EXPECT_EQ(missing.status().message(),
+            "cannot open '" + empty + "' for reading");
+
+  const auto directory = MappedFile::Open(::testing::TempDir());
+  EXPECT_EQ(directory.status().code(), StatusCode::kIOError);
 }
 
 // ---------------------------------------------------------------------------
