@@ -100,7 +100,7 @@ io::JsonValue RenderResult(const query::QueryResult& result) {
       doc.emplace_back("projection", "ids");
       io::JsonValue::Array ids;
       for (const TrajectoryId id : result.ids) {
-        ids.push_back(static_cast<std::int64_t>(id.value()));
+        ids.emplace_back(static_cast<std::int64_t>(id.value()));
       }
       doc.emplace_back("ids", std::move(ids));
       break;
@@ -109,7 +109,7 @@ io::JsonValue RenderResult(const query::QueryResult& result) {
       doc.emplace_back("projection", "trajectories");
       io::JsonValue::Array rows;
       for (const core::SemanticTrajectory& t : result.trajectories) {
-        rows.push_back(io::JsonValue::Object{
+        rows.emplace_back(io::JsonValue::Object{
             {"id", static_cast<std::int64_t>(t.id().value())},
             {"object", static_cast<std::int64_t>(t.object().value())},
             {"tuples", static_cast<std::int64_t>(t.trace().size())},

@@ -237,13 +237,6 @@ std::vector<std::pair<std::string, std::string>> ParseQueryString(
   return params;
 }
 
-const std::string* HttpRequest::QueryParam(std::string_view key) const {
-  for (const auto& [k, v] : query_params) {
-    if (k == key) return &v;
-  }
-  return nullptr;
-}
-
 HttpServer::HttpServer(TaskRunner* runner) : runner_(runner) {}
 
 HttpServer::~HttpServer() {

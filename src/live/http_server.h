@@ -21,9 +21,6 @@ struct HttpRequest {
   std::string path;
   std::vector<std::pair<std::string, std::string>> query_params;
   std::string body;
-
-  /// First value of `key`, or null when absent.
-  const std::string* QueryParam(std::string_view key) const;
 };
 
 struct HttpResponse {

@@ -7,8 +7,6 @@
 #include "core/episode.h"
 #include "core/inference.h"
 #include "core/projection.h"
-#include "io/graph_export.h"
-#include "io/indoorgml.h"
 #include "louvre/museum.h"
 #include "louvre/simulator.h"
 #include "mining/choropleth.h"
@@ -279,21 +277,6 @@ TEST_F(PipelineTest, ProfilingSplitsVisitorsIntoStyles) {
   int nonempty = 0;
   for (int c : counts) nonempty += c > 0 ? 1 : 0;
   EXPECT_GE(nonempty, 3);
-}
-
-TEST_F(PipelineTest, ExportsAreWellFormed) {
-  const io::JsonValue json = io::MultiLayerGraphToJson(map_->graph());
-  const auto reparsed = io::JsonValue::Parse(json.Dump());
-  ASSERT_TRUE(reparsed.ok());
-  const std::string xml = io::ExportIndoorGml(map_->graph());
-  EXPECT_NE(xml.find("Zone60887"), std::string::npos);
-  const std::string dot = io::MultiLayerGraphToDot(map_->graph());
-  EXPECT_NE(dot.find("cluster_3"), std::string::npos);
-  // Trajectory JSON round-trip on a real built trajectory.
-  const auto restored =
-      io::TrajectoryFromJson(io::TrajectoryToJson(visits_->front()));
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->trace().size(), visits_->front().trace().size());
 }
 
 TEST_F(PipelineTest, SimilarityMatrixOnRealVisits) {

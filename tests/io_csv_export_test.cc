@@ -3,8 +3,6 @@
 #include <cstdio>
 
 #include "io/csv.h"
-#include "io/graph_export.h"
-#include "io/indoorgml.h"
 
 namespace sitm::io {
 namespace {
@@ -156,130 +154,6 @@ TEST(FileIoTest, MissingFileIsIOError) {
             StatusCode::kIOError);
   EXPECT_EQ(WriteFile("/nonexistent/dir/file.csv", "x").code(),
             StatusCode::kIOError);
-}
-
-// ---- Graph / trajectory exports.
-
-indoor::MultiLayerGraph SmallGraph() {
-  indoor::MultiLayerGraph g;
-  indoor::SpaceLayer floors(LayerId(1), "Floor",
-                            indoor::LayerKind::kTopographic);
-  indoor::CellSpace floor(CellId(10), "Floor 0", indoor::CellClass::kFloor);
-  floor.set_floor_level(0);
-  floor.set_geometry(geom::Polygon::Rectangle(0, 0, 10, 10));
-  EXPECT_TRUE(floors.mutable_graph().AddCell(std::move(floor)).ok());
-  indoor::SpaceLayer rooms(LayerId(0), "Room",
-                           indoor::LayerKind::kTopographic);
-  for (int r : {100, 101}) {
-    indoor::CellSpace room(CellId(r), "Room " + std::to_string(r),
-                           indoor::CellClass::kRoom);
-    room.SetAttribute("theme", "Egyptian Antiquities");
-    EXPECT_TRUE(rooms.mutable_graph().AddCell(std::move(room)).ok());
-  }
-  EXPECT_TRUE(rooms.mutable_graph()
-                  .AddBoundary({BoundaryId(9), "door9",
-                                indoor::BoundaryType::kDoor})
-                  .ok());
-  EXPECT_TRUE(rooms.mutable_graph()
-                  .AddSymmetricEdge(CellId(100), CellId(101),
-                                    indoor::EdgeType::kAccessibility,
-                                    BoundaryId(9))
-                  .ok());
-  EXPECT_TRUE(g.AddLayer(std::move(floors)).ok());
-  EXPECT_TRUE(g.AddLayer(std::move(rooms)).ok());
-  for (int r : {100, 101}) {
-    EXPECT_TRUE(g.AddJointEdge(CellId(10), CellId(r),
-                               qsr::TopologicalRelation::kCovers)
-                    .ok());
-  }
-  return g;
-}
-
-TEST(DotExportTest, NrgContainsNodesAndEdges) {
-  const indoor::MultiLayerGraph g = SmallGraph();
-  const std::string dot =
-      NrgToDot(g.FindLayer(LayerId(0)).value()->graph(), "rooms");
-  EXPECT_NE(dot.find("digraph rooms"), std::string::npos);
-  EXPECT_NE(dot.find("c100"), std::string::npos);
-  EXPECT_NE(dot.find("c100 -> c101"), std::string::npos);
-}
-
-TEST(DotExportTest, MultiLayerHasClustersAndJointEdges) {
-  const std::string dot = MultiLayerGraphToDot(SmallGraph());
-  EXPECT_NE(dot.find("subgraph cluster_1"), std::string::npos);
-  EXPECT_NE(dot.find("subgraph cluster_0"), std::string::npos);
-  EXPECT_NE(dot.find("label=\"covers\""), std::string::npos);
-}
-
-TEST(JsonExportTest, GraphStructureIsParseable) {
-  const JsonValue json = MultiLayerGraphToJson(SmallGraph());
-  const auto reparsed = JsonValue::Parse(json.Dump());
-  ASSERT_TRUE(reparsed.ok());
-  const auto layers = reparsed->Get("layers").value()->AsArray();
-  ASSERT_TRUE(layers.ok());
-  EXPECT_EQ((*layers)->size(), 2u);
-  const auto joints = reparsed->Get("jointEdges").value()->AsArray();
-  ASSERT_TRUE(joints.ok());
-  EXPECT_EQ((*joints)->size(), 4u);  // 2 covers + 2 converses
-  // Attributes and floor levels survive.
-  const std::string dump = json.Dump();
-  EXPECT_NE(dump.find("Egyptian Antiquities"), std::string::npos);
-  EXPECT_NE(dump.find("\"floor\":0"), std::string::npos);
-}
-
-core::SemanticTrajectory SampleTrajectory() {
-  core::PresenceInterval p1;
-  p1.cell = CellId(100);
-  p1.interval = *qsr::TimeInterval::Make(
-      *Timestamp::FromCivil(2017, 2, 1, 11, 30, 0),
-      *Timestamp::FromCivil(2017, 2, 1, 11, 32, 35));
-  core::PresenceInterval p2;
-  p2.cell = CellId(101);
-  p2.transition = BoundaryId(9);
-  p2.interval = *qsr::TimeInterval::Make(
-      *Timestamp::FromCivil(2017, 2, 1, 11, 32, 40),
-      *Timestamp::FromCivil(2017, 2, 1, 11, 40, 0));
-  p2.annotations.Add(core::AnnotationKind::kGoal, "visit");
-  p2.inferred = true;
-  return core::SemanticTrajectory(
-      TrajectoryId(3), ObjectId(7), core::Trace({p1, p2}),
-      core::AnnotationSet{{core::AnnotationKind::kActivity, "visit"}});
-}
-
-TEST(TrajectoryJsonTest, RoundTripPreservesEverything) {
-  const core::SemanticTrajectory original = SampleTrajectory();
-  const JsonValue json = TrajectoryToJson(original);
-  const auto restored = TrajectoryFromJson(json);
-  ASSERT_TRUE(restored.ok()) << restored.status();
-  EXPECT_EQ(restored->id(), original.id());
-  EXPECT_EQ(restored->object(), original.object());
-  EXPECT_EQ(restored->annotations(), original.annotations());
-  ASSERT_EQ(restored->trace().size(), original.trace().size());
-  for (std::size_t i = 0; i < original.trace().size(); ++i) {
-    EXPECT_EQ(restored->trace().at(i), original.trace().at(i)) << i;
-  }
-}
-
-TEST(TrajectoryJsonTest, RejectsMalformedDocuments) {
-  EXPECT_FALSE(TrajectoryFromJson(JsonValue(1)).ok());
-  const JsonValue missing{JsonValue::Object{{"id", 1}}};
-  EXPECT_FALSE(TrajectoryFromJson(missing).ok());
-}
-
-TEST(IndoorGmlExportTest, ContainsExpectedElements) {
-  const std::string xml = ExportIndoorGml(SmallGraph());
-  EXPECT_NE(xml.find("<core:IndoorFeatures"), std::string::npos);
-  EXPECT_NE(xml.find("<core:SpaceLayer gml:id=\"L0\""), std::string::npos);
-  EXPECT_NE(xml.find("<core:State gml:id=\"S100\""), std::string::npos);
-  EXPECT_NE(xml.find("<core:Transition type=\"accessibility\""),
-            std::string::npos);
-  EXPECT_NE(xml.find("typeOfTopoExpression=\"covers\""), std::string::npos);
-  EXPECT_NE(xml.find("<core:cellSpaceGeometry>"), std::string::npos);
-}
-
-TEST(XmlEscapeTest, EscapesMarkup) {
-  EXPECT_EQ(XmlEscape("a<b>&\"c'"), "a&lt;b&gt;&amp;&quot;c&apos;");
-  EXPECT_EQ(XmlEscape("plain"), "plain");
 }
 
 }  // namespace
