@@ -6,8 +6,10 @@
 // bitmaps vs footer stats) and exits 1 unless the object point lookup
 // prunes >= 10x, answers are byte-identical at every worker count in
 // memory and on the store, the bitmaps scan strictly fewer blocks with
-// the same answer, a cache hit equals cold execution, and top-k equals
-// its exhaustive oracle. The one timing left is the top-k worker sweep.
+// the same answer, a cache hit equals cold execution, a point lookup
+// over warm decoded blocks equals its cold answer, and top-k equals its
+// exhaustive oracle. Besides the q/s lines of the two caches, the one
+// timing left is the top-k worker sweep.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -24,6 +26,7 @@
 #include "query/result_cache.h"
 #include "query/predicate.h"
 #include "sched/executor.h"
+#include "storage/block_cache.h"
 #include "storage/event_store.h"
 
 namespace {
@@ -389,6 +392,78 @@ void Report() {
               static_cast<unsigned long long>(cache.stats().hits),
               static_cast<unsigned long long>(cache.stats().misses));
   Row("cache hit vs cold execution", "byte-identical", "byte-identical");
+
+  // -- Decoded-block cache: distinct point lookups, which the result
+  //    cache cannot serve (each key comes once), cold vs warm blocks.
+  //    Cold decodes every block per query; warm runs through a cache
+  //    whose blocks a whole-store count decoded once, before timing.
+  std::vector<ObjectId> objects;
+  for (const core::SemanticTrajectory& t : trajectories) {
+    objects.push_back(t.object());
+  }
+  std::sort(objects.begin(), objects.end());
+  objects.erase(std::unique(objects.begin(), objects.end()), objects.end());
+  if (objects.size() > 256) objects.resize(256);
+  std::vector<query::Query> lookups;
+  for (const ObjectId object : objects) {
+    query::Query q;
+    q.where = query::ObjectIs(object);
+    q.projection = query::Projection::kTrajectories;
+    lookups.push_back(std::move(q));
+  }
+  const query::QueryExecutor uncached_executor(Context());
+  std::vector<std::string> cold_fingerprints;
+  const auto lookups_cold_start = std::chrono::steady_clock::now();
+  for (const query::Query& q : lookups) {
+    cold_fingerprints.push_back(
+        Unwrap(uncached_executor.Run(q, indexed)).Fingerprint());
+  }
+  const double lookups_cold_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    lookups_cold_start)
+          .count();
+  query::QueryResultCache block_cache;
+  query::ExecutorOptions block_options;
+  block_options.cache = &block_cache;
+  const query::QueryExecutor block_executor(Context(), block_options);
+  query::Query everything;
+  everything.projection = query::Projection::kCount;
+  Unwrap(block_executor.Run(everything, indexed));
+  const query::QueryResultCache::Stats results_before = block_cache.stats();
+  const storage::BlockCache::Stats blocks_before = block_cache.blocks().stats();
+  const auto lookups_warm_start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < lookups.size(); ++i) {
+    if (Unwrap(block_executor.Run(lookups[i], indexed)).Fingerprint() !=
+        cold_fingerprints[i]) {
+      std::fprintf(stderr, "BENCH Q1 FAILED: a point lookup over warm "
+                           "blocks differs from its cold answer\n");
+      std::exit(1);
+    }
+  }
+  const double lookups_warm_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    lookups_warm_start)
+          .count();
+  const storage::BlockCache::Stats blocks_after = block_cache.blocks().stats();
+  if (block_cache.stats().hits != results_before.hits ||
+      blocks_after.misses != blocks_before.misses) {
+    std::fprintf(stderr, "BENCH Q1 FAILED: warm point lookups were served "
+                         "by the result cache or decoded a block\n");
+    std::exit(1);
+  }
+  const double lookups_n = static_cast<double>(lookups.size());
+  std::printf("  block cache: %zu distinct point lookups, cold %.0f q/s, "
+              "warm blocks %.0f q/s (%.1fx; %llu block hits, %zu blocks "
+              "resident in %zu bytes)\n",
+              lookups.size(), lookups_n / lookups_cold_seconds,
+              lookups_n / lookups_warm_seconds,
+              lookups_cold_seconds / lookups_warm_seconds,
+              static_cast<unsigned long long>(blocks_after.hits -
+                                              blocks_before.hits),
+              block_cache.blocks().size(),
+              block_cache.blocks().resident_bytes());
+  Row("warm-block lookup vs cold execution", "byte-identical",
+      "byte-identical");
 }
 
 // The top-k worker sweep: arg = worker count (1/2/4/hw), so every count

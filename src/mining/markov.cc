@@ -35,9 +35,8 @@ Result<MarkovModel> MarkovModel::Fit(
 }
 
 double MarkovModel::SmoothedProbability(
-    CellId from, CellId to, const std::map<CellId, std::size_t>* row,
+    CellId to, const std::map<CellId, std::size_t>* row,
     std::size_t row_total) const {
-  (void)from;
   if (row == nullptr || row_total == 0) return 0;
   // Smoothing spreads alpha over every *observed* state as a potential
   // successor, so unseen-but-plausible steps get nonzero probability
@@ -54,7 +53,7 @@ double MarkovModel::TransitionProbability(CellId from, CellId to) const {
   auto row = counts_.find(from);
   auto total = row_totals_.find(from);
   if (row == counts_.end() || total == row_totals_.end()) return 0;
-  return SmoothedProbability(from, to, &row->second, total->second);
+  return SmoothedProbability(to, &row->second, total->second);
 }
 
 Result<CellId> MarkovModel::PredictNext(CellId from) const {
@@ -83,8 +82,7 @@ std::vector<std::pair<CellId, double>> MarkovModel::TopSuccessors(
   if (row == counts_.end() || total == row_totals_.end()) return out;
   for (const auto& [to, count] : row->second) {
     out.emplace_back(to,
-                     SmoothedProbability(from, to, &row->second,
-                                         total->second));
+                     SmoothedProbability(to, &row->second, total->second));
   }
   std::sort(out.begin(), out.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;
@@ -174,8 +172,7 @@ Result<std::vector<CellId>> MarkovModel::SampleWalk(CellId start,
     auto total = row_totals_.find(current);
     for (const auto& [to, count] : row->second) {
       successors.push_back(to);
-      weights.push_back(SmoothedProbability(current, to, &row->second,
-                                            total->second));
+      weights.push_back(SmoothedProbability(to, &row->second, total->second));
     }
     current = successors[rng->NextWeighted(weights)];
     walk.push_back(current);

@@ -67,7 +67,7 @@ class MarkovModel {
  private:
   MarkovModel() = default;
 
-  double SmoothedProbability(CellId from, CellId to,
+  double SmoothedProbability(CellId to,
                              const std::map<CellId, std::size_t>* row,
                              std::size_t row_total) const;
 

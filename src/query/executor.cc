@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <iomanip>
+#include <memory>
 #include <sstream>
 #include <utility>
 
 #include "mining/patterns.h"
 #include "query/result_cache.h"
+#include "storage/block_cache.h"
 
 namespace sitm::query {
 
@@ -321,16 +323,19 @@ void AppendRows(std::vector<T>& to, std::vector<T>& from) {
 /// block and every unit's rows as scanned rows; the caller fills in the
 /// totals of its source. Chunk units evaluate their borrowed
 /// trajectories, block units each kept trajectory's view, through the
-/// same Process.
+/// same Process. A block unit's decoded block comes from `blocks` when
+/// it is set and from a cold DecodeBlock otherwise; PlanBlocks already
+/// kept only blocks whose footer stats match the scan.
 Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
                             const QueryPlan& plan, std::vector<WorkUnit> units,
-                            TaskRunner* runner) {
+                            TaskRunner* runner, storage::BlockCache* blocks) {
   if (plan.pushdown.never_matches) units.clear();  // nothing to scan
   const storage::ScanOptions scan = ToScanOptions(plan.pushdown);
   // Thread-safety: chunk units read borrowed trajectories; block units
-  // call the const, mmap-backed EventStoreReader::ReadTrajectoryBlock,
-  // which has no shared mutable state; StoreSet units also read the
-  // set's immutable ranks. Each unit writes only its own
+  // call the const, mmap-backed EventStoreReader::DecodeBlock and
+  // ScanBlock, which have no shared mutable state, or the BlockCache,
+  // which guards its own and hands out immutable blocks; StoreSet units
+  // also read the set's immutable ranks. Each unit writes only its own
   // Fragment slot, and slots merge in unit order, so the result (order
   // and stats included) is independent of the schedule.
   std::vector<Fragment> fragments = ParallelMap<Fragment>(
@@ -347,8 +352,15 @@ Result<QueryResult> Execute(const Query& query, const BoundQuery& bound,
           }
           return fragment;
         }
-        fragment.status = unit.reader->ReadTrajectoryBlock(
-            unit.block, scan, [&](const storage::TrajectoryView& view) {
+        const Result<std::shared_ptr<const storage::DecodedBlock>> block =
+            blocks != nullptr ? blocks->Fetch(*unit.reader, unit.block)
+                              : unit.reader->DecodeBlock(unit.block);
+        if (!block.ok()) {
+          fragment.status = block.status();
+          return fragment;
+        }
+        fragment.status = unit.reader->ScanBlock(
+            **block, scan, [&](const storage::TrajectoryView& view) {
               Process(query, bound, ViewRows(view),
                       [&] {
                         return unit.IdOf(view.id, view.object, view.start,
@@ -438,9 +450,9 @@ Result<QueryResult> QueryExecutor::Run(
   std::vector<WorkUnit> units;
   const std::uint64_t rows_total =
       AddChunks(trajectories, options_.chunk, /*set=*/nullptr, 0, units);
-  SITM_ASSIGN_OR_RETURN(
-      QueryResult result,
-      Execute(query, bound, plan, std::move(units), options_.executor));
+  SITM_ASSIGN_OR_RETURN(QueryResult result,
+                        Execute(query, bound, plan, std::move(units),
+                                options_.executor, /*blocks=*/nullptr));
   result.stats.rows_total = rows_total;
   return result;
 }
@@ -463,11 +475,15 @@ Result<QueryResult> QueryExecutor::Run(
     if (hit.has_value()) return *std::move(hit);
   }
 
+  // Every planned block comes through the cache's block LRU, cacheable
+  // query or not.
   std::vector<WorkUnit> units;
   AddBlocks(reader, plan.pushdown, /*set=*/nullptr, 0, units);
   SITM_ASSIGN_OR_RETURN(
       QueryResult result,
-      Execute(query, bound, plan, std::move(units), options_.executor));
+      Execute(query, bound, plan, std::move(units), options_.executor,
+              options_.cache != nullptr ? &options_.cache->blocks()
+                                        : nullptr));
   result.stats.blocks_total = reader.num_blocks();
   result.stats.rows_total = reader.rows();
   if (cacheable) options_.cache->Insert(cache_key, result);
@@ -489,9 +505,9 @@ Result<QueryResult> QueryExecutor::Run(const Query& query,
     AddChunks(*batch, options_.chunk, &set, ordinal, units);
     ordinal += batch->size();
   }
-  SITM_ASSIGN_OR_RETURN(
-      QueryResult result,
-      Execute(query, bound, plan, std::move(units), options_.executor));
+  SITM_ASSIGN_OR_RETURN(QueryResult result,
+                        Execute(query, bound, plan, std::move(units),
+                                options_.executor, /*blocks=*/nullptr));
   result.stats.blocks_total = set.TotalBlocks();
   result.stats.rows_total = set.TotalRows();
 

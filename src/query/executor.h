@@ -188,8 +188,10 @@ struct ExecutorOptions {
   /// Result cache for store-backed runs (borrowed; null = no caching).
   /// Sound because finished stores are immutable and the key pins the
   /// file contents and the bound query — see query/result_cache.h.
-  /// Queries with episode specs and kTopK run cold: their entries would
-  /// evict cheaper point and window results (QueryResultCache::Cacheable).
+  /// Queries with episode specs and kTopK are not kept: their entries
+  /// would evict cheaper point and window results
+  /// (QueryResultCache::Cacheable). Every store-backed run with a cache,
+  /// kept or not, fetches its blocks through the cache's BlockCache.
   QueryResultCache* cache = nullptr;
 };
 
@@ -207,10 +209,11 @@ class QueryExecutor {
       const std::vector<core::SemanticTrajectory>& trajectories) const;
 
   /// Store-backed execution (kTrajectories stores only): the units are
-  /// the blocks PlanBlocks keeps; each decodes with the pushdown as its
-  /// row filter and applies the residual to the survivors' views. The only
-  /// overload that consults the result cache, because a finished store
-  /// is one immutable file to key on.
+  /// the blocks PlanBlocks keeps; each is decoded, then scanned with the
+  /// pushdown as its trajectory filter, and the residual applies to the
+  /// survivors' views. The only overload that consults the result cache
+  /// and its decoded blocks, because a finished store is one immutable
+  /// file to key on; without a cache every block decodes cold.
   [[nodiscard]] Result<QueryResult> Run(const Query& query,
                           const storage::EventStoreReader& reader) const;
 
@@ -224,9 +227,10 @@ class QueryExecutor {
   /// by trajectory id, the batch pipeline's (object, start) order, so
   /// the result (order included) is byte-identical to an in-memory run
   /// over a batch build of the same detections. The query is bound and
-  /// planned once. The result cache is NOT consulted: a segment set
-  /// changes under ingest, so there is no single immutable file to key
-  /// on.
+  /// planned once. Neither the result cache nor its blocks are consulted:
+  /// a segment set changes under ingest, so there is no single immutable
+  /// file to key a result on, and every segment block decodes cold, so
+  /// the live process holds no decoded block past its query.
   [[nodiscard]] Result<QueryResult> Run(const Query& query,
                           const storage::StoreSet& set) const;
 

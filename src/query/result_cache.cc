@@ -5,7 +5,7 @@
 namespace sitm::query {
 
 QueryResultCache::QueryResultCache(std::size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity) {}
+    : capacity_(capacity == 0 ? 1 : capacity), blocks_(kBlockBudgetBytes) {}
 
 bool QueryResultCache::Cacheable(const Query& query) {
   return query.episodes.empty() && query.projection != Projection::kTopK;
@@ -75,9 +75,12 @@ QueryResultCache::Stats QueryResultCache::stats() const {
 }
 
 void QueryResultCache::Clear() {
-  MutexLock lock(mu_);
-  lru_.clear();
-  index_.clear();
+  {
+    MutexLock lock(mu_);
+    lru_.clear();
+    index_.clear();
+  }
+  blocks_.Clear();
 }
 
 }  // namespace sitm::query

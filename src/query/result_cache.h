@@ -10,6 +10,7 @@
 #include "base/mutex.h"
 #include "base/thread_annotations.h"
 #include "query/executor.h"
+#include "storage/block_cache.h"
 
 namespace sitm::query {
 
@@ -34,9 +35,16 @@ namespace sitm::query {
 /// top-k key would also have to pin the probe's cell sequence and the
 /// cost function, which Key() does not.)
 ///
+/// The cache also owns a storage::BlockCache, which the executor fetches
+/// every planned block of a store-backed run through, cacheable query
+/// or not: a miss here still skips the checksum, LZ, column decode and
+/// row checks of every block an earlier query decoded. Stats() and
+/// size() count results only; blocks() has its own counters.
+///
 /// Thread-safety: a single sitm::Mutex guards the LRU list and index;
 /// every entry is returned by copy, so hits never alias cached state.
-/// Lookup mutates recency, hence no shared/read lock tier.
+/// Lookup mutates recency, hence no shared/read lock tier. The block
+/// cache has its own mutex, and no path holds both.
 class QueryResultCache {
  public:
   /// Counters since construction (monotonic; read via stats()).
@@ -46,6 +54,10 @@ class QueryResultCache {
     std::uint64_t inserts = 0;
     std::uint64_t evictions = 0;
   };
+
+  /// The block cache's byte budget: several times the 10.2 MB a decode
+  /// of every block of perfbench query_mix's 1.4 MB store keeps resident.
+  static constexpr std::size_t kBlockBudgetBytes = 64u << 20;
 
   /// `capacity` = max cached results (>= 1; 0 is clamped to 1).
   explicit QueryResultCache(std::size_t capacity = 64);
@@ -73,14 +85,20 @@ class QueryResultCache {
   /// entry past capacity. Re-inserting an existing key refreshes it.
   void Insert(const std::string& key, const QueryResult& result);
 
+  /// Cached results.
   std::size_t size() const;
   Stats stats() const;
+  /// Empties the results and the block cache (counters keep counting).
   void Clear();
+
+  /// The decoded blocks the executor fetches through.
+  storage::BlockCache& blocks() { return blocks_; }
 
  private:
   using Entry = std::pair<std::string, QueryResult>;
 
   std::size_t capacity_;
+  storage::BlockCache blocks_;
   mutable Mutex mu_;
   /// Most recent first; the map points into the list.
   std::list<Entry> lru_ SITM_GUARDED_BY(mu_);

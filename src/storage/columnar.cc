@@ -116,9 +116,8 @@ void PutDeltaColumn(std::string& out, const std::int64_t* values,
   }
 }
 
-Result<std::vector<std::int64_t>> ReadDeltaColumn(ByteReader& reader,
-                                                  std::size_t n) {
-  std::vector<std::int64_t> out(n);
+Status ReadDeltaColumn(ByteReader& reader, std::size_t n,
+                       std::int64_t* out) {
   // Unsigned accumulation: crafted delta sequences that would overflow
   // int64 wrap deterministically instead of being UB (this decoder sees
   // untrusted bytes; later semantic validation rejects nonsense values).
@@ -131,6 +130,13 @@ Result<std::vector<std::int64_t>> ReadDeltaColumn(ByteReader& reader,
     previous += static_cast<std::uint64_t>(ZigZagDecode(raw));
     out[i] = static_cast<std::int64_t>(previous);
   }
+  return Status::OK();
+}
+
+Result<std::vector<std::int64_t>> ReadDeltaColumn(ByteReader& reader,
+                                                  std::size_t n) {
+  std::vector<std::int64_t> out(n);
+  SITM_RETURN_IF_ERROR(ReadDeltaColumn(reader, n, out.data()));
   return out;
 }
 
@@ -139,14 +145,20 @@ void PutVarintColumn(std::string& out, const std::uint64_t* values,
   for (std::size_t i = 0; i < n; ++i) PutVarint64(out, values[i]);
 }
 
-Result<std::vector<std::uint64_t>> ReadVarintColumn(ByteReader& reader,
-                                                    std::size_t n) {
-  std::vector<std::uint64_t> out(n);
+Status ReadVarintColumn(ByteReader& reader, std::size_t n,
+                        std::uint64_t* out) {
   for (std::size_t i = 0; i < n; ++i) {
     if (!reader.TryReadVarint64(&out[i])) {
       SITM_ASSIGN_OR_RETURN(out[i], reader.ReadVarint64());
     }
   }
+  return Status::OK();
+}
+
+Result<std::vector<std::uint64_t>> ReadVarintColumn(ByteReader& reader,
+                                                    std::size_t n) {
+  std::vector<std::uint64_t> out(n);
+  SITM_RETURN_IF_ERROR(ReadVarintColumn(reader, n, out.data()));
   return out;
 }
 

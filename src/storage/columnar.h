@@ -109,7 +109,10 @@ inline void PutDeltaColumn(std::string& out,
   PutDeltaColumn(out, values.data(), values.size());
 }
 
-/// Decodes `n` values of a PutDeltaColumn column.
+/// Decodes `n` values of a PutDeltaColumn column, into `out[0, n)` or a
+/// new vector.
+[[nodiscard]] Status ReadDeltaColumn(ByteReader& reader, std::size_t n,
+                                     std::int64_t* out);
 [[nodiscard]] Result<std::vector<std::int64_t>> ReadDeltaColumn(ByteReader& reader,
                                                   std::size_t n);
 
@@ -121,7 +124,10 @@ inline void PutVarintColumn(std::string& out,
   PutVarintColumn(out, values.data(), values.size());
 }
 
-/// Decodes `n` values of a PutVarintColumn column.
+/// Decodes `n` values of a PutVarintColumn column, into `out[0, n)` or a
+/// new vector.
+[[nodiscard]] Status ReadVarintColumn(ByteReader& reader, std::size_t n,
+                                      std::uint64_t* out);
 [[nodiscard]] Result<std::vector<std::uint64_t>> ReadVarintColumn(ByteReader& reader,
                                                     std::size_t n);
 

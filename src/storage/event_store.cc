@@ -804,45 +804,58 @@ bool EventStoreReader::BlockMatches(std::size_t i,
                           Timestamp(meta.min_time), Timestamp(meta.max_time));
 }
 
-Result<std::optional<std::string>> EventStoreReader::DecodeBlock(
-    std::size_t i, const ScanOptions& scan) const {
+Result<std::shared_ptr<const DecodedBlock>> EventStoreReader::DecodeBlock(
+    std::size_t i) const {
   if (i >= blocks_.size()) {
     return Status::InvalidArgument("EventStore: block index " +
                                    std::to_string(i) + " out of range");
   }
-  if (!BlockMatches(i, scan)) return std::optional<std::string>();
   SITM_ASSIGN_OR_RETURN(const std::string_view payload, BlockPayload(i));
   const BlockMeta& meta = blocks_[i];
   // Honest raw columns never exceed ~10 varint bytes per value; the cap
   // bounds what a forged decompressed-size field can allocate.
   SITM_ASSIGN_OR_RETURN(
-      std::string columns,
+      const std::string columns,
       DecodeBlockPayload(payload,
                          meta.rows * 80 + meta.trajectories * 48 + 64,
                          meta.rows, i));
-  return std::optional<std::string>(std::move(columns));
-}
+  // Open bounds trajectories by rows, and DecodeBlockPayload rows by the
+  // column bytes, so the one word buffer is as bounded as those bytes.
+  auto block = std::make_shared<DecodedBlock>();
+  const auto rows = static_cast<std::size_t>(meta.rows);
+  const auto num_trajectories = static_cast<std::size_t>(meta.trajectories);
+  block->rows = rows;
+  block->trajectories = num_trajectories;
+  // Every word is written before it is read, so none is zeroed first.
+  block->words.reset(
+      new std::uint64_t[DecodedBlock::WordsFor(num_trajectories, rows)]);
+  // DecodedBlock::Offset owns the layout; the block is not shared yet,
+  // so its columns are written through the writable accessors.
+  std::int64_t* const ids = block->Signed(DecodedBlock::kIds);
+  std::int64_t* const objects = block->Signed(DecodedBlock::kObjects);
+  std::uint64_t* const traj_dicts = block->Unsigned(DecodedBlock::kDicts);
+  std::int64_t* const ends = block->Signed(DecodedBlock::kEnds);
+  std::uint64_t* const first_rows =
+      block->Unsigned(DecodedBlock::kFirstRows);
+  std::int64_t* const cells = block->Signed(DecodedBlock::kCells);
+  std::int64_t* const transitions =
+      block->Signed(DecodedBlock::kTransitions);
+  std::int64_t* const starts = block->Signed(DecodedBlock::kStarts);
+  std::uint64_t* const durations = block->Unsigned(DecodedBlock::kDurations);
+  std::uint64_t* const stay_dicts = block->Unsigned(DecodedBlock::kStayDicts);
+  std::uint64_t* const transition_dicts =
+      block->Unsigned(DecodedBlock::kTransitionDicts);
 
-Status EventStoreReader::ReadTrajectoryBlock(
-    std::size_t i, const ScanOptions& scan,
-    const TrajectoryVisitor& visit) const {
-  SITM_ASSIGN_OR_RETURN(const std::optional<std::string> columns,
-                        DecodeBlock(i, scan));
-  if (!columns.has_value()) return Status::OK();
-  const auto rows = static_cast<std::size_t>(blocks_[i].rows);
-  const auto num_trajectories =
-      static_cast<std::size_t>(blocks_[i].trajectories);
-  ByteReader reader(*columns);
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> traj_ids,
-                        ReadDeltaColumn(reader, num_trajectories));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> traj_objects,
-                        ReadDeltaColumn(reader, num_trajectories));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> traj_dicts,
-                        ReadVarintColumn(reader, num_trajectories));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> traj_rows,
-                        ReadVarintColumn(reader, num_trajectories));
+  ByteReader reader(columns);
+  SITM_RETURN_IF_ERROR(ReadDeltaColumn(reader, num_trajectories, ids));
+  SITM_RETURN_IF_ERROR(ReadDeltaColumn(reader, num_trajectories, objects));
+  SITM_RETURN_IF_ERROR(ReadVarintColumn(reader, num_trajectories, traj_dicts));
+  // The row counts land in first_rows, which the check below turns into
+  // each trajectory's first row in place.
+  SITM_RETURN_IF_ERROR(ReadVarintColumn(reader, num_trajectories, first_rows));
   std::uint64_t row_sum = 0;
-  for (std::uint64_t r : traj_rows) {
+  for (std::size_t t = 0; t < num_trajectories; ++t) {
+    const std::uint64_t r = first_rows[t];
     if (r == 0) {
       return Status::Corruption(
           "EventStore: trajectory with zero rows in block " +
@@ -855,6 +868,7 @@ Status EventStoreReader::ReadTrajectoryBlock(
           "EventStore: trajectory row counts exceed block rows in block " +
           std::to_string(i));
     }
+    first_rows[t] = row_sum;
     row_sum += r;
   }
   if (row_sum != rows) {
@@ -863,9 +877,8 @@ Status EventStoreReader::ReadTrajectoryBlock(
         "block " +
         std::to_string(i));
   }
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> cells,
-                        ReadDeltaColumn(reader, rows));
-  std::vector<std::int64_t> transitions(rows);
+  first_rows[num_trajectories] = row_sum;
+  SITM_RETURN_IF_ERROR(ReadDeltaColumn(reader, rows, cells));
   for (std::size_t r = 0; r < rows; ++r) {
     std::uint64_t raw = 0;
     if (!reader.TryReadVarint64(&raw)) {
@@ -873,16 +886,11 @@ Status EventStoreReader::ReadTrajectoryBlock(
     }
     transitions[r] = ZigZagDecode(raw);
   }
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::int64_t> starts,
-                        ReadDeltaColumn(reader, rows));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> durations,
-                        ReadVarintColumn(reader, rows));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> stay_dicts,
-                        ReadVarintColumn(reader, rows));
-  SITM_ASSIGN_OR_RETURN(const std::vector<std::uint64_t> transition_dicts,
-                        ReadVarintColumn(reader, rows));
-  SITM_ASSIGN_OR_RETURN(const std::vector<bool> inferred,
-                        ReadBitColumn(reader, rows));
+  SITM_RETURN_IF_ERROR(ReadDeltaColumn(reader, rows, starts));
+  SITM_RETURN_IF_ERROR(ReadVarintColumn(reader, rows, durations));
+  SITM_RETURN_IF_ERROR(ReadVarintColumn(reader, rows, stay_dicts));
+  SITM_RETURN_IF_ERROR(ReadVarintColumn(reader, rows, transition_dicts));
+  SITM_ASSIGN_OR_RETURN(block->inferred, ReadBitColumn(reader, rows));
   if (!reader.empty()) {
     return Status::Corruption("EventStore: trailing bytes in block " +
                               std::to_string(i));
@@ -892,15 +900,13 @@ Status EventStoreReader::ReadTrajectoryBlock(
                               std::to_string(id) + " out of range");
   };
   const std::uint64_t dictionary_size = dictionary_.size();
-  // Late materialization: every row of every trajectory is validated —
-  // the same checks, order and messages whatever the scan — but only the
-  // trajectories the scan keeps, judged on the decoded columns, reach
-  // the visitor, which builds what it emits and nothing more.
+  block->dictionary_size = dictionary_.size();
+  // Every row of every trajectory is validated, in one order with one
+  // message per fault, whatever a later scan keeps.
   std::size_t row = 0;
   for (std::size_t t = 0; t < num_trajectories; ++t) {
-    const std::size_t first = row;
     std::int64_t end = 0;
-    for (std::uint64_t k = 0; k < traj_rows[t]; ++k, ++row) {
+    for (; row < first_rows[t + 1]; ++row) {
       if (!EndFromDuration(starts[row], durations[row], &end)) {
         return DurationOverflow();
       }
@@ -918,32 +924,73 @@ Status EventStoreReader::ReadTrajectoryBlock(
     if (traj_dicts[t] >= dictionary_size) {
       return dictionary_out_of_range(traj_dicts[t]);
     }
-    // Trajectory-level pushdown on the columns: rows are non-empty
-    // (zero-row trajectories were rejected above), so the trace starts
-    // at its first row and ends at its last row's end.
-    if (!RowMatches(scan, ObjectId(traj_objects[t]), Timestamp(starts[first]),
-                    Timestamp(end))) {
-      continue;
-    }
+    // Rows are non-empty (zero-row trajectories were rejected above), so
+    // the trace ends at its last row's end.
+    ends[t] = end;
+  }
+  block->resident_bytes =
+      sizeof(DecodedBlock) +
+      DecodedBlock::WordsFor(num_trajectories, rows) * sizeof(std::uint64_t) +
+      (block->inferred.capacity() + 7) / 8;
+  return std::shared_ptr<const DecodedBlock>(std::move(block));
+}
+
+Status EventStoreReader::ScanBlock(const DecodedBlock& block,
+                                   const ScanOptions& scan,
+                                   const TrajectoryVisitor& visit) const {
+  // The views resolve annotations through this reader's dictionary,
+  // unchecked, so the block's indices must have been checked against a
+  // dictionary of the same size.
+  if (block.dictionary_size != dictionary_.size()) {
+    return Status::InvalidArgument(
+        "EventStore: block decoded against a dictionary of " +
+        std::to_string(block.dictionary_size) + " entries, this store has " +
+        std::to_string(dictionary_.size()));
+  }
+  const std::int64_t* const objects = block.objects();
+  const std::int64_t* const ends = block.ends();
+  const std::uint64_t* const first_rows = block.first_rows();
+  const std::int64_t* const starts = block.starts();
+  // Late materialization: only the trajectories the scan keeps, judged
+  // on the decoded columns, reach the visitor, which builds what it
+  // emits and nothing more.
+  for (std::size_t t = 0; t < block.trajectories; ++t) {
+    const auto first = static_cast<std::size_t>(first_rows[t]);
+    const ObjectId object(objects[t]);
+    const Timestamp start(starts[first]);
+    const Timestamp end(ends[t]);
+    if (!RowMatches(scan, object, start, end)) continue;
     TrajectoryView view;
     view.position = t;
-    view.id = TrajectoryId(traj_ids[t]);
-    view.object = ObjectId(traj_objects[t]);
-    view.start = Timestamp(starts[first]);
-    view.end = Timestamp(end);
-    view.rows = row - first;
-    view.transitions = transitions.data() + first;
-    view.cells = cells.data() + first;
-    view.starts = starts.data() + first;
-    view.durations = durations.data() + first;
-    view.stay_dicts = stay_dicts.data() + first;
-    view.transition_dicts = transition_dicts.data() + first;
-    view.inferred = inferred.cbegin() + static_cast<std::ptrdiff_t>(first);
-    view.dict = traj_dicts[t];
+    view.id = TrajectoryId(block.ids()[t]);
+    view.object = object;
+    view.start = start;
+    view.end = end;
+    view.rows = static_cast<std::size_t>(first_rows[t + 1]) - first;
+    view.transitions = block.transitions() + first;
+    view.cells = block.cells() + first;
+    view.starts = starts + first;
+    view.durations = block.durations() + first;
+    view.stay_dicts = block.stay_dicts() + first;
+    view.transition_dicts = block.transition_dicts() + first;
+    view.inferred =
+        block.inferred.cbegin() + static_cast<std::ptrdiff_t>(first);
+    view.dict = block.dicts()[t];
     view.dictionary = &dictionary_;
     visit(view);
   }
   return Status::OK();
+}
+
+Status EventStoreReader::ReadTrajectoryBlock(
+    std::size_t i, const ScanOptions& scan,
+    const TrajectoryVisitor& visit) const {
+  // DecodeBlock refuses an out-of-range index; BlockMatches reads the
+  // footer entry, so it only runs on a valid one.
+  if (i < blocks_.size() && !BlockMatches(i, scan)) return Status::OK();
+  SITM_ASSIGN_OR_RETURN(const std::shared_ptr<const DecodedBlock> block,
+                        DecodeBlock(i));
+  return ScanBlock(*block, scan, visit);
 }
 
 Result<std::vector<core::SemanticTrajectory>>

@@ -284,11 +284,87 @@ struct ScanOptions {
   }
 };
 
+/// \brief One trajectory block after EventStoreReader::DecodeBlock: its
+/// columns, checksummed, decompressed, decoded and row-checked, and per
+/// trajectory its first row and its end. Immutable once decoded, so
+/// concurrent scans share one (a BlockCache hands out the same
+/// `shared_ptr<const DecodedBlock>` to every query over its store).
+///
+/// Every column but the inferred flags lives in one buffer of 8-byte
+/// words, back to back: per trajectory its id, object, A_traj and end,
+/// then the trajectories' first rows (one more entry, the block's row
+/// count, closes the last), then per row its cell, transition, start,
+/// duration, A_i and transition annotations. Signed columns are read
+/// through an int64_t view of the same words, which the aliasing rules
+/// allow for the signed variant of a type.
+struct DecodedBlock {
+  std::size_t trajectories = 0;
+  std::size_t rows = 0;
+  /// Entries of the dictionary every annotation index was checked
+  /// against. ScanBlock refuses the block for a reader whose dictionary
+  /// differs in size, so no view indexes past its own dictionary.
+  std::size_t dictionary_size = 0;
+  std::unique_ptr<std::uint64_t[]> words;
+  std::vector<bool> inferred;  ///< per row
+  /// Heap and object bytes this block keeps resident: the struct, the
+  /// word buffer and the inferred flags' storage.
+  std::size_t resident_bytes = 0;
+
+  const std::int64_t* ids() const { return Signed(kIds); }
+  const std::int64_t* objects() const { return Signed(kObjects); }
+  const std::uint64_t* dicts() const { return Unsigned(kDicts); }
+  const std::int64_t* ends() const { return Signed(kEnds); }
+  /// trajectories + 1 entries: trajectory t holds rows
+  /// [first_rows()[t], first_rows()[t + 1]).
+  const std::uint64_t* first_rows() const { return Unsigned(kFirstRows); }
+  const std::int64_t* cells() const { return Signed(kCells); }
+  const std::int64_t* transitions() const { return Signed(kTransitions); }
+  const std::int64_t* starts() const { return Signed(kStarts); }
+  const std::uint64_t* durations() const { return Unsigned(kDurations); }
+  const std::uint64_t* stay_dicts() const { return Unsigned(kStayDicts); }
+  const std::uint64_t* transition_dicts() const {
+    return Unsigned(kTransitionDicts);
+  }
+
+  /// Words the buffer holds for `trajectories` and `rows`.
+  static std::size_t WordsFor(std::size_t trajectories, std::size_t rows) {
+    return 5 * trajectories + 1 + 6 * rows;
+  }
+
+ private:
+  friend class EventStoreReader;  // DecodeBlock fills the columns
+
+  /// The columns in buffer order: four of one word per trajectory, the
+  /// first rows, then six of one word per row.
+  enum Column : std::size_t {
+    kIds, kObjects, kDicts, kEnds, kFirstRows,
+    kCells, kTransitions, kStarts, kDurations, kStayDicts, kTransitionDicts
+  };
+  std::size_t Offset(Column column) const {
+    return column <= kFirstRows
+               ? column * trajectories
+               : 5 * trajectories + 1 + (column - kCells) * rows;
+  }
+  const std::uint64_t* Unsigned(Column column) const {
+    return words.get() + Offset(column);
+  }
+  const std::int64_t* Signed(Column column) const {
+    return reinterpret_cast<const std::int64_t*>(Unsigned(column));
+  }
+  // The writable forms, which only DecodeBlock calls.
+  std::uint64_t* Unsigned(Column column) {
+    return words.get() + Offset(column);
+  }
+  std::int64_t* Signed(Column column) {
+    return reinterpret_cast<std::int64_t*>(Unsigned(column));
+  }
+};
+
 /// One trajectory of a trajectory block, seen through its decoded
-/// columns (see ReadTrajectoryBlock). The columns hold one entry per
-/// row, in order; they point into the decode buffer and live only for
-/// the visit. Every row is already validated: its end does not overflow
-/// and follows its start, and its dictionary indices are in range.
+/// columns (see ScanBlock). The columns hold one entry per row, in
+/// order; they point into a DecodedBlock and live as long as it does.
+/// Every row is already validated: its end does not overflow and
+/// follows its start, and its dictionary indices are in range.
 /// Tuple() and Build() are the one conversion from block columns to
 /// model values; a caller that needs less reads the columns instead.
 struct TrajectoryView {
@@ -393,17 +469,36 @@ class EventStoreReader {
       const ScanOptions& scan = {}) const;
 
   /// Block-wise scan, so callers stream block by block without
-  /// materializing the whole store. ReadTrajectoryBlock decodes block
-  /// `i`, validates every row of every trajectory (kept or not), then
-  /// calls `visit` with each trajectory the scan keeps, in block order;
-  /// nothing is built unless the visitor calls TrajectoryView::Build or
-  /// Tuple. A visited view's `position` lines it up with per-trajectory
-  /// ordinals. A faulty row is Corruption whatever the scan keeps, with
-  /// the same message; trajectories ahead of it in the block may already
-  /// have been visited, so callers drop what a failed block produced.
+  /// materializing the whole store. ReadTrajectoryBlock skips block `i`
+  /// when its footer stats rule the scan out (BlockMatches), and
+  /// otherwise is DecodeBlock then ScanBlock: a faulty block visits
+  /// nothing and returns DecodeBlock's error.
   [[nodiscard]] Status ReadTrajectoryBlock(std::size_t i,
                                            const ScanOptions& scan,
                                            const TrajectoryVisitor& visit) const;
+
+  /// The decode step of a block read: checks the index (InvalidArgument
+  /// out of range), verifies the checksum, decompresses under the
+  /// block's allocation cap, decodes every column and validates every
+  /// row of every trajectory. A faulty row is Corruption, with the same
+  /// message whatever a later scan keeps. The result depends on the
+  /// block's bytes only, so any reader of the same file contents
+  /// (trailer_checksum and file_bytes) may scan it.
+  [[nodiscard]] Result<std::shared_ptr<const DecodedBlock>> DecodeBlock(
+      std::size_t i) const;
+
+  /// The scan step: calls `visit` with each trajectory of `block` the
+  /// scan keeps, judged on the decoded columns (its object, its first
+  /// row's start and its end), in block order. Nothing is built unless
+  /// the visitor calls TrajectoryView::Build or Tuple. A visited view's
+  /// `position` lines it up with per-trajectory ordinals, and its
+  /// annotations resolve through this reader's dictionary. `block` must
+  /// come from DecodeBlock on a reader of this file's contents; a block
+  /// checked against a dictionary of another size is InvalidArgument
+  /// and visits nothing.
+  [[nodiscard]] Status ScanBlock(const DecodedBlock& block,
+                                 const ScanOptions& scan,
+                                 const TrajectoryVisitor& visit) const;
 
   /// Verifies every block checksum (footer integrity is already checked
   /// at Open) without decoding columns.
@@ -411,12 +506,6 @@ class EventStoreReader {
 
  private:
   [[nodiscard]] Result<std::string_view> BlockPayload(std::size_t i) const;
-  /// The step from block index to checked column bytes: checks the
-  /// index, answers nullopt for a block the scan's footer stats rule
-  /// out, then verifies the checksum and decompresses under the block's
-  /// allocation cap.
-  [[nodiscard]] Result<std::optional<std::string>> DecodeBlock(
-      std::size_t i, const ScanOptions& scan) const;
 
   MappedFile file_;
   std::uint64_t trailer_checksum_ = 0;

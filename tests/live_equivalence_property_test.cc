@@ -261,9 +261,13 @@ void ExpectStreamedStoreAnswersMatchBatch(
       sched::Executor executor(workers);
 
       SegmentStoreOptions store_options;
-      store_options.directory = ::testing::TempDir() + "live_eq_" +
-                                std::to_string(seed) + "_" + scenario.name +
-                                "_" + std::to_string(workers);
+      // One directory per test case: ctest runs the cases of one seed
+      // as concurrent processes.
+      store_options.directory =
+          ::testing::TempDir() + "live_eq_" + std::to_string(seed) +
+          (drop_graph_inconsistent ? "_filtered" : "") +
+          (returns_to_an_unreachable_cell ? "_returns" : "") + "_" +
+          scenario.name + "_" + std::to_string(workers);
       // Tiny segments + fanin 2: many seals, several compaction
       // generations, snapshots spanning levels — the hard case.
       store_options.seal_trajectories = 7;

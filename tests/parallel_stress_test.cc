@@ -28,6 +28,7 @@
 #include "query/predicate.h"
 #include "query/result_cache.h"
 #include "sched/executor.h"
+#include "storage/block_cache.h"
 #include "storage/event_store.h"
 
 namespace sitm {
@@ -319,6 +320,142 @@ TEST(QueryCacheStressTest, ConcurrentReadersShareOneCache) {
     EXPECT_GE(stats.inserts, queries.size());
     EXPECT_LE(cache.size(), 2u);
     EXPECT_GT(stats.evictions, 0u);
+  }
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Decoded-block cache under concurrent readers. A BlockCache whose
+// budget is below the store's decoded size keeps evictions racing with
+// hits and off-lock decodes, while several clients fetch and scan
+// overlapping runs of blocks from executor tasks at once.
+// ---------------------------------------------------------------------------
+
+/// Everything a scan of `block` hands out: each kept view's columns and
+/// its annotations, resolved through `reader`'s dictionary.
+std::string ScanDigest(const storage::EventStoreReader& reader,
+                       const storage::DecodedBlock& block) {
+  std::string out;
+  const Status status =
+      reader.ScanBlock(block, {}, [&out](const storage::TrajectoryView& v) {
+        out += std::to_string(v.id.value()) + ':' +
+               std::to_string(v.object.value()) + ':' +
+               std::to_string(v.start.seconds_since_epoch()) + '-' +
+               std::to_string(v.end.seconds_since_epoch()) + ' ' +
+               v.Annotations().ToString();
+        for (std::size_t r = 0; r < v.rows; ++r) {
+          out += ' ' + std::to_string(v.cells[r]) + '@' +
+                 std::to_string(v.starts[r]) + '+' +
+                 std::to_string(v.durations[r]) + '/' +
+                 std::to_string(v.transitions[r]) +
+                 (v.inferred[static_cast<std::ptrdiff_t>(r)] ? "i" : "") +
+                 v.StayAnnotations(r).ToString() +
+                 v.TransitionAnnotations(r).ToString();
+        }
+        out += '\n';
+      });
+  return status.ok() ? out : status.ToString();
+}
+
+TEST(QueryCacheStressTest, BlockEvictionsRaceWithLookupsAtEveryWorkerCount) {
+  const auto map = louvre::LouvreMap::Build();
+  ASSERT_TRUE(map.ok()) << map.status();
+  louvre::SimulatorOptions sim_options;
+  sim_options.seed = 777;
+  sim_options.num_visitors = 80;
+  sim_options.num_returning = 20;
+  sim_options.num_third_visits = 8;
+  sim_options.num_detections = (80 + 20 + 8) * 4;
+  louvre::VisitSimulator simulator(&*map, sim_options);
+  const auto dataset = simulator.Generate();
+  ASSERT_TRUE(dataset.ok()) << dataset.status();
+  core::PipelineOptions pipeline_options;
+  pipeline_options.builder.graph =
+      &map->graph().FindLayer(map->zone_layer()).value()->graph();
+  core::BatchPipeline pipeline(pipeline_options);
+  const auto trajectories = pipeline.Run(dataset->ToRawDetections());
+  ASSERT_TRUE(trajectories.ok()) << trajectories.status();
+
+  const std::string path = ::testing::TempDir() + "/block_cache_stress.evst";
+  storage::WriterOptions writer_options;
+  writer_options.rows_per_block = 48;  // many small blocks
+  auto writer = storage::EventStoreWriter::Create(
+      path, storage::StoreKind::kTrajectories, writer_options);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->Append(*trajectories).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  const auto reader = storage::EventStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const std::size_t num_blocks = reader->num_blocks();
+  ASSERT_GE(num_blocks, 4u);
+
+  // Cold answers, one thread, no cache.
+  std::vector<std::string> expected;
+  std::size_t decoded_bytes = 0, largest = 0;
+  for (std::size_t b = 0; b < num_blocks; ++b) {
+    const auto block = reader->DecodeBlock(b);
+    ASSERT_TRUE(block.ok()) << block.status();
+    decoded_bytes += (*block)->resident_bytes;
+    largest = std::max(largest, (*block)->resident_bytes);
+    expected.push_back(ScanDigest(*reader, **block));
+    ASSERT_FALSE(expected.back().empty());
+  }
+  // A third of the store, and room for at least the largest block.
+  const std::size_t budget = std::max(decoded_bytes / 3, largest);
+  ASSERT_LT(budget, decoded_bytes);
+
+  std::vector<std::size_t> worker_counts{1, 2};
+  if (Hc() > 2) worker_counts.push_back(Hc());
+  for (const std::size_t workers : worker_counts) {
+    SCOPED_TRACE(workers);
+    sched::Executor executor(workers);
+    storage::BlockCache blocks(budget);
+
+    constexpr int kClients = 4;
+    constexpr int kRounds = 24;
+    std::atomic<int> divergences{0};
+    std::atomic<int> over_budget{0};
+    // Raw threads model independent query clients; each round fetches
+    // and scans a run of half the blocks, starting at a client- and
+    // round-dependent block, one executor task per block.
+    // sitm-lint: allow(naked-thread)
+    std::vector<std::thread> clients;
+    clients.reserve(kClients);
+    for (int c = 0; c < kClients; ++c) {
+      clients.emplace_back([&, c] {
+        for (int round = 0; round < kRounds; ++round) {
+          const std::size_t first =
+              (static_cast<std::size_t>(round) * (2 * c + 1) + c) %
+              num_blocks;
+          const std::size_t count = num_blocks / 2 + 1;
+          const std::vector<std::string> digests = ParallelMap<std::string>(
+              &executor, count, [&](std::size_t k) {
+                const std::size_t b = (first + k) % num_blocks;
+                const auto block = blocks.Fetch(*reader, b);
+                return block.ok() ? ScanDigest(*reader, **block)
+                                  : block.status().ToString();
+              });
+          for (std::size_t k = 0; k < count; ++k) {
+            if (digests[k] != expected[(first + k) % num_blocks]) {
+              divergences.fetch_add(1);
+            }
+          }
+          if (blocks.resident_bytes() > budget) over_budget.fetch_add(1);
+        }
+      });
+    }
+    for (std::thread& t : clients) t.join();  // sitm-lint: allow(naked-thread)
+    EXPECT_EQ(divergences.load(), 0);
+    EXPECT_EQ(over_budget.load(), 0);
+    const storage::BlockCache::Stats stats = blocks.stats();
+    EXPECT_EQ(stats.hits + stats.misses,
+              static_cast<std::uint64_t>(kClients) * kRounds *
+                  (num_blocks / 2 + 1));
+    // Concurrent misses of one block may both decode; only one inserts.
+    EXPECT_LE(stats.inserts, stats.misses);
+    EXPECT_GT(stats.hits, 0u);
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_LE(blocks.resident_bytes(), budget);
   }
   std::remove(path.c_str());
 }

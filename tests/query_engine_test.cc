@@ -1265,5 +1265,84 @@ TEST(QueryResultCacheTest, UncacheableQueriesRunColdEveryTime) {
   std::remove(path.c_str());
 }
 
+TEST(QueryResultCacheTest, EveryStoreRunFetchesItsBlocksThroughTheCache) {
+  const auto trajectories = SimulatedTrajectories(81, 80);
+  const std::string path = TempPath("cache_blocks.evst");
+  storage::WriterOptions store_options;
+  store_options.rows_per_block = 64;
+  auto writer = storage::EventStoreWriter::Create(
+      path, storage::StoreKind::kTrajectories, store_options);
+  ASSERT_TRUE(writer.ok());
+  ASSERT_TRUE(writer->Append(trajectories).ok());
+  ASSERT_TRUE(writer->Finish().ok());
+  auto opened = storage::EventStoreReader::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status();
+  const auto reader = std::make_shared<const storage::EventStoreReader>(
+      std::move(opened).value());
+  ASSERT_GT(reader->num_blocks(), 2u);
+
+  // Uncacheable results still skip the decode of every block an earlier
+  // run decoded, and answer as the cold executor does.
+  Query episodes;
+  episodes.episodes.push_back(
+      {"long-stay", core::StayAtLeast(Duration::Minutes(8)), {}});
+  episodes.projection = Projection::kEpisodes;
+  Query topk;
+  topk.projection = Projection::kTopK;
+  topk.top_k.probe = &trajectories.front();
+  Query point;
+  point.where = ObjectIs(trajectories[trajectories.size() / 2].object());
+  point.projection = Projection::kTrajectories;
+
+  QueryExecutor cold(LouvreContext());
+  QueryResultCache cache;
+  ExecutorOptions options;
+  options.cache = &cache;
+  QueryExecutor executor(LouvreContext(), options);
+  std::uint64_t point_blocks = 0;
+  for (const Query* query : {&episodes, &topk, &point}) {
+    const auto reference = cold.Run(*query, *reader);
+    ASSERT_TRUE(reference.ok()) << reference.status();
+    point_blocks = reference->stats.blocks_scanned;
+    for (int round = 0; round < 2; ++round) {
+      const auto result = executor.Run(*query, *reader);
+      ASSERT_TRUE(result.ok()) << result.status();
+      EXPECT_EQ(result->Fingerprint(), reference->Fingerprint());
+      EXPECT_EQ(result->stats.blocks_scanned,
+                reference->stats.blocks_scanned);
+    }
+  }
+  // The first episode run decoded every block once, and every later
+  // fetch hit: the second episode run, both top-k runs and the point
+  // run that missed the result cache (its second run is a result hit).
+  const storage::BlockCache::Stats blocks = cache.blocks().stats();
+  EXPECT_EQ(blocks.misses, reader->num_blocks());
+  EXPECT_EQ(blocks.inserts, reader->num_blocks());
+  EXPECT_GT(point_blocks, 0u);
+  EXPECT_EQ(blocks.hits, 3 * reader->num_blocks() + point_blocks);
+  // Result counters count results only: one point miss, then its hit.
+  EXPECT_EQ(cache.stats().misses, 1u);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.size(), 1u);
+
+  // A store set never touches the blocks: its segments decode cold.
+  const std::vector<storage::TrajectoryKey> keys =
+      storage::SortedKeys(trajectories);
+  const storage::StoreSet set = storage::StoreSet::Make(
+      trajectories.front().id(), {storage::StoreSetSegment{reader}},
+      std::make_shared<const storage::SealedRanks>(
+          storage::RankSegments({&keys})),
+      {});
+  ASSERT_TRUE(executor.Run(episodes, set).ok());
+  EXPECT_EQ(cache.blocks().stats().hits, blocks.hits);
+  EXPECT_EQ(cache.blocks().stats().misses, blocks.misses);
+
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.blocks().size(), 0u);
+  EXPECT_EQ(cache.blocks().resident_bytes(), 0u);
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace sitm::query

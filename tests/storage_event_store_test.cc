@@ -15,6 +15,7 @@
 #include "io/csv.h"
 #include "louvre/museum.h"
 #include "louvre/simulator.h"
+#include "storage/block_cache.h"
 #include "storage/columnar.h"
 #include "storage/event_store.h"
 
@@ -1757,6 +1758,251 @@ TEST(EventStoreLateMaterializationTest, FilteredDecodeEqualsFilteredFullDecode) 
     }
     std::remove(path.c_str());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Decode once: DecodeBlock + ScanBlock, and the BlockCache that keeps
+// decoded blocks under one byte budget.
+// ---------------------------------------------------------------------------
+
+/// The trajectories ScanBlock visits in `block` under `scan`, built.
+std::vector<core::SemanticTrajectory> Scanned(const EventStoreReader& reader,
+                                              const DecodedBlock& block,
+                                              const ScanOptions& scan = {}) {
+  std::vector<core::SemanticTrajectory> out;
+  const Status status =
+      reader.ScanBlock(block, scan, [&out](const TrajectoryView& view) {
+        out.push_back(view.Build(view.id));
+      });
+  EXPECT_TRUE(status.ok()) << status;
+  return out;
+}
+
+/// What a cold ReadTrajectoryBlock of block `i` visits under `scan`.
+std::vector<core::SemanticTrajectory> ColdBlock(const EventStoreReader& reader,
+                                                std::size_t i,
+                                                const ScanOptions& scan = {}) {
+  std::vector<core::SemanticTrajectory> out;
+  const Status status =
+      reader.ReadTrajectoryBlock(i, scan, [&out](const TrajectoryView& view) {
+        out.push_back(view.Build(view.id));
+      });
+  EXPECT_TRUE(status.ok()) << status;
+  return out;
+}
+
+TEST(BlockCacheTest, ForgedBlockIsRefusedOnEveryTouchAndNeverResident) {
+  const std::string path = TempPath("block_cache_forged_src.evst");
+  WriterOptions options;
+  options.rows_per_block = 4096;
+  ASSERT_TRUE(WriteTrajectoryStore(path, GoldenTrajectories(), options).ok());
+  const auto original = io::ReadFile(path);
+  ASSERT_TRUE(original.ok());
+  // A stay-annotation index past the dictionary, behind a repaired
+  // checksum: only the row checks can refuse it.
+  const std::string forged =
+      ForgeSingleTrajectoryBlock(*original, [](TrajectoryColumns& c) {
+        c.stay_dicts[FirstRowOf(c, 5)] = 1000;
+      });
+  const std::string forged_path = TempPath("block_cache_forged.evst");
+  ASSERT_TRUE(io::WriteFile(forged_path, forged).ok());
+  const auto reader = EventStoreReader::Open(forged_path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  ASSERT_EQ(reader->num_blocks(), 1u);
+
+  BlockCache cache(1u << 20);
+  for (int touch = 0; touch < 3; ++touch) {
+    SCOPED_TRACE(touch);
+    const auto fetched = cache.Fetch(*reader, 0);
+    ASSERT_FALSE(fetched.ok());
+    EXPECT_EQ(fetched.status().code(), StatusCode::kCorruption);
+    EXPECT_EQ(fetched.status().message(),
+              "EventStore: dictionary index 1000 out of range");
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.resident_bytes(), 0u);
+  }
+  // The cold paths refuse it with the same error.
+  const auto cold = reader->DecodeBlock(0);
+  ASSERT_FALSE(cold.ok());
+  EXPECT_EQ(cold.status().message(),
+            "EventStore: dictionary index 1000 out of range");
+  EXPECT_EQ(reader->ReadTrajectories().status().message(),
+            cold.status().message());
+  // An index past the end is refused without touching the cache.
+  const auto out_of_range = cache.Fetch(*reader, 1);
+  EXPECT_EQ(out_of_range.status().code(), StatusCode::kInvalidArgument);
+  const BlockCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 4u);
+  EXPECT_EQ(stats.inserts, 0u);
+  EXPECT_EQ(cache.size(), 0u);
+
+  // The unforged store decodes, stays resident, and hits after that.
+  const auto good = EventStoreReader::Open(path);
+  ASSERT_TRUE(good.ok()) << good.status();
+  const auto first = cache.Fetch(*good, 0);
+  ASSERT_TRUE(first.ok()) << first.status();
+  const auto second = cache.Fetch(*good, 0);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(first->get(), second->get());
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.resident_bytes(), (*first)->resident_bytes);
+  ExpectTrajectoriesEqual(GoldenTrajectories(), Scanned(*good, **second));
+  std::remove(forged_path.c_str());
+  std::remove(path.c_str());
+}
+
+TEST(BlockCacheTest, ResidentBytesNeverExceedTheBudget) {
+  const std::string path = TempPath("block_cache_budget.evst");
+  const auto trajectories = BuildTrajectories(SimulatedDetections(31, 40));
+  WriterOptions options;
+  options.rows_per_block = 40;
+  ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
+  const auto reader = EventStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  const std::size_t blocks = reader->num_blocks();
+  ASSERT_GE(blocks, 6u);
+  std::size_t total = 0, largest = 0;
+  for (std::size_t b = 0; b < blocks; ++b) {
+    const auto block = reader->DecodeBlock(b);
+    ASSERT_TRUE(block.ok()) << block.status();
+    EXPECT_GT((*block)->resident_bytes, sizeof(DecodedBlock));
+    total += (*block)->resident_bytes;
+    largest = std::max(largest, (*block)->resident_bytes);
+  }
+
+  const std::size_t budget = std::max(total / 3, largest);
+  BlockCache cache(budget);
+  Rng rng(0xb10c);
+  for (int touch = 0; touch < 400; ++touch) {
+    const auto b = static_cast<std::size_t>(rng.NextBounded(blocks));
+    const auto fetched = cache.Fetch(*reader, b);
+    ASSERT_TRUE(fetched.ok()) << fetched.status();
+    ASSERT_LE(cache.resident_bytes(), budget) << "touch " << touch;
+    if (touch % 50 == 0) {
+      ExpectTrajectoriesEqual(ColdBlock(*reader, b), Scanned(*reader, **fetched));
+    }
+  }
+  const BlockCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 400u);
+  EXPECT_EQ(stats.inserts, stats.misses);  // one thread: every miss inserts
+  EXPECT_GT(stats.hits, 0u);
+  EXPECT_GT(stats.evictions, 0u);
+  EXPECT_EQ(stats.inserts - stats.evictions, cache.size());
+
+  // A block larger than the budget is returned but never kept.
+  BlockCache tiny(sizeof(DecodedBlock));
+  const auto big = tiny.Fetch(*reader, 0);
+  ASSERT_TRUE(big.ok()) << big.status();
+  ExpectTrajectoriesEqual(ColdBlock(*reader, 0), Scanned(*reader, **big));
+  EXPECT_EQ(tiny.size(), 0u);
+  EXPECT_EQ(tiny.resident_bytes(), 0u);
+
+  cache.Clear();
+  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+  std::remove(path.c_str());
+}
+
+TEST(BlockCacheTest, StoresWithDifferentContentsNeverAlias) {
+  // Same shape, one block each, different cells: only the contents
+  // tell them apart.
+  const std::string path_a = TempPath("block_cache_alias_a.evst");
+  const std::string path_b = TempPath("block_cache_alias_b.evst");
+  const auto a_trajectories = OneRowTrajectories(
+      ObjectId(1), CellId(10), {{0, 10}, {20, 30}, {40, 50}});
+  const auto b_trajectories = OneRowTrajectories(
+      ObjectId(1), CellId(11), {{0, 10}, {20, 30}, {40, 50}});
+  ASSERT_TRUE(WriteTrajectoryStore(path_a, a_trajectories).ok());
+  ASSERT_TRUE(WriteTrajectoryStore(path_b, b_trajectories).ok());
+  const auto a = EventStoreReader::Open(path_a);
+  const auto b = EventStoreReader::Open(path_b);
+  ASSERT_TRUE(a.ok() && b.ok());
+  ASSERT_EQ(a->file_bytes(), b->file_bytes());
+  ASSERT_NE(a->trailer_checksum(), b->trailer_checksum());
+
+  BlockCache cache(1u << 20);
+  for (int round = 0; round < 2; ++round) {
+    const auto from_a = cache.Fetch(*a, 0);
+    const auto from_b = cache.Fetch(*b, 0);
+    ASSERT_TRUE(from_a.ok() && from_b.ok());
+    EXPECT_NE(from_a->get(), from_b->get());
+    ExpectTrajectoriesEqual(a_trajectories, Scanned(*a, **from_a));
+    ExpectTrajectoriesEqual(b_trajectories, Scanned(*b, **from_b));
+  }
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.stats().hits, 2u);
+
+  // A second reader of the same file shares the first one's block.
+  const auto a_again = EventStoreReader::Open(path_a);
+  ASSERT_TRUE(a_again.ok());
+  const auto shared = cache.Fetch(*a_again, 0);
+  ASSERT_TRUE(shared.ok());
+  EXPECT_EQ(cache.stats().hits, 3u);
+  ExpectTrajectoriesEqual(a_trajectories, Scanned(*a_again, **shared));
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+}
+
+TEST(DecodedBlockTest, ScanBlockRefusesABlockCheckedAgainstAnotherDictionary) {
+  // The views resolve annotation indices through the scanning reader's
+  // dictionary unchecked, so a block whose indices were checked against
+  // a dictionary of another size (another store's block, or a resident
+  // block under a colliding cache key) must not reach a visitor.
+  const std::string small_path = TempPath("decoded_block_dict_small.evst");
+  const std::string large_path = TempPath("decoded_block_dict_large.evst");
+  ASSERT_TRUE(WriteTrajectoryStore(small_path,
+                                   OneRowTrajectories(ObjectId(1), CellId(10),
+                                                      {{0, 10}, {20, 30}}))
+                  .ok());
+  ASSERT_TRUE(WriteTrajectoryStore(large_path, GoldenTrajectories()).ok());
+  const auto small = EventStoreReader::Open(small_path);
+  const auto large = EventStoreReader::Open(large_path);
+  ASSERT_TRUE(small.ok() && large.ok());
+  ASSERT_LT(small->dictionary().size(), large->dictionary().size());
+
+  const auto from_large = large->DecodeBlock(0);
+  ASSERT_TRUE(from_large.ok()) << from_large.status();
+  EXPECT_EQ((*from_large)->dictionary_size, large->dictionary().size());
+  int visited = 0;
+  const Status refused = small->ScanBlock(
+      **from_large, {}, [&visited](const TrajectoryView&) { ++visited; });
+  EXPECT_EQ(refused.code(), StatusCode::kInvalidArgument) << refused;
+  EXPECT_EQ(visited, 0);
+
+  // Its own reader, and any reader of the same file, scan it.
+  const auto large_again = EventStoreReader::Open(large_path);
+  ASSERT_TRUE(large_again.ok());
+  ExpectTrajectoriesEqual(GoldenTrajectories(),
+                          Scanned(*large_again, **from_large));
+  std::remove(small_path.c_str());
+  std::remove(large_path.c_str());
+}
+
+TEST(DecodedBlockTest, ScanBlockEqualsReadTrajectoryBlockUnderEveryScan) {
+  const std::string path = TempPath("decoded_block_scan.evst");
+  const auto trajectories = BuildTrajectories(SimulatedDetections(17, 30));
+  WriterOptions options;
+  options.rows_per_block = 64;
+  ASSERT_TRUE(WriteTrajectoryStore(path, trajectories, options).ok());
+  const auto reader = EventStoreReader::Open(path);
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  std::vector<ScanOptions> scans =
+      RandomScans(*reader, trajectories, 0xdec0de, 40);
+  scans.emplace_back();
+  for (std::size_t i = 0; i < reader->num_blocks(); ++i) {
+    const auto block = reader->DecodeBlock(i);
+    ASSERT_TRUE(block.ok()) << block.status();
+    EXPECT_EQ((*block)->rows, reader->block(i).rows);
+    EXPECT_EQ((*block)->trajectories, reader->block(i).trajectories);
+    for (const ScanOptions& scan : scans) {
+      // ReadTrajectoryBlock skips blocks the footer stats rule out;
+      // ScanBlock's trajectory filter keeps nothing of them either.
+      ExpectTrajectoriesEqual(ColdBlock(*reader, i, scan),
+                              Scanned(*reader, **block, scan));
+    }
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace
